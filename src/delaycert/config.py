@@ -139,24 +139,18 @@ class ExperimentConfig:
         states = [phi(t) for t in times]
         if min(min(x) for x in states) < 0.0:
             return None
-        return max(lyapunov_v(v, self.system.dilation, x) for x in states)
+        return float(lyapunov_v(v, self.system.dilation, states).max())
 
-    def history_discrete(self) -> dict[int, tuple[float, ...]]:
+    def history_discrete(
+        self,
+    ) -> Callable[[int], Sequence[float]] | dict[int, tuple[float, ...]]:
+        """The discrete history: a callable for a constant history, which
+        answers any index the simulator asks for, else the table by index."""
         doc = self.history_doc
         if "constant" in doc:
-            # a constant history answers any index the simulator asks for
-            return _ConstantMap(tuple(float(x) for x in doc["constant"]))
+            return constant_history(doc["constant"])
         table = doc["table"]
         return {int(k): tuple(map(float, xs)) for k, xs in zip(table["times"], table["states"])}
-
-
-class _ConstantMap(dict):
-    def __init__(self, vec):
-        super().__init__()
-        self._vec = vec
-
-    def __getitem__(self, key):
-        return self._vec
 
 
 def load_config(path) -> ExperimentConfig:

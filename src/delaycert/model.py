@@ -8,8 +8,15 @@ certificates, and the weighted max-type Lyapunov function
 
 which reduces to the weighted l-infinity norm under the standard dilation.
 
+Every polynomial, scalar or vector, is evaluated by one monomial kernel,
+`_sum_monomials`, over a sparse form of its terms that lists only the
+nonzero exponents; each polynomial builds that form once, on first use.
+`lyapunov_v` evaluates V at one point or at every row of an array in one
+numpy expression.
+
 All types are immutable values after construction; every operation in this
-module is pure and safe to call concurrently.
+module is pure and safe to call concurrently (two threads that build the
+same sparse form at once build equal values).
 """
 
 from __future__ import annotations
@@ -20,7 +27,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 Term = tuple[float, tuple[int, ...]]
+# a term with its nonzero exponents as (variable, exponent) pairs
+SparseTerm = tuple[float, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -33,6 +44,41 @@ def _overflow_value(coeff: float, x: Sequence[float], exps: tuple[int, ...]) -> 
         if xi < 0.0 and e % 2:
             sign = -sign
     return sign * math.inf
+
+
+def _sparse_terms(terms: tuple[Term, ...]) -> tuple[SparseTerm, ...]:
+    return tuple(
+        (coeff, exps, tuple((j, e) for j, e in enumerate(exps) if e))
+        for coeff, exps in terms
+    )
+
+
+def _sum_monomials(
+    polys: tuple[tuple[SparseTerm, ...], ...], x: Sequence[float]
+) -> list[float]:
+    """Each polynomial's sum of coeff * prod_j x_j**e_j over its sparse terms.
+
+    Factors are multiplied in variable order and x_j**1 is taken as x_j, so
+    each sum equals, bit for bit, a loop over every exponent that skips the
+    zero ones.  A monomial whose power overflows counts as a signed
+    infinity.
+    """
+    out = []
+    for terms in polys:
+        acc = 0.0
+        for coeff, exps, factors in terms:
+            try:
+                val = coeff
+                for j, e in factors:
+                    if e == 1:
+                        val *= x[j]
+                    else:
+                        val *= x[j] ** e
+            except OverflowError:
+                val = _overflow_value(coeff, x, exps)
+            acc += val
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,9 +112,6 @@ class Dilation:
     def is_standard(self) -> bool:
         return all(ri == 1.0 for ri in self.r)
 
-    def apply(self, lam: float, x: Sequence[float]) -> tuple[float, ...]:
-        return dilate(self, lam, x)
-
 
 def dilate(d: Dilation, lam: float, x: Sequence[float]) -> tuple[float, ...]:
     """Apply the dilation map: (lam**r_1 * x_1, ..., lam**r_n * x_n)."""
@@ -97,22 +140,14 @@ class ScalarPoly:
             norm.append((float(coeff), exps))
         object.__setattr__(self, "terms", tuple(norm))
 
+    @cached_property
+    def _sparse(self) -> tuple[SparseTerm, ...]:
+        return _sparse_terms(self.terms)
+
     def evaluate(self, x: Sequence[float]) -> float:
         if len(x) != self.n:
             raise ValueError(f"dimension mismatch: poly has n={self.n}, point has {len(x)}")
-        acc = 0.0
-        for coeff, exps in self.terms:
-            try:
-                val = coeff
-                for xi, e in zip(x, exps):
-                    if e == 1:
-                        val *= xi
-                    elif e:
-                        val *= xi ** e
-            except OverflowError:
-                val = _overflow_value(coeff, x, exps)
-            acc += val
-        return acc
+        return _sum_monomials((self._sparse,), x)[0]
 
     __call__ = evaluate
 
@@ -178,25 +213,14 @@ class PolyVectorField:
 
     # -- evaluation ---------------------------------------------------------
 
+    @cached_property
+    def _sparse(self) -> tuple[tuple[SparseTerm, ...], ...]:
+        return tuple(_sparse_terms(terms) for terms in self.components)
+
     def evaluate(self, x: Sequence[float]) -> list[float]:
         if len(x) != self.n:
             raise ValueError(f"dimension mismatch: field has n={self.n}, point has {len(x)}")
-        out = []
-        for terms in self.components:
-            acc = 0.0
-            for coeff, exps in terms:
-                try:
-                    val = coeff
-                    for xi, e in zip(x, exps):
-                        if e == 1:
-                            val *= xi
-                        elif e:
-                            val *= xi ** e
-                except OverflowError:
-                    val = _overflow_value(coeff, x, exps)
-                acc += val
-            out.append(acc)
-        return out
+        return _sum_monomials(self._sparse, x)
 
     __call__ = evaluate
 
@@ -391,25 +415,28 @@ class SystemModel:
         return total
 
 
-def lyapunov_v(v: Sequence[float], d: Dilation, x: Sequence[float]) -> float:
+def lyapunov_v(v: Sequence[float], d: Dilation, x) -> float | np.ndarray:
     """Weighted max-type Lyapunov function max_i (x_i/v_i)**(r_max/r_i).
 
+    x is one point of shape (n,), giving a float, or an array of points of
+    shape (m, n), giving V at every row as an array of shape (m,).
     Requires x >= 0 and v > 0.  Under the standard dilation this is the
     weighted l-infinity norm max_i x_i / v_i.
     """
-    if len(v) != d.n or len(x) != d.n:
+    w = np.asarray(v, dtype=float)
+    pts = np.asarray(x, dtype=float)
+    if w.shape != (d.n,) or pts.ndim not in (1, 2) or pts.shape[-1] != d.n:
         raise ValueError("dimension mismatch in lyapunov_v")
-    rmax = d.r_max
-    best = 0.0
-    for xi, vi, ri in zip(x, v, d.r):
-        if vi <= 0.0:
-            raise ValueError(f"weight vector must be positive, got {vi}")
-        if xi < 0.0:
-            raise ValueError(f"negative state component {xi} outside the positive orthant")
-        val = (xi / vi) ** (rmax / ri)
-        if val > best:
-            best = val
-    return best
+    if w.min() <= 0.0:
+        raise ValueError(f"weight vector must be positive, got {w.min()}")
+    if pts.size and pts.min() < 0.0:
+        raise ValueError(f"negative state component {pts.min()} outside the positive orthant")
+    # float_power, unlike np.power, keeps the C library's pow on every
+    # element, so V is the same bit for bit whether it is computed at one
+    # point or over a whole trajectory (np.power may dispatch to a SIMD
+    # approximation that differs in the last bit)
+    vals = np.float_power(pts / w, np.divide(d.r_max, d.r)).max(axis=-1, initial=0.0)
+    return float(vals) if pts.ndim == 1 else vals
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,6 @@ class DecayBound:
         m = self.mu(t)
         return M / m if m > 0.0 else math.inf
 
-    def with_constant(self, M: float) -> "DecayBound":
-        from dataclasses import replace
-
-        return replace(self, envelope_constant=float(M))
-
     def to_dict(self) -> dict:
         d = {
             "form": self.form,

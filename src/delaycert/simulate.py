@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .delays import DelayModel, as_delay_list, history_depth
-from .model import Dilation, SystemModel, lyapunov_v
+from .model import Dilation, LevelSetProbe, SystemModel, lyapunov_v
 from .rates import DEFAULT_SAFETY, DecayBound
 
 CLAMP_EPS = 1e-12      # negative roundoff this small is snapped to zero
@@ -46,11 +46,16 @@ class Trajectory:
     positivity violations (time, component, value), and `diverged_at` when
     the state left the finite range (the trajectory is truncated just
     before that time).
+
+    v_values caches V along the trajectory: None until `lyapunov_values` is
+    first called, then the pair ((v, dilation), V) for the last weights and
+    dilation asked for.  V is read-only; a later call with the same
+    (v, dilation) returns it without recomputing.
     """
 
     times: np.ndarray
     states: np.ndarray
-    v_values: np.ndarray | None = None
+    v_values: tuple[tuple[tuple[float, ...], Dilation], np.ndarray] | None = None
     metadata: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
@@ -68,9 +73,14 @@ class Trajectory:
         return self.metadata.get("diverged_at") is not None
 
     def lyapunov_values(self, v: Sequence[float], dilation: Dilation) -> np.ndarray:
-        """V along the trajectory; tiny negative roundoff is clipped to zero."""
-        clipped = np.clip(self.states, 0.0, None)
-        return np.array([lyapunov_v(v, dilation, x) for x in clipped])
+        """V along the trajectory, read-only and computed once per (v,
+        dilation); tiny negative roundoff is clipped to zero."""
+        key = (tuple(float(vi) for vi in v), dilation)
+        if self.v_values is None or self.v_values[0] != key:
+            V = lyapunov_v(v, dilation, np.clip(self.states, 0.0, None))
+            V.flags.writeable = False
+            self.v_values = (key, V)
+        return self.v_values[1]
 
 
 def constant_history(x0: Sequence[float]) -> Callable[[float], tuple[float, ...]]:
@@ -383,14 +393,13 @@ def level_set_descent(
 ) -> list[float]:
     """Entry times into the nested Lyapunov sublevel sets.
 
-    For each threshold gamma**m * phi_norm, the entry time is the first grid
-    time after which V stays at or below the threshold for the rest of the
-    run (computed from the suffix maximum of V).  Stops at the first
-    threshold never entered; the returned times are non-decreasing by
-    construction.
+    For each threshold gamma**m * phi_norm of LevelSetProbe, the entry time
+    is the first grid time after which V stays at or below the threshold
+    for the rest of the run (computed from the suffix maximum of V).  Stops
+    at the first threshold never entered; the returned times are
+    non-decreasing by construction.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
+    probe = LevelSetProbe(gamma, phi_norm)
     if len(traj.times) == 0:
         return []
     V = traj.lyapunov_values(v, dilation)
@@ -398,7 +407,7 @@ def level_set_descent(
     entries: list[float] = []
     idx = 0
     for m in range(m_max + 1):
-        thr = phi_norm * gamma ** m if m else phi_norm
+        thr = probe.threshold(m)
         while idx < len(V) and suffix_max[idx] > thr:
             idx += 1
         if idx >= len(V):
@@ -422,21 +431,16 @@ def export_csv(
     1/mu(t) (times the fitted constant when one is attached).  Floats are
     written with 17 significant digits so the file round-trips exactly.
     """
-    n = traj.n
-    columns = ["t"] + [f"x_{i + 1}" for i in range(n)]
-    V = None
+    header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)]
+    times = traj.times.tolist()
+    columns = [times, *traj.states.T.tolist()]
     if v is not None and dilation is not None:
-        V = traj.lyapunov_values(v, dilation)
-        columns.append("V")
+        header.append("V")
+        columns.append(traj.lyapunov_values(v, dilation).tolist())
     if bound is not None:
-        columns.append("bound")
-    lines = [",".join(columns)]
-    for row_idx, t in enumerate(traj.times):
-        cells = [f"{t:.17g}"] + [f"{x:.17g}" for x in traj.states[row_idx]]
-        if V is not None:
-            cells.append(f"{V[row_idx]:.17g}")
-        if bound is not None:
-            cells.append(f"{bound.envelope(float(t)):.17g}")
-        lines.append(",".join(cells))
+        header.append("bound")
+        columns.append([bound.envelope(t) for t in times])
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(header)] + [row % cells for cells in zip(*columns)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

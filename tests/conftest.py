@@ -59,6 +59,15 @@ def growth2d() -> SystemModel:
     )
 
 
+def lyapunov_reference(v, r, x) -> float:
+    """V(x) = max_i (x_i/v_i)**(r_max/r_i), one Python float at a time."""
+    rmax = max(r)
+    best = 0.0
+    for xi, vi, ri in zip(x, v, r):
+        best = max(best, (float(xi) / vi) ** (rmax / ri))
+    return best
+
+
 def growth2d_closed_form(t: float, x10: float = 1.0, x20: float = 1.0) -> tuple[float, float]:
     """Exact solution of the growth2d system under the ramp delay below."""
     x1 = x10 * math.exp(t)

@@ -9,13 +9,14 @@ from delaycert import (
     Dilation,
     LevelSetProbe,
     PolyVectorField,
+    ScalarPoly,
     dilate,
     eval_field,
     is_homogeneous,
     jacobian,
     lyapunov_v,
 )
-from conftest import CUBIC_F, CUBIC_G
+from conftest import CUBIC_F, CUBIC_G, lyapunov_reference
 
 
 # -- eval_field ----------------------------------------------------------------
@@ -44,6 +45,47 @@ def test_eval_overflow_reports_infinite():
     F = PolyVectorField(1, (((1.0, (2,)),),))
     big = 1e200
     assert math.isinf(F.evaluate((big,))[0])
+    # the sign follows the coefficient and the odd powers of negative entries
+    G = PolyVectorField(2, (((1.0, (3, 0)),), ((-2.0, (3, 1)), (1.0, (0, 1)))))
+    assert G.evaluate((-big, 1.0)) == [-math.inf, math.inf]
+    assert G.evaluate((big, 1.0)) == [math.inf, -math.inf]
+
+
+def _dense_sum(terms, x):
+    """The monomial loop over every exponent, zero ones skipped."""
+    acc = 0.0
+    for coeff, exps in terms:
+        val = coeff
+        for xi, e in zip(x, exps):
+            if e == 1:
+                val *= xi
+            elif e:
+                val *= xi ** e
+        acc += val
+    return acc
+
+
+@st.composite
+def _fields_and_points(draw):
+    n = draw(st.integers(1, 4))
+    term = st.tuples(
+        st.floats(-10.0, 10.0), st.tuples(*[st.integers(0, 4)] * n)
+    )
+    comps = draw(st.tuples(*[st.lists(term, max_size=5)] * n))
+    x = draw(st.tuples(*[st.floats(-5.0, 5.0)] * n))
+    return PolyVectorField(n, comps), x
+
+
+@given(_fields_and_points())
+def test_eval_matches_dense_loop_bitwise(field_and_point):
+    F, x = field_and_point
+    got = F.evaluate(x)
+    want = [_dense_sum(terms, x) for terms in F.components]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    for i, terms in enumerate(F.components):
+        poly = ScalarPoly(F.n, terms)
+        assert poly.evaluate(x).hex() == want[i].hex()
+        assert F.component_poly(i)(x).hex() == want[i].hex()
 
 
 @given(
@@ -136,6 +178,33 @@ def test_lyapunov_is_weighted_linf_for_standard_dilation():
     v = (2.0, 4.0, 0.5)
     x = (1.0, 1.0, 1.0)
     assert lyapunov_v(v, d, x) == pytest.approx(max(xi / vi for xi, vi in zip(x, v)))
+
+
+@settings(max_examples=60)
+@given(
+    rows=st.lists(st.tuples(*[st.floats(0.0, 50.0)] * 3), min_size=1, max_size=20),
+    v=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+    r=st.tuples(*[st.floats(0.5, 3.0)] * 3),
+)
+def test_lyapunov_array_matches_rows_exactly(rows, v, r):
+    d = Dilation(r)
+    X = np.array(rows)
+    W = lyapunov_v(v, d, X)
+    assert W.shape == (len(rows),)
+    assert W.tolist() == [lyapunov_v(v, d, row) for row in X]
+    assert W.tolist() == [lyapunov_reference(v, r, row) for row in rows]
+
+
+def test_lyapunov_array_checks_inputs():
+    d = Dilation((1.0, 2.0))
+    X = np.array([[1.0, 0.5], [0.2, -0.1]])
+    with pytest.raises(ValueError, match="negative"):
+        lyapunov_v((1.0, 1.0), d, X)
+    with pytest.raises(ValueError, match="positive"):
+        lyapunov_v((1.0, 0.0), d, np.abs(X))
+    with pytest.raises(ValueError, match="dimension"):
+        lyapunov_v((1.0, 1.0), d, np.ones((3, 3)))
+    assert lyapunov_v((1.0, 1.0), d, np.empty((0, 2))).shape == (0,)
 
 
 @settings(max_examples=60)

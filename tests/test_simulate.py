@@ -28,7 +28,7 @@ from delaycert import (
     theta_bound,
     upper_solution_theta,
 )
-from conftest import growth2d_closed_form
+from conftest import growth2d_closed_form, lyapunov_reference
 
 RAMP = PiecewiseLinearDelay(((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)))
 
@@ -330,6 +330,19 @@ def test_csv_format_and_determinism(tmp_path, cubic2d):
     assert f"{val:.17g}" == lines[2].split(",")[1]
 
 
+def test_csv_matches_cellwise_rendering(tmp_path, cubic2d, cubic_run_t50):
+    v = (1.0, 1.0)
+    bound = theta_bound(cubic2d, v, tau_sup=5.0)
+    path = tmp_path / "run.csv"
+    export_csv(cubic_run_t50, path, v=v, dilation=cubic2d.dilation, bound=bound)
+    lines = ["t,x_1,x_2,V,bound"]
+    for t, x in zip(cubic_run_t50.times, cubic_run_t50.states):
+        V = lyapunov_reference(v, cubic2d.dilation.r, np.clip(x, 0.0, None))
+        cells = [t, *x, V, bound.envelope(float(t))]
+        lines.append(",".join(f"{c:.17g}" for c in cells))
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_csv_without_analysis_columns(tmp_path, cubic2d):
     traj = simulate_continuous(
         cubic2d, ConstantDelay(1.0), constant_history((1.0, 1.0)), 0.01, 1.0
@@ -340,6 +353,23 @@ def test_csv_without_analysis_columns(tmp_path, cubic2d):
 
 
 # -- trajectory validation ------------------------------------------------------------------------
+
+def test_lyapunov_values_computed_once_per_key():
+    traj = Trajectory(
+        times=np.array([0.0, 1.0, 2.0]),
+        states=np.array([[1.0, 1.0], [0.5, 0.2], [0.1, -1e-13]]),
+    )
+    d = Dilation((1.0, 2.0))
+    W = traj.lyapunov_values((1.0, 1.0), d)
+    assert W.tolist() == [1.0, 0.25, 0.010000000000000002]
+    assert not W.flags.writeable
+    assert traj.lyapunov_values([1.0, 1.0], d) is W
+    assert traj.v_values[0] == ((1.0, 1.0), d)
+    W2 = traj.lyapunov_values((2.0, 1.0), d)
+    assert W2 is not W
+    assert W2.tolist() == [1.0, 0.2, 0.0025000000000000005]
+    assert traj.lyapunov_values((2.0, 1.0), Dilation((1.0, 1.0))).tolist() == [1.0, 0.25, 0.05]
+
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
