@@ -34,7 +34,6 @@ from .checks import (
     CheckResult,
     DelayAssumptionReport,
     HypothesisReport,
-    SampleSpec,
     check_cooperative,
     check_delay_assumption,
     check_homogeneity,

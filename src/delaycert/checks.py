@@ -5,21 +5,25 @@ stability theory needs: cooperativity of the undelayed field, monotonicity
 of the delayed couplings, exact homogeneity against the declared dilation,
 the sufficient positivity condition, and the delay admissibility conditions.
 
-Verdicts are three-valued.  A "pass" backed by the coefficient test is a
-proof (a polynomial whose monomials all have nonnegative coefficients is
-nonnegative on the positive orthant); when coefficients are mixed we fall
-back to sampling, which can only refute (witness) or stay undetermined.
+Verdicts are three-valued.  Cooperativity, monotonicity and positivity all
+reduce to "this polynomial is >= 0 on the positive orthant (or on one of
+its faces)", and one sign test decides every such claim.  A polynomial
+whose monomials all have nonnegative coefficients is nonnegative there, so
+that case is a proof.  With mixed coefficients the test samples a fixed
+set of orthant points (`orthant_samples`), which can only refute (a
+witness) or leave the verdict undetermined.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .delays import DelayModel, history_depth
-from .model import PolyVectorField, SystemModel, Dilation, is_homogeneous, jacobian
+from .model import Dilation, PolyVectorField, ScalarPoly, SystemModel, is_homogeneous, jacobian
 
 PASS = "pass"
 FAIL = "fail"
@@ -31,40 +35,30 @@ MODE_DECLARED = "declared"
 
 _NEG_TOL = 1e-12  # sampled values below this count as genuinely negative
 
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """Positive-orthant sample set used by the non-provable check paths.
-
-    Log-uniform points over [lo, hi]**n (seeded, deterministic), preceded by
-    the all-ones point and the standard basis rays so that witnesses come
-    out in a recognizable form.
-    """
-
-    points: int = 200
-    lo: float = 1e-3
-    hi: float = 1e3
-    seed: int = 31415
-
-    def generate(self, n: int) -> list[tuple[float, ...]]:
-        pts: list[tuple[float, ...]] = [(1.0,) * n]
-        mags = np.geomspace(self.lo, self.hi, 9)
-        for i in range(n):
-            for m in [1.0, *mags]:
-                ray = [0.0] * n
-                ray[i] = float(m)
-                pts.append(tuple(ray))
-        for m in mags:
-            pts.append((float(m),) * n)
-        rng = np.random.default_rng(self.seed)
-        u = rng.random((self.points, n))
-        span = math.log(self.hi / self.lo)
-        for row in u:
-            pts.append(tuple(self.lo * math.exp(span * ui) for ui in row))
-        return pts
+# Positive-orthant sample set of the sign test: log-uniform points over
+# [SAMPLE_LO, SAMPLE_HI]**n (seeded, deterministic)
+SAMPLE_POINTS = 200
+SAMPLE_LO = 1e-3
+SAMPLE_HI = 1e3
+SAMPLE_SEED = 31415
 
 
-DEFAULT_SAMPLES = SampleSpec()
+def orthant_samples(n: int) -> list[tuple[float, ...]]:
+    """The sample points in R^n: the all-ones point, the standard basis rays
+    and the diagonal first, so that witnesses come out in a recognizable
+    form, then SAMPLE_POINTS log-uniform points."""
+    pts: list[tuple[float, ...]] = [(1.0,) * n]
+    mags = np.geomspace(SAMPLE_LO, SAMPLE_HI, 9)
+    for i in range(n):
+        for m in [1.0, *mags]:
+            ray = [0.0] * n
+            ray[i] = float(m)
+            pts.append(tuple(ray))
+    pts += [(float(m),) * n for m in mags]
+    u = np.random.default_rng(SAMPLE_SEED).random((SAMPLE_POINTS, n))
+    span = math.log(SAMPLE_HI / SAMPLE_LO)
+    pts += [tuple(SAMPLE_LO * math.exp(span * ui) for ui in row) for row in u]
+    return pts
 
 
 @dataclass(frozen=True)
@@ -109,24 +103,6 @@ class HypothesisReport:
         }
 
 
-def _entry_nonneg_on_orthant(
-    poly, point_builder, samples: list[tuple[float, ...]]
-) -> tuple[str, str, dict | None]:
-    """Classify one polynomial as >= 0 on the positive orthant.
-
-    point_builder maps a raw sample to the evaluation point (used by the
-    face-restricted positivity checks).  Returns (verdict, mode, witness).
-    """
-    if poly.has_nonnegative_coefficients:
-        return PASS, MODE_PROOF, None
-    for raw in samples:
-        x = point_builder(raw)
-        val = poly.evaluate(x)
-        if val < -_NEG_TOL:
-            return FAIL, MODE_SAMPLED, {"point": list(x), "value": val}
-    return UNDETERMINED, MODE_SAMPLED, None
-
-
 def check_homogeneity(
     F: PolyVectorField, d: Dilation, p: float, name: str = "homogeneity"
 ) -> CheckResult:
@@ -138,64 +114,65 @@ def check_homogeneity(
     return CheckResult(name, FAIL, MODE_PROOF, witness)
 
 
-def check_cooperative(
-    F: PolyVectorField,
-    sample_spec: SampleSpec = DEFAULT_SAMPLES,
-    name: str = "cooperative",
+def _sign_check(
+    name: str, entries: Iterable[tuple[ScalarPoly, int | None, dict]], note: str
 ) -> CheckResult:
-    """Off-diagonal Jacobian entries must be nonnegative on the orthant."""
+    """The orthant sign test behind every cooperativity, monotonicity and
+    positivity check.
+
+    Each entry (poly, face, labels) claims poly >= 0 on the positive
+    orthant, or on its face x_face = 0 when face is not None.  Entries are
+    walked in order.  One with nonnegative coefficients (after x_face = 0)
+    is proven; otherwise the first sample point where poly < -_NEG_TOL is
+    the witness, with the labels and the face.  Sampled entries without a
+    witness leave the verdict undetermined.
+    """
+    samples = None
+    for poly, face, labels in entries:
+        if face is not None:
+            poly = poly.restrict_zero(face)
+        if poly.has_nonnegative_coefficients:
+            continue
+        if samples is None:
+            samples = orthant_samples(poly.n)
+        for raw in samples:
+            x = raw if face is None else (*raw[:face], 0.0, *raw[face + 1:])
+            val = poly.evaluate(x)
+            if val < -_NEG_TOL:
+                witness = {"point": list(x), "value": val, **labels}
+                if face is not None:
+                    witness["face"] = face
+                return CheckResult(name, FAIL, MODE_SAMPLED, witness)
+    if samples is None:
+        return CheckResult(name, PASS, MODE_PROOF)
+    return CheckResult(
+        name, UNDETERMINED, MODE_SAMPLED,
+        note=f"{note}; no violation found on {len(samples)} samples",
+    )
+
+
+def _jacobian_sign_check(F: PolyVectorField, name: str, diagonal: bool) -> CheckResult:
     J = jacobian(F)
-    mixed = []
-    for i in range(F.n):
-        for j in range(F.n):
-            if i == j:
-                continue
-            if not J[i][j].has_nonnegative_coefficients:
-                mixed.append((i, j))
-    if not mixed:
-        return CheckResult(name, PASS, MODE_PROOF)
-    samples = sample_spec.generate(F.n)
-    for i, j in mixed:
-        verdict, mode, witness = _entry_nonneg_on_orthant(J[i][j], lambda x: x, samples)
-        if verdict == FAIL:
-            witness["entry"] = [i, j]
-            return CheckResult(name, FAIL, mode, witness)
-    return CheckResult(
-        name, UNDETERMINED, MODE_SAMPLED,
-        note=f"mixed-sign off-diagonal entries; no violation found on {len(samples)} samples",
+    entries = (
+        (J[i][j], None, {"entry": [i, j]})
+        for i in range(F.n) for j in range(F.n) if diagonal or i != j
     )
+    note = "mixed-sign entries" if diagonal else "mixed-sign off-diagonal entries"
+    return _sign_check(name, entries, note)
 
 
-def check_nondecreasing(
-    G: PolyVectorField,
-    sample_spec: SampleSpec = DEFAULT_SAMPLES,
-    name: str = "nondecreasing",
-) -> CheckResult:
+def check_cooperative(F: PolyVectorField, name: str = "cooperative") -> CheckResult:
+    """Off-diagonal Jacobian entries must be nonnegative on the orthant."""
+    return _jacobian_sign_check(F, name, diagonal=False)
+
+
+def check_nondecreasing(G: PolyVectorField, name: str = "nondecreasing") -> CheckResult:
     """All Jacobian entries (diagonal included) nonnegative on the orthant."""
-    J = jacobian(G)
-    mixed = []
-    for i in range(G.n):
-        for j in range(G.n):
-            if not J[i][j].has_nonnegative_coefficients:
-                mixed.append((i, j))
-    if not mixed:
-        return CheckResult(name, PASS, MODE_PROOF)
-    samples = sample_spec.generate(G.n)
-    for i, j in mixed:
-        verdict, mode, witness = _entry_nonneg_on_orthant(J[i][j], lambda x: x, samples)
-        if verdict == FAIL:
-            witness["entry"] = [i, j]
-            return CheckResult(name, FAIL, mode, witness)
-    return CheckResult(
-        name, UNDETERMINED, MODE_SAMPLED,
-        note=f"mixed-sign entries; no violation found on {len(samples)} samples",
-    )
+    return _jacobian_sign_check(G, name, diagonal=True)
 
 
 def check_positivity_condition(
-    model: SystemModel,
-    sample_spec: SampleSpec = DEFAULT_SAMPLES,
-    name: str = "positivity-condition",
+    model: SystemModel, name: str = "positivity-condition"
 ) -> CheckResult:
     """Sufficient condition for forward invariance of the positive orthant.
 
@@ -205,72 +182,17 @@ def check_positivity_condition(
     time-varying delays a system can be positive without it.
     """
     n = model.n
-    samples = None
-
-    def get_samples():
-        nonlocal samples
-        if samples is None:
-            samples = sample_spec.generate(n)
-        return samples
-
-    undetermined = False
-
-    # delayed couplings must be nonnegative everywhere on the orthant
-    for q, g in enumerate(model.delayed_terms):
-        for i in range(n):
-            poly = g.component_poly(i)
-            verdict, mode, witness = (
-                (PASS, MODE_PROOF, None)
-                if poly.has_nonnegative_coefficients
-                else _entry_nonneg_on_orthant(poly, lambda x: x, get_samples())
-            )
-            if verdict == FAIL:
-                witness["field"] = f"g_{q}"
-                witness["component"] = i
-                return CheckResult(name, FAIL, mode, witness)
-            undetermined |= verdict == UNDETERMINED
-
-    if model.is_discrete:
-        for i in range(n):
-            poly = model.f.component_poly(i)
-            verdict, mode, witness = (
-                (PASS, MODE_PROOF, None)
-                if poly.has_nonnegative_coefficients
-                else _entry_nonneg_on_orthant(poly, lambda x: x, get_samples())
-            )
-            if verdict == FAIL:
-                witness["field"] = "f"
-                witness["component"] = i
-                return CheckResult(name, FAIL, mode, witness)
-            undetermined |= verdict == UNDETERMINED
-    else:
-        # f_i restricted to the face x_i = 0 must be nonnegative there
-        for i in range(n):
-            restricted = model.f.component_poly(i).restrict_zero(i)
-
-            def on_face(x, _i=i):
-                y = list(x)
-                y[_i] = 0.0
-                return y
-
-            verdict, mode, witness = (
-                (PASS, MODE_PROOF, None)
-                if restricted.has_nonnegative_coefficients
-                else _entry_nonneg_on_orthant(restricted, on_face, get_samples())
-            )
-            if verdict == FAIL:
-                witness["field"] = "f"
-                witness["component"] = i
-                witness["face"] = i
-                return CheckResult(name, FAIL, mode, witness)
-            undetermined |= verdict == UNDETERMINED
-
-    if undetermined:
-        return CheckResult(
-            name, UNDETERMINED, MODE_SAMPLED,
-            note="some components have mixed-sign coefficients; no violation sampled",
-        )
-    return CheckResult(name, PASS, MODE_PROOF)
+    entries = [
+        (g.component_poly(i), None, {"field": f"g_{q}", "component": i})
+        for q, g in enumerate(model.delayed_terms)
+        for i in range(n)
+    ]
+    faces = [None] * n if model.is_discrete else range(n)
+    entries += [
+        (model.f.component_poly(i), face, {"field": "f", "component": i})
+        for i, face in enumerate(faces)
+    ]
+    return _sign_check(name, entries, "some components have mixed-sign coefficients")
 
 
 @dataclass(frozen=True)
@@ -359,19 +281,16 @@ def check_delay_assumption(delay: DelayModel, horizon: float) -> DelayAssumption
     )
 
 
-def check_model(
-    model: SystemModel, sample_spec: SampleSpec = DEFAULT_SAMPLES
-) -> HypothesisReport:
+def check_model(model: SystemModel) -> HypothesisReport:
     """Run every structural hypothesis check the model's kind requires."""
     report = HypothesisReport()
     report.add(check_homogeneity(model.f, model.dilation, model.degree, name="homogeneity:f"))
+    if model.is_discrete:
+        report.add(check_nondecreasing(model.f, name="nondecreasing:f"))
+    else:
+        report.add(check_cooperative(model.f, name="cooperative:f"))
     for q, g in enumerate(model.delayed_terms):
         report.add(check_homogeneity(g, model.dilation, model.degree, name=f"homogeneity:g_{q}"))
-    if model.is_discrete:
-        report.add(check_nondecreasing(model.f, sample_spec, name="nondecreasing:f"))
-    else:
-        report.add(check_cooperative(model.f, sample_spec, name="cooperative:f"))
-    for q, g in enumerate(model.delayed_terms):
-        report.add(check_nondecreasing(g, sample_spec, name=f"nondecreasing:g_{q}"))
-    report.add(check_positivity_condition(model, sample_spec))
+        report.add(check_nondecreasing(g, name=f"nondecreasing:g_{q}"))
+    report.add(check_positivity_condition(model))
     return report

@@ -168,16 +168,8 @@ class ScalarPoly:
         return ScalarPoly(self.n, tuple(t for t in self.terms if t[1][j] == 0))
 
     @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c, _ in self.terms)
-
-    @property
     def has_nonnegative_coefficients(self) -> bool:
         return all(c >= 0.0 for c, _ in self.terms)
-
-    @property
-    def negative_terms(self) -> tuple[Term, ...]:
-        return tuple((c, e) for c, e in self.terms if c < 0.0)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ The rate parameters come from scalar equations that are strictly increasing
 in the unknown with a negative value at zero, hence have a unique positive
 root; they are solved by bracket doubling plus bisection (monotonicity is
 the only structure guaranteed, so no derivative-based methods are used).
-The returned rate sits a safety factor inside the open admissible interval,
-because the theory guarantees the envelope only strictly inside it.
+The returned rate sits the relative margin DEFAULT_SAFETY inside the open
+admissible interval, because the theory guarantees the envelope only
+strictly inside it.
 
 The constant multiple depends on the initial history.  For the two
 bounded-delay forms a comparison argument fixes it: `theory_constant`
@@ -30,6 +31,7 @@ from .model import SystemModel
 from .certify import verify_certificate
 
 DEFAULT_SAFETY = 1e-6
+_MONOTONE_CHECK_POINTS = 33  # samples of solve_monotone's monotonicity check
 
 EXPONENTIAL = "exponential"
 POLYNOMIAL_RECIPROCAL = "polynomial_reciprocal"
@@ -105,7 +107,6 @@ def solve_monotone(
     fn: Callable[[float], float],
     bracket_hint: float = 1.0,
     tol: float = 1e-12,
-    monotone_check_points: int = 33,
 ) -> float:
     """Unique positive root of a strictly increasing fn with fn(0) < 0.
 
@@ -127,10 +128,10 @@ def solve_monotone(
     else:
         raise ValueError("no sign change within 2**60 * bracket_hint")
     prev = f0
-    for k in range(1, monotone_check_points + 1):
-        val = fn(hi * k / monotone_check_points)
+    for k in range(1, _MONOTONE_CHECK_POINTS + 1):
+        val = fn(hi * k / _MONOTONE_CHECK_POINTS)
         if val <= prev:
-            raise ValueError(f"fn is not strictly increasing near {hi * k / monotone_check_points}")
+            raise ValueError(f"fn is not strictly increasing near {hi * k / _MONOTONE_CHECK_POINTS}")
         prev = val
     lo = 0.0
     for _ in range(300):
@@ -145,8 +146,9 @@ def solve_monotone(
     raise ArithmeticError("bisection failed to reach the requested residual")
 
 
-def _rate_data(model: SystemModel, v: Sequence[float], provenance: str = "user-supplied"):
-    cert = verify_certificate(model, v, provenance=provenance)
+def _rate_data(model: SystemModel, v: Sequence[float]):
+    # the only check on v for library callers, who need not verify first
+    cert = verify_certificate(model, v)
     if not cert.valid:
         raise ValueError(f"not a valid certificate: margins {cert.margins}")
     fv = model.f.evaluate(v)
@@ -156,13 +158,7 @@ def _rate_data(model: SystemModel, v: Sequence[float], provenance: str = "user-s
     return fv, gv, r, rmax
 
 
-def eta_bound(
-    model: SystemModel,
-    v: Sequence[float],
-    tau_sup: float,
-    safety: float = DEFAULT_SAFETY,
-    tol: float = 1e-12,
-) -> DecayBound:
+def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBound:
     """Exponential decay rate for degree zero under a bounded delay.
 
     Per component, eta_i solves
@@ -171,7 +167,7 @@ def eta_bound(
                                      * g_i(v)/v_i) + eta_i = 0,
 
     with the closed form eta_i = -(r_max/r_i) f_i(v)/v_i when the delayed
-    coupling vanishes.  The guaranteed rate is (1 - safety) * min_i eta_i.
+    coupling vanishes.  The guaranteed rate is (1 - DEFAULT_SAFETY) * min_i eta_i.
     """
     if model.degree != 0.0:
         raise ValueError("exponential bound needs degree zero; use theta_bound instead")
@@ -191,8 +187,8 @@ def eta_bound(
         def residual(e, _s=scale, _f=fi, _g=gi, _x=expo):
             return _s * (_f + math.exp(e * _x) * _g) + e
 
-        etas.append(solve_monotone(residual, bracket_hint=1.0, tol=tol))
-    eta = (1.0 - safety) * min(etas)
+        etas.append(solve_monotone(residual, bracket_hint=1.0))
+    eta = (1.0 - DEFAULT_SAFETY) * min(etas)
     return DecayBound(
         form=EXPONENTIAL,
         rate=eta,
@@ -201,18 +197,13 @@ def eta_bound(
     )
 
 
-def theta_bound(
-    model: SystemModel,
-    v: Sequence[float],
-    tau_sup: float,
-    safety: float = DEFAULT_SAFETY,
-) -> DecayBound:
+def theta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBound:
     """Polynomial-reciprocal envelope for positive degree under a bounded delay.
 
     theta_i = -(p/r_i) (f_i(v) + g_i(v)) / v_i in closed form (positive by
     certificate validity); the guaranteed rate is
 
-        theta = (1 - safety) * min(1/tau_sup, min_i theta_i)
+        theta = (1 - DEFAULT_SAFETY) * min(1/tau_sup, min_i theta_i)
 
     and the envelope is W(t) = O((theta t + 1)**(-r_max/p)).
 
@@ -247,7 +238,7 @@ def theta_bound(
     fv, gv, r, rmax = _rate_data(model, v)
     thetas = [-(p / r[i]) * (fv[i] + gv[i]) / v[i] for i in range(model.n)]
     cap = math.inf if tau_sup == 0.0 else 1.0 / tau_sup
-    theta = (1.0 - safety) * min(cap, min(thetas))
+    theta = (1.0 - DEFAULT_SAFETY) * min(cap, min(thetas))
     return DecayBound(
         form=POLYNOMIAL_RECIPROCAL,
         rate=theta,
@@ -262,7 +253,6 @@ def upper_solution_theta(
     v: Sequence[float],
     tau_sup: float,
     history_v: float,
-    safety: float = DEFAULT_SAFETY,
 ) -> float:
     """Rate theta' of the upper solution D_lam(t) v behind theta_bound.
 
@@ -272,7 +262,7 @@ def upper_solution_theta(
     diverges at the right end when g_i(v) > 0; its root is found with
     solve_monotone.  With g_i(v) = 0 or tau_sup = 0 the root is
     -(p/r_i) (f_i(v) + g_i(v)) / v_i, theta_bound's theta_i.  Returns
-    (1 - safety) * min(1/(tau_sup k**p), min_i root_i).
+    (1 - DEFAULT_SAFETY) * min(1/(tau_sup k**p), min_i root_i).
     """
     p = model.degree
     if p <= 0.0 or model.is_discrete:
@@ -296,7 +286,7 @@ def upper_solution_theta(
             return _l * th + _f + gap ** _e * _g if gap > 0.0 else math.inf
 
         roots.append(solve_monotone(residual, bracket_hint=0.5 * cap))
-    return (1.0 - safety) * min(cap, min(roots))
+    return (1.0 - DEFAULT_SAFETY) * min(cap, min(roots))
 
 
 def theory_constant(
@@ -340,13 +330,7 @@ def theory_constant(
     return history_v * max(1.0, bound.rate / (theta_p * kp)) ** bound.poly_exponent
 
 
-def xi_bound(
-    model: SystemModel,
-    v: Sequence[float],
-    alpha: float,
-    safety: float = DEFAULT_SAFETY,
-    tol: float = 1e-12,
-) -> DecayBound:
+def xi_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound:
     """Power-rate exponent for degree zero under a proportional delay ratio.
 
     xi_i solves f_i(v)/v_i + (1/(1-alpha))**((r_i/r_max) xi_i) g_i(v)/v_i
@@ -376,9 +360,9 @@ def xi_bound(
         def residual(x, _f=fi, _g=gi, _e=expo, _t=target):
             return _f + math.exp(_e * x) * _g - _t
 
-        xis.append(solve_monotone(residual, bracket_hint=1.0, tol=tol))
+        xis.append(solve_monotone(residual, bracket_hint=1.0))
     finite = [x for x in xis if math.isfinite(x)]
-    xi = (1.0 - safety) * min(finite) if finite else math.inf
+    xi = (1.0 - DEFAULT_SAFETY) * min(finite) if finite else math.inf
     return DecayBound(
         form=POWER_RATE,
         rate=xi,
@@ -388,12 +372,7 @@ def xi_bound(
     )
 
 
-def beta_bound(
-    model: SystemModel,
-    v: Sequence[float],
-    alpha: float,
-    safety: float = DEFAULT_SAFETY,
-) -> DecayBound:
+def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound:
     """Power-rate envelope for positive degree under a proportional delay ratio.
 
     Per component the feasibility boundary is
@@ -401,7 +380,7 @@ def beta_bound(
         beta_i* = ln(-f_i(v)/g_i(v)) / ((1 + r_i/p) ln(1/(1-alpha)))
 
     (infinite when g_i(v) = 0 or alpha = 0).  The guaranteed parameter is
-    beta = (1 - safety) * min(1, min_i beta_i*) in (0, 1); the envelope is
+    beta = (1 - DEFAULT_SAFETY) * min(1, min_i beta_i*) in (0, 1); the envelope is
     W(t) = O(t**(-(r_max/p) beta)).  `beta_boundary` keeps the uncapped
     minimum, which decreases strictly in alpha and tends to zero as the
     delays grow like t.
@@ -425,7 +404,7 @@ def beta_bound(
             continue
         stars.append(math.log(-fv[i] / gi) / ((1.0 + r[i] / p) * lnK))
     boundary = min(stars)
-    beta = (1.0 - safety) * min(1.0, boundary)
+    beta = (1.0 - DEFAULT_SAFETY) * min(1.0, boundary)
     if not beta > 0.0:
         raise ValueError(
             f"no feasible power-rate parameter: boundary {boundary} for alpha={alpha}"

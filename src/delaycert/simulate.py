@@ -290,7 +290,7 @@ def simulate_discrete(
             diverged_at = k + 1
             break
         for i, c in enumerate(xn):
-            if c < 0.0 and c < -VIOLATION_EPS:
+            if c < -VIOLATION_EPS:
                 violations.append((float(k + 1), i, c))
         seq.append(tuple(xn))
 

@@ -91,6 +91,19 @@ def test_mixed_sign_but_nonnegative_stays_undetermined():
     assert res.mode == "sampled"
 
 
+def test_cooperative_mixed_sign_off_diagonal_stays_undetermined():
+    # df_0/dx_1 = 3 x_1**2 - 2 x_1 + 1 > 0 with mixed coefficients; the
+    # negative diagonal entry does not count for cooperativity
+    F = PolyVectorField(2, (
+        ((-1.0, (1, 0)), (1.0, (0, 3)), (-1.0, (0, 2)), (1.0, (0, 1))),
+        ((-1.0, (0, 1)),),
+    ))
+    res = check_cooperative(F)
+    assert res.verdict == "undetermined"
+    assert res.mode == "sampled"
+    assert res.witness is None
+
+
 # -- positivity condition ------------------------------------------------------------
 
 def test_positivity_cubic_passes(cubic2d):
@@ -104,6 +117,8 @@ def test_positivity_growth2d_fails_on_face(growth2d):
     assert res.witness["component"] == 1
     assert res.witness["point"] == [1.0, 0.0]
     assert res.witness["value"] == pytest.approx(-1.0)
+    assert res.witness["field"] == "f"
+    assert res.witness["face"] == 1
 
 
 def test_positivity_linear_metzler_nonnegative_passes():
@@ -121,6 +136,38 @@ def test_positivity_discrete_requires_nonnegative_fields(alternating_discrete):
     res = check_positivity_condition(alternating_discrete)
     assert res.verdict == "fail"
     assert res.witness["field"] == "g_0"
+
+
+def test_positivity_discrete_negative_f_fails_on_orthant():
+    # discrete fields are tested on the whole orthant, not on a face
+    model = SystemModel(
+        kind="discrete",
+        f=PolyVectorField(1, (((-0.5, (1,)),),)),
+        delayed_terms=(PolyVectorField(1, (((0.25, (1,)),),)),),
+        dilation=Dilation((1.0,)),
+        degree=0.0,
+    )
+    res = check_positivity_condition(model)
+    assert res.verdict == "fail"
+    assert res.witness["field"] == "f"
+    assert res.witness["component"] == 0
+    assert res.witness["point"] == [1.0]
+    assert "face" not in res.witness
+
+
+def test_positivity_mixed_sign_nonnegative_g_stays_undetermined():
+    # g(x) = x**3 - x**2 + x = x (x**2 - x + 1) >= 0 on the orthant
+    model = SystemModel(
+        kind="continuous",
+        f=PolyVectorField(1, (((-1.0, (1,)),),)),
+        delayed_terms=(PolyVectorField(1, (((1.0, (3,)), (-1.0, (2,)), (1.0, (1,))),)),),
+        dilation=Dilation((1.0,)),
+        degree=0.0,
+    )
+    res = check_positivity_condition(model)
+    assert res.verdict == "undetermined"
+    assert res.mode == "sampled"
+    assert res.witness is None
 
 
 # -- whole-model report ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +323,65 @@ def test_simulate_theory_constant_from_table_history(tmp_path, capsys):
     assert out["envelope"]["holds"] is True
 
 
+def _level_sets(tmp_path, capsys, doc):
+    """level_set_entries of a simulate run, and the largest V in its CSV."""
+    out_csv = tmp_path / "levels.csv"
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    assert code == 0
+    v_max = max(float(row.split(",")[2]) for row in out_csv.read_text().splitlines()[1:])
+    return out["level_set_entries"], v_max
+
+
+def test_simulate_level_sets_start_at_history_sup(tmp_path, capsys):
+    doc = scalar_config()
+    doc["initial_history"] = {"table": {
+        "times": [-3, -2, -0.5, 0], "states": [[5], [4], [2], [1]],
+    }}
+    entries, v_max = _level_sets(tmp_path, capsys, doc)
+    # the ladder starts at V(phi) = 8/3; V(x(t)) peaks at 1.06 (t = 0.41),
+    # below 8/3 * 0.9**m for m <= 8, so those sublevel sets hold from t = 0
+    assert entries[:9] == [0.0] * 9
+    assert entries[9] > 0.0
+    for m, t in enumerate(entries):
+        assert (t == 0.0) == ((8.0 / 3.0) * 0.9 ** m >= v_max)
+
+
+def test_simulate_discrete_level_sets_read_the_history_window(tmp_path, capsys):
+    # x(k+1) = 0.3 x(k) + 0.2 x(k - 2) reads the table back to k = -2, so
+    # V(phi) = 5; the 9 at k = -3 is never read
+    doc = {
+        "version": 1,
+        "system": {
+            "kind": "discrete",
+            "f": {"n": 1, "components": [[{"coeff": 0.3, "exp": [1]}]]},
+            "delayed": [{"n": 1, "components": [[{"coeff": 0.2, "exp": [1]}]]}],
+            "dilation": [1],
+            "degree": 0,
+        },
+        "delay": {"family": "constant_steps", "d": 2},
+        "initial_history": {"table": {
+            "times": [-3, -2, -1, 0], "states": [[9], [5], [4], [1]],
+        }},
+        "sim": {"horizon": 30},
+        "analysis": {"v": [1], "bounds": ["xi"], "alpha": 0.5},
+    }
+    entries, v_max = _level_sets(tmp_path, capsys, doc)
+    assert entries[0] == 0.0
+    for m, t in enumerate(entries):
+        assert (t == 0.0) == (5.0 * 0.9 ** m >= v_max)
+
+
+def test_simulate_skips_level_sets_for_history_outside_orthant(tmp_path, capsys):
+    doc = scalar_config()
+    doc["initial_history"] = {"table": {"times": [-1, 0], "states": [[-0.1], [1]]}}
+    code, out = run_cli(
+        capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(tmp_path / "neg.csv")
+    )
+    assert code == 0
+    assert "level_set_entries" not in out
+    assert "positive orthant" in out["level_set_skipped"]
+
+
 def test_cli_overrides(tmp_path, capsys):
     cfg = write(tmp_path, cubic_config())
     out_csv = tmp_path / "short.csv"
@@ -342,6 +402,25 @@ def test_batch_runs_multiple_configs(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert (out_dir / "one.csv").exists() and (out_dir / "two.csv").exists()
+
+
+# -- benchmark tracer ------------------------------------------------------------
+
+def test_benchmark_tracer_wraps_current_names(tmp_path, capsys, monkeypatch):
+    # the perfbench tracer wraps delaycert functions by name; a renamed or
+    # dropped name breaks traced benchmark runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    cfg = write(tmp_path, scalar_config())
+    traced = tracer.Tracer()
+    with traced.installed():
+        code, _ = run_cli(capsys, "bounds", "--config", cfg)
+    assert code == 0
+    metrics = traced.metrics()
+    assert metrics["rates.bound_s"] > 0.0
+    assert metrics["rates.solve_monotone_calls"] >= 1
+    assert metrics["certify.verify_calls"] >= 1
 
 
 # -- module entry point -----------------------------------------------------------
