@@ -285,12 +285,13 @@ def check_model(model: SystemModel) -> HypothesisReport:
     """Run every structural hypothesis check the model's kind requires."""
     report = HypothesisReport()
     report.add(check_homogeneity(model.f, model.dilation, model.degree, name="homogeneity:f"))
+    for q, g in enumerate(model.delayed_terms):
+        report.add(check_homogeneity(g, model.dilation, model.degree, name=f"homogeneity:g_{q}"))
     if model.is_discrete:
         report.add(check_nondecreasing(model.f, name="nondecreasing:f"))
     else:
         report.add(check_cooperative(model.f, name="cooperative:f"))
     for q, g in enumerate(model.delayed_terms):
-        report.add(check_homogeneity(g, model.dilation, model.degree, name=f"homogeneity:g_{q}"))
         report.add(check_nondecreasing(g, name=f"nondecreasing:g_{q}"))
     report.add(check_positivity_condition(model))
     return report

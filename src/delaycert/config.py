@@ -126,22 +126,17 @@ class ExperimentConfig:
     def history_peak(self, v: Sequence[float], depth: float) -> float | None:
         """V(phi): the sup of V over the history on [-depth, 0].
 
-        A discrete table is read at every step -depth, ..., 0.  Otherwise
-        each component of a constant or piecewise-linear history peaks at
+        Each component of a constant or piecewise-linear history peaks at
         a table time inside the window or at one of its ends, so V, a max
         of increasing functions of the components, is evaluated there only.
         None when the history leaves the positive orthant.
         """
         doc = self.history_doc
-        if self.system.is_discrete and "table" in doc:
-            table = self.history_discrete()
-            states = [table[k] for k in range(-int(depth), 1)]
-        else:
-            times = [0.0]
-            if "table" in doc:
-                times += [-depth] + [t for t in doc["table"]["times"] if -depth < t < 0.0]
-            phi = self.history_continuous()
-            states = [phi(t) for t in times]
+        times = [0.0]
+        if "table" in doc:
+            times += [-depth] + [t for t in doc["table"]["times"] if -depth < t < 0.0]
+        phi = self.history_continuous()
+        states = [phi(t) for t in times]
         if min(min(x) for x in states) < 0.0:
             return None
         return float(lyapunov_v(v, self.system.dilation, states).max())

@@ -321,25 +321,11 @@ def test_simulate_theory_constant_from_table_history(tmp_path, capsys):
     assert code == 0
     assert out["envelope"]["M_theory"] == pytest.approx(8.0 / 3.0)
     assert out["envelope"]["holds"] is True
-
-
-def _level_sets(tmp_path, capsys, doc):
-    """level_set_entries of a simulate run, and the largest V in its CSV."""
-    out_csv = tmp_path / "levels.csv"
-    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
-    assert code == 0
+    # the level-set ladder starts at V(phi) = 8/3 too; V(x(t)) peaks at
+    # 1.06 (t = 0.41), below 8/3 * 0.9**m for m <= 8, so those sublevel
+    # sets hold from t = 0
+    entries = out["level_set_entries"]
     v_max = max(float(row.split(",")[2]) for row in out_csv.read_text().splitlines()[1:])
-    return out["level_set_entries"], v_max
-
-
-def test_simulate_level_sets_start_at_history_sup(tmp_path, capsys):
-    doc = scalar_config()
-    doc["initial_history"] = {"table": {
-        "times": [-3, -2, -0.5, 0], "states": [[5], [4], [2], [1]],
-    }}
-    entries, v_max = _level_sets(tmp_path, capsys, doc)
-    # the ladder starts at V(phi) = 8/3; V(x(t)) peaks at 1.06 (t = 0.41),
-    # below 8/3 * 0.9**m for m <= 8, so those sublevel sets hold from t = 0
     assert entries[:9] == [0.0] * 9
     assert entries[9] > 0.0
     for m, t in enumerate(entries):
@@ -365,7 +351,11 @@ def test_simulate_discrete_level_sets_read_the_history_window(tmp_path, capsys):
         "sim": {"horizon": 30},
         "analysis": {"v": [1], "bounds": ["xi"], "alpha": 0.5},
     }
-    entries, v_max = _level_sets(tmp_path, capsys, doc)
+    out_csv = tmp_path / "levels.csv"
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    assert code == 0
+    entries = out["level_set_entries"]
+    v_max = max(float(row.split(",")[2]) for row in out_csv.read_text().splitlines()[1:])
     assert entries[0] == 0.0
     for m, t in enumerate(entries):
         assert (t == 0.0) == (5.0 * 0.9 ** m >= v_max)
