@@ -239,7 +239,7 @@ def check_delay_assumption(delay: DelayModel, horizon: float) -> DelayAssumption
         note = ""
         if delay.alpha_limit is not None and delay.alpha_limit < 1.0:
             a51 = PASS
-            if delay.bounded and delay.tau_sup is not None:
+            if delay.tau_sup is not None:
                 T = horizon / 10.0
                 # certified ratio bound over (T, horizon]; exact sup for a
                 # constant delay, a safe upper bound otherwise

@@ -212,11 +212,8 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
             skipped = "no bound form applies to this system and delay"
     bound = bounds[0] if bounds else None
 
-    v = cfg.analysis.v if cfg.analysis.v is not None else (cert.v if cert else None)
-    if v is not None:
-        export_csv(traj, out_path, v=v, dilation=system.dilation, bound=bound)
-    else:
-        export_csv(traj, out_path)
+    v = cert.v if cert else None
+    export_csv(traj, out_path, v=v, dilation=system.dilation, bound=bound)
 
     report: dict = {
         "csv": str(out_path),
@@ -231,7 +228,7 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
     if traj.diverged:
         report["note"] = "state left the finite range; trajectory truncated"
         status = EXIT_NEGATIVE
-    elif v is not None and bound is not None:
+    elif bound is not None:
         history_v = cfg.history_peak(v, traj.metadata["history_depth"])
         env = envelope_check(
             traj, bound, v, system.dilation, cfg.analysis.settle_fraction,
@@ -239,23 +236,20 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
         )
         report["envelope"] = env.to_dict()
         report["bound"] = bound.to_dict()
-        if history_v is None:
-            report["level_set_skipped"] = "the initial history leaves the positive orthant"
-        else:
-            entries = level_set_descent(
-                traj, v, system.dilation, cfg.analysis.gamma, history_v, m_max=200
-            )
-            report["level_set_entries"] = entries[:50]
+        entries = level_set_descent(
+            traj, v, system.dilation, cfg.analysis.gamma, history_v, m_max=200
+        )
+        report["level_set_entries"] = entries[:50]
         if not env.holds:
             status = EXIT_NEGATIVE
     _emit(report)
     return status
 
 
-def _theory_constant(cfg: ExperimentConfig, bound, v, history_v: float | None) -> float | None:
+def _theory_constant(cfg: ExperimentConfig, bound, v, history_v: float) -> float | None:
     """M of W <= M/mu from the rates layer; None leaves the trend test."""
     tau_sup = _delay_tau_sup(cfg)
-    if cfg.system.is_discrete or tau_sup is None or history_v is None:
+    if cfg.system.is_discrete or tau_sup is None:
         return None
     return rates_mod.theory_constant(cfg.system, v, bound, tau_sup, history_v)
 

@@ -9,6 +9,7 @@ sections it does not read; `parse_config` is the schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,6 +50,16 @@ def _check_keys(d: dict, required: set[str], optional: set[str], where: str) -> 
     unknown = keys - required - optional
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
+
+
+def _check_history_rows(rows: list, n: int, where: str) -> None:
+    """Each row must be n finite nonnegative numbers: the theorems cover
+    histories in the positive orthant only."""
+    for row in rows:
+        if not isinstance(row, list) or len(row) != n:
+            raise ConfigError(f"{where} must be a vector of length {n}")
+        if not all(isinstance(x, (int, float)) and math.isfinite(x) and x >= 0 for x in row):
+            raise ConfigError(f"{where} entries must be finite nonnegative numbers, got {row}")
 
 
 def _field_from(doc, where: str) -> PolyVectorField:
@@ -123,23 +134,19 @@ class ExperimentConfig:
         table = doc["table"]
         return tabulated_history(table["times"], table["states"])
 
-    def history_peak(self, v: Sequence[float], depth: float) -> float | None:
+    def history_peak(self, v: Sequence[float], depth: float) -> float:
         """V(phi): the sup of V over the history on [-depth, 0].
 
         Each component of a constant or piecewise-linear history peaks at
         a table time inside the window or at one of its ends, so V, a max
         of increasing functions of the components, is evaluated there only.
-        None when the history leaves the positive orthant.
         """
         doc = self.history_doc
         times = [0.0]
         if "table" in doc:
             times += [-depth] + [t for t in doc["table"]["times"] if -depth < t < 0.0]
         phi = self.history_continuous()
-        states = [phi(t) for t in times]
-        if min(min(x) for x in states) < 0.0:
-            return None
-        return float(lyapunov_v(v, self.system.dilation, states).max())
+        return float(lyapunov_v(v, self.system.dilation, [phi(t) for t in times]).max())
 
     def history_discrete(
         self,
@@ -208,14 +215,20 @@ def parse_config(doc) -> ExperimentConfig:
 
     hist_doc = _require_mapping(doc["initial_history"], "initial_history")
     if set(hist_doc) == {"constant"}:
-        vec = hist_doc["constant"]
-        if not isinstance(vec, list) or len(vec) != system.n:
-            raise ConfigError(f"initial_history.constant must be a vector of length {system.n}")
+        _check_history_rows([hist_doc["constant"]], system.n, "initial_history.constant")
     elif set(hist_doc) == {"table"}:
         table = _require_mapping(hist_doc["table"], "initial_history.table")
         _check_keys(table, {"times", "states"}, set(), "initial_history.table")
-        if len(table["times"]) != len(table["states"]):
+        times, states = table["times"], table["states"]
+        if not (isinstance(times, list) and isinstance(states, list)) or len(times) != len(states):
             raise ConfigError("initial_history.table times and states must have equal length")
+        _check_history_rows(states, system.n, "initial_history.table.states row")
+        try:
+            tabulated_history(times, states)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"initial_history.table: {exc}") from exc
+        if system.is_discrete and not all(float(t).is_integer() for t in times):
+            raise ConfigError("initial_history.table times must be integers for a discrete system")
     else:
         raise ConfigError("initial_history must have exactly one of: constant, table")
 

@@ -1,7 +1,7 @@
 """Time-varying delay families for continuous and discrete systems.
 
 Each family exposes the delay value tau(t) (or d(k)) together with its
-declared structural properties: boundedness, the delay supremum, the
+declared structural properties: the delay supremum (None if unbounded), the
 asymptotic ratio limsup tau(t)/t, and the history depth
 
     history_depth = max(0, -inf_{0 <= t <= T0} (t - tau(t)))
@@ -27,14 +27,12 @@ class DelayModel:
     """Base: a delay signal plus whatever structure the family declares.
 
     Declared attributes (None = unknown, forces sampled analysis):
-      bounded            delay signal is bounded
-      tau_sup            sup of the delay when bounded
+      tau_sup            sup of the delay; None when unbounded or unknown
       alpha_limit        limsup tau(t)/t (0 for bounded families)
       diverges           whether t - tau(t) -> +infinity is known to hold
     """
 
     is_discrete = False
-    bounded: bool | None = None
     tau_sup: float | None = None
     alpha_limit: float | None = None
     diverges: bool | None = None
@@ -55,7 +53,6 @@ class ConstantDelay(DelayModel):
         if self.tau < 0.0:
             raise ValueError("delay must be nonnegative")
 
-    bounded = True
     alpha_limit = 0.0
     diverges = True
 
@@ -81,7 +78,6 @@ class SinusoidalDelay(DelayModel):
         if self.a < abs(self.b):
             raise ValueError("need a >= |b| for a nonnegative delay")
 
-    bounded = True
     alpha_limit = 0.0
     diverges = True
 
@@ -117,7 +113,6 @@ class PiecewiseLinearDelay(DelayModel):
             raise ValueError("delay values must be nonnegative")
         object.__setattr__(self, "knots", knots)
 
-    bounded = True
     alpha_limit = 0.0
     diverges = True
 
@@ -155,7 +150,6 @@ class ProportionalDelay(DelayModel):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
 
-    bounded = False
     tau_sup = None
     diverges = True
 
@@ -178,7 +172,6 @@ class LogLagDelay(DelayModel):
     alpha < 1 exists and power-rate bounds do not apply.
     """
 
-    bounded = False
     tau_sup = None
     alpha_limit = 1.0
     diverges = True
@@ -213,7 +206,6 @@ class ConstantStepDelay(DelayModel):
         object.__setattr__(self, "d", int(self.d))
 
     is_discrete = True
-    bounded = True
     alpha_limit = 0.0
     diverges = True
 
@@ -233,7 +225,6 @@ class AlternatingParityDelay(DelayModel):
     """d(k) = (1 - (-1)**k) / 2: zero on even steps, one on odd steps."""
 
     is_discrete = True
-    bounded = True
     tau_sup = 1.0
     alpha_limit = 0.0
     diverges = True
@@ -257,7 +248,6 @@ class ProportionalStepDelay(DelayModel):
             raise ValueError("alpha must lie in [0, 1)")
 
     is_discrete = True
-    bounded = False
     tau_sup = None
     diverges = True
 

@@ -1,30 +1,44 @@
 """Guaranteed decay-rate envelopes for certified systems.
 
 Every bound here controls the scaled state W(t) = max_i (x_i/v_i)**(r_max/r_i)
-by a constant multiple of 1/mu(t) for a diverging non-decreasing mu:
+by a constant multiple of 1/mu(t) for a diverging non-decreasing mu.  One
+condition on the certificate v and the clock mu decides that.  With p the
+degree and g the sum of the delayed terms, it reads for every component i
 
-  exponential            mu(t) = exp(eta t)         bounded delay, degree 0
-  polynomial reciprocal  mu(t) = (theta t + 1)**e   bounded delay, degree > 0
-  power rate             mu(t) = t**xi              proportional delay
+  continuous  (r_max/r_i) (f_i(v)/v_i + L**((r_i+p)/r_max) g_i(v)/v_i) + D < 0
+  discrete    R1**(r_i/r_max) f_i(v)/v_i + R2**(r_i/r_max) g_i(v)/v_i < 1
 
-The rate parameters come from scalar equations that are strictly increasing
-in the unknown with a negative value at zero, hence have a unique positive
-root; they are solved by bracket doubling plus bisection (monotonicity is
-the only structure guaranteed, so no derivative-based methods are used).
-The returned rate sits the relative margin DEFAULT_SAFETY inside the open
-admissible interval, because the theory guarantees the envelope only
-strictly inside it.
+with L = lim sup mu(t)/mu(t - tau(t)), D = lim mu'(t)/mu(t)**(1 - p/r_max),
+R1 = lim mu(k+1)/mu(k) and R2 = lim sup mu(k+1)/mu(k - d(k)).  `_CertData`
+evaluates both left-hand sides, and every rate and check goes through it.
+Each bound is the largest rate of one mu family that meets the condition
+(K = 1/(1-alpha) for a proportional delay ratio alpha):
+
+  eta_bound    exp(eta t)                bounded delay, p = 0: L = exp(eta tau_sup), D = eta
+  theta_bound  (theta t + 1)**(r_max/p)  bounded delay, p > 0: L = 1, D = (r_max/p) theta
+  xi_bound     t**xi                     proportional, p = 0: L = K**xi, D = 0
+                                         (discrete: R1 = 1, R2 = K**xi)
+  beta_bound   t**((r_max/p) beta)       proportional, p > 0: L = K**((r_max/p) beta), D = 0
+
+theta_bound and beta_bound solve it in closed form (theta capped at
+1/tau_sup, beta below 1 so that D = 0), as do the others where g_i(v) = 0.
+Otherwise the equation is strictly increasing in the rate and negative at
+zero; bracket doubling plus bisection finds its unique positive root
+(monotonicity is the only structure guaranteed, so no derivative-based
+methods).  The returned rate sits the relative margin DEFAULT_SAFETY inside
+the open admissible interval: the theory guarantees only its inside.
 
 The constant multiple depends on the initial history.  For the two
-bounded-delay forms a comparison argument fixes it: `theory_constant`
-returns M with W(t) <= M / mu(t) at every t >= 0, for any size of delay.
+bounded-delay forms `theory_constant` returns M with W(t) <= M / mu(t) at
+every t >= 0, for any size of delay, from the same condition along an
+upper solution D_lam(t) v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .delays import DelayModel
 from .model import SystemModel
@@ -49,9 +63,8 @@ class DecayBound:
     quantity that decays monotonically in the delay ratio alpha).
     `component_rates` are the per-component roots; infinite entries (from
     vanishing delayed couplings or a degenerate ratio) are excluded from
-    the min and listed in `infinite_components`.  `envelope_constant` is a
-    post-simulation fit, never the theory's constant M: that one depends on
-    the history and comes from `theory_constant`.
+    the min and listed in `infinite_components`.  The constant M of the
+    envelope depends on the history and comes from `theory_constant`.
     """
 
     form: str
@@ -62,7 +75,6 @@ class DecayBound:
     beta: float | None = None
     beta_boundary: float | None = None
     infinite_components: tuple[int, ...] = ()
-    envelope_constant: float | None = None
 
     def __post_init__(self):
         if self.form not in (EXPONENTIAL, POLYNOMIAL_RECIPROCAL, POWER_RATE):
@@ -78,10 +90,9 @@ class DecayBound:
         return t ** self.rate if t > 0.0 else 0.0
 
     def envelope(self, t: float) -> float:
-        """M / mu(t) with M defaulting to 1 (infinite at t = 0 for power rates)."""
-        M = 1.0 if self.envelope_constant is None else self.envelope_constant
+        """1 / mu(t) (infinite at t = 0 for power rates)."""
         m = self.mu(t)
-        return M / m if m > 0.0 else math.inf
+        return 1.0 / m if m > 0.0 else math.inf
 
     def to_dict(self) -> dict:
         d = {
@@ -98,8 +109,6 @@ class DecayBound:
             d["beta_boundary"] = self.beta_boundary if math.isfinite(self.beta_boundary) else "inf"
         if self.infinite_components:
             d["infinite_components"] = list(self.infinite_components)
-        if self.envelope_constant is not None:
-            d["envelope_constant"] = self.envelope_constant
         return d
 
 
@@ -146,22 +155,51 @@ def solve_monotone(
     raise ArithmeticError("bisection failed to reach the requested residual")
 
 
-def _rate_data(model: SystemModel, v: Sequence[float]):
+class _CertData(NamedTuple):
+    """A verified certificate v with f(v), g(v) and the dilation data."""
+
+    v: Sequence[float]
+    fv: list[float]
+    gv: list[float]
+    r: tuple[float, ...]
+    rmax: float
+    p: float
+
+    def continuous(self, i: int, L: float, D: float) -> float:
+        """(r_max/r_i) (f_i(v)/v_i + L**((r_i+p)/r_max) g_i(v)/v_i) + D."""
+        ri = self.r[i]
+        delayed = _pow_times(L, (ri + self.p) / self.rmax, self.gv[i] / self.v[i])
+        return (self.rmax / ri) * (self.fv[i] / self.v[i] + delayed) + D
+
+    def discrete(self, i: int, R1: float, R2: float) -> float:
+        """R1**(r_i/r_max) f_i(v)/v_i + R2**(r_i/r_max) g_i(v)/v_i."""
+        e = self.r[i] / self.rmax
+        return _pow_times(R1, e, self.fv[i] / self.v[i]) + _pow_times(R2, e, self.gv[i] / self.v[i])
+
+
+def _pow_times(base: float, expo: float, factor: float) -> float:
+    """base**expo * factor with 0 * inf resolved to 0 (absent coupling)."""
+    if factor == 0.0:
+        return 0.0
+    return base ** expo * factor
+
+
+def _rate_data(model: SystemModel, v: Sequence[float]) -> _CertData:
     # the only check on v for library callers, who need not verify first
     cert = verify_certificate(model, v)
     if not cert.valid:
         raise ValueError(f"not a valid certificate: margins {cert.margins}")
-    fv = model.f.evaluate(v)
-    gv = model.delayed_sum_at(v)
-    r = model.dilation.r
-    rmax = model.dilation.r_max
-    return fv, gv, r, rmax
+    return _CertData(
+        v, model.f.evaluate(v), model.delayed_sum_at(v),
+        model.dilation.r, model.dilation.r_max, model.degree,
+    )
 
 
 def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBound:
     """Exponential decay rate for degree zero under a bounded delay.
 
-    Per component, eta_i solves
+    Per component, eta_i zeroes the condition's left-hand side with
+    L = exp(eta_i * tau_sup) and D = eta_i,
 
         (r_max/r_i) * (f_i(v)/v_i + exp(eta_i * tau_sup * r_i / r_max)
                                      * g_i(v)/v_i) + eta_i = 0,
@@ -173,26 +211,18 @@ def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBo
         raise ValueError("exponential bound needs degree zero; use theta_bound instead")
     if tau_sup < 0.0:
         raise ValueError("tau_sup must be nonnegative")
-    fv, gv, r, rmax = _rate_data(model, v)
+    c = _rate_data(model, v)
     etas = []
     for i in range(model.n):
-        scale = rmax / r[i]
-        fi = fv[i] / v[i]
-        gi = gv[i] / v[i]
-        if gi == 0.0:
-            etas.append(-scale * fi)
-            continue
-        expo = tau_sup * r[i] / rmax
-
-        def residual(e, _s=scale, _f=fi, _g=gi, _x=expo):
-            return _s * (_f + math.exp(e * _x) * _g) + e
-
-        etas.append(solve_monotone(residual, bracket_hint=1.0))
+        if c.gv[i] == 0.0:
+            etas.append(-(c.rmax / c.r[i]) * (c.fv[i] / c.v[i]))
+        else:
+            etas.append(solve_monotone(lambda e, i=i: c.continuous(i, math.exp(e * tau_sup), e)))
     eta = (1.0 - DEFAULT_SAFETY) * min(etas)
     return DecayBound(
         form=EXPONENTIAL,
         rate=eta,
-        per_component_exponents=tuple(rmax / ri for ri in r),
+        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
         component_rates=tuple(etas),
     )
 
@@ -219,8 +249,10 @@ def theta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> Decay
     an upper solution when theta' tau_sup k**p < 1 and, for every i,
 
         theta' (r_i/p) v_i + f_i(v)
-            + (1 - theta' tau_sup k**p)**(-(p+r_i)/p) g_i(v) <= 0.
+            + (1 - theta' tau_sup k**p)**(-(p+r_i)/p) g_i(v) <= 0,
 
+    that is, the condition with L = (1 - theta' tau_sup k**p)**(-r_max/p)
+    and D = (r_max/p) theta', scaled by r_i v_i / r_max.
     `upper_solution_theta` returns the largest such theta'.  Comparison then
     gives W(t) <= V(phi) (theta' k**p t + 1)**(-r_max/p), and, against this
     bound's mu,
@@ -235,16 +267,16 @@ def theta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> Decay
         raise ValueError("polynomial-reciprocal bound needs positive degree; use eta_bound")
     if tau_sup < 0.0:
         raise ValueError("tau_sup must be nonnegative")
-    fv, gv, r, rmax = _rate_data(model, v)
-    thetas = [-(p / r[i]) * (fv[i] + gv[i]) / v[i] for i in range(model.n)]
+    c = _rate_data(model, v)
+    thetas = [-(p / c.r[i]) * (c.fv[i] + c.gv[i]) / c.v[i] for i in range(model.n)]
     cap = math.inf if tau_sup == 0.0 else 1.0 / tau_sup
     theta = (1.0 - DEFAULT_SAFETY) * min(cap, min(thetas))
     return DecayBound(
         form=POLYNOMIAL_RECIPROCAL,
         rate=theta,
-        per_component_exponents=tuple(rmax / ri for ri in r),
+        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
         component_rates=tuple(thetas),
-        poly_exponent=rmax / p,
+        poly_exponent=c.rmax / p,
     )
 
 
@@ -271,19 +303,18 @@ def upper_solution_theta(
         raise ValueError("tau_sup must be nonnegative")
     if not history_v > 0.0:
         raise ValueError(f"history_v must be positive, got {history_v}")
-    fv, gv, r, rmax = _rate_data(model, v)
-    kp = history_v ** (p / rmax)
+    c = _rate_data(model, v)
+    kp = history_v ** (p / c.rmax)
     cap = math.inf if tau_sup == 0.0 else 1.0 / (tau_sup * kp)
     roots = []
     for i in range(model.n):
-        lin = r[i] * v[i] / p
-        if gv[i] == 0.0 or tau_sup == 0.0:
-            roots.append(-(fv[i] + gv[i]) / lin)
+        if c.gv[i] == 0.0 or tau_sup == 0.0:
+            roots.append(-(c.fv[i] + c.gv[i]) / (c.r[i] * c.v[i] / p))
             continue
 
-        def residual(th, _l=lin, _f=fv[i], _g=gv[i], _e=-(p + r[i]) / p):
+        def residual(th, i=i):
             gap = 1.0 - th * tau_sup * kp
-            return _l * th + _f + gap ** _e * _g if gap > 0.0 else math.inf
+            return c.continuous(i, gap ** (-c.rmax / p), c.rmax / p * th) if gap > 0.0 else math.inf
 
         roots.append(solve_monotone(residual, bracket_hint=0.5 * cap))
     return (1.0 - DEFAULT_SAFETY) * min(cap, min(roots))
@@ -300,13 +331,13 @@ def theory_constant(
 
     history_v is V(phi), the sup of W over the initial window; tau_sup
     bounds every delay.  Exponential form, degree zero: M = V(phi) whenever
-    the rate satisfies eta_bound's component inequalities, since then
-    D_lam(t) v with lam(t) = k exp(-rate t / r_max) is an upper solution.
-    Polynomial-reciprocal form: M = V(phi) max(1, theta/(theta' k**p))**e
-    with theta' from upper_solution_theta (see theta_bound), valid for an
-    exponent e up to r_max/p.  Returns None where the argument derives no
-    constant: discrete systems, power-rate forms, or a rate or exponent
-    outside those ranges.
+    the condition holds, non-strictly, with L = exp(rate tau_sup) and
+    D = rate, since then D_lam(t) v with lam(t) = k exp(-rate t / r_max) is
+    an upper solution.  Polynomial-reciprocal form:
+    M = V(phi) max(1, theta/(theta' k**p))**e with theta' from
+    upper_solution_theta (see theta_bound), valid for an exponent e up to
+    r_max/p.  Returns None where the argument derives no constant: discrete
+    systems, power-rate forms, or a rate or exponent outside those ranges.
     """
     if model.is_discrete or bound.form == POWER_RATE:
         return None
@@ -316,11 +347,10 @@ def theory_constant(
     if bound.form == EXPONENTIAL:
         if p != 0.0:
             return None
-        fv, gv, r, rmax = _rate_data(model, v)
-        for i in range(model.n):
-            growth = math.exp(bound.rate * tau_sup * r[i] / rmax)
-            if bound.rate + (rmax / r[i]) * (fv[i] + growth * gv[i]) / v[i] > 0.0:
-                return None
+        c = _rate_data(model, v)
+        L = math.exp(bound.rate * tau_sup)
+        if any(c.continuous(i, L, bound.rate) > 0.0 for i in range(model.n)):
+            return None
         return history_v
     rmax = model.dilation.r_max
     if p <= 0.0 or bound.poly_exponent > rmax / p:
@@ -333,40 +363,35 @@ def theory_constant(
 def xi_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound:
     """Power-rate exponent for degree zero under a proportional delay ratio.
 
-    xi_i solves f_i(v)/v_i + (1/(1-alpha))**((r_i/r_max) xi_i) g_i(v)/v_i
-    equal to 0 (continuous) or 1 (discrete).  Components with a vanishing
-    delayed coupling, or a degenerate alpha = 0, have no finite root: they
-    are flagged and excluded from the min (the component decays faster than
-    any power).  W(t) = O(t**(-xi)).
+    With K = 1/(1-alpha), xi_i makes the condition's left-hand side with
+    L = K**xi_i, D = 0 equal 0 (continuous) or with R1 = 1, R2 = K**xi_i
+    equal 1 (discrete).  Components with a vanishing delayed coupling, or a
+    degenerate alpha = 0, have no finite root: they are flagged and excluded
+    from the min (the component decays faster than any power).
+    W(t) = O(t**(-xi)).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if model.degree != 0.0:
         raise ValueError("power-rate root bound needs degree zero; use beta_bound")
-    fv, gv, r, rmax = _rate_data(model, v)
-    target = 1.0 if model.is_discrete else 0.0
-    lnK = -math.log1p(-alpha)  # log(1/(1-alpha))
+    c = _rate_data(model, v)
+    lnK = -math.log1p(-alpha)  # log K
     xis = []
     flagged = []
     for i in range(model.n):
-        fi = fv[i] / v[i]
-        gi = gv[i] / v[i]
-        if gi == 0.0 or lnK == 0.0:
+        if c.gv[i] == 0.0 or lnK == 0.0:
             xis.append(math.inf)
             flagged.append(i)
-            continue
-        expo = (r[i] / rmax) * lnK
-
-        def residual(x, _f=fi, _g=gi, _e=expo, _t=target):
-            return _f + math.exp(_e * x) * _g - _t
-
-        xis.append(solve_monotone(residual, bracket_hint=1.0))
+        elif model.is_discrete:
+            xis.append(solve_monotone(lambda x, i=i: c.discrete(i, 1.0, math.exp(lnK * x)) - 1.0))
+        else:
+            xis.append(solve_monotone(lambda x, i=i: c.continuous(i, math.exp(lnK * x), 0.0)))
     finite = [x for x in xis if math.isfinite(x)]
     xi = (1.0 - DEFAULT_SAFETY) * min(finite) if finite else math.inf
     return DecayBound(
         form=POWER_RATE,
         rate=xi,
-        per_component_exponents=tuple(rmax / ri for ri in r),
+        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
         component_rates=tuple(xis),
         infinite_components=tuple(flagged),
     )
@@ -392,17 +417,17 @@ def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBou
         raise ValueError("this power-rate bound needs positive degree; use xi_bound")
     if model.is_discrete:
         raise ValueError("beta bound applies to continuous systems")
-    fv, gv, r, rmax = _rate_data(model, v)
+    c = _rate_data(model, v)
     lnK = -math.log1p(-alpha)
     stars = []
     flagged = []
     for i in range(model.n):
-        gi = gv[i]
+        gi = c.gv[i]
         if gi == 0.0 or lnK == 0.0:
             stars.append(math.inf)
             flagged.append(i)
             continue
-        stars.append(math.log(-fv[i] / gi) / ((1.0 + r[i] / p) * lnK))
+        stars.append(math.log(-c.fv[i] / gi) / ((1.0 + c.r[i] / p) * lnK))
     boundary = min(stars)
     beta = (1.0 - DEFAULT_SAFETY) * min(1.0, boundary)
     if not beta > 0.0:
@@ -411,8 +436,8 @@ def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBou
         )
     return DecayBound(
         form=POWER_RATE,
-        rate=(rmax / p) * beta,
-        per_component_exponents=tuple(rmax / ri for ri in r),
+        rate=(c.rmax / p) * beta,
+        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
         component_rates=tuple(stars),
         beta=beta,
         beta_boundary=boundary,
@@ -490,7 +515,7 @@ class MuSpec:
     # -- limit derivation ---------------------------------------------------
 
     def _delay_alpha(self, delay: DelayModel) -> float:
-        if delay.bounded:
+        if delay.tau_sup is not None:
             return 0.0
         alpha = delay.alpha_limit
         if alpha is None or alpha >= 1.0:
@@ -508,18 +533,13 @@ class MuSpec:
             L = math.exp(self.param * delay.tau_sup)
             D = self.param if p == 0.0 else math.inf
             return L, D
-        if self.kind == POWER_RATE:
-            alpha = self._delay_alpha(delay)
-            L = (1.0 / (1.0 - alpha)) ** self.param if alpha > 0.0 else 1.0
-            q = self.param * p / r_max
-            D = 0.0 if q < 1.0 else (self.param if q == 1.0 else math.inf)
-            return L, D
-        if self.kind == POLYNOMIAL_RECIPROCAL:
-            alpha = self._delay_alpha(delay)
-            L = (1.0 / (1.0 - alpha)) ** self.exponent if alpha > 0.0 else 1.0
-            q = self.exponent * p / r_max
-            eth = self.exponent * self.param
-            D = 0.0 if q < 1.0 else (eth if q == 1.0 else math.inf)
+        if self.kind in (POWER_RATE, POLYNOMIAL_RECIPROCAL):
+            # mu = t**e or (theta t + 1)**e: mu'/mu**(1 - p/r_max) tends to 0,
+            # e theta (theta = 1 for t**e) or inf as e p/r_max is <, = or > 1
+            e, theta = (self.param, 1.0) if self.kind == POWER_RATE else (self.exponent, self.param)
+            L = (1.0 / (1.0 - self._delay_alpha(delay))) ** e
+            q = e * p / r_max
+            D = 0.0 if q < 1.0 else (e * theta if q == 1.0 else math.inf)
             return L, D
         if self.delayed_ratio_limit is None or self.derivative_ratio_limit is None:
             raise MissingLimitError(
@@ -534,21 +554,12 @@ class MuSpec:
                 raise MissingLimitError("an exponential mu needs a bounded delay (d_sup)")
             return math.exp(self.param), math.exp(self.param * (1.0 + delay.tau_sup))
         if self.kind == POWER_RATE:
-            alpha = self._delay_alpha(delay)
-            R2 = (1.0 / (1.0 - alpha)) ** self.param if alpha > 0.0 else 1.0
-            return 1.0, R2
+            return 1.0, (1.0 / (1.0 - self._delay_alpha(delay))) ** self.param
         if self.step_ratio_limit is None or self.delayed_ratio_limit is None:
             raise MissingLimitError(
                 "custom mu must declare step_ratio_limit and delayed_ratio_limit"
             )
         return self.step_ratio_limit, self.delayed_ratio_limit
-
-
-def _pow_times(base: float, expo: float, factor: float) -> float:
-    """base**expo * factor with 0 * inf resolved to 0 (absent coupling)."""
-    if factor == 0.0:
-        return 0.0
-    return base ** expo * factor
 
 
 def mu_condition_check(
@@ -557,28 +568,12 @@ def mu_condition_check(
     mu: MuSpec,
     delay: DelayModel,
 ) -> bool:
-    """Decide whether the declared mu clocks a guaranteed envelope.
-
-    Continuous: for every i,
-        (r_max/r_i) (f_i(v)/v_i + L**((r_i+p)/r_max) g_i(v)/v_i) + D < 0.
-    Discrete:
-        R1**(r_i/r_max) f_i(v)/v_i + R2**(r_i/r_max) g_i(v)/v_i < 1.
-    """
-    fv, gv, r, rmax = _rate_data(model, v)
-    p = model.degree
+    """Decide whether the declared mu clocks a guaranteed envelope: the
+    module's condition with the limits (L, D) or (R1, R2) of `mu` under
+    `delay`, strictly, for every component."""
+    c = _rate_data(model, v)
     if model.is_discrete:
         R1, R2 = mu.limits_discrete(delay)
-        for i in range(model.n):
-            e = r[i] / rmax
-            lhs = _pow_times(R1, e, fv[i] / v[i]) + _pow_times(R2, e, gv[i] / v[i])
-            if not lhs < 1.0:
-                return False
-        return True
-    L, D = mu.limits_continuous(delay, p, rmax)
-    for i in range(model.n):
-        scale = rmax / r[i]
-        e = (r[i] + p) / rmax
-        lhs = scale * (fv[i] / v[i] + _pow_times(L, e, gv[i] / v[i])) + D
-        if not lhs < 0.0:
-            return False
-    return True
+        return all(c.discrete(i, R1, R2) < 1.0 for i in range(model.n))
+    L, D = mu.limits_continuous(delay, c.p, c.rmax)
+    return all(c.continuous(i, L, D) < 0.0 for i in range(model.n))

@@ -93,8 +93,8 @@ def tabulated_history(times: Sequence[float], states) -> Callable[[float], tuple
     """Piecewise-linear history through sample points (times ascending, <= 0)."""
     ts = np.asarray(times, dtype=float)
     ys = np.asarray(states, dtype=float)
-    if ts.ndim != 1 or len(ts) < 1 or np.any(np.diff(ts) <= 0):
-        raise ValueError("history times must be strictly increasing")
+    if ts.ndim != 1 or len(ts) < 1 or not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0):
+        raise ValueError("history times must be finite and strictly increasing")
     if ts[-1] < 0.0:
         raise ValueError("history table must include t = 0")
 
@@ -428,7 +428,7 @@ def export_csv(
     """Write the trajectory as CSV: t, x_1..x_n, then V and the envelope.
 
     The V column needs (v, dilation); the bound column is the envelope value
-    1/mu(t) (times the fitted constant when one is attached).  Floats are
+    1/mu(t).  Floats are
     written with 17 significant digits so the file round-trips exactly.
     """
     header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)]

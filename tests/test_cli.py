@@ -153,6 +153,28 @@ def test_check_unknown_key_rejected(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("kind, history", [
+    ("continuous", {"constant": [-1]}),
+    ("continuous", {"constant": [float("nan")]}),
+    ("continuous", {"constant": [float("inf")]}),
+    ("continuous", {"table": {"times": [-1, 0], "states": [[1, 2], [1, 2]]}}),
+    ("continuous", {"table": {"times": [0, -1], "states": [[1], [2]]}}),
+    ("discrete", {"table": {"times": [-1.5, 0], "states": [[1], [2]]}}),
+], ids=["negative", "nan", "infinite", "row-length", "unsorted", "discrete-fractional-time"])
+def test_check_rejects_history_outside_theorems(tmp_path, capsys, kind, history):
+    doc = scalar_config()
+    if kind == "discrete":
+        doc["system"]["kind"] = "discrete"
+        doc["delay"] = {"family": "constant_steps", "d": 2}
+        doc["sim"] = {"horizon": 10}
+    doc["initial_history"] = history
+    code = main(["check", "--config", write(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "initial_history" in captured.err
+
+
 # -- certify -------------------------------------------------------------------
 
 def test_certify_cubic_user_vector(tmp_path, capsys):
@@ -361,15 +383,15 @@ def test_simulate_discrete_level_sets_read_the_history_window(tmp_path, capsys):
         assert (t == 0.0) == (5.0 * 0.9 ** m >= v_max)
 
 
-def test_simulate_skips_level_sets_for_history_outside_orthant(tmp_path, capsys):
+def test_simulate_rejects_history_outside_orthant(tmp_path, capsys):
     doc = scalar_config()
     doc["initial_history"] = {"table": {"times": [-1, 0], "states": [[-0.1], [1]]}}
     code, out = run_cli(
         capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(tmp_path / "neg.csv")
     )
-    assert code == 0
-    assert "level_set_entries" not in out
-    assert "positive orthant" in out["level_set_skipped"]
+    assert code == 64
+    assert out is None
+    assert not (tmp_path / "neg.csv").exists()
 
 
 def test_cli_overrides(tmp_path, capsys):

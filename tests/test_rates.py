@@ -290,12 +290,37 @@ def test_mu_custom_limits_accepted(scalar_half):
 
 # -- corollary consistency: bounds plugged back into the generic condition -------------------
 
+def dilated_model(kind: str) -> SystemModel:
+    """Degree zero under r = (1, 2) with an x_1**2 coupling into component 2.
+
+    v = (1, 1) certifies it.  Component 1 binds, so its rate depends on the
+    exponent (r_1 + p)/r_max = 1/2 of the delayed term.
+    """
+    if kind == "continuous":
+        f = PolyVectorField.from_matrix([[-1.0, 0.0], [0.0, -1.0]])
+        g = PolyVectorField(2, (((0.6, (1, 0)),), ((0.2, (2, 0)),)))
+    else:
+        f = PolyVectorField.from_matrix([[0.3, 0.0], [0.0, 0.2]])
+        g = PolyVectorField(2, (((0.5, (1, 0)),), ((0.3, (2, 0)),)))
+    return SystemModel(kind=kind, f=f, delayed_terms=(g,), dilation=Dilation((1.0, 2.0)), degree=0.0)
+
+
 def test_eta_bound_is_sharp_within_safety(scalar_half):
     delay = ConstantDelay(1.0)
     bound = eta_bound(scalar_half, (1.0,), tau_sup=1.0)
     assert mu_condition_check(scalar_half, (1.0,), MuSpec.exponential(bound.rate), delay)
     assert not mu_condition_check(
         scalar_half, (1.0,), MuSpec.exponential(1.05 * bound.rate), delay
+    )
+    model = dilated_model("continuous")
+    bound = eta_bound(model, (1.0, 1.0), tau_sup=1.0)
+    # component 1: 2 (-1 + 0.6 exp(eta/2)) + eta = 0
+    eta_1 = solve_monotone(lambda e: 2.0 * (-1.0 + 0.6 * math.exp(0.5 * e)) + e)
+    assert bound.component_rates[0] == pytest.approx(eta_1, rel=1e-9)
+    assert bound.rate == pytest.approx(SAFETY * eta_1, rel=1e-9)
+    assert mu_condition_check(model, (1.0, 1.0), MuSpec.exponential(bound.rate), delay)
+    assert not mu_condition_check(
+        model, (1.0, 1.0), MuSpec.exponential(1.05 * bound.rate), delay
     )
 
 
@@ -314,6 +339,17 @@ def test_xi_bound_is_sharp_within_safety(scalar_half):
     bound = xi_bound(scalar_half, (1.0,), alpha=0.5)
     assert mu_condition_check(scalar_half, (1.0,), MuSpec.power(bound.rate), delay)
     assert not mu_condition_check(scalar_half, (1.0,), MuSpec.power(1.05 * bound.rate), delay)
+    # component 1: 2**(xi/2) g_1 equals -f_1 (continuous) or 1 - f_1 (discrete)
+    for kind, delay, xi_1 in (
+        ("continuous", ProportionalDelay(0.5), 2.0 * math.log2(1.0 / 0.6)),
+        ("discrete", ProportionalStepDelay(0.5), 2.0 * math.log2(0.7 / 0.5)),
+    ):
+        model = dilated_model(kind)
+        bound = xi_bound(model, (1.0, 1.0), alpha=0.5)
+        assert bound.component_rates[0] == pytest.approx(xi_1, rel=1e-9)
+        assert bound.rate == pytest.approx(SAFETY * xi_1, rel=1e-9)
+        assert mu_condition_check(model, (1.0, 1.0), MuSpec.power(bound.rate), delay)
+        assert not mu_condition_check(model, (1.0, 1.0), MuSpec.power(1.05 * bound.rate), delay)
 
 
 def test_component_equations_strictly_increasing(scalar_half):
