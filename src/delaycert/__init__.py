@@ -12,7 +12,6 @@ from .model import (
     ScalarPoly,
     SystemModel,
     dilate,
-    eval_field,
     is_homogeneous,
     jacobian,
     lyapunov_v,
@@ -62,6 +61,7 @@ from .rates import (
     solve_monotone,
     theory_constant,
     theta_bound,
+    upper_envelope,
     upper_solution_theta,
     xi_bound,
 )

@@ -6,7 +6,8 @@ on stdout; trajectories go to CSV.  Exit codes:
     0   success / positive verdict
     2   negative scientific verdict (hypothesis failure, no certificate,
         blow-up, envelope violated)
-    3   undetermined (sampling could neither prove nor refute)
+    3   undetermined (sampling could neither prove nor refute, or no
+        theory envelope covers the bound, so it is not checked)
     64  unusable configuration or arguments
 """
 
@@ -38,7 +39,7 @@ EXIT_CONFIG = 64
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _load(args) -> ExperimentConfig:
@@ -230,28 +231,25 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
         status = EXIT_NEGATIVE
     elif bound is not None:
         history_v = cfg.history_peak(v, traj.metadata["history_depth"])
-        env = envelope_check(
-            traj, bound, v, system.dilation, cfg.analysis.settle_fraction,
-            _theory_constant(cfg, bound, v, history_v),
-        )
-        report["envelope"] = env.to_dict()
+        try:
+            clock, M = rates_mod.upper_envelope(
+                system, v, bound, cfg.delays, _delay_tau_sup(cfg), history_v
+            )
+        except rates_mod.MissingLimitError as exc:
+            report["envelope_skipped"] = str(exc)
+            status = EXIT_UNDETERMINED
+        else:
+            env = envelope_check(traj, clock, v, system.dilation, M)
+            report["envelope"] = env.to_dict()
+            if not env.holds:
+                status = EXIT_NEGATIVE
         report["bound"] = bound.to_dict()
         entries = level_set_descent(
             traj, v, system.dilation, cfg.analysis.gamma, history_v, m_max=200
         )
         report["level_set_entries"] = entries[:50]
-        if not env.holds:
-            status = EXIT_NEGATIVE
     _emit(report)
     return status
-
-
-def _theory_constant(cfg: ExperimentConfig, bound, v, history_v: float) -> float | None:
-    """M of W <= M/mu from the rates layer; None leaves the trend test."""
-    tau_sup = _delay_tau_sup(cfg)
-    if cfg.system.is_discrete or tau_sup is None:
-        return None
-    return rates_mod.theory_constant(cfg.system, v, bound, tau_sup, history_v)
 
 
 def cmd_batch(args) -> int:

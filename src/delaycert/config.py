@@ -111,7 +111,6 @@ class SimSettings:
 class AnalysisSettings:
     v: tuple[float, ...] | None = None
     gamma: float = 0.9
-    settle_fraction: float = 0.5
     bounds: tuple[str, ...] = ("auto",)
     alpha: float | None = None
     tau_sup: float | None = None
@@ -248,7 +247,7 @@ def parse_config(doc) -> ExperimentConfig:
     ana_doc = _require_mapping(doc.get("analysis", {}), "analysis")
     _check_keys(
         ana_doc, set(),
-        {"v", "gamma", "settle_fraction", "bounds", "alpha", "tau_sup"},
+        {"v", "gamma", "bounds", "alpha", "tau_sup"},
         "analysis",
     )
     v = ana_doc.get("v")
@@ -261,11 +260,8 @@ def parse_config(doc) -> ExperimentConfig:
         if b not in KNOWN_BOUNDS:
             raise ConfigError(f"analysis.bounds entries must be in {KNOWN_BOUNDS}, got {b!r}")
     gamma = float(ana_doc.get("gamma", 0.9))
-    settle = float(ana_doc.get("settle_fraction", 0.5))
     if not 0.0 <= gamma < 1.0:
         raise ConfigError("analysis.gamma must lie in [0, 1)")
-    if not 0.0 <= settle < 1.0:
-        raise ConfigError("analysis.settle_fraction must lie in [0, 1)")
     alpha = ana_doc.get("alpha")
     if alpha is not None:
         alpha = float(alpha)
@@ -275,7 +271,7 @@ def parse_config(doc) -> ExperimentConfig:
     if tau_sup is not None and float(tau_sup) < 0.0:
         raise ConfigError("analysis.tau_sup must be nonnegative")
     analysis = AnalysisSettings(
-        v=v, gamma=gamma, settle_fraction=settle, bounds=bounds,
+        v=v, gamma=gamma, bounds=bounds,
         alpha=alpha, tau_sup=None if tau_sup is None else float(tau_sup),
     )
 

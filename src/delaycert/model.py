@@ -313,11 +313,6 @@ class PolyVectorField:
         return cls.from_dict(json.loads(s))
 
 
-def eval_field(F: PolyVectorField, x: Sequence[float]) -> list[float]:
-    """Evaluate a polynomial vector field at a point."""
-    return F.evaluate(x)
-
-
 def jacobian(F: PolyVectorField) -> tuple[tuple[ScalarPoly, ...], ...]:
     """Exact symbolic Jacobian: entry (i, j) is d F_i / d x_j (power rule)."""
     return tuple(

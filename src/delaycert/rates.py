@@ -28,10 +28,20 @@ zero; bracket doubling plus bisection finds its unique positive root
 methods).  The returned rate sits the relative margin DEFAULT_SAFETY inside
 the open admissible interval: the theory guarantees only its inside.
 
-The constant multiple depends on the initial history.  For the two
-bounded-delay forms `theory_constant` returns M with W(t) <= M / mu(t) at
-every t >= 0, for any size of delay, from the same condition along an
-upper solution D_lam(t) v.
+The constant multiple depends on the initial history.  `upper_envelope`
+returns, for every bound, a clock mu_u and a constant M with
+W(t) mu_u(t) <= M at every t >= 0, for any size of delay, from the same
+condition along an upper solution D_lam(t) v with lam(t)**r_max = M / mu_u(t):
+
+  eta, theta   mu_u = the bound's own mu, M from `theory_constant`
+  xi, beta     mu_u = (t+1)**e, M = V(phi): continuous L = K**e,
+               D = k**(-p) e with k**r_max = V(phi) and e <= r_max/p;
+               discrete R1 = 2**e, R2 = max(2, K)**e
+
+The power clocks need tau(t) <= alpha t for every t >= 0, which the
+proportional delay families meet.  A bounded delay shifts the clock to
+(t/s + 1)**e with s = 1 + tau_sup (see `upper_envelope`); other delays get
+no clock.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .delays import DelayModel
+from .delays import DelayModel, ProportionalDelay, ProportionalStepDelay
 from .model import SystemModel
 from .certify import verify_certificate
 
@@ -64,7 +74,8 @@ class DecayBound:
     `component_rates` are the per-component roots; infinite entries (from
     vanishing delayed couplings or a degenerate ratio) are excluded from
     the min and listed in `infinite_components`.  The constant M of the
-    envelope depends on the history and comes from `theory_constant`.
+    envelope depends on the history; `upper_envelope` gives it together
+    with the clock it holds for.
     """
 
     form: str
@@ -97,7 +108,7 @@ class DecayBound:
     def to_dict(self) -> dict:
         d = {
             "form": self.form,
-            "rate": self.rate,
+            "rate": self.rate if math.isfinite(self.rate) else "inf",
             "per_component_exponents": list(self.per_component_exponents),
             "component_rates": [r if math.isfinite(r) else "inf" for r in self.component_rates],
         }
@@ -120,32 +131,40 @@ def solve_monotone(
     """Unique positive root of a strictly increasing fn with fn(0) < 0.
 
     Bracket doubling until a sign change, then bisection to |fn(root)| <= tol.
+    An OverflowError from fn counts as a positive value, since fn increases.
     Monotonicity across the bracket is checked by sampling; a violation, a
     nonnegative value at zero, or no sign change within 2**60 * bracket_hint
     all raise ValueError.
     """
     if bracket_hint <= 0.0 or tol <= 0.0:
         raise ValueError("bracket_hint and tol must be positive")
-    f0 = fn(0.0)
+
+    def value(x: float) -> float:
+        try:
+            return fn(x)
+        except OverflowError:
+            return math.inf
+
+    f0 = value(0.0)
     if not f0 < 0.0:
         raise ValueError(f"fn(0) = {f0} is not negative: no positive root regime")
     hi = bracket_hint
     for _ in range(61):
-        if fn(hi) > 0.0:
+        if value(hi) > 0.0:
             break
         hi *= 2.0
     else:
         raise ValueError("no sign change within 2**60 * bracket_hint")
     prev = f0
     for k in range(1, _MONOTONE_CHECK_POINTS + 1):
-        val = fn(hi * k / _MONOTONE_CHECK_POINTS)
-        if val <= prev:
+        val = value(hi * k / _MONOTONE_CHECK_POINTS)
+        if val <= prev and val != math.inf:
             raise ValueError(f"fn is not strictly increasing near {hi * k / _MONOTONE_CHECK_POINTS}")
         prev = val
     lo = 0.0
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        fm = fn(mid)
+        fm = value(mid)
         if abs(fm) <= tol:
             return mid
         if fm < 0.0:
@@ -175,6 +194,14 @@ class _CertData(NamedTuple):
         """R1**(r_i/r_max) f_i(v)/v_i + R2**(r_i/r_max) g_i(v)/v_i."""
         e = self.r[i] / self.rmax
         return _pow_times(R1, e, self.fv[i] / self.v[i]) + _pow_times(R2, e, self.gv[i] / self.v[i])
+
+    def root(self, i: int, discrete: bool, lnR1: float, lnL: float, D: float) -> float:
+        """Positive root e of component i's condition for the limits
+        R1 = exp(lnR1 e), R2 = exp(lnL e) (discrete) or L = exp(lnL e),
+        D e (continuous)."""
+        if discrete:
+            return solve_monotone(lambda e: self.discrete(i, math.exp(lnR1 * e), math.exp(lnL * e)) - 1.0)
+        return solve_monotone(lambda e: self.continuous(i, math.exp(lnL * e), D * e))
 
 
 def _pow_times(base: float, expo: float, factor: float) -> float:
@@ -217,7 +244,7 @@ def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBo
         if c.gv[i] == 0.0:
             etas.append(-(c.rmax / c.r[i]) * (c.fv[i] / c.v[i]))
         else:
-            etas.append(solve_monotone(lambda e, i=i: c.continuous(i, math.exp(e * tau_sup), e)))
+            etas.append(c.root(i, False, 0.0, tau_sup, 1.0))
     eta = (1.0 - DEFAULT_SAFETY) * min(etas)
     return DecayBound(
         form=EXPONENTIAL,
@@ -360,6 +387,73 @@ def theory_constant(
     return history_v * max(1.0, bound.rate / (theta_p * kp)) ** bound.poly_exponent
 
 
+def upper_envelope(
+    model: SystemModel,
+    v: Sequence[float],
+    bound: DecayBound,
+    delays: Sequence[DelayModel],
+    tau_sup: float | None,
+    history_v: float,
+) -> tuple[DecayBound, float]:
+    """The clock mu_u and constant M with W(t) mu_u(t) <= M for every t >= 0.
+
+    history_v is V(phi) = k**r_max.  For the exponential and
+    polynomial-reciprocal forms mu_u is the bound's own mu and M is
+    theory_constant's, with tau_sup bounding every delay.  For the power
+    forms M = V(phi) and mu_u = (t/s + 1)**e, returned as the
+    polynomial-reciprocal bound with rate 1/s and exponent e.  It needs
+    tau(t) <= alpha t + tau0 for every delay and t >= 0: a proportional
+    delay (tau0 = 0) or a bounded one (alpha = 0, tau0 = tau_sup).  With
+    s = 1 + tau0, (t+s)/(t - tau(t) + s) <= max(s, K) for K = 1/(1-alpha),
+    and mu_u is at most 1 on the initial window, so D_lam(t) v with
+    lam(t) = k mu_u(t)**(-1/r_max) is an upper solution when, for every i,
+
+        continuous  the condition with L = max(s, K)**e, D = k**(-p) e / s,
+                    e <= r_max/p
+        discrete    the condition with R1 = ((s+1)/s)**e,
+                    R2 = max(s+1, K)**e (p = 0)
+
+    holds non-strictly; e is (1 - DEFAULT_SAFETY) times the largest such
+    value.  Discrete components with f_i(v) = g_i(v) = 0 are zero after one
+    step and constrain no clock.  Raises MissingLimitError where no upper
+    solution covers the bound: a power form under a delay that is neither
+    bounded nor proportional, or a rate theory_constant derives no
+    constant for.
+    """
+    if bound.form != POWER_RATE:
+        M = None if tau_sup is None else theory_constant(model, v, bound, tau_sup, history_v)
+        if M is None:
+            raise MissingLimitError("no upper solution covers this rate and delay")
+        return bound, M
+    bounded = [d.tau_sup for d in delays if d.tau_sup is not None]
+    ratios = [d.alpha for d in delays if isinstance(d, (ProportionalDelay, ProportionalStepDelay))]
+    if len(bounded) + len(ratios) < len(delays):
+        raise MissingLimitError("a power-rate clock needs every delay bounded or proportional")
+    c = _rate_data(model, v)
+    if model.is_discrete and c.p != 0.0:
+        raise MissingLimitError("a discrete power-rate clock needs degree zero")
+    s = 1.0 + max(bounded, default=0.0)
+    lnK = -math.log1p(-max(ratios, default=0.0))
+    lnR1 = math.log1p(1.0 / s)  # discrete only
+    lnL = max(math.log(s + 1.0 if model.is_discrete else s), lnK)
+    # k**(-p); a zero history stays at zero, where any clock holds
+    k_p = history_v ** (-c.p / c.rmax) if history_v > 0.0 else 1.0
+    roots = [
+        c.root(i, model.is_discrete, lnR1, lnL, k_p / s) for i in range(model.n) if c.fv[i] or c.gv[i]
+    ]
+    cap = c.rmax / c.p if c.p > 0.0 else math.inf
+    # no constraining component: every state is zero after one step
+    e = (1.0 - DEFAULT_SAFETY) * min(cap, min(roots, default=1.0))
+    clock = DecayBound(
+        form=POLYNOMIAL_RECIPROCAL,
+        rate=1.0 / s,
+        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
+        component_rates=tuple(roots),
+        poly_exponent=e,
+    )
+    return clock, history_v
+
+
 def xi_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound:
     """Power-rate exponent for degree zero under a proportional delay ratio.
 
@@ -382,10 +476,8 @@ def xi_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound
         if c.gv[i] == 0.0 or lnK == 0.0:
             xis.append(math.inf)
             flagged.append(i)
-        elif model.is_discrete:
-            xis.append(solve_monotone(lambda x, i=i: c.discrete(i, 1.0, math.exp(lnK * x)) - 1.0))
         else:
-            xis.append(solve_monotone(lambda x, i=i: c.continuous(i, math.exp(lnK * x), 0.0)))
+            xis.append(c.root(i, model.is_discrete, 0.0, lnK, 0.0))
     finite = [x for x in xis if math.isfinite(x)]
     xi = (1.0 - DEFAULT_SAFETY) * min(finite) if finite else math.inf
     return DecayBound(
@@ -449,7 +541,8 @@ def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBou
 
 
 class MissingLimitError(ValueError):
-    """The mu family needs an asymptotic limit the delay model cannot supply."""
+    """The mu family needs an asymptotic limit or a delay structure that the
+    delay model cannot supply."""
 
 
 @dataclass(frozen=True)

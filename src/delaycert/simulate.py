@@ -313,73 +313,44 @@ def simulate_discrete(
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Outcome of checking a trajectory against a decay envelope.
+    """Outcome of checking a trajectory against an upper-solution envelope.
 
-    M_fit is the largest observed W(t) * mu(t) over the whole run (the
-    smallest constant making W <= M/mu hold everywhere on the grid).
+    The clock mu_u and the constant M_theory come from rates.upper_envelope,
+    which derives W(t) mu_u(t) <= M_theory for every t >= 0 from an upper
+    solution.  The envelope `holds` when that inequality holds at every grid
+    time, up to a relative allowance of rates.DEFAULT_SAFETY for rounding.
+    The verdict is valid at any horizon, including one shorter than the
+    delay.  For the exponential and polynomial-reciprocal bounds mu_u is the
+    bound's own mu; for the power-rate bounds it is (t/s + 1)**e, with s = 1
+    under proportional delays and e the exponent the upper solution supports.
 
-    With the theory's constant M_theory (rates.theory_constant) the check
-    is pointwise: the envelope `holds` when W(t) mu(t) <= M_theory at every
-    grid time, up to a relative allowance of rates.DEFAULT_SAFETY for
-    rounding.  That verdict is valid at any horizon, including one shorter
-    than the delay.
-
-    Without it (power-rate forms, or no constant derived) the envelope
-    `holds` when the tail of the product does not exceed the head's maximum
-    by more than 5 percent: that boundedness-in-trend is the testable
-    content of an asymptotic O(1/mu) claim on a finite horizon.
-    `worst_ratio_tail` is that tail-over-head ratio and is reported in
-    both cases.
+    M_fit is the largest observed W(t) mu_u(t) over the whole run (the
+    smallest constant making W <= M/mu_u hold everywhere on the grid).
     """
 
     M_fit: float
     holds: bool
-    worst_ratio_tail: float
-    M_theory: float | None = None
+    M_theory: float
 
     def to_dict(self) -> dict:
-        return {"M_fit": self.M_fit, "M_theory": self.M_theory, "holds": self.holds,
-                "worst_ratio_tail": self.worst_ratio_tail}
+        return {"M_fit": self.M_fit, "M_theory": self.M_theory, "holds": self.holds}
 
 
 def envelope_check(
     traj: Trajectory,
-    bound: DecayBound,
+    clock: DecayBound,
     v: Sequence[float],
     dilation: Dilation,
-    settle_fraction: float = 0.5,
-    M_theory: float | None = None,
+    M_theory: float,
 ) -> EnvelopeReport:
-    """Compare a simulated trajectory against a guaranteed decay envelope.
-
-    Checks W(t) mu(t) <= M_theory pointwise when the constant is given,
-    and the head/tail trend otherwise (see EnvelopeReport).
-    """
+    """Check W(t) clock.mu(t) <= M_theory at every grid time (see EnvelopeReport)."""
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
-    if not 0.0 <= settle_fraction < 1.0:
-        raise ValueError("settle_fraction must lie in [0, 1)")
     W = traj.lyapunov_values(v, dilation)
-    mu = np.array([bound.mu(t) for t in traj.times])
-    product = W * mu
-    t_split = settle_fraction * traj.times[-1]
-    head = product[traj.times <= t_split]
-    tail = product[traj.times >= t_split]
-    if len(head) == 0:
-        head = product[:1]
-    M_head = float(head.max())
-    M_fit = float(product.max())
-    worst_tail = float(tail.max()) if len(tail) else 0.0
-    if M_head > 0.0:
-        ratio = worst_tail / M_head
-    else:
-        ratio = 0.0 if worst_tail == 0.0 else math.inf
-    if M_theory is None:
-        holds = ratio <= 1.05
-    else:
-        holds = M_fit <= M_theory * (1.0 + DEFAULT_SAFETY)
+    mu = np.array([clock.mu(t) for t in traj.times])
+    M_fit = float((W * mu).max())
     return EnvelopeReport(
-        M_fit=M_fit, holds=bool(holds), worst_ratio_tail=ratio, M_theory=M_theory
+        M_fit=M_fit, holds=M_fit <= M_theory * (1.0 + DEFAULT_SAFETY), M_theory=M_theory
     )
 
 

@@ -19,7 +19,6 @@ from delaycert import (
     check_model,
     check_nondecreasing,
     check_positivity_condition,
-    eval_field,
 )
 from conftest import CUBIC_F, CUBIC_G
 
@@ -208,8 +207,8 @@ def test_cooperative_pass_implies_quasimonotone_samples(y, bump, idx):
     # raise one off-component: f_i must not decrease when x_j (j != i) grows
     x = list(y)
     x[1 - idx] += bump
-    fx = eval_field(CUBIC_F, x)
-    fy = eval_field(CUBIC_F, y)
+    fx = CUBIC_F.evaluate(x)
+    fy = CUBIC_F.evaluate(y)
     assert fx[idx] >= fy[idx] - 1e-9
 
 

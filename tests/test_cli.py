@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,16 @@ def test_check_unknown_key_rejected(tmp_path, capsys):
     assert code == 64
 
 
+def test_check_rejects_settle_fraction(tmp_path, capsys):
+    # the envelope verdict has no tuning knob left
+    doc = scalar_config()
+    doc["analysis"]["settle_fraction"] = 0.5
+    code = main(["check", "--config", write(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert "settle_fraction" in captured.err
+
+
 @pytest.mark.parametrize("kind, history", [
     ("continuous", {"constant": [-1]}),
     ("continuous", {"constant": [float("nan")]}),
@@ -256,6 +267,33 @@ def test_bounds_scalar_eta(tmp_path, capsys):
     (bound,) = out["bounds"]
     assert bound["form"] == "exponential"
     assert 0.3148 <= bound["rate"] / (1 - 1e-6) <= 0.3150
+
+
+def test_bounds_eta_long_delay_is_finite(tmp_path, capsys):
+    # exp(eta * 1000) overflows during bracket doubling; that counts as positive
+    doc = scalar_config()
+    doc["delay"] = {"family": "constant", "tau": 1000}
+    doc["analysis"]["bounds"] = ["eta"]
+    code, out = run_cli(capsys, "bounds", "--config", write(tmp_path, doc))
+    assert code == 0
+    (bound,) = out["bounds"]
+    # -1 + 0.5 exp(1000 eta) + eta = 0 puts eta just below ln(2)/1000
+    assert 0.0 < bound["rate"] < math.log(2.0) / 1000.0
+    assert -1.0 + 0.5 * math.exp(1000.0 * bound["rate"]) + bound["rate"] == pytest.approx(0.0, abs=1e-5)
+
+
+def test_bounds_infinite_rate_is_strict_json(tmp_path, capsys):
+    # alpha = 0 leaves xi without a finite root
+    doc = scalar_config()
+    doc["analysis"].update(bounds=["xi"], alpha=0.0)
+    code = main(["bounds", "--config", write(tmp_path, doc)])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["bounds"][0]["rate"] == "inf"
 
 
 # -- simulate ------------------------------------------------------------------
@@ -381,6 +419,38 @@ def test_simulate_discrete_level_sets_read_the_history_window(tmp_path, capsys):
     assert entries[0] == 0.0
     for m, t in enumerate(entries):
         assert (t == 0.0) == (5.0 * 0.9 ** m >= v_max)
+
+
+@pytest.mark.parametrize("horizon", [2, 5, 20])
+def test_simulate_xi_envelope_holds_at_every_horizon(tmp_path, capsys, horizon):
+    # x' = -x + 0.5 x(t/2): the upper solution V(phi) (t+1)**(-e) covers
+    # every horizon, shorter ones included
+    doc = scalar_config()
+    doc["delay"] = {"family": "proportional", "alpha": 0.5}
+    doc["sim"]["horizon"] = horizon
+    doc["analysis"]["bounds"] = ["xi"]
+    out_csv = tmp_path / "xi.csv"
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    assert code == 0
+    assert out["envelope"]["holds"] is True
+    assert out["envelope"]["M_theory"] == 1.0
+    assert out["envelope"]["M_fit"] == 1.0
+    assert out["bound"]["form"] == "power_rate"
+
+
+def test_simulate_without_power_clock_is_undetermined(tmp_path, capsys):
+    # analysis.alpha on a delay that is neither bounded nor proportional:
+    # the bound is computed, but no upper solution checks it
+    doc = scalar_config()
+    doc["delay"] = {"family": "log_lag"}
+    doc["analysis"].update(bounds=["xi"], alpha=0.5)
+    out_csv = tmp_path / "loglag.csv"
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    assert code == 3
+    assert "bounded or proportional" in out["envelope_skipped"]
+    assert "envelope" not in out
+    assert out["bound"]["form"] == "power_rate"
+    assert out_csv.read_text().splitlines()[0] == "t,x_1,V,bound"
 
 
 def test_simulate_rejects_history_outside_orthant(tmp_path, capsys):

@@ -11,7 +11,6 @@ from delaycert import (
     PolyVectorField,
     ScalarPoly,
     dilate,
-    eval_field,
     is_homogeneous,
     jacobian,
     lyapunov_v,
@@ -19,26 +18,26 @@ from delaycert import (
 from conftest import CUBIC_F, CUBIC_G, lyapunov_reference
 
 
-# -- eval_field ----------------------------------------------------------------
+# -- PolyVectorField.evaluate --------------------------------------------------
 
 def test_eval_cubic_at_ones():
-    assert eval_field(CUBIC_F, (1.0, 1.0)) == [-3.0, -3.0]
-    assert eval_field(CUBIC_G, (1.0, 1.0)) == [1.0, 2.0]
+    assert CUBIC_F.evaluate((1.0, 1.0)) == [-3.0, -3.0]
+    assert CUBIC_G.evaluate((1.0, 1.0)) == [1.0, 2.0]
 
 
 def test_eval_cubic_at_2_4():
     # hand evaluation: -5*8 + 2*2*4 = -24; 4*4 - 4*16 = -48
-    assert eval_field(CUBIC_F, (2.0, 4.0)) == [-24.0, -48.0]
+    assert CUBIC_F.evaluate((2.0, 4.0)) == [-24.0, -48.0]
 
 
 def test_eval_zero_at_origin():
     for F in (CUBIC_F, CUBIC_G):
-        assert eval_field(F, (0.0, 0.0)) == [0.0, 0.0]
+        assert F.evaluate((0.0, 0.0)) == [0.0, 0.0]
 
 
 def test_eval_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        eval_field(CUBIC_F, (1.0,))
+        CUBIC_F.evaluate((1.0,))
 
 
 def test_eval_overflow_reports_infinite():
@@ -96,9 +95,9 @@ def test_eval_matches_dense_loop_bitwise(field_and_point):
 def test_eval_linear_in_coefficients(x, a, b):
     F1 = CUBIC_F.scaled(a)
     F2 = CUBIC_G.scaled(b)
-    left = eval_field(F1 + F2, x)
-    f1 = eval_field(F1, x)
-    f2 = eval_field(F2, x)
+    left = (F1 + F2).evaluate(x)
+    f1 = F1.evaluate(x)
+    f2 = F2.evaluate(x)
     for l, u, w in zip(left, f1, f2):
         assert l == pytest.approx(u + w, rel=1e-12, abs=1e-12)
 
@@ -152,8 +151,8 @@ def test_homogeneity_functional_identity(lam):
     grid = [(x, y) for x in (0.05, 0.7, 3.0) for y in (0.1, 1.0, 8.0)]
     for F in (CUBIC_F, CUBIC_G):
         for x in grid:
-            left = eval_field(F, dilate(d, lam, x))
-            right = [lam ** p * z for z in dilate(d, lam, eval_field(F, x))]
+            left = F.evaluate(dilate(d, lam, x))
+            right = [lam ** p * z for z in dilate(d, lam, F.evaluate(x))]
             for l, r in zip(left, right):
                 assert l == pytest.approx(r, rel=1e-10)
 
@@ -254,7 +253,7 @@ def test_jacobian_matches_finite_differences(x):
         xm = list(x)
         xp[j] += h
         xm[j] -= h
-        fd = [(a - b) / (2 * h) for a, b in zip(eval_field(CUBIC_F, xp), eval_field(CUBIC_F, xm))]
+        fd = [(a - b) / (2 * h) for a, b in zip(CUBIC_F.evaluate(xp), CUBIC_F.evaluate(xm))]
         for i in range(2):
             sym = J[i][j].evaluate(x)
             assert fd[i] == pytest.approx(sym, rel=1e-5, abs=1e-4)

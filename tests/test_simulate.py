@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,12 @@ from delaycert import (
     DecayBound,
     Dilation,
     HistoryUnderrunError,
+    LogLagDelay,
+    MissingLimitError,
     PiecewiseLinearDelay,
     PolyVectorField,
     ProportionalDelay,
+    ProportionalStepDelay,
     SinusoidalDelay,
     SystemModel,
     Trajectory,
@@ -22,12 +26,17 @@ from delaycert import (
     level_set_descent,
     simulate_continuous,
     simulate_discrete,
+    beta_bound,
     eta_bound,
+    solve_monotone,
     tabulated_history,
     theory_constant,
     theta_bound,
+    upper_envelope,
     upper_solution_theta,
+    xi_bound,
 )
+from delaycert.certify import linear_model
 from conftest import growth2d_closed_form, lyapunov_reference
 
 RAMP = PiecewiseLinearDelay(((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)))
@@ -215,23 +224,22 @@ def _decaying_exponential_traj():
 def test_envelope_holds_for_slower_rate():
     traj = _decaying_exponential_traj()
     bound = DecayBound("exponential", 0.9, (1.0,), (0.9,))
-    rep = envelope_check(traj, bound, (1.0,), Dilation((1.0,)), settle_fraction=0.5)
+    rep = envelope_check(traj, bound, (1.0,), Dilation((1.0,)), M_theory=1.0)
     assert rep.holds
     assert rep.M_fit == pytest.approx(1.0)
-    assert rep.worst_ratio_tail <= 1.0
 
 
 def test_envelope_fails_for_faster_rate():
     traj = _decaying_exponential_traj()
     bound = DecayBound("exponential", 1.1, (1.0,), (1.1,))
-    rep = envelope_check(traj, bound, (1.0,), Dilation((1.0,)), settle_fraction=0.5)
+    rep = envelope_check(traj, bound, (1.0,), Dilation((1.0,)), M_theory=1.0)
     assert not rep.holds
-    assert rep.worst_ratio_tail > 1.05
 
 
 def test_envelope_cubic_benchmark(cubic2d, cubic_run_t50):
     bound = theta_bound(cubic2d, (1.0, 1.0), tau_sup=5.0)
-    rep = envelope_check(cubic_run_t50, bound, (1.0, 1.0), cubic2d.dilation, 0.5)
+    M = theory_constant(cubic2d, (1.0, 1.0), bound, 5.0, history_v=1.0)
+    rep = envelope_check(cubic_run_t50, bound, (1.0, 1.0), cubic2d.dilation, M)
     assert rep.holds
 
 
@@ -250,14 +258,13 @@ def test_theory_constant_cubic_holds_pointwise(cubic2d, cubic_run_t50):
     times = cubic_run_t50.times
     assert np.all(W <= (theta_p * times + 1.0) ** -1.0)
     assert np.all(W * (bound.rate * times + 1.0) <= M)
-    rep = envelope_check(cubic_run_t50, bound, v, cubic2d.dilation, 0.5, M_theory=M)
+    rep = envelope_check(cubic_run_t50, bound, v, cubic2d.dilation, M_theory=M)
     assert rep.holds
     assert rep.M_fit == pytest.approx(1.343, abs=1e-3)
-    # shorter than one delay, the trend test rejects what the constant accepts
+    # the pointwise verdict holds on a run shorter than one delay too
     j = int(round(5.0 / 0.01)) + 1
     short = Trajectory(times=times[:j], states=cubic_run_t50.states[:j])
-    assert not envelope_check(short, bound, v, cubic2d.dilation, 0.5).holds
-    assert envelope_check(short, bound, v, cubic2d.dilation, 0.5, M_theory=M).holds
+    assert envelope_check(short, bound, v, cubic2d.dilation, M_theory=M).holds
 
 
 @pytest.mark.parametrize("c", [0.3, 2.0, 4.0])
@@ -275,10 +282,10 @@ def test_theory_constant_eta_is_history_sup(scalar_half):
     bound = eta_bound(scalar_half, (1.0,), tau_sup=1.0)
     assert theory_constant(scalar_half, (1.0,), bound, 1.0, history_v=2.0) == 2.0
     traj = simulate_continuous(scalar_half, ConstantDelay(1.0), constant_history((2.0,)), 0.01, 20.0)
-    rep = envelope_check(traj, bound, (1.0,), Dilation((1.0,)), 0.5, M_theory=2.0)
+    rep = envelope_check(traj, bound, (1.0,), Dilation((1.0,)), M_theory=2.0)
     assert rep.holds
     assert rep.M_fit == pytest.approx(2.0)
-    # a rate above the eta root has no constant: the trend test applies
+    # a rate above the eta root has no constant
     faster = DecayBound("exponential", 1.05 * bound.rate, (1.0,), (1.05 * bound.rate,))
     assert theory_constant(scalar_half, (1.0,), faster, 1.0, history_v=2.0) is None
 
@@ -287,7 +294,110 @@ def test_envelope_rejects_empty():
     traj = Trajectory(times=np.array([]), states=np.empty((0, 1)))
     bound = DecayBound("exponential", 1.0, (1.0,), (1.0,))
     with pytest.raises(ValueError):
-        envelope_check(traj, bound, (1.0,), Dilation((1.0,)))
+        envelope_check(traj, bound, (1.0,), Dilation((1.0,)), M_theory=1.0)
+
+
+# -- upper-solution clocks of the power-rate bounds ------------------------------------------
+
+def test_xi_clock_holds_pointwise_and_mutated_clocks_fail(scalar_half):
+    # x' = -x + 0.5 x(t/2): the clock exponent solves -1 + 0.5 * 2**e + e = 0
+    v, delay = (1.0,), ProportionalDelay(0.5)
+    bound = xi_bound(scalar_half, v, 0.5)
+    clock, M = upper_envelope(scalar_half, v, bound, (delay,), None, 1.0)
+    assert M == 1.0
+    assert (clock.form, clock.rate) == ("polynomial_reciprocal", 1.0)
+    assert clock.poly_exponent == pytest.approx(0.358814, abs=1e-6)
+    traj = simulate_continuous(scalar_half, delay, constant_history((1.0,)), 0.01, 20.0)
+    W = traj.lyapunov_values(v, Dilation((1.0,)))
+    assert np.all(W <= (traj.times + 1.0) ** -clock.poly_exponent)
+    rep = envelope_check(traj, clock, v, Dilation((1.0,)), M)
+    assert rep.holds
+    assert rep.M_fit == 1.0
+    steeper = dataclasses.replace(clock, poly_exponent=1.5 * clock.poly_exponent)
+    assert not envelope_check(traj, steeper, v, Dilation((1.0,)), M).holds
+    # without the clock's own term D = k**(-p) e the root would be e = 1
+    e_no_D = (1.0 - 1e-6) * solve_monotone(lambda e: -1.0 + 0.5 * 2.0 ** e)
+    no_D = dataclasses.replace(clock, poly_exponent=e_no_D)
+    assert not envelope_check(traj, no_D, v, Dilation((1.0,)), M).holds
+
+
+def test_beta_clock_on_cubic_holds_pointwise(cubic2d):
+    v, delay = (1.0, 1.0), ProportionalDelay(0.5)
+    bound = beta_bound(cubic2d, v, 0.5)
+    clock, M = upper_envelope(cubic2d, v, bound, (delay,), None, 1.0)
+    e = clock.poly_exponent
+    # component 2 binds: (f_2(v) + K**(e (r_2+p)/r_max) g_2(v)) + k**(-p) e = 0, K = 2
+    assert -3.0 + 2.0 * 4.0 ** e + e == pytest.approx(0.0, abs=1e-5)
+    assert e == pytest.approx(0.233921, abs=1e-6)
+    assert M == 1.0
+    traj = simulate_continuous(cubic2d, delay, constant_history((1.0, 1.0)), 0.01, 50.0)
+    W = traj.lyapunov_values(v, cubic2d.dilation)
+    assert np.all(W <= (traj.times + 1.0) ** -e)
+    assert envelope_check(traj, clock, v, cubic2d.dilation, M).holds
+    # a zero history stays at zero: M = 0 under any clock
+    assert upper_envelope(cubic2d, v, bound, (delay,), None, 0.0)[1] == 0.0
+
+
+def test_power_clock_exponent_capped_at_r_max_over_p(cubic2d):
+    # without delayed coupling the root grows with V(phi); the clock keeps
+    # e <= r_max/p = 1, where its D term is bounded
+    model = dataclasses.replace(cubic2d, delayed_terms=(PolyVectorField.zero(2),))
+    bound = beta_bound(model, (1.0, 1.0), 0.5)
+    clock, M = upper_envelope(model, (1.0, 1.0), bound, (ProportionalDelay(0.5),), None, 100.0)
+    assert clock.poly_exponent == pytest.approx(1.0 - 1e-6, rel=1e-12)
+    assert M == 100.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.25])
+def test_discrete_xi_clock_holds_pointwise(alpha):
+    # x(k+1) = 0.3 x(k) + 0.2 x(k - floor(alpha k)): with R1 = 2**e and
+    # R2 = max(2, K)**e = 2**e, 0.3 * 2**e + 0.2 * 2**e = 1 at e = 1; the
+    # first step x(1) = 0.5 x(0) meets the clock with equality
+    model = linear_model([[0.3]], [[[0.2]]], "discrete")
+    delay = ProportionalStepDelay(alpha)
+    bound = xi_bound(model, (1.0,), alpha)
+    clock, M = upper_envelope(model, (1.0,), bound, (delay,), None, 1.0)
+    assert clock.poly_exponent == pytest.approx(1.0, abs=1e-5)
+    traj = simulate_discrete(model, delay, constant_history((1.0,)), 2000)
+    W = traj.lyapunov_values((1.0,), model.dilation)
+    assert np.all(W <= (traj.times + 1.0) ** -clock.poly_exponent)
+    assert envelope_check(traj, clock, (1.0,), model.dilation, M).holds
+    steeper = dataclasses.replace(clock, poly_exponent=1.5 * clock.poly_exponent)
+    assert not envelope_check(traj, steeper, (1.0,), model.dilation, M).holds
+
+
+def test_discrete_clock_skips_components_that_vanish():
+    # component 2 maps every state to zero, so component 1 alone sets e:
+    # (0.5 + 0.2) * 2**e = 1
+    model = linear_model([[0.3, 0.2], [0.0, 0.0]], [[[0.2, 0.0], [0.0, 0.0]]], "discrete")
+    delay = ProportionalStepDelay(0.5)
+    bound = xi_bound(model, (1.0, 1.0), 0.5)
+    clock, M = upper_envelope(model, (1.0, 1.0), bound, (delay,), None, 1.0)
+    assert clock.poly_exponent == pytest.approx(math.log2(1.0 / 0.7), abs=1e-5)
+    traj = simulate_discrete(model, delay, constant_history((1.0, 1.0)), 500)
+    assert envelope_check(traj, clock, (1.0, 1.0), model.dilation, M).holds
+
+
+def test_power_clock_shifts_by_a_bounded_delay(scalar_half):
+    # analysis.alpha declared on tau = 5: the clock ((t + 6)/6)**e, with
+    # -1 + 0.5 * 6**e + e/6 = 0, dominates the history window [-5, 0]
+    v, delay = (1.0,), ConstantDelay(5.0)
+    bound = xi_bound(scalar_half, v, 0.5)
+    clock, M = upper_envelope(scalar_half, v, bound, (delay,), None, 1.0)
+    e = clock.poly_exponent
+    assert clock.rate == pytest.approx(1.0 / 6.0)
+    assert -1.0 + 0.5 * 6.0 ** e + e / 6.0 == pytest.approx(0.0, abs=1e-5)
+    traj = simulate_continuous(scalar_half, delay, constant_history((1.0,)), 0.01, 20.0)
+    assert envelope_check(traj, clock, v, Dilation((1.0,)), M).holds
+    # the unshifted clock (t + 1)**0.5 of a zero delay ratio fails near t = 5
+    unshifted, _ = upper_envelope(scalar_half, v, bound, (ProportionalDelay(0.0),), None, 1.0)
+    assert not envelope_check(traj, unshifted, v, Dilation((1.0,)), M).holds
+
+
+def test_power_clock_needs_bounded_or_proportional_delay(scalar_half):
+    bound = xi_bound(scalar_half, (1.0,), 0.5)
+    with pytest.raises(MissingLimitError, match="bounded or proportional"):
+        upper_envelope(scalar_half, (1.0,), bound, (LogLagDelay(),), None, 1.0)
 
 
 # -- level-set descent ------------------------------------------------------------------------

@@ -1,0 +1,156 @@
+"""Compare the CLI outputs of two delaycert source trees.
+
+Runs `check`, `certify`, `bounds` and `simulate` from each tree on the same
+configs and prints every difference in stdout, exit code or CSV bytes.
+Exits 1 when any run differs and 0 when all agree.
+
+    git worktree add ../parent HEAD~1        # or: git archive HEAD~1 | tar -x -C ../parent
+    python tools/compare_outputs.py ../parent/src src
+
+The configs are those of the perfbench workloads at seeds 1-3 (generated by
+perfbench/workloads.py, which is only imported) and variants built from the
+config builders of tests/test_cli.py.  JSON reports are compared key by key,
+so a difference is printed as the path of the key with both values.  Each
+run is a separate `python -m delaycert` process with PYTHONPATH set to its
+tree; files go to a temporary directory that is removed afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
+COMMANDS = ("check", "certify", "bounds", "simulate")
+ABSENT = "(absent)"
+
+
+def perfbench_configs() -> dict[str, dict]:
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+
+    out = {}
+    for seed in SEEDS:
+        for w in workloads.WORKLOADS.values():
+            for stem, doc in w.configs(seed).items():
+                out[f"{w.name}-s{seed}-{stem}"] = doc
+    return out
+
+
+def cli_test_configs(src: Path) -> dict[str, dict]:
+    # tests/test_cli.py imports delaycert.cli, so one tree must be importable
+    sys.path[:0] = [str(REPO / "tests"), str(src)]
+    import test_cli
+
+    def variant(base: dict, **sections) -> dict:
+        doc = copy.deepcopy(base)
+        for key, value in sections.items():
+            if key == "analysis":
+                doc.setdefault("analysis", {}).update(value)
+            else:
+                doc[key] = value
+        return doc
+
+    cubic, scalar = test_cli.cubic_config(), test_cli.scalar_config()
+    proportional = {"family": "proportional", "alpha": 0.5}
+    out = {
+        "cubic": cubic,
+        "cubic-t5": variant(cubic, sim={"h": 0.01, "horizon": 5}),
+        "cubic-beta": variant(cubic, delay=proportional),
+        "cubic-beta-t5": variant(cubic, delay=proportional, sim={"h": 0.01, "horizon": 5}),
+        "growth": test_cli.growth_config(),
+        "scalar": scalar,
+        "scalar-table": variant(scalar, initial_history={"table": {
+            "times": [-3, -2, -0.5, 0], "states": [[5], [4], [2], [1]],
+        }}),
+        "scalar-eta-tau1000": variant(scalar, delay={"family": "constant", "tau": 1000},
+                                      analysis={"bounds": ["eta"]}),
+        "scalar-xi-alpha0": variant(scalar, analysis={"bounds": ["xi"], "alpha": 0.0}),
+        "scalar-xi-constant-delay": variant(scalar, analysis={"bounds": ["xi"], "alpha": 0.5}),
+        "scalar-xi-log-lag": variant(scalar, delay={"family": "log_lag"},
+                                     analysis={"bounds": ["xi"], "alpha": 0.5}),
+    }
+    for horizon in (2, 5, 20):
+        out[f"scalar-xi-t{horizon}"] = variant(
+            scalar, delay=proportional, sim={"h": 0.01, "horizon": horizon},
+            analysis={"bounds": ["xi"]},
+        )
+    return out
+
+
+def run_tree(src: Path, doc: dict, work: Path) -> dict[str, tuple]:
+    """{command: (exit code, stdout, CSV bytes or None)} of one tree on one config."""
+    work.mkdir(parents=True)
+    (work / "config.json").write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    results = {}
+    for cmd in COMMANDS:
+        argv = [sys.executable, "-m", "delaycert", cmd, "--config", "config.json"]
+        csv = work / f"{cmd}.csv"
+        if cmd == "simulate":
+            argv += ["--out", csv.name]
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
+        results[cmd] = (proc.returncode, proc.stdout, csv.read_bytes() if csv.exists() else None)
+    return results
+
+
+def json_differences(old, new, path: str = "") -> list[str]:
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(set(old) | set(new), key=str):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in old or key not in new:
+                out.append(f"{sub}: {old.get(key, ABSENT)!r} -> {new.get(key, ABSENT)!r}")
+            else:
+                out += json_differences(old[key], new[key], sub)
+        return out
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [d for i, (a, b) in enumerate(zip(old, new)) for d in json_differences(a, b, f"{path}[{i}]")]
+    return [] if old == new else [f"{path or '(document)'}: {old!r} -> {new!r}"]
+
+
+def stdout_differences(old: str, new: str) -> list[str]:
+    if old == new:
+        return []
+    try:
+        return json_differences(json.loads(old), json.loads(new))
+    except json.JSONDecodeError:
+        return [f"(text) {old.strip()[:200]!r} -> {new.strip()[:200]!r}"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path, help="the src directory of the reference tree")
+    parser.add_argument("new_src", type=Path, help="the src directory of the changed tree")
+    args = parser.parse_args(argv)
+    old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
+    configs = {**perfbench_configs(), **cli_test_configs(new_src)}
+    runs = differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in configs.items():
+            old = run_tree(old_src, doc, Path(tmp) / "old" / name)
+            new = run_tree(new_src, doc, Path(tmp) / "new" / name)
+            for cmd in COMMANDS:
+                (code_a, out_a, csv_a), (code_b, out_b, csv_b) = old[cmd], new[cmd]
+                lines = [f"exit code: {code_a} -> {code_b}"] if code_a != code_b else []
+                lines += [f"stdout {d}" for d in stdout_differences(out_a, out_b)]
+                if csv_a != csv_b:
+                    lines.append("CSV bytes differ")
+                runs += 1
+                if lines:
+                    differing += 1
+                    for line in lines:
+                        print(f"{name} {cmd}: {line}")
+    print(f"{runs} runs on {len(configs)} configs; {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
