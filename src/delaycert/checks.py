@@ -237,18 +237,18 @@ def check_delay_assumption(delay: DelayModel, horizon: float) -> DelayAssumption
     if delay.diverges is not None:
         a5 = PASS if delay.diverges else FAIL
         note = ""
-        if delay.alpha_limit is not None and delay.alpha_limit < 1.0:
+        if delay.tau_sup is not None:
             a51 = PASS
-            if delay.tau_sup is not None:
-                T = horizon / 10.0
-                # certified ratio bound over (T, horizon]; exact sup for a
-                # constant delay, a safe upper bound otherwise
-                alpha = delay.tau_sup / T
-                if alpha >= 1.0:
-                    alpha = None
-                    note = "horizon too short to certify a ratio bound below 1"
-            else:
-                alpha = delay.alpha_limit
+            T = horizon / 10.0
+            # certified ratio bound over (T, horizon]; exact sup for a
+            # constant delay, a safe upper bound otherwise
+            alpha = delay.tau_sup / T
+            if alpha >= 1.0:
+                alpha = None
+                note = "horizon too short to certify a ratio bound below 1"
+        elif delay.alpha is not None:
+            a51 = PASS
+            alpha = delay.alpha
         else:
             a51 = FAIL
             alpha = None

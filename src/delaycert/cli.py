@@ -29,6 +29,7 @@ from .certify import (
     verify_certificate,
 )
 from .config import ConfigError, ExperimentConfig, load_config
+from .delays import delay_limits
 from .model import Certificate
 from .simulate import envelope_check, export_csv, level_set_descent, simulate_continuous, simulate_discrete
 
@@ -114,29 +115,12 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.valid else EXIT_NEGATIVE
 
 
-def _delay_tau_sup(cfg: ExperimentConfig) -> float | None:
-    if cfg.analysis.tau_sup is not None:
-        return cfg.analysis.tau_sup
-    sups = [d.tau_sup for d in cfg.delays]
-    if any(s is None for s in sups):
-        return None
-    return max(sups)
-
-
-def _delay_alpha(cfg: ExperimentConfig) -> float | None:
-    if cfg.analysis.alpha is not None:
-        return cfg.analysis.alpha
-    alphas = [d.alpha_limit for d in cfg.delays]
-    if any(a is None or a >= 1.0 for a in alphas):
-        return None
-    return max(alphas)
-
-
 def _compute_bounds(cfg: ExperimentConfig, cert: Certificate) -> list[rates_mod.DecayBound]:
     system = cfg.system
     requested = list(cfg.analysis.bounds)
-    tau_sup = _delay_tau_sup(cfg)
-    alpha = _delay_alpha(cfg)
+    tau_sup, alpha = delay_limits(cfg.delays)
+    if cfg.analysis.alpha is not None:
+        alpha = cfg.analysis.alpha
     if "auto" in requested:
         requested.remove("auto")
         if system.is_discrete:
@@ -146,7 +130,7 @@ def _compute_bounds(cfg: ExperimentConfig, cert: Certificate) -> list[rates_mod.
             requested.append("eta" if system.degree == 0.0 else "theta")
         elif alpha is not None:
             requested.append("xi" if system.degree == 0.0 else "beta")
-    bounded = "a bounded delay or analysis.tau_sup"
+    bounded = "a bounded delay"
     proportional = "a proportional delay ratio or analysis.alpha"
     # name -> (delay parameter, bound function, what the parameter needs);
     # built per call, so wrappers installed on delaycert.rates (the
@@ -232,15 +216,15 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
     elif bound is not None:
         history_v = cfg.history_peak(v, traj.metadata["history_depth"])
         try:
-            clock, M = rates_mod.upper_envelope(
-                system, v, bound, cfg.delays, _delay_tau_sup(cfg), history_v
-            )
+            clock, M = rates_mod.upper_envelope(system, v, bound, cfg.delays, history_v)
         except rates_mod.MissingLimitError as exc:
             report["envelope_skipped"] = str(exc)
             status = EXIT_UNDETERMINED
         else:
             env = envelope_check(traj, clock, v, system.dilation, M)
             report["envelope"] = env.to_dict()
+            if clock is not bound:
+                report["envelope"]["clock"] = clock.to_dict()
             if not env.holds:
                 status = EXIT_NEGATIVE
         report["bound"] = bound.to_dict()

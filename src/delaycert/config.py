@@ -113,12 +113,10 @@ class AnalysisSettings:
     gamma: float = 0.9
     bounds: tuple[str, ...] = ("auto",)
     alpha: float | None = None
-    tau_sup: float | None = None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    version: int
     system: SystemModel
     delays: tuple[DelayModel, ...]
     history_doc: dict
@@ -247,7 +245,7 @@ def parse_config(doc) -> ExperimentConfig:
     ana_doc = _require_mapping(doc.get("analysis", {}), "analysis")
     _check_keys(
         ana_doc, set(),
-        {"v", "gamma", "bounds", "alpha", "tau_sup"},
+        {"v", "gamma", "bounds", "alpha"},
         "analysis",
     )
     v = ana_doc.get("v")
@@ -267,19 +265,12 @@ def parse_config(doc) -> ExperimentConfig:
         alpha = float(alpha)
         if not 0.0 <= alpha < 1.0:
             raise ConfigError("analysis.alpha must lie in [0, 1)")
-    tau_sup = ana_doc.get("tau_sup")
-    if tau_sup is not None and float(tau_sup) < 0.0:
-        raise ConfigError("analysis.tau_sup must be nonnegative")
-    analysis = AnalysisSettings(
-        v=v, gamma=gamma, bounds=bounds,
-        alpha=alpha, tau_sup=None if tau_sup is None else float(tau_sup),
-    )
+    analysis = AnalysisSettings(v=v, gamma=gamma, bounds=bounds, alpha=alpha)
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
 
     return ExperimentConfig(
-        version=SCHEMA_VERSION, system=system, delays=delays,
-        history_doc=hist_doc, sim=sim, analysis=analysis, seed=seed,
+        system=system, delays=delays, history_doc=hist_doc, sim=sim, analysis=analysis, seed=seed,
     )

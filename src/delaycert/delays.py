@@ -1,8 +1,9 @@
 """Time-varying delay families for continuous and discrete systems.
 
 Each family exposes the delay value tau(t) (or d(k)) together with its
-declared structural properties: the delay supremum (None if unbounded), the
-asymptotic ratio limsup tau(t)/t, and the history depth
+declared structural properties: the delay supremum tau_sup (None if
+unbounded), a ratio alpha < 1 with tau(t) <= alpha t for every t >= 0 (None
+if the family declares none), and the history depth
 
     history_depth = max(0, -inf_{0 <= t <= T0} (t - tau(t)))
 
@@ -10,8 +11,10 @@ which is the length of the initial-condition window.  The history depth and
 the delay supremum coincide only for constant delays; both are kept.
 
 The admissible regime is t - tau(t) -> +infinity: old state information is
-eventually purged.  Proportional delays tau(t) <= alpha * t with alpha < 1
-are the subclass that supports power-rate decay bounds.
+eventually purged.  The decay rates come from these two facts alone: a
+bounded delay supports the exponential and polynomial-reciprocal bounds, a
+ratio alpha the power-rate bounds.  `delay_limits` combines them over the
+delays of one system.
 """
 
 from __future__ import annotations
@@ -26,15 +29,18 @@ import numpy as np
 class DelayModel:
     """Base: a delay signal plus whatever structure the family declares.
 
-    Declared attributes (None = unknown, forces sampled analysis):
-      tau_sup            sup of the delay; None when unbounded or unknown
-      alpha_limit        limsup tau(t)/t (0 for bounded families)
-      diverges           whether t - tau(t) -> +infinity is known to hold
+    Declared attributes (None = unknown or absent):
+      tau_sup     sup of the delay; None when unbounded or unknown
+      alpha       a ratio below 1 with tau(t) <= alpha t for every t >= 0;
+                  None when the family declares none, as the bounded
+                  families do (`delay_limits` counts them as 0)
+      diverges    whether t - tau(t) -> +infinity is known to hold; None
+                  forces sampled analysis
     """
 
     is_discrete = False
     tau_sup: float | None = None
-    alpha_limit: float | None = None
+    alpha: float | None = None
     diverges: bool | None = None
 
     def value(self, t: float) -> float:
@@ -53,7 +59,6 @@ class ConstantDelay(DelayModel):
         if self.tau < 0.0:
             raise ValueError("delay must be nonnegative")
 
-    alpha_limit = 0.0
     diverges = True
 
     @property
@@ -78,7 +83,6 @@ class SinusoidalDelay(DelayModel):
         if self.a < abs(self.b):
             raise ValueError("need a >= |b| for a nonnegative delay")
 
-    alpha_limit = 0.0
     diverges = True
 
     @property
@@ -113,7 +117,6 @@ class PiecewiseLinearDelay(DelayModel):
             raise ValueError("delay values must be nonnegative")
         object.__setattr__(self, "knots", knots)
 
-    alpha_limit = 0.0
     diverges = True
 
     @property
@@ -153,10 +156,6 @@ class ProportionalDelay(DelayModel):
     tau_sup = None
     diverges = True
 
-    @property
-    def alpha_limit(self) -> float:
-        return self.alpha
-
     def value(self, t: float) -> float:
         return self.alpha * t
 
@@ -169,11 +168,10 @@ class LogLagDelay(DelayModel):
     """tau(t) = t - ln(t + 1): the delayed argument advances only like ln t.
 
     t - tau(t) still diverges, but tau(t)/t -> 1, so no proportional ratio
-    alpha < 1 exists and power-rate bounds do not apply.
+    alpha < 1 exists and power-rate bounds do not apply (alpha is None).
     """
 
     tau_sup = None
-    alpha_limit = 1.0
     diverges = True
 
     def value(self, t: float) -> float:
@@ -206,7 +204,6 @@ class ConstantStepDelay(DelayModel):
         object.__setattr__(self, "d", int(self.d))
 
     is_discrete = True
-    alpha_limit = 0.0
     diverges = True
 
     @property
@@ -226,7 +223,6 @@ class AlternatingParityDelay(DelayModel):
 
     is_discrete = True
     tau_sup = 1.0
-    alpha_limit = 0.0
     diverges = True
 
     def value(self, k: int) -> int:
@@ -250,10 +246,6 @@ class ProportionalStepDelay(DelayModel):
     is_discrete = True
     tau_sup = None
     diverges = True
-
-    @property
-    def alpha_limit(self) -> float:
-        return self.alpha
 
     def value(self, k: int) -> int:
         return int(math.floor(self.alpha * k))
@@ -292,6 +284,18 @@ def history_depth(delay: DelayModel, probe_horizon: float = 200.0) -> float:
     fine = np.linspace(lo, hi, 2001)
     depth = -min(float(min(t - delay.value(t) for t in fine)), float(w[: t0_idx + 1].min()))
     return max(0.0, depth)
+
+
+def delay_limits(delays: Sequence[DelayModel]) -> tuple[float | None, float | None]:
+    """(tau_sup, alpha) over a set of delays: the largest tau_sup when every
+    delay is bounded, else None, and the largest ratio when every delay has
+    one, a bounded delay counting as 0, else None."""
+    sups = [d.tau_sup for d in delays]
+    ratios = [0.0 if d.tau_sup is not None else d.alpha for d in delays]
+    return (
+        None if None in sups else max(sups),
+        None if None in ratios else max(ratios),
+    )
 
 
 def as_delay_list(

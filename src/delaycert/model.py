@@ -456,9 +456,6 @@ class Certificate:
             "claim": self.claim,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass(frozen=True)
 class LevelSetProbe:

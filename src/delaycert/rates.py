@@ -38,10 +38,11 @@ condition along an upper solution D_lam(t) v with lam(t)**r_max = M / mu_u(t):
                D = k**(-p) e with k**r_max = V(phi) and e <= r_max/p;
                discrete R1 = 2**e, R2 = max(2, K)**e
 
-The power clocks need tau(t) <= alpha t for every t >= 0, which the
-proportional delay families meet.  A bounded delay shifts the clock to
-(t/s + 1)**e with s = 1 + tau_sup (see `upper_envelope`); other delays get
-no clock.
+Every delay parameter comes from the delay models, through
+`delays.delay_limits`: tau_sup for eta and theta, the ratio alpha with
+tau(t) <= alpha t for every t >= 0 for xi, beta and the power clocks.  A
+bounded delay shifts the power clock to (t/s + 1)**e with s = 1 + tau_sup
+(see `upper_envelope`); a delay with neither gets no clock.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .delays import DelayModel, ProportionalDelay, ProportionalStepDelay
+from .delays import DelayModel, delay_limits
 from .model import SystemModel
 from .certify import verify_certificate
 
@@ -94,14 +95,18 @@ class DecayBound:
             raise ValueError(f"decay rate must be positive, got {self.rate}")
 
     def mu(self, t: float) -> float:
+        """The clock at t; inf where the exponential form passes the float range."""
         if self.form == EXPONENTIAL:
-            return math.exp(self.rate * t)
+            try:
+                return math.exp(self.rate * t)
+            except OverflowError:
+                return math.inf
         if self.form == POLYNOMIAL_RECIPROCAL:
             return (self.rate * t + 1.0) ** self.poly_exponent
         return t ** self.rate if t > 0.0 else 0.0
 
     def envelope(self, t: float) -> float:
-        """1 / mu(t) (infinite at t = 0 for power rates)."""
+        """1 / mu(t) (infinite at t = 0 for power rates, 0 where mu is inf)."""
         m = self.mu(t)
         return 1.0 / m if m > 0.0 else math.inf
 
@@ -392,20 +397,20 @@ def upper_envelope(
     v: Sequence[float],
     bound: DecayBound,
     delays: Sequence[DelayModel],
-    tau_sup: float | None,
     history_v: float,
 ) -> tuple[DecayBound, float]:
     """The clock mu_u and constant M with W(t) mu_u(t) <= M for every t >= 0.
 
-    history_v is V(phi) = k**r_max.  For the exponential and
-    polynomial-reciprocal forms mu_u is the bound's own mu and M is
-    theory_constant's, with tau_sup bounding every delay.  For the power
-    forms M = V(phi) and mu_u = (t/s + 1)**e, returned as the
-    polynomial-reciprocal bound with rate 1/s and exponent e.  It needs
-    tau(t) <= alpha t + tau0 for every delay and t >= 0: a proportional
-    delay (tau0 = 0) or a bounded one (alpha = 0, tau0 = tau_sup).  With
-    s = 1 + tau0, (t+s)/(t - tau(t) + s) <= max(s, K) for K = 1/(1-alpha),
-    and mu_u is at most 1 on the initial window, so D_lam(t) v with
+    history_v is V(phi) = k**r_max; (tau_sup, alpha) are
+    `delay_limits(delays)`.  For the exponential and polynomial-reciprocal
+    forms mu_u is the bound's own mu and M is theory_constant's, which
+    needs tau_sup.  For the power forms M = V(phi) and mu_u = (t/s + 1)**e,
+    returned as the polynomial-reciprocal bound with rate 1/s and exponent
+    e.  Every delay must be bounded or have a ratio, so that
+    tau(t) <= alpha t + tau0 for every t >= 0 with tau0 the largest
+    declared tau_sup (0 if none).  With s = 1 + tau0,
+    (t+s)/(t - tau(t) + s) <= max(s, K) for K = 1/(1-alpha), and mu_u is at
+    most 1 on the initial window, so D_lam(t) v with
     lam(t) = k mu_u(t)**(-1/r_max) is an upper solution when, for every i,
 
         continuous  the condition with L = max(s, K)**e, D = k**(-p) e / s,
@@ -420,20 +425,19 @@ def upper_envelope(
     bounded nor proportional, or a rate theory_constant derives no
     constant for.
     """
+    tau_sup, alpha = delay_limits(delays)
     if bound.form != POWER_RATE:
         M = None if tau_sup is None else theory_constant(model, v, bound, tau_sup, history_v)
         if M is None:
             raise MissingLimitError("no upper solution covers this rate and delay")
         return bound, M
-    bounded = [d.tau_sup for d in delays if d.tau_sup is not None]
-    ratios = [d.alpha for d in delays if isinstance(d, (ProportionalDelay, ProportionalStepDelay))]
-    if len(bounded) + len(ratios) < len(delays):
+    if alpha is None:
         raise MissingLimitError("a power-rate clock needs every delay bounded or proportional")
     c = _rate_data(model, v)
     if model.is_discrete and c.p != 0.0:
         raise MissingLimitError("a discrete power-rate clock needs degree zero")
-    s = 1.0 + max(bounded, default=0.0)
-    lnK = -math.log1p(-max(ratios, default=0.0))
+    s = 1.0 + max(d.tau_sup or 0.0 for d in delays)
+    lnK = -math.log1p(-alpha)
     lnR1 = math.log1p(1.0 / s)  # discrete only
     lnL = max(math.log(s + 1.0 if model.is_discrete else s), lnK)
     # k**(-p); a zero history stays at zero, where any clock holds
@@ -608,10 +612,8 @@ class MuSpec:
     # -- limit derivation ---------------------------------------------------
 
     def _delay_alpha(self, delay: DelayModel) -> float:
-        if delay.tau_sup is not None:
-            return 0.0
-        alpha = delay.alpha_limit
-        if alpha is None or alpha >= 1.0:
+        alpha = delay_limits((delay,))[1]
+        if alpha is None:
             raise MissingLimitError(
                 "delay model declares no proportional ratio below 1; "
                 "a power-family mu cannot pair with it"

@@ -325,7 +325,9 @@ class EnvelopeReport:
     under proportional delays and e the exponent the upper solution supports.
 
     M_fit is the largest observed W(t) mu_u(t) over the whole run (the
-    smallest constant making W <= M/mu_u hold everywhere on the grid).
+    smallest constant making W <= M/mu_u hold everywhere on the grid); where
+    an exponential mu_u passes the float range it is computed as
+    exp(log W + rate t), and it is inf only when that passes it too.
     """
 
     M_fit: float
@@ -333,7 +335,8 @@ class EnvelopeReport:
     M_theory: float
 
     def to_dict(self) -> dict:
-        return {"M_fit": self.M_fit, "M_theory": self.M_theory, "holds": self.holds}
+        M_fit = self.M_fit if math.isfinite(self.M_fit) else "inf"
+        return {"M_fit": M_fit, "M_theory": self.M_theory, "holds": self.holds}
 
 
 def envelope_check(
@@ -348,7 +351,12 @@ def envelope_check(
         raise ValueError("empty trajectory")
     W = traj.lyapunov_values(v, dilation)
     mu = np.array([clock.mu(t) for t in traj.times])
-    M_fit = float((W * mu).max())
+    over = np.isinf(mu)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        scaled = W * mu
+        # an exponential clock past the float range: W mu = exp(log W + rate t)
+        scaled[over] = np.exp(np.log(W[over]) + clock.rate * traj.times[over])
+    M_fit = float(scaled.max())
     return EnvelopeReport(
         M_fit=M_fit, holds=M_fit <= M_theory * (1.0 + DEFAULT_SAFETY), M_theory=M_theory
     )
@@ -399,8 +407,9 @@ def export_csv(
     """Write the trajectory as CSV: t, x_1..x_n, then V and the envelope.
 
     The V column needs (v, dilation); the bound column is the envelope value
-    1/mu(t).  Floats are
-    written with 17 significant digits so the file round-trips exactly.
+    1/mu(t), left out when the bound's rate is infinite (faster than any
+    power: no envelope to write).  Floats are written with 17 significant
+    digits so the file round-trips exactly.
     """
     header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)]
     times = traj.times.tolist()
@@ -408,7 +417,7 @@ def export_csv(
     if v is not None and dilation is not None:
         header.append("V")
         columns.append(traj.lyapunov_values(v, dilation).tolist())
-    if bound is not None:
+    if bound is not None and math.isfinite(bound.rate):
         header.append("bound")
         columns.append([bound.envelope(t) for t in times])
     row = ",".join(["%.17g"] * len(columns))

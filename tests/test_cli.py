@@ -154,14 +154,16 @@ def test_check_unknown_key_rejected(tmp_path, capsys):
     assert code == 64
 
 
-def test_check_rejects_settle_fraction(tmp_path, capsys):
-    # the envelope verdict has no tuning knob left
+@pytest.mark.parametrize("key", ["settle_fraction", "tau_sup"])
+def test_check_rejects_settle_fraction(tmp_path, capsys, key):
+    # the envelope verdict has no tuning knob left, and the delay models
+    # are the only source of tau_sup
     doc = scalar_config()
-    doc["analysis"]["settle_fraction"] = 0.5
+    doc["analysis"][key] = 0.5
     code = main(["check", "--config", write(tmp_path, doc)])
     captured = capsys.readouterr()
     assert code == 64
-    assert "settle_fraction" in captured.err
+    assert key in captured.err
 
 
 @pytest.mark.parametrize("kind, history", [
@@ -436,6 +438,43 @@ def test_simulate_xi_envelope_holds_at_every_horizon(tmp_path, capsys, horizon):
     assert out["envelope"]["M_theory"] == 1.0
     assert out["envelope"]["M_fit"] == 1.0
     assert out["bound"]["form"] == "power_rate"
+    # the clock (t/s + 1)**e it was checked against, s = 1 for this delay
+    clock = out["envelope"]["clock"]
+    assert clock["form"] == "polynomial_reciprocal"
+    assert clock["rate"] == 1.0
+    assert clock["poly_exponent"] == pytest.approx(0.358814, abs=1e-6)
+
+
+def test_simulate_exponential_clock_past_the_float_range(tmp_path, capsys):
+    # exp(eta t) overflows after t = 709.78/eta = 2254; RK4 at h = 1 decays
+    # more slowly than eta, so W exp(eta t), taken in log space, passes M = 1
+    doc = scalar_config()
+    doc["sim"] = {"h": 1, "horizon": 2400}
+    out_csv = tmp_path / "long.csv"
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    assert code == 2
+    env = out["envelope"]
+    assert env["holds"] is False
+    assert 1.0 < env["M_fit"] < 1e6
+    assert "clock" not in env
+    rows = [[float(c) for c in row.split(",")] for row in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 2401
+    assert all(math.isfinite(c) for row in rows for c in row)
+    eta = out["bound"]["rate"]
+    for t, *_, bound in rows:
+        assert (bound == 0.0) == (eta * t > 709.78)
+
+
+def test_simulate_infinite_rate_writes_no_bound_column(tmp_path, capsys):
+    doc = scalar_config()
+    doc["analysis"].update(bounds=["xi"], alpha=0.0)
+    out_csv = tmp_path / "xi0.csv"
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    assert code == 0
+    assert out["bound"]["rate"] == "inf"
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "t,x_1,V"
+    assert all(math.isfinite(float(c)) for row in lines[1:] for c in row.split(","))
 
 
 def test_simulate_without_power_clock_is_undetermined(tmp_path, capsys):

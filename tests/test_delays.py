@@ -15,6 +15,8 @@ from delaycert import (
     history_depth,
 )
 
+from delaycert.delays import delay_limits
+
 RAMP = PiecewiseLinearDelay(((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)))
 
 
@@ -75,3 +77,26 @@ def test_custom_delay_without_divergence_is_rejected():
     frozen = CustomDelay(lambda t: t)  # t - tau(t) stuck at zero
     with pytest.raises(ValueError, match="divergence"):
         history_depth(frozen, probe_horizon=100.0)
+
+
+@pytest.mark.parametrize("delays, limits", [
+    ((ConstantDelay(5.0),), (5.0, 0.0)),
+    ((SinusoidalDelay(4.0, 1.0),), (5.0, 0.0)),
+    ((RAMP,), (1.0, 0.0)),
+    ((ProportionalDelay(0.5),), (None, 0.5)),
+    ((LogLagDelay(),), (None, None)),
+    ((CustomDelay(lambda t: 1.0),), (None, None)),
+    ((ConstantStepDelay(3),), (3.0, 0.0)),
+    ((AlternatingParityDelay(),), (1.0, 0.0)),
+    ((ProportionalStepDelay(0.7),), (None, 0.7)),
+    ((ConstantDelay(5.0), ProportionalDelay(0.5)), (None, 0.5)),
+    ((ConstantDelay(5.0), SinusoidalDelay(4.0, 2.0)), (6.0, 0.0)),
+    ((ProportionalDelay(0.2), ProportionalDelay(0.5)), (None, 0.5)),
+    ((ConstantDelay(5.0), LogLagDelay()), (None, None)),
+], ids=[
+    "constant", "sinusoidal", "piecewise_linear", "proportional", "log_lag", "custom",
+    "constant_steps", "alternating_parity", "proportional_steps",
+    "constant+proportional", "constant+sinusoidal", "proportional+proportional", "constant+log_lag",
+])
+def test_delay_limits(delays, limits):
+    assert delay_limits(delays) == limits

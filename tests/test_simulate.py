@@ -290,6 +290,27 @@ def test_theory_constant_eta_is_history_sup(scalar_half):
     assert theory_constant(scalar_half, (1.0,), faster, 1.0, history_v=2.0) is None
 
 
+def test_envelope_check_past_the_float_range_of_the_clock():
+    # exp(0.36 t) overflows from t = 1972 on; W mu = 2 exp(-0.36 t) exp(0.36 t)
+    # stays 2 there, computed as exp(log W + rate t)
+    times = np.arange(0.0, 2001.0)
+    traj = Trajectory(times=times, states=2.0 * np.exp(-0.36 * times)[:, None])
+    clock = DecayBound("exponential", 0.36, (1.0,), (0.36,))
+    assert clock.mu(2000.0) == math.inf and clock.envelope(2000.0) == 0.0
+    rep = envelope_check(traj, clock, (1.0,), Dilation((1.0,)), M_theory=2.0)
+    assert rep.holds
+    assert rep.M_fit == pytest.approx(2.0, rel=1e-9)
+    faster = dataclasses.replace(clock, rate=0.37)
+    rep = envelope_check(traj, faster, (1.0,), Dilation((1.0,)), M_theory=2.0)
+    assert not rep.holds
+    assert rep.M_fit == pytest.approx(2.0 * math.exp(0.01 * 2000.0), rel=1e-9)
+    # W mu past the float range as well: the report writes it as "inf"
+    runaway = Trajectory(times=times, states=np.ones((len(times), 1)))
+    rep = envelope_check(runaway, faster, (1.0,), Dilation((1.0,)), M_theory=2.0)
+    assert rep.M_fit == math.inf and not rep.holds
+    assert rep.to_dict()["M_fit"] == "inf"
+
+
 def test_envelope_rejects_empty():
     traj = Trajectory(times=np.array([]), states=np.empty((0, 1)))
     bound = DecayBound("exponential", 1.0, (1.0,), (1.0,))
@@ -303,7 +324,7 @@ def test_xi_clock_holds_pointwise_and_mutated_clocks_fail(scalar_half):
     # x' = -x + 0.5 x(t/2): the clock exponent solves -1 + 0.5 * 2**e + e = 0
     v, delay = (1.0,), ProportionalDelay(0.5)
     bound = xi_bound(scalar_half, v, 0.5)
-    clock, M = upper_envelope(scalar_half, v, bound, (delay,), None, 1.0)
+    clock, M = upper_envelope(scalar_half, v, bound, (delay,), 1.0)
     assert M == 1.0
     assert (clock.form, clock.rate) == ("polynomial_reciprocal", 1.0)
     assert clock.poly_exponent == pytest.approx(0.358814, abs=1e-6)
@@ -324,7 +345,7 @@ def test_xi_clock_holds_pointwise_and_mutated_clocks_fail(scalar_half):
 def test_beta_clock_on_cubic_holds_pointwise(cubic2d):
     v, delay = (1.0, 1.0), ProportionalDelay(0.5)
     bound = beta_bound(cubic2d, v, 0.5)
-    clock, M = upper_envelope(cubic2d, v, bound, (delay,), None, 1.0)
+    clock, M = upper_envelope(cubic2d, v, bound, (delay,), 1.0)
     e = clock.poly_exponent
     # component 2 binds: (f_2(v) + K**(e (r_2+p)/r_max) g_2(v)) + k**(-p) e = 0, K = 2
     assert -3.0 + 2.0 * 4.0 ** e + e == pytest.approx(0.0, abs=1e-5)
@@ -335,7 +356,7 @@ def test_beta_clock_on_cubic_holds_pointwise(cubic2d):
     assert np.all(W <= (traj.times + 1.0) ** -e)
     assert envelope_check(traj, clock, v, cubic2d.dilation, M).holds
     # a zero history stays at zero: M = 0 under any clock
-    assert upper_envelope(cubic2d, v, bound, (delay,), None, 0.0)[1] == 0.0
+    assert upper_envelope(cubic2d, v, bound, (delay,), 0.0)[1] == 0.0
 
 
 def test_power_clock_exponent_capped_at_r_max_over_p(cubic2d):
@@ -343,7 +364,7 @@ def test_power_clock_exponent_capped_at_r_max_over_p(cubic2d):
     # e <= r_max/p = 1, where its D term is bounded
     model = dataclasses.replace(cubic2d, delayed_terms=(PolyVectorField.zero(2),))
     bound = beta_bound(model, (1.0, 1.0), 0.5)
-    clock, M = upper_envelope(model, (1.0, 1.0), bound, (ProportionalDelay(0.5),), None, 100.0)
+    clock, M = upper_envelope(model, (1.0, 1.0), bound, (ProportionalDelay(0.5),), 100.0)
     assert clock.poly_exponent == pytest.approx(1.0 - 1e-6, rel=1e-12)
     assert M == 100.0
 
@@ -356,7 +377,7 @@ def test_discrete_xi_clock_holds_pointwise(alpha):
     model = linear_model([[0.3]], [[[0.2]]], "discrete")
     delay = ProportionalStepDelay(alpha)
     bound = xi_bound(model, (1.0,), alpha)
-    clock, M = upper_envelope(model, (1.0,), bound, (delay,), None, 1.0)
+    clock, M = upper_envelope(model, (1.0,), bound, (delay,), 1.0)
     assert clock.poly_exponent == pytest.approx(1.0, abs=1e-5)
     traj = simulate_discrete(model, delay, constant_history((1.0,)), 2000)
     W = traj.lyapunov_values((1.0,), model.dilation)
@@ -372,7 +393,7 @@ def test_discrete_clock_skips_components_that_vanish():
     model = linear_model([[0.3, 0.2], [0.0, 0.0]], [[[0.2, 0.0], [0.0, 0.0]]], "discrete")
     delay = ProportionalStepDelay(0.5)
     bound = xi_bound(model, (1.0, 1.0), 0.5)
-    clock, M = upper_envelope(model, (1.0, 1.0), bound, (delay,), None, 1.0)
+    clock, M = upper_envelope(model, (1.0, 1.0), bound, (delay,), 1.0)
     assert clock.poly_exponent == pytest.approx(math.log2(1.0 / 0.7), abs=1e-5)
     traj = simulate_discrete(model, delay, constant_history((1.0, 1.0)), 500)
     assert envelope_check(traj, clock, (1.0, 1.0), model.dilation, M).holds
@@ -383,21 +404,39 @@ def test_power_clock_shifts_by_a_bounded_delay(scalar_half):
     # -1 + 0.5 * 6**e + e/6 = 0, dominates the history window [-5, 0]
     v, delay = (1.0,), ConstantDelay(5.0)
     bound = xi_bound(scalar_half, v, 0.5)
-    clock, M = upper_envelope(scalar_half, v, bound, (delay,), None, 1.0)
+    clock, M = upper_envelope(scalar_half, v, bound, (delay,), 1.0)
     e = clock.poly_exponent
     assert clock.rate == pytest.approx(1.0 / 6.0)
     assert -1.0 + 0.5 * 6.0 ** e + e / 6.0 == pytest.approx(0.0, abs=1e-5)
     traj = simulate_continuous(scalar_half, delay, constant_history((1.0,)), 0.01, 20.0)
     assert envelope_check(traj, clock, v, Dilation((1.0,)), M).holds
     # the unshifted clock (t + 1)**0.5 of a zero delay ratio fails near t = 5
-    unshifted, _ = upper_envelope(scalar_half, v, bound, (ProportionalDelay(0.0),), None, 1.0)
+    unshifted, _ = upper_envelope(scalar_half, v, bound, (ProportionalDelay(0.0),), 1.0)
     assert not envelope_check(traj, unshifted, v, Dilation((1.0,)), M).holds
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_power_clock_over_mixed_delays(alpha):
+    # x' = -x + 0.25 x(t - 5) + 0.25 x(alpha t): s = 1 + 5 = 6 from the
+    # bounded delay, K = 1/(1 - alpha) from the proportional one, and the
+    # clock exponent solves -1 + 0.5 max(6, K)**e + e/6 = 0
+    model = linear_model([[-1.0]], [[[0.25]], [[0.25]]], "continuous")
+    delays = (ConstantDelay(5.0), ProportionalDelay(alpha))
+    bound = xi_bound(model, (1.0,), alpha)
+    clock, M = upper_envelope(model, (1.0,), bound, delays, 1.0)
+    e = clock.poly_exponent
+    L = max(6.0, 1.0 / (1.0 - alpha)) ** e
+    assert clock.rate == pytest.approx(1.0 / 6.0)
+    assert -1.0 + 0.5 * L + e / 6.0 == pytest.approx(0.0, abs=1e-5)
+    assert M == 1.0
+    traj = simulate_continuous(model, delays, constant_history((1.0,)), 0.01, 30.0)
+    assert envelope_check(traj, clock, (1.0,), model.dilation, M).holds
 
 
 def test_power_clock_needs_bounded_or_proportional_delay(scalar_half):
     bound = xi_bound(scalar_half, (1.0,), 0.5)
     with pytest.raises(MissingLimitError, match="bounded or proportional"):
-        upper_envelope(scalar_half, (1.0,), bound, (LogLagDelay(),), None, 1.0)
+        upper_envelope(scalar_half, (1.0,), bound, (LogLagDelay(),), 1.0)
 
 
 # -- level-set descent ------------------------------------------------------------------------
@@ -451,6 +490,16 @@ def test_csv_matches_cellwise_rendering(tmp_path, cubic2d, cubic_run_t50):
         cells = [t, *x, V, bound.envelope(float(t))]
         lines.append(",".join(f"{c:.17g}" for c in cells))
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_csv_leaves_out_an_infinite_rate(tmp_path, scalar_half):
+    # alpha = 0 gives xi = inf: faster than any power, no envelope to write
+    traj = simulate_continuous(scalar_half, ConstantDelay(1.0), constant_history((1.0,)), 0.1, 2.0)
+    bound = xi_bound(scalar_half, (1.0,), 0.0)
+    assert bound.rate == math.inf
+    path = tmp_path / "xi.csv"
+    export_csv(traj, path, v=(1.0,), dilation=scalar_half.dilation, bound=bound)
+    assert path.read_text().splitlines()[0] == "t,x_1,V"
 
 
 def test_csv_without_analysis_columns(tmp_path, cubic2d):

@@ -76,6 +76,15 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
         "scalar-xi-constant-delay": variant(scalar, analysis={"bounds": ["xi"], "alpha": 0.5}),
         "scalar-xi-log-lag": variant(scalar, delay={"family": "log_lag"},
                                      analysis={"bounds": ["xi"], "alpha": 0.5}),
+        "scalar-tau-sup-declared": variant(scalar, delay=proportional, analysis={"tau_sup": 1}),
+        "scalar-mixed-delays": variant(
+            scalar,
+            system={**scalar["system"], "delayed": [
+                {"n": 1, "components": [[{"coeff": 0.25, "exp": [1]}]]},
+            ] * 2},
+            delay=[{"family": "constant", "tau": 5}, proportional],
+        ),
+        "scalar-eta-h1-t2400": variant(scalar, sim={"h": 1, "horizon": 2400}),
     }
     for horizon in (2, 5, 20):
         out[f"scalar-xi-t{horizon}"] = variant(
