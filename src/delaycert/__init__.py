@@ -41,7 +41,6 @@ from .checks import (
     check_positivity_condition,
 )
 from .certify import (
-    CertificateSearchConfig,
     HypothesisError,
     find_certificate_linear,
     find_certificate_nonlinear,
@@ -54,7 +53,6 @@ from .certify import (
 from .rates import (
     DecayBound,
     MissingLimitError,
-    MuSpec,
     beta_bound,
     eta_bound,
     mu_condition_check,

@@ -22,7 +22,6 @@ infeasibility and is reported as plain absence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,26 +37,14 @@ from .model import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
+RAY_SAMPLES = 256  # random simplex directions scored by the nonlinear search
+REFINE_ITERS = 200  # coordinate-descent sweeps on each refined ray
 
 
 class HypothesisError(ValueError):
     """The system violates a standing hypothesis of the theory (a field that
     is not Metzler, nonnegative or homogeneous), so no certificate exists on
     this route: a negative verdict, not malformed input."""
-
-
-@dataclass(frozen=True)
-class CertificateSearchConfig:
-    ray_samples: int = 256
-    refine_iters: int = 200
-    tolerance: float = DEFAULT_TOLERANCE
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.ray_samples < 1 or self.refine_iters < 0:
-            raise ValueError("search budget must be positive")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 def margins(model: SystemModel, v: Sequence[float]) -> list[float]:
@@ -236,9 +223,7 @@ def _refine_ray(
     return u, score
 
 
-def find_certificate_nonlinear(
-    model: SystemModel, cfg: CertificateSearchConfig | None = None
-) -> np.ndarray | None:
+def find_certificate_nonlinear(model: SystemModel, seed: int = 0) -> np.ndarray | None:
     """Best-effort certificate search for a homogeneous model.
 
     Homogeneity makes the margin signs constant along dilation orbits, so
@@ -247,33 +232,33 @@ def find_certificate_nonlinear(
     every direction admits a certificate after shrinking along its orbit,
     so a feasible scale is computed directly.
 
-    Returns a verified certificate vector, or None once the budget is
-    exhausted.  None does NOT prove that no certificate exists.  A field
-    that fails the exact homogeneity check raises HypothesisError.
+    `seed` seeds the random directions.  Returns a verified certificate
+    vector, or None once the budget is exhausted.  None does NOT prove that
+    no certificate exists.  A field that fails the exact homogeneity check
+    raises HypothesisError.
     """
-    cfg = cfg or CertificateSearchConfig()
     n = model.n
-    if cfg.ray_samples < n:
-        raise ValueError(f"ray_samples={cfg.ray_samples} must be at least n={n}")
+    if RAY_SAMPLES < n:
+        raise ValueError(f"RAY_SAMPLES={RAY_SAMPLES} must be at least n={n}")
     for field_ in (model.f, *model.delayed_terms):
         ok, witness = is_homogeneous(field_, model.dilation, model.degree)
         if not ok:
             raise HypothesisError(f"model failed the exact homogeneity check: {witness}")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     rays: list[list[float]] = [[1.0 / n] * n]
     for i in range(n):
         corner = [0.1 / max(n - 1, 1)] * n
         corner[i] = 0.9
         total = sum(corner)
         rays.append([c / total for c in corner])
-    for row in rng.dirichlet(np.ones(n), size=cfg.ray_samples):
+    for row in rng.dirichlet(np.ones(n), size=RAY_SAMPLES):
         rays.append([max(float(x), 1e-12) for x in row])
 
     scored = sorted(((_ray_score(model, u), k) for k, u in enumerate(rays)))
     best_u, best_score = None, math.inf
     for s0, k in scored[: max(4, n)]:
-        u, s = _refine_ray(model, list(rays[k]), cfg.refine_iters)
+        u, s = _refine_ray(model, list(rays[k]), REFINE_ITERS)
         if s < best_score:
             best_u, best_score = u, s
 
@@ -301,5 +286,5 @@ def find_certificate_nonlinear(
             return None
         candidate = tuple(best_u)
 
-    cert = verify_certificate(model, candidate, cfg.tolerance, provenance="ray-search")
+    cert = verify_certificate(model, candidate, provenance="ray-search")
     return np.array(cert.v) if cert.valid else None

@@ -22,7 +22,6 @@ from pathlib import Path
 from . import checks as checks_mod
 from . import rates as rates_mod
 from .certify import (
-    CertificateSearchConfig,
     HypothesisError,
     find_certificate_linear,
     find_certificate_nonlinear,
@@ -96,7 +95,7 @@ def _obtain_certificate(cfg: ExperimentConfig) -> tuple[Certificate | None, str]
             )
             provenance = "linear-solve"
         else:
-            v = find_certificate_nonlinear(system, CertificateSearchConfig(seed=cfg.seed))
+            v = find_certificate_nonlinear(system, cfg.seed)
             provenance = "ray-search"
     except HypothesisError as exc:
         return None, f"standing hypothesis violated: {exc}"
@@ -116,36 +115,43 @@ def cmd_certify(args) -> int:
 
 
 def _compute_bounds(cfg: ExperimentConfig, cert: Certificate) -> list[rates_mod.DecayBound]:
+    """The requested bounds; `auto` adds the first form, in the order eta,
+    theta, xi, beta, that applies to this system and delay.  A requested
+    form that does not apply raises ConfigError with the reason."""
     system = cfg.system
-    requested = list(cfg.analysis.bounds)
     tau_sup, alpha = delay_limits(cfg.delays)
     if cfg.analysis.alpha is not None:
         alpha = cfg.analysis.alpha
-    if "auto" in requested:
-        requested.remove("auto")
-        if system.is_discrete:
-            if alpha is not None and alpha > 0.0 and system.degree == 0.0:
-                requested.append("xi")
-        elif tau_sup is not None:
-            requested.append("eta" if system.degree == 0.0 else "theta")
-        elif alpha is not None:
-            requested.append("xi" if system.degree == 0.0 else "beta")
     bounded = "a bounded delay"
     proportional = "a proportional delay ratio or analysis.alpha"
-    # name -> (delay parameter, bound function, what the parameter needs);
-    # built per call, so wrappers installed on delaycert.rates (the
-    # perfbench tracer) see every bound computed here
+    # name -> (delay parameter, bound function, what the parameter needs,
+    # positive degree); built per call, so wrappers installed on
+    # delaycert.rates (the perfbench tracer) see every bound computed here
     forms = {
-        "eta": (tau_sup, rates_mod.eta_bound, bounded),
-        "theta": (tau_sup, rates_mod.theta_bound, bounded),
-        "xi": (alpha, rates_mod.xi_bound, proportional),
-        "beta": (alpha, rates_mod.beta_bound, proportional),
+        "eta": (tau_sup, rates_mod.eta_bound, bounded, False),
+        "theta": (tau_sup, rates_mod.theta_bound, bounded, True),
+        "xi": (alpha, rates_mod.xi_bound, proportional, False),
+        "beta": (alpha, rates_mod.beta_bound, proportional, True),
     }
+
+    def why_not(name: str) -> str:
+        param, _, needs, positive = forms[name]
+        if param is None:
+            return f"{name} bound needs {needs}"
+        if positive != (system.degree > 0.0):
+            return f"{name} bound needs {'positive' if positive else 'zero'} degree, got {system.degree}"
+        if positive and system.is_discrete:
+            return f"{name} bound applies to continuous systems"
+        return ""
+
+    requested = [name for name in cfg.analysis.bounds if name != "auto"]
+    if "auto" in cfg.analysis.bounds:
+        requested += [name for name in forms if not why_not(name)][:1]
     out = []
     for name in dict.fromkeys(requested):
-        param, bound_fn, needs = forms[name]
-        if param is None:
-            raise ConfigError(f"{name} bound needs {needs}")
+        if reason := why_not(name):
+            raise ConfigError(reason)
+        param, bound_fn = forms[name][:2]
         out.append(bound_fn(system, cert.v, param))
     return out
 

@@ -9,24 +9,33 @@ degree and g the sum of the delayed terms, it reads for every component i
   discrete    R1**(r_i/r_max) f_i(v)/v_i + R2**(r_i/r_max) g_i(v)/v_i < 1
 
 with L = lim sup mu(t)/mu(t - tau(t)), D = lim mu'(t)/mu(t)**(1 - p/r_max),
-R1 = lim mu(k+1)/mu(k) and R2 = lim sup mu(k+1)/mu(k - d(k)).  `_CertData`
-evaluates both left-hand sides, and every rate and check goes through it.
-Each bound is the largest rate of one mu family that meets the condition
-(K = 1/(1-alpha) for a proportional delay ratio alpha):
+R1 = lim mu(k+1)/mu(k) and R2 = lim sup mu(k+1)/mu(k - d(k)).
+`_CertData.condition` evaluates the left-hand side (minus 1 in discrete
+time), and `_CertData.limits` is the one table of these limits for the
+three clock families (K = 1/(1-alpha) for a delay ratio alpha, d_sup the
+largest step delay, q = e p/r_max):
 
-  eta_bound    exp(eta t)                bounded delay, p = 0: L = exp(eta tau_sup), D = eta
-  theta_bound  (theta t + 1)**(r_max/p)  bounded delay, p > 0: L = 1, D = (r_max/p) theta
-  xi_bound     t**xi                     proportional, p = 0: L = K**xi, D = 0
-                                         (discrete: R1 = 1, R2 = K**xi)
-  beta_bound   t**((r_max/p) beta)       proportional, p > 0: L = K**((r_max/p) beta), D = 0
+  exp(eta t)            continuous  L = exp(eta tau_sup), D = eta (p = 0)
+                        discrete    R1 = exp(eta), R2 = exp(eta (1 + d_sup))
+  (theta t + 1)**e,     continuous  L = K**e, D = 0, e theta or inf as q <, = or > 1
+  t**e (theta = 1)      discrete    R1 = 1, R2 = K**e
+
+A bounded delay has ratio 0, so L = 1 there.  Each bound is the largest rate
+of one family that meets the condition:
+
+  eta_bound    exp(eta t)                bounded delay, p = 0
+  theta_bound  (theta t + 1)**(r_max/p)  bounded delay, p > 0, continuous
+  xi_bound     t**xi                     delay ratio, p = 0
+  beta_bound   t**((r_max/p) beta)       delay ratio, p > 0, continuous
 
 theta_bound and beta_bound solve it in closed form (theta capped at
-1/tau_sup, beta below 1 so that D = 0), as do the others where g_i(v) = 0.
-Otherwise the equation is strictly increasing in the rate and negative at
-zero; bracket doubling plus bisection finds its unique positive root
-(monotonicity is the only structure guaranteed, so no derivative-based
+1/tau_sup, beta below 1 so that D = 0), as do eta (continuous) and xi where
+g_i(v) = 0.  Otherwise the equation is strictly increasing in the rate and
+negative at zero; bracket doubling plus bisection finds its unique positive
+root (monotonicity is the only structure guaranteed, so no derivative-based
 methods).  The returned rate sits the relative margin DEFAULT_SAFETY inside
 the open admissible interval: the theory guarantees only its inside.
+`mu_condition_check` decides the condition for any `DecayBound` clock.
 
 The constant multiple depends on the initial history.  `upper_envelope`
 returns, for every bound, a clock mu_u and a constant M with
@@ -179,6 +188,11 @@ def solve_monotone(
     raise ArithmeticError("bisection failed to reach the requested residual")
 
 
+class MissingLimitError(ValueError):
+    """The clock family needs a delay limit (tau_sup or a ratio alpha) that
+    the delay models do not declare."""
+
+
 class _CertData(NamedTuple):
     """A verified certificate v with f(v), g(v) and the dilation data."""
 
@@ -188,25 +202,41 @@ class _CertData(NamedTuple):
     r: tuple[float, ...]
     rmax: float
     p: float
+    is_discrete: bool
 
-    def continuous(self, i: int, L: float, D: float) -> float:
-        """(r_max/r_i) (f_i(v)/v_i + L**((r_i+p)/r_max) g_i(v)/v_i) + D."""
+    def limits(
+        self, form: str, rate: float, exponent: float | None, tau_sup: float | None, alpha: float | None
+    ) -> tuple[float, float]:
+        """(L, D), or (R1, R2) in discrete time, of the clock exp(rate t),
+        (rate t + 1)**exponent or t**rate, as `form` says, under delays
+        with the limits (tau_sup, alpha): the module docstring's table, with
+        inf for a diverging limit.  Raises MissingLimitError where the
+        family needs a limit that is None."""
+        if form == EXPONENTIAL:
+            if tau_sup is None:
+                raise MissingLimitError("an exponential clock needs a bounded delay (tau_sup)")
+            if self.is_discrete:
+                return math.exp(rate), math.exp(rate * (1.0 + tau_sup))
+            return math.exp(rate * tau_sup), rate if self.p == 0.0 else math.inf
+        if alpha is None:
+            raise MissingLimitError("a power clock needs every delay bounded or proportional (alpha)")
+        e, theta = (rate, 1.0) if form == POWER_RATE else (exponent, rate)
+        K_e = math.exp(e * -math.log1p(-alpha))
+        if self.is_discrete:
+            return 1.0, K_e
+        q = e * self.p / self.rmax
+        return K_e, 0.0 if q < 1.0 else (e * theta if q == 1.0 else math.inf)
+
+    def condition(self, i: int, limits: tuple[float, float]) -> float:
+        """Component i's left-hand side, minus 1 in discrete time, for the
+        limits (L, D) or (R1, R2): negative where the condition holds."""
+        a, b = limits
+        if self.is_discrete:
+            e = self.r[i] / self.rmax
+            return _pow_times(a, e, self.fv[i] / self.v[i]) + _pow_times(b, e, self.gv[i] / self.v[i]) - 1.0
         ri = self.r[i]
-        delayed = _pow_times(L, (ri + self.p) / self.rmax, self.gv[i] / self.v[i])
-        return (self.rmax / ri) * (self.fv[i] / self.v[i] + delayed) + D
-
-    def discrete(self, i: int, R1: float, R2: float) -> float:
-        """R1**(r_i/r_max) f_i(v)/v_i + R2**(r_i/r_max) g_i(v)/v_i."""
-        e = self.r[i] / self.rmax
-        return _pow_times(R1, e, self.fv[i] / self.v[i]) + _pow_times(R2, e, self.gv[i] / self.v[i])
-
-    def root(self, i: int, discrete: bool, lnR1: float, lnL: float, D: float) -> float:
-        """Positive root e of component i's condition for the limits
-        R1 = exp(lnR1 e), R2 = exp(lnL e) (discrete) or L = exp(lnL e),
-        D e (continuous)."""
-        if discrete:
-            return solve_monotone(lambda e: self.discrete(i, math.exp(lnR1 * e), math.exp(lnL * e)) - 1.0)
-        return solve_monotone(lambda e: self.continuous(i, math.exp(lnL * e), D * e))
+        delayed = _pow_times(a, (ri + self.p) / self.rmax, self.gv[i] / self.v[i])
+        return (self.rmax / ri) * (self.fv[i] / self.v[i] + delayed) + b
 
 
 def _pow_times(base: float, expo: float, factor: float) -> float:
@@ -223,21 +253,37 @@ def _rate_data(model: SystemModel, v: Sequence[float]) -> _CertData:
         raise ValueError(f"not a valid certificate: margins {cert.margins}")
     return _CertData(
         v, model.f.evaluate(v), model.delayed_sum_at(v),
-        model.dilation.r, model.dilation.r_max, model.degree,
+        model.dilation.r, model.dilation.r_max, model.degree, model.is_discrete,
+    )
+
+
+def _smallest_rate(form: str, c: _CertData, rates: list[float]) -> DecayBound:
+    """The bound at (1 - DEFAULT_SAFETY) times the smallest finite component
+    rate; infinite ones (no constraint) are listed in infinite_components."""
+    finite = [x for x in rates if math.isfinite(x)]
+    return DecayBound(
+        form=form,
+        rate=(1.0 - DEFAULT_SAFETY) * min(finite) if finite else math.inf,
+        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
+        component_rates=tuple(rates),
+        infinite_components=tuple(i for i, x in enumerate(rates) if not math.isfinite(x)),
     )
 
 
 def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBound:
     """Exponential decay rate for degree zero under a bounded delay.
 
-    Per component, eta_i zeroes the condition's left-hand side with
-    L = exp(eta_i * tau_sup) and D = eta_i,
+    Per component, eta_i zeroes the condition with the exponential limits
+    under tau_sup (the largest step delay d_sup in discrete time):
 
-        (r_max/r_i) * (f_i(v)/v_i + exp(eta_i * tau_sup * r_i / r_max)
-                                     * g_i(v)/v_i) + eta_i = 0,
+        continuous  (r_max/r_i) (f_i(v)/v_i + exp(eta_i tau_sup r_i/r_max) g_i(v)/v_i) + eta_i = 0
+        discrete    exp(eta_i r_i/r_max) f_i(v)/v_i
+                        + exp(eta_i (1 + d_sup) r_i/r_max) g_i(v)/v_i = 1
 
-    with the closed form eta_i = -(r_max/r_i) f_i(v)/v_i when the delayed
-    coupling vanishes.  The guaranteed rate is (1 - DEFAULT_SAFETY) * min_i eta_i.
+    In continuous time eta_i = -(r_max/r_i) f_i(v)/v_i when the delayed
+    coupling vanishes.  A discrete component with f_i(v) = g_i(v) = 0 is
+    zero after one step and constrains nothing (eta_i = inf).  The
+    guaranteed rate is (1 - DEFAULT_SAFETY) times the smallest finite eta_i.
     """
     if model.degree != 0.0:
         raise ValueError("exponential bound needs degree zero; use theta_bound instead")
@@ -246,17 +292,15 @@ def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBo
     c = _rate_data(model, v)
     etas = []
     for i in range(model.n):
-        if c.gv[i] == 0.0:
+        if c.gv[i] == 0.0 and not c.is_discrete:
             etas.append(-(c.rmax / c.r[i]) * (c.fv[i] / c.v[i]))
+        elif c.gv[i] == 0.0 and c.fv[i] == 0.0:
+            etas.append(math.inf)
         else:
-            etas.append(c.root(i, False, 0.0, tau_sup, 1.0))
-    eta = (1.0 - DEFAULT_SAFETY) * min(etas)
-    return DecayBound(
-        form=EXPONENTIAL,
-        rate=eta,
-        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
-        component_rates=tuple(etas),
-    )
+            etas.append(solve_monotone(
+                lambda e, i=i: c.condition(i, c.limits(EXPONENTIAL, e, None, tau_sup, None))
+            ))
+    return _smallest_rate(EXPONENTIAL, c, etas)
 
 
 def theta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBound:
@@ -297,6 +341,8 @@ def theta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> Decay
     p = model.degree
     if p <= 0.0:
         raise ValueError("polynomial-reciprocal bound needs positive degree; use eta_bound")
+    if model.is_discrete:
+        raise ValueError("theta bound applies to continuous systems")
     if tau_sup < 0.0:
         raise ValueError("tau_sup must be nonnegative")
     c = _rate_data(model, v)
@@ -346,7 +392,7 @@ def upper_solution_theta(
 
         def residual(th, i=i):
             gap = 1.0 - th * tau_sup * kp
-            return c.continuous(i, gap ** (-c.rmax / p), c.rmax / p * th) if gap > 0.0 else math.inf
+            return c.condition(i, (gap ** (-c.rmax / p), c.rmax / p * th)) if gap > 0.0 else math.inf
 
         roots.append(solve_monotone(residual, bracket_hint=0.5 * cap))
     return (1.0 - DEFAULT_SAFETY) * min(cap, min(roots))
@@ -363,29 +409,32 @@ def theory_constant(
 
     history_v is V(phi), the sup of W over the initial window; tau_sup
     bounds every delay.  Exponential form, degree zero: M = V(phi) whenever
-    the condition holds, non-strictly, with L = exp(rate tau_sup) and
-    D = rate, since then D_lam(t) v with lam(t) = k exp(-rate t / r_max) is
-    an upper solution.  Polynomial-reciprocal form:
-    M = V(phi) max(1, theta/(theta' k**p))**e with theta' from
+    the condition holds, non-strictly, with the exponential limits of the
+    rate under tau_sup, since then D_lam(t) v with
+    lam(t) = k exp(-rate t / r_max) is an upper solution: the ratios of
+    that clock are at most its limits at every t (every k in discrete
+    time), and lam >= k on the initial window.  Polynomial-reciprocal form,
+    continuous: M = V(phi) max(1, theta/(theta' k**p))**e with theta' from
     upper_solution_theta (see theta_bound), valid for an exponent e up to
-    r_max/p.  Returns None where the argument derives no constant: discrete
-    systems, power-rate forms, or a rate or exponent outside those ranges.
+    r_max/p.  Returns None where the argument derives no constant:
+    power-rate forms, an infinite rate, or a rate, exponent or time kind
+    outside those ranges.
     """
-    if model.is_discrete or bound.form == POWER_RATE:
+    if bound.form == POWER_RATE:
         return None
     if history_v == 0.0:
         return 0.0  # the solution stays at zero
     p = model.degree
     if bound.form == EXPONENTIAL:
-        if p != 0.0:
+        if p != 0.0 or math.isinf(bound.rate):  # no float clock for an infinite rate
             return None
         c = _rate_data(model, v)
-        L = math.exp(bound.rate * tau_sup)
-        if any(c.continuous(i, L, bound.rate) > 0.0 for i in range(model.n)):
+        limits = c.limits(EXPONENTIAL, bound.rate, None, tau_sup, None)
+        if any(c.condition(i, limits) > 0.0 for i in range(model.n)):
             return None
         return history_v
     rmax = model.dilation.r_max
-    if p <= 0.0 or bound.poly_exponent > rmax / p:
+    if p <= 0.0 or model.is_discrete or bound.poly_exponent > rmax / p:
         return None
     kp = history_v ** (p / rmax)
     theta_p = upper_solution_theta(model, v, tau_sup, history_v)
@@ -440,10 +489,16 @@ def upper_envelope(
     lnK = -math.log1p(-alpha)
     lnR1 = math.log1p(1.0 / s)  # discrete only
     lnL = max(math.log(s + 1.0 if model.is_discrete else s), lnK)
-    # k**(-p); a zero history stays at zero, where any clock holds
-    k_p = history_v ** (-c.p / c.rmax) if history_v > 0.0 else 1.0
+    # D per unit e is k**(-p)/s; a zero history stays at zero, where any clock holds
+    D = history_v ** (-c.p / c.rmax) / s if history_v > 0.0 else 1.0 / s
+
+    def sup_ratios(e: float) -> tuple[float, float]:
+        # (R1, R2) or (L, D) of (t/s + 1)**e as sups over every t, not limits
+        return (math.exp(lnR1 * e), math.exp(lnL * e)) if c.is_discrete else (math.exp(lnL * e), D * e)
+
     roots = [
-        c.root(i, model.is_discrete, lnR1, lnL, k_p / s) for i in range(model.n) if c.fv[i] or c.gv[i]
+        solve_monotone(lambda e, i=i: c.condition(i, sup_ratios(e)))
+        for i in range(model.n) if c.fv[i] or c.gv[i]
     ]
     cap = c.rmax / c.p if c.p > 0.0 else math.inf
     # no constraining component: every state is zero after one step
@@ -473,24 +528,12 @@ def xi_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound
     if model.degree != 0.0:
         raise ValueError("power-rate root bound needs degree zero; use beta_bound")
     c = _rate_data(model, v)
-    lnK = -math.log1p(-alpha)  # log K
-    xis = []
-    flagged = []
-    for i in range(model.n):
-        if c.gv[i] == 0.0 or lnK == 0.0:
-            xis.append(math.inf)
-            flagged.append(i)
-        else:
-            xis.append(c.root(i, model.is_discrete, 0.0, lnK, 0.0))
-    finite = [x for x in xis if math.isfinite(x)]
-    xi = (1.0 - DEFAULT_SAFETY) * min(finite) if finite else math.inf
-    return DecayBound(
-        form=POWER_RATE,
-        rate=xi,
-        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
-        component_rates=tuple(xis),
-        infinite_components=tuple(flagged),
-    )
+    xis = [
+        math.inf if c.gv[i] == 0.0 or alpha == 0.0
+        else solve_monotone(lambda e, i=i: c.condition(i, c.limits(POWER_RATE, e, None, None, alpha)))
+        for i in range(model.n)
+    ]
+    return _smallest_rate(POWER_RATE, c, xis)
 
 
 def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound:
@@ -541,134 +584,16 @@ def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBou
     )
 
 
-# -- generic mu-stability condition -------------------------------------------
-
-
-class MissingLimitError(ValueError):
-    """The mu family needs an asymptotic limit or a delay structure that the
-    delay model cannot supply."""
-
-
-@dataclass(frozen=True)
-class MuSpec:
-    """A candidate envelope clock mu together with its declared asymptotics.
-
-    mu must be positive, non-decreasing, and diverging.  The stability
-    condition consumes only limits: continuous systems need
-
-        L = lim sup mu(t) / mu(t - tau(t)),
-        D = lim mu'(t) / mu(t)**(1 - p/r_max),
-
-    and discrete systems need R1 = lim mu(k+1)/mu(k) and
-    R2 = lim sup mu(k+1)/mu(k - d(k)).  The standard families derive these
-    from the delay model's declared structure; custom specs must declare
-    them explicitly (no symbolic limit computation is attempted).
-    """
-
-    kind: str
-    param: float | None = None
-    exponent: float | None = None
-    value: Callable[[float], float] | None = None
-    delayed_ratio_limit: float | None = None
-    derivative_ratio_limit: float | None = None
-    step_ratio_limit: float | None = None
-
-    @classmethod
-    def exponential(cls, eta: float) -> "MuSpec":
-        if eta <= 0.0:
-            raise ValueError("eta must be positive")
-        return cls(kind=EXPONENTIAL, param=eta, value=lambda t: math.exp(eta * t))
-
-    @classmethod
-    def power(cls, xi: float) -> "MuSpec":
-        if xi <= 0.0:
-            raise ValueError("xi must be positive")
-        return cls(kind=POWER_RATE, param=xi, value=lambda t: t ** xi if t > 0 else 0.0)
-
-    @classmethod
-    def polynomial_reciprocal(cls, theta: float, exponent: float) -> "MuSpec":
-        if theta <= 0.0 or exponent <= 0.0:
-            raise ValueError("theta and exponent must be positive")
-        return cls(
-            kind=POLYNOMIAL_RECIPROCAL, param=theta, exponent=exponent,
-            value=lambda t: (theta * t + 1.0) ** exponent,
-        )
-
-    @classmethod
-    def custom(
-        cls,
-        value: Callable[[float], float],
-        delayed_ratio_limit: float | None = None,
-        derivative_ratio_limit: float | None = None,
-        step_ratio_limit: float | None = None,
-    ) -> "MuSpec":
-        return cls(
-            kind="custom", value=value,
-            delayed_ratio_limit=delayed_ratio_limit,
-            derivative_ratio_limit=derivative_ratio_limit,
-            step_ratio_limit=step_ratio_limit,
-        )
-
-    # -- limit derivation ---------------------------------------------------
-
-    def _delay_alpha(self, delay: DelayModel) -> float:
-        alpha = delay_limits((delay,))[1]
-        if alpha is None:
-            raise MissingLimitError(
-                "delay model declares no proportional ratio below 1; "
-                "a power-family mu cannot pair with it"
-            )
-        return alpha
-
-    def limits_continuous(self, delay: DelayModel, p: float, r_max: float) -> tuple[float, float]:
-        """(L, D) for the continuous condition; inf encodes a diverging limit."""
-        if self.kind == EXPONENTIAL:
-            if delay.tau_sup is None:
-                raise MissingLimitError("an exponential mu needs a bounded delay (tau_sup)")
-            L = math.exp(self.param * delay.tau_sup)
-            D = self.param if p == 0.0 else math.inf
-            return L, D
-        if self.kind in (POWER_RATE, POLYNOMIAL_RECIPROCAL):
-            # mu = t**e or (theta t + 1)**e: mu'/mu**(1 - p/r_max) tends to 0,
-            # e theta (theta = 1 for t**e) or inf as e p/r_max is <, = or > 1
-            e, theta = (self.param, 1.0) if self.kind == POWER_RATE else (self.exponent, self.param)
-            L = (1.0 / (1.0 - self._delay_alpha(delay))) ** e
-            q = e * p / r_max
-            D = 0.0 if q < 1.0 else (e * theta if q == 1.0 else math.inf)
-            return L, D
-        if self.delayed_ratio_limit is None or self.derivative_ratio_limit is None:
-            raise MissingLimitError(
-                "custom mu must declare delayed_ratio_limit and derivative_ratio_limit"
-            )
-        return self.delayed_ratio_limit, self.derivative_ratio_limit
-
-    def limits_discrete(self, delay: DelayModel) -> tuple[float, float]:
-        """(R1, R2) for the discrete condition."""
-        if self.kind == EXPONENTIAL:
-            if delay.tau_sup is None:
-                raise MissingLimitError("an exponential mu needs a bounded delay (d_sup)")
-            return math.exp(self.param), math.exp(self.param * (1.0 + delay.tau_sup))
-        if self.kind == POWER_RATE:
-            return 1.0, (1.0 / (1.0 - self._delay_alpha(delay))) ** self.param
-        if self.step_ratio_limit is None or self.delayed_ratio_limit is None:
-            raise MissingLimitError(
-                "custom mu must declare step_ratio_limit and delayed_ratio_limit"
-            )
-        return self.step_ratio_limit, self.delayed_ratio_limit
-
-
 def mu_condition_check(
     model: SystemModel,
     v: Sequence[float],
-    mu: MuSpec,
-    delay: DelayModel,
+    clock: DecayBound,
+    delays: Sequence[DelayModel],
 ) -> bool:
-    """Decide whether the declared mu clocks a guaranteed envelope: the
-    module's condition with the limits (L, D) or (R1, R2) of `mu` under
-    `delay`, strictly, for every component."""
+    """Decide whether `clock`'s mu clocks a guaranteed envelope: the
+    module's condition, strictly, for every component, with the limits of
+    its family under `delay_limits(delays)`.  Raises MissingLimitError where
+    the delays do not declare the limit the family needs."""
     c = _rate_data(model, v)
-    if model.is_discrete:
-        R1, R2 = mu.limits_discrete(delay)
-        return all(c.discrete(i, R1, R2) < 1.0 for i in range(model.n))
-    L, D = mu.limits_continuous(delay, c.p, c.rmax)
-    return all(c.continuous(i, L, D) < 0.0 for i in range(model.n))
+    limits = c.limits(clock.form, clock.rate, clock.poly_exponent, *delay_limits(delays))
+    return all(c.condition(i, limits) < 0.0 for i in range(model.n))

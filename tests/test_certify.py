@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaycert import (
-    CertificateSearchConfig,
     Dilation,
     PolyVectorField,
     SystemModel,
@@ -176,7 +175,7 @@ def test_nonlinear_search_agrees_with_linear_route():
             continue
         checked += 1
         model = linear_model(A, [B], kind)
-        v = find_certificate_nonlinear(model, CertificateSearchConfig(seed=trial))
+        v = find_certificate_nonlinear(model, seed=trial)
         assert (v is not None) == feasible, f"{kind} instance, gap {gap}"
         if v is not None:
             assert verify_certificate(model, v).valid
@@ -219,13 +218,6 @@ def test_nonlinear_search_requires_homogeneity():
     )
     with pytest.raises(ValueError, match="homogeneity"):
         find_certificate_nonlinear(lopsided)
-
-
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        CertificateSearchConfig(ray_samples=0)
-    with pytest.raises(ValueError):
-        CertificateSearchConfig(tolerance=0.0)
 
 
 # -- dilation-ray invariance -----------------------------------------------------------

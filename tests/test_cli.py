@@ -83,6 +83,33 @@ def scalar_config():
     }
 
 
+def discrete_config():
+    """x(k+1) = 0.3 x(k) + 0.2 x(k - 2); the linear route gives v = 2."""
+    return {
+        "version": 1,
+        "system": {
+            "kind": "discrete",
+            "f": {"n": 1, "components": [[{"coeff": 0.3, "exp": [1]}]]},
+            "delayed": [{"n": 1, "components": [[{"coeff": 0.2, "exp": [1]}]]}],
+            "dilation": [1],
+            "degree": 0,
+        },
+        "delay": {"family": "constant_steps", "d": 2},
+        "initial_history": {"constant": [1]},
+        "sim": {"horizon": 30},
+    }
+
+
+def quadratic_map_config():
+    """x(k+1) = 0.3 x(k)**2 + 0.2 x(k - 2)**2 (degree 1) with v = 1."""
+    doc = discrete_config()
+    doc["system"]["f"]["components"][0][0]["exp"] = [2]
+    doc["system"]["delayed"][0]["components"][0][0]["exp"] = [2]
+    doc["system"]["degree"] = 1
+    doc["analysis"] = {"v": [1]}
+    return doc
+
+
 def write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -271,6 +298,39 @@ def test_bounds_scalar_eta(tmp_path, capsys):
     assert 0.3148 <= bound["rate"] / (1 - 1e-6) <= 0.3150
 
 
+@pytest.mark.parametrize("bounds", [["auto"], ["eta"]])
+def test_bounds_discrete_eta(tmp_path, capsys, bounds):
+    doc = discrete_config()
+    doc["analysis"] = {"bounds": bounds}
+    code, out = run_cli(capsys, "bounds", "--config", write(tmp_path, doc))
+    assert code == 0
+    (bound,) = out["bounds"]
+    assert bound["form"] == "exponential"
+    # 0.3 e**eta + 0.2 e**(3 eta) = 1: R1 = e**eta, R2 = e**(eta (1 + 2))
+    eta = bound["component_rates"][0]
+    assert 0.3 * math.exp(eta) + 0.2 * math.exp(3.0 * eta) == pytest.approx(1.0, abs=1e-12)
+    assert eta == pytest.approx(0.351282, abs=1e-6)
+    assert bound["rate"] == pytest.approx(eta * (1 - 1e-6), rel=1e-12)
+
+
+@pytest.mark.parametrize("config, bounds, reason", [
+    (cubic_config, ["eta"], "zero degree"),
+    (quadratic_map_config, ["theta"], "continuous"),
+])
+def test_mismatched_bound_request(tmp_path, capsys, config, bounds, reason):
+    # a requested form that does not apply is skipped by simulate and
+    # unusable input for bounds
+    doc = config()
+    doc["analysis"]["bounds"] = bounds
+    cfg = write(tmp_path, doc)
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "run.csv"))
+    assert code == 0
+    assert reason in out["bounds_skipped"]
+    assert "bound" not in out
+    assert main(["bounds", "--config", cfg]) == 64
+    assert reason in capsys.readouterr().err
+
+
 def test_bounds_eta_long_delay_is_finite(tmp_path, capsys):
     # exp(eta * 1000) overflows during bracket doubling; that counts as positive
     doc = scalar_config()
@@ -369,6 +429,17 @@ def test_simulate_reports_skipped_bounds(tmp_path, capsys):
     assert code == 0
     assert "Metzler" in doc["bounds_skipped"]
     assert "envelope" not in doc
+
+
+def test_simulate_discrete_eta_envelope_holds(tmp_path, capsys):
+    out_csv = tmp_path / "discrete.csv"
+    code, out = run_cli(
+        capsys, "simulate", "--config", write(tmp_path, discrete_config()), "--out", str(out_csv)
+    )
+    assert code == 0
+    assert out["bound"]["form"] == "exponential"
+    # V(phi) e**(-eta k) is an upper solution, so M = V(phi) = 1/2
+    assert out["envelope"] == {"M_fit": 0.5, "M_theory": 0.5, "holds": True}
 
 
 def test_simulate_theory_constant_from_table_history(tmp_path, capsys):

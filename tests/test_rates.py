@@ -6,9 +6,9 @@ import pytest
 from delaycert import (
     ConstantDelay,
     ConstantStepDelay,
+    DecayBound,
     Dilation,
     MissingLimitError,
-    MuSpec,
     PolyVectorField,
     ProportionalDelay,
     ProportionalStepDelay,
@@ -17,6 +17,7 @@ from delaycert import (
     eta_bound,
     mu_condition_check,
     solve_monotone,
+    theory_constant,
     theta_bound,
     xi_bound,
 )
@@ -91,6 +92,22 @@ def test_eta_decreases_with_delay_bound(scalar_half):
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
+def test_eta_discrete_zero_component_constrains_nothing():
+    # component 2 of x(k+1) = A x(k) + B x(k - 2) is zero after one step
+    model = linear_model([[0.3, 0.0], [0.0, 0.0]], [[[0.2, 0.0], [0.0, 0.0]]], "discrete")
+    bound = eta_bound(model, (1.0, 1.0), tau_sup=2.0)
+    assert bound.infinite_components == (1,)
+    assert math.isinf(bound.component_rates[1])
+    # 0.3 e**eta + 0.2 e**(3 eta) = 1
+    assert bound.component_rates[0] == pytest.approx(0.351282489330, abs=1e-9)
+    assert bound.rate == pytest.approx(SAFETY * bound.component_rates[0], rel=1e-12)
+    zero = linear_model([[0.0]], [[[0.0]]], "discrete")
+    bound = eta_bound(zero, (1.0,), tau_sup=2.0)
+    assert math.isinf(bound.rate)
+    # no float clock exp(inf t) to check an envelope against
+    assert theory_constant(zero, (1.0,), bound, 2.0, history_v=1.0) is None
+
+
 def test_eta_requires_degree_zero(cubic2d):
     with pytest.raises(ValueError, match="degree"):
         eta_bound(cubic2d, (1.0, 1.0), tau_sup=1.0)
@@ -140,6 +157,11 @@ def test_theta_unit_closed_form():
 def test_theta_requires_positive_degree(scalar_half):
     with pytest.raises(ValueError, match="degree"):
         theta_bound(scalar_half, (1.0,), tau_sup=1.0)
+
+
+def test_theta_rejects_discrete(square_map):
+    with pytest.raises(ValueError, match="continuous"):
+        theta_bound(square_map, (0.5,), tau_sup=1.0)
 
 
 # -- power rate, degree zero -----------------------------------------------------------
@@ -240,24 +262,38 @@ def test_beta_requires_positive_degree(scalar_half):
 
 # -- generic mu-stability condition --------------------------------------------------------
 
+# clocks for mu_condition_check: DecayBounds without per-component data
+
+def exponential(eta):
+    return DecayBound("exponential", eta, (), ())
+
+
+def power(xi):
+    return DecayBound("power_rate", xi, (), ())
+
+
+def polynomial_reciprocal(theta, exponent):
+    return DecayBound("polynomial_reciprocal", theta, (), (), poly_exponent=exponent)
+
+
 def test_mu_exponential_threshold_matches_root(scalar_half):
     delay = ConstantDelay(1.0)
-    assert mu_condition_check(scalar_half, (1.0,), MuSpec.exponential(0.30), delay)
-    assert not mu_condition_check(scalar_half, (1.0,), MuSpec.exponential(0.35), delay)
+    assert mu_condition_check(scalar_half, (1.0,), exponential(0.30), (delay,))
+    assert not mu_condition_check(scalar_half, (1.0,), exponential(0.35), (delay,))
 
 
 def test_mu_power_reduces_to_xi_equation(scalar_half):
     delay = ProportionalDelay(0.5)
-    assert mu_condition_check(scalar_half, (1.0,), MuSpec.power(0.9), delay)
-    assert not mu_condition_check(scalar_half, (1.0,), MuSpec.power(1.1), delay)
+    assert mu_condition_check(scalar_half, (1.0,), power(0.9), (delay,))
+    assert not mu_condition_check(scalar_half, (1.0,), power(1.1), (delay,))
 
 
 def test_mu_polynomial_reciprocal_reduces_to_theta(cubic2d):
     delay = ConstantDelay(5.0)
-    mu_ok = MuSpec.polynomial_reciprocal(0.95, exponent=1.0)
-    mu_bad = MuSpec.polynomial_reciprocal(1.05, exponent=1.0)
-    assert mu_condition_check(cubic2d, (1.0, 1.0), mu_ok, delay)
-    assert not mu_condition_check(cubic2d, (1.0, 1.0), mu_bad, delay)
+    mu_ok = polynomial_reciprocal(0.95, exponent=1.0)
+    mu_bad = polynomial_reciprocal(1.05, exponent=1.0)
+    assert mu_condition_check(cubic2d, (1.0, 1.0), mu_ok, (delay,))
+    assert not mu_condition_check(cubic2d, (1.0, 1.0), mu_bad, (delay,))
 
 
 def test_mu_discrete_power_matches_xi():
@@ -266,26 +302,13 @@ def test_mu_discrete_power_matches_xi():
     model = linear_model(A, [B], "discrete")
     v = (35.0 / 12.0, 45.0 / 12.0)
     delay = ProportionalStepDelay(0.5)
-    assert mu_condition_check(model, v, MuSpec.power(1.0), delay)
-    assert not mu_condition_check(model, v, MuSpec.power(1.1), delay)
+    assert mu_condition_check(model, v, power(1.0), (delay,))
+    assert not mu_condition_check(model, v, power(1.1), (delay,))
 
 
 def test_mu_missing_limit_raises(scalar_half):
     with pytest.raises(MissingLimitError):
-        mu_condition_check(scalar_half, (1.0,), MuSpec.exponential(0.1), ProportionalDelay(0.5))
-    with pytest.raises(MissingLimitError):
-        mu_condition_check(
-            scalar_half, (1.0,), MuSpec.custom(value=lambda t: 1.0 + t), ConstantDelay(1.0)
-        )
-
-
-def test_mu_custom_limits_accepted(scalar_half):
-    mu = MuSpec.custom(
-        value=lambda t: math.exp(0.3 * t),
-        delayed_ratio_limit=math.exp(0.3),
-        derivative_ratio_limit=0.3,
-    )
-    assert mu_condition_check(scalar_half, (1.0,), mu, ConstantDelay(1.0))
+        mu_condition_check(scalar_half, (1.0,), exponential(0.1), (ProportionalDelay(0.5),))
 
 
 # -- corollary consistency: bounds plugged back into the generic condition -------------------
@@ -306,50 +329,56 @@ def dilated_model(kind: str) -> SystemModel:
 
 
 def test_eta_bound_is_sharp_within_safety(scalar_half):
-    delay = ConstantDelay(1.0)
+    delay = (ConstantDelay(1.0),)
     bound = eta_bound(scalar_half, (1.0,), tau_sup=1.0)
-    assert mu_condition_check(scalar_half, (1.0,), MuSpec.exponential(bound.rate), delay)
+    assert mu_condition_check(scalar_half, (1.0,), exponential(bound.rate), delay)
     assert not mu_condition_check(
-        scalar_half, (1.0,), MuSpec.exponential(1.05 * bound.rate), delay
+        scalar_half, (1.0,), exponential(1.05 * bound.rate), delay
     )
-    model = dilated_model("continuous")
-    bound = eta_bound(model, (1.0, 1.0), tau_sup=1.0)
-    # component 1: 2 (-1 + 0.6 exp(eta/2)) + eta = 0
-    eta_1 = solve_monotone(lambda e: 2.0 * (-1.0 + 0.6 * math.exp(0.5 * e)) + e)
-    assert bound.component_rates[0] == pytest.approx(eta_1, rel=1e-9)
-    assert bound.rate == pytest.approx(SAFETY * eta_1, rel=1e-9)
-    assert mu_condition_check(model, (1.0, 1.0), MuSpec.exponential(bound.rate), delay)
-    assert not mu_condition_check(
-        model, (1.0, 1.0), MuSpec.exponential(1.05 * bound.rate), delay
-    )
+    # component 1: 2 (-1 + 0.6 exp(eta/2)) + eta = 0 (continuous) or
+    # 0.3 exp(eta/2) + 0.5 exp(eta) = 1 (discrete, R1 = e**eta, R2 = e**(2 eta))
+    for kind, delay, eta_1 in (
+        ("continuous", (ConstantDelay(1.0),),
+         solve_monotone(lambda e: 2.0 * (-1.0 + 0.6 * math.exp(0.5 * e)) + e)),
+        ("discrete", (ConstantStepDelay(1),), 2.0 * math.log(math.sqrt(2.09) - 0.3)),
+    ):
+        model = dilated_model(kind)
+        bound = eta_bound(model, (1.0, 1.0), tau_sup=1.0)
+        assert bound.component_rates[0] == pytest.approx(eta_1, rel=1e-9)
+        assert bound.rate == pytest.approx(SAFETY * eta_1, rel=1e-9)
+        assert mu_condition_check(model, (1.0, 1.0), exponential(bound.rate), delay)
+        assert not mu_condition_check(
+            model, (1.0, 1.0), exponential(1.05 * bound.rate), delay
+        )
+    assert eta_1 == pytest.approx(0.272002, abs=1e-6)
 
 
 def test_theta_bound_is_sharp_within_safety(cubic2d):
     # small delay bound so the component equation (not 1/tau_sup) binds
-    delay = ConstantDelay(0.1)
+    delay = (ConstantDelay(0.1),)
     bound = theta_bound(cubic2d, (1.0, 1.0), tau_sup=0.1)
-    mu = MuSpec.polynomial_reciprocal(bound.rate, exponent=bound.poly_exponent)
+    mu = polynomial_reciprocal(bound.rate, exponent=bound.poly_exponent)
     assert mu_condition_check(cubic2d, (1.0, 1.0), mu, delay)
-    mu_hot = MuSpec.polynomial_reciprocal(1.05 * bound.rate, exponent=bound.poly_exponent)
+    mu_hot = polynomial_reciprocal(1.05 * bound.rate, exponent=bound.poly_exponent)
     assert not mu_condition_check(cubic2d, (1.0, 1.0), mu_hot, delay)
 
 
 def test_xi_bound_is_sharp_within_safety(scalar_half):
-    delay = ProportionalDelay(0.5)
+    delay = (ProportionalDelay(0.5),)
     bound = xi_bound(scalar_half, (1.0,), alpha=0.5)
-    assert mu_condition_check(scalar_half, (1.0,), MuSpec.power(bound.rate), delay)
-    assert not mu_condition_check(scalar_half, (1.0,), MuSpec.power(1.05 * bound.rate), delay)
+    assert mu_condition_check(scalar_half, (1.0,), power(bound.rate), delay)
+    assert not mu_condition_check(scalar_half, (1.0,), power(1.05 * bound.rate), delay)
     # component 1: 2**(xi/2) g_1 equals -f_1 (continuous) or 1 - f_1 (discrete)
     for kind, delay, xi_1 in (
-        ("continuous", ProportionalDelay(0.5), 2.0 * math.log2(1.0 / 0.6)),
-        ("discrete", ProportionalStepDelay(0.5), 2.0 * math.log2(0.7 / 0.5)),
+        ("continuous", (ProportionalDelay(0.5),), 2.0 * math.log2(1.0 / 0.6)),
+        ("discrete", (ProportionalStepDelay(0.5),), 2.0 * math.log2(0.7 / 0.5)),
     ):
         model = dilated_model(kind)
         bound = xi_bound(model, (1.0, 1.0), alpha=0.5)
         assert bound.component_rates[0] == pytest.approx(xi_1, rel=1e-9)
         assert bound.rate == pytest.approx(SAFETY * xi_1, rel=1e-9)
-        assert mu_condition_check(model, (1.0, 1.0), MuSpec.power(bound.rate), delay)
-        assert not mu_condition_check(model, (1.0, 1.0), MuSpec.power(1.05 * bound.rate), delay)
+        assert mu_condition_check(model, (1.0, 1.0), power(bound.rate), delay)
+        assert not mu_condition_check(model, (1.0, 1.0), power(1.05 * bound.rate), delay)
 
 
 def test_component_equations_strictly_increasing(scalar_half):

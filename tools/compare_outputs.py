@@ -58,10 +58,14 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
                 doc[key] = value
         return doc
 
-    cubic, scalar = test_cli.cubic_config(), test_cli.scalar_config()
+    cubic, scalar, discrete = test_cli.cubic_config(), test_cli.scalar_config(), test_cli.discrete_config()
     proportional = {"family": "proportional", "alpha": 0.5}
     out = {
         "cubic": cubic,
+        "cubic-eta": variant(cubic, analysis={"bounds": ["eta"]}),
+        "discrete-constant-steps": discrete,
+        "discrete-constant-steps-eta": variant(discrete, analysis={"bounds": ["eta"]}),
+        "discrete-constant-steps-alpha": variant(discrete, analysis={"alpha": 0.5}),
         "cubic-t5": variant(cubic, sim={"h": 0.01, "horizon": 5}),
         "cubic-beta": variant(cubic, delay=proportional),
         "cubic-beta-t5": variant(cubic, delay=proportional, sim={"h": 0.01, "horizon": 5}),
