@@ -114,10 +114,12 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.valid else EXIT_NEGATIVE
 
 
-def _compute_bounds(cfg: ExperimentConfig, cert: Certificate) -> list[rates_mod.DecayBound]:
-    """The requested bounds; `auto` adds the first form, in the order eta,
-    theta, xi, beta, that applies to this system and delay.  A requested
-    form that does not apply raises ConfigError with the reason."""
+def _compute_bounds(
+    cfg: ExperimentConfig, cert: Certificate
+) -> tuple[list[rates_mod.DecayBound], list[str]]:
+    """The requested bounds that apply to this system and delay, and the
+    reason for each requested form that does not; `auto` adds the first
+    form, in the order eta, theta, xi, beta, that applies."""
     system = cfg.system
     tau_sup, alpha = delay_limits(cfg.delays)
     if cfg.analysis.alpha is not None:
@@ -147,13 +149,14 @@ def _compute_bounds(cfg: ExperimentConfig, cert: Certificate) -> list[rates_mod.
     requested = [name for name in cfg.analysis.bounds if name != "auto"]
     if "auto" in cfg.analysis.bounds:
         requested += [name for name in forms if not why_not(name)][:1]
-    out = []
+    out, skipped = [], []
     for name in dict.fromkeys(requested):
         if reason := why_not(name):
-            raise ConfigError(reason)
+            skipped.append(reason)
+            continue
         param, bound_fn = forms[name][:2]
         out.append(bound_fn(system, cert.v, param))
-    return out
+    return out, skipped
 
 
 def cmd_bounds(args) -> int:
@@ -166,7 +169,9 @@ def cmd_bounds(args) -> int:
             "note": reason or "decay bounds need a valid certificate",
         })
         return EXIT_NEGATIVE
-    bounds = _compute_bounds(cfg, cert)
+    bounds, skipped = _compute_bounds(cfg, cert)
+    if skipped:
+        raise ConfigError("; ".join(skipped))
     _emit({
         "certificate": cert.to_dict(),
         "bounds": [b.to_dict() for b in bounds],
@@ -195,10 +200,8 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
     if cert is not None and not cert.valid:
         skipped = "certificate is not valid"
     elif cert is not None:
-        try:
-            bounds = _compute_bounds(cfg, cert)
-        except ConfigError as exc:
-            skipped = str(exc)
+        bounds, reasons = _compute_bounds(cfg, cert)
+        skipped = "; ".join(reasons)
         if not bounds and not skipped:
             skipped = "no bound form applies to this system and delay"
     bound = bounds[0] if bounds else None

@@ -11,8 +11,11 @@ which reduces to the weighted l-infinity norm under the standard dilation.
 Every polynomial, scalar or vector, is evaluated by one monomial kernel,
 `_sum_monomials`, over a sparse form of its terms that lists only the
 nonzero exponents; each polynomial builds that form once, on first use.
-`lyapunov_v` evaluates V at one point or at every row of an array in one
-numpy expression.
+The simulator does not call the kernel: it runs Python statements that
+`emit_field_sum` writes from the same `_sparse` terms.  The kernel and the
+emitter must agree bit for bit, so a change to the order or form of the
+arithmetic in one is made in the other.  `lyapunov_v` evaluates V at one
+point or at every row of an array in one numpy expression.
 
 All types are immutable values after construction; every operation in this
 module is pure and safe to call concurrently (two threads that build the
@@ -79,6 +82,44 @@ def _sum_monomials(
             acc += val
         out.append(acc)
     return out
+
+
+CHAIN = 200  # terms per emitted statement: a flat sum of thousands of terms overflows the compiler
+
+
+def emit_field_sum(
+    fields: Sequence[PolyVectorField], args: Sequence[Sequence[str]], outs: Sequence[str], ns: dict
+) -> list[str]:
+    """Python statements that set each name outs[i] to component i of
+    fields[0](args[0]) + fields[1](args[1]) + ..., where args[q] names the
+    variables fields[q] is evaluated at.
+
+    The statements compute what `_sum_monomials` computes, bit for bit, from
+    the same sparse terms: a component is 0.0 + t_1 + t_2 + ... left to
+    right, each t = coeff * x_j * x_k ** e with its factors in variable
+    order, and each later field's component is added to it whole, as
+    `out[i] += g(y)[i]` does.  Coefficients are bound in ns by name
+    (_c<q>_<i>_<k>), never written out, so inf and -0.0 stay exact; a sum
+    longer than CHAIN terms continues in further statements.  The
+    statements also use the name _g.  A power that overflows raises
+    OverflowError, where the kernel counts its monomial as a signed
+    infinity; either way that component is not finite.
+    """
+    lines = []
+    for i, out in enumerate(outs):
+        for q, (F, xs) in enumerate(zip(fields, args)):
+            terms = []
+            for k, (coeff, _, factors) in enumerate(F._sparse[i]):
+                ns[f"_c{q}_{i}_{k}"] = coeff
+                powers = (xs[j] if e == 1 else f"{xs[j]} ** {e}" for j, e in factors)
+                terms.append(" * ".join([f"_c{q}_{i}_{k}", *powers]))
+            acc, head = (out if q == 0 else "_g"), "0.0"
+            for lo in range(0, len(terms), CHAIN) or [0]:
+                lines.append(f"{acc} = {' + '.join([head, *terms[lo:lo + CHAIN]])}")
+                head = acc
+            if q:
+                lines.append(f"{out} = {out} + _g")
+    return lines
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,25 @@ drops below the step size) from the segment between the last grid point and
 the current stage state.  With a zero delay this reduces to classical RK4
 on the combined field, bit for bit.
 
+Which source each stage reads, and at what weight, depends only on the
+delays and the step grid, so a read plan works it out before the steps run:
+numpy computes, for a block of PLAN_BLOCK steps at a time, one (source,
+weight, grid index) triple per stage time and delay.  The step is Python
+source generated once per run from the system's monomials
+(`model.emit_field_sum`): the four stages and every component, monomial and
+delayed read are unrolled over local names, so a step makes no call and
+builds no list per stage.  The plan and the step do the float operations
+of a per-stage lookup and of `PolyVectorField.evaluate`, in the same order,
+so the trajectory is the same bit for bit.
+
 Fixed stepping is deliberate: time-varying delays create derivative kinks at
 unpredictable times, and a fine fixed step with a documented O(h^2)
 interpolation floor is reproducible where adaptive stepping is not.  The
 full step history is retained because unbounded delays can reach back
 arbitrarily far.
 
-Discrete systems iterate the map exactly (floating point only).
+Discrete systems iterate the map exactly (floating point only), through
+the same generated field sum.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .delays import DelayModel, as_delay_list, history_depth
-from .model import Dilation, LevelSetProbe, SystemModel, lyapunov_v
+from .model import Dilation, LevelSetProbe, SystemModel, emit_field_sum, lyapunov_v
 from .rates import DEFAULT_SAFETY, DecayBound
 
 CLAMP_EPS = 1e-12      # negative roundoff this small is snapped to zero
@@ -104,6 +116,120 @@ def tabulated_history(times: Sequence[float], states) -> Callable[[float], tuple
     return phi
 
 
+_GRID, _HISTORY, _SEGMENT, _CURRENT = range(4)
+_SOURCES = ("grid", "history", "segment", "current")
+PLAN_BLOCK = 1024  # steps per read plan, so the plan's size does not grow with the horizon
+
+
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _compile(args: str, body: list[str], outs: list[str], ns: dict) -> Callable:
+    """The function step(args) that runs body and returns the tuple of the
+    names outs when all are finite, else None; ns holds the names it reads."""
+    finite = " and ".join(f"_LO < {v} < _HI" for v in outs)
+    ns.update(_LO=-math.inf, _HI=math.inf)
+    # step lands in its own dict, not in ns: a function stored in its own
+    # globals is a cycle, which would keep each run's states until a full GC
+    defined: dict = {}
+    exec("\n    ".join([f"def step({args}):", *body, f"if {finite}: return ({', '.join(outs)},)"]), ns, defined)
+    return defined["step"]
+
+
+def _rk4_step(model: SystemModel, states: list, phi, h: float) -> Callable:
+    """step(x, r): the RK4 step from the state tuple x, with r the step's
+    row of the read plan; the next state tuple, or None when it is not
+    finite.
+
+    The step is straight-line source: the stages, components, monomials and
+    delayed reads are unrolled over local names.  Each delayed read is the
+    branch its plan code picks: the interpolation between two stored states
+    S = `states`, the history P = phi, the segment from x to the stage
+    state, or the stage state itself.
+    """
+    n, fields = model.n, (model.f, *model.delayed_terms)
+    X, Y, A, B = (_names(p, n) for p in "xyab")
+    D = [_names(f"d{q}_", n) for q in range(len(fields) - 1)]
+    plan = [f"c{st}_{q}, w{st}_{q}, i{st}_{q}" for st in range(3) for q in range(len(D))]
+    body = [f"{', '.join(X)}, = x", f"{', '.join(plan)}, = r"]
+    ns: dict = {"S": states, "P": phi, "h": h, "half": 0.5 * h, "sixth": h / 6.0}
+    for stage, st in enumerate((0, 1, 1, 2), 1):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
+        if stage > 1:
+            inc = "h" if stage == 4 else "half"
+            body += [f"y{i} = x{i} + {inc} * k{stage - 1}_{i}" for i in range(n)]
+        Z = X if stage == 1 else Y
+        for q, Dq in enumerate(D):
+            c, w, i = f"c{st}_{q}", f"w{st}_{q}", f"i{st}_{q}"
+            reads = {
+                _GRID: [f"{', '.join(A)}, = S[{i}]", f"{', '.join(B)}, = S[{i} + 1]"]
+                + [f"{d} = {a} + {w} * ({b} - {a})" for d, a, b in zip(Dq, A, B)],
+                _HISTORY: [f"{', '.join(Dq)}, = P({w})"],
+                _SEGMENT: [f"{d} = {x} + {w} * ({y} - {x})" for d, x, y in zip(Dq, X, Y)],
+                _CURRENT: [f"{d} = {z}" for d, z in zip(Dq, Z)],
+            }
+            if stage == 3:  # k3 keeps k2's grid and history reads: same time, same values
+                del reads[_GRID], reads[_HISTORY]
+            for b, (code, lines) in enumerate(reads.items()):
+                body += [f"{'elif' if b else 'if'} {c} == {code}:", *("    " + line for line in lines)]
+        body += emit_field_sum(fields, [Z, *D], _names(f"k{stage}_", n), ns)
+    body += [f"n{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(n)]
+    return _compile("x, r", body, _names("n", n), ns)
+
+
+def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: float):
+    """(rows, codes, error): the delayed reads of RK4 steps j0..j1 - 1.
+
+    rows[j - j0] is step j's row for `_rk4_step`: a (code, w, idx) triple
+    per stage time t, t + h/2, t + h (k2 and k3 share the middle one) and
+    delay.  With s = t_stage - tau(t_stage), the read is
+      _CURRENT  the stage state, when tau = 0 (or s does not move off the
+                step's base time t: the in-step segment has no width);
+      _HISTORY  phi(w), w = max(s, -depth), when s <= 0;
+      _SEGMENT  x + w (y - x), w = (s - t)/(t_stage - t), when s >= t;
+      _GRID     the stored states idx and idx + 1 at weight
+                w = (s - idx h)/h, idx = int(s/h) clamped to [0, j - 1].
+    These are the float operations of a scalar lookup, so the reads are the
+    same bit for bit.  codes holds the code of every stage's read, one row
+    per (stage, delay), for counting reads.  error is the exception of the
+    first step that reads a negative delay or below the initial window, else
+    None; the rows stop before that step, which raises it if the run gets
+    there.
+    """
+    t = np.arange(j0, j1) * h
+    cols, codes, stop, error = [], [], j1 - j0, None
+    for st, ts in enumerate((t, t + 0.5 * h, t + h)):
+        stage_times = ts.tolist()
+        for d in delays:
+            tau = np.fromiter(map(d.value, stage_times), float, len(stage_times))
+            s = ts - tau
+            code = np.select(
+                [tau == 0.0, s <= 0.0, (s >= t) & (ts > t), s >= t],
+                [_CURRENT, _HISTORY, _SEGMENT, _CURRENT],
+                _GRID,
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                idx = (np.where(code == _GRID, s, 0.0) / h).astype(np.int64)
+                idx = np.maximum(np.minimum(idx, np.arange(j0 - 1, j1 - 1)), 0)
+                w = np.select(
+                    [code == _GRID, code == _SEGMENT, code == _HISTORY],
+                    [(s - idx * h) / h, (s - t) / (ts - t), np.where(-depth > s, -depth, s)],
+                    0.0,
+                )
+            cols += [code, w, idx]
+            codes += [code] * (1 + (st == 1))
+            bad = np.flatnonzero(~(tau >= 0.0) | (s < -depth - 1e-9))
+            if len(bad) and bad[0] < stop:
+                stop = m = int(bad[0])
+                error = HistoryUnderrunError(
+                    f"delayed argument {s[m]} reaches below the initial window "
+                    f"[-{depth}, 0]; delay and history depth are inconsistent"
+                ) if tau[m] >= 0.0 else ValueError(
+                    f"delay became {'negative' if tau[m] < 0.0 else tau[m]} at t={stage_times[m]}"
+                )
+    return list(zip(*(col[:stop].tolist() for col in cols))), np.array(codes), error
+
+
 def simulate_continuous(
     model: SystemModel,
     delay: DelayModel | Sequence[DelayModel],
@@ -118,7 +244,9 @@ def simulate_continuous(
     excursions are kept and those below -1e-9 are recorded as positivity
     violations.  A non-finite state stops the run and is reported through
     metadata["diverged_at"] rather than raised: blow-up is the expected
-    outcome for unstable systems.
+    outcome for unstable systems.  metadata["delayed_reads"] counts the
+    stages' delayed reads by source: history, grid, in-step segment and
+    current stage state.
     """
     if model.is_discrete:
         raise ValueError("model is discrete; use simulate_discrete")
@@ -132,92 +260,40 @@ def simulate_continuous(
     if steps < 1:
         raise ValueError("horizon shorter than one step")
 
-    f = model.f
-    gs = model.delayed_terms
     n = model.n
-    x0 = tuple(float(c) for c in phi(0.0))
-    if len(x0) != n:
-        raise ValueError(f"history returns dimension {len(x0)}, model n={n}")
+    x = tuple(float(c) for c in phi(0.0))
+    if len(x) != n:
+        raise ValueError(f"history returns dimension {len(x)}, model n={n}")
 
-    states: list[tuple[float, ...]] = [x0]
+    states: list[tuple[float, ...]] = [x]
     violations: list[tuple[float, int, float]] = []
     diverged_at = None
-    underrun_slack = depth + 1e-9
-
-    def read_history(s: float) -> Sequence[float]:
-        if s < -underrun_slack:
-            raise HistoryUnderrunError(
-                f"delayed argument {s} reaches below the initial window "
-                f"[-{depth}, 0]; delay and history depth are inconsistent"
-            )
-        return phi(max(s, -depth))
-
-    def delayed_state(q: int, t_stage: float, y: Sequence[float], t_base: float,
-                      x_base: Sequence[float], j_complete: int) -> Sequence[float]:
-        tau = delays[q].value(t_stage)
-        if tau < 0.0:
-            raise ValueError(f"delay became negative at t={t_stage}")
-        if tau == 0.0:
-            return y
-        s = t_stage - tau
-        if s <= 0.0:
-            return read_history(s)
-        if s >= t_base:
-            # between the last completed point and the current stage
-            w = (s - t_base) / (t_stage - t_base)
-            return [xb + w * (yi - xb) for xb, yi in zip(x_base, y)]
-        idx = int(s / h)
-        if idx > j_complete - 1:
-            idx = j_complete - 1
-        if idx < 0:
-            idx = 0
-        t0 = idx * h
-        w = (s - t0) / h
-        a = states[idx]
-        b = states[idx + 1]
-        return [ai + w * (bi - ai) for ai, bi in zip(a, b)]
-
-    def rhs(t_stage: float, y: Sequence[float], t_base: float,
-            x_base: Sequence[float], j_complete: int) -> list[float]:
-        out = f.evaluate(y)
-        for q, g in enumerate(gs):
-            yd = delayed_state(q, t_stage, y, t_base, x_base, j_complete)
-            gy = g.evaluate(yd)
-            for i in range(n):
-                out[i] += gy[i]
-        return out
-
-    half = 0.5 * h
-    sixth = h / 6.0
-    for j in range(steps):
-        t = j * h
-        x = states[j]
-        k1 = rhs(t, x, t, x, j)
-        y2 = [xi + half * ki for xi, ki in zip(x, k1)]
-        k2 = rhs(t + half, y2, t, x, j)
-        y3 = [xi + half * ki for xi, ki in zip(x, k2)]
-        k3 = rhs(t + half, y3, t, x, j)
-        y4 = [xi + h * ki for xi, ki in zip(x, k3)]
-        k4 = rhs(t + h, y4, t, x, j)
-        xn = [
-            xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        ]
-        t_next = (j + 1) * h
-        if not all(math.isfinite(c) for c in xn):
-            diverged_at = t_next
+    step = _rk4_step(model, states, phi, h)
+    reads = np.zeros(len(_SOURCES), dtype=np.int64)
+    for j0 in range(0, steps, PLAN_BLOCK):
+        rows, codes, error = _read_plan(delays, j0, min(j0 + PLAN_BLOCK, steps), h, depth)
+        for j, r in enumerate(rows, j0):
+            try:
+                xn = step(x, r)
+            except OverflowError:
+                xn = None
+            if xn is None:
+                diverged_at = (j + 1) * h
+                break
+            if min(xn) < 0.0:
+                violations += [((j + 1) * h, i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS]
+                xn = tuple(0.0 if -CLAMP_EPS <= c < 0.0 else c for c in xn)
+            states.append(xn)
+            x = xn
+        taken = len(states) - 1 - j0 + (diverged_at is not None)  # the diverging step read too
+        reads += np.bincount(codes[:, :taken].ravel(), minlength=len(_SOURCES))
+        if diverged_at is not None:
             break
-        for i, c in enumerate(xn):
-            if c < 0.0:
-                if c >= -CLAMP_EPS:
-                    xn[i] = 0.0
-                elif c < -VIOLATION_EPS:
-                    violations.append((t_next, i, c))
-        states.append(tuple(xn))
+        if error is not None:
+            raise error
 
-    times = np.array([j * h for j in range(len(states))])
-    traj = Trajectory(
-        times=times,
+    return Trajectory(
+        times=np.arange(len(states)) * h,
         states=np.array(states),
         metadata={
             "kind": "continuous",
@@ -227,9 +303,9 @@ def simulate_continuous(
             "delays": [repr(d) for d in delays],
             "positivity_violations": violations,
             "diverged_at": diverged_at,
+            "delayed_reads": dict(zip(_SOURCES, reads.tolist())),
         },
     )
-    return traj
 
 
 def simulate_discrete(
@@ -266,15 +342,19 @@ def simulate_discrete(
             raise ValueError(f"history at k={k} has dimension {len(xk)}, model n={n}")
         seq.append(xk)
 
-    f = model.f
-    gs = model.delayed_terms
+    # the map f(x) + sum_q g_q(d_q) as one straight-line function
+    X, D = _names("x", n), [_names(f"d{q}_", n) for q in range(len(delays))]
+    body = [f"{', '.join(X)}, = x"] + [f"{', '.join(Dq)}, = d[{q}]" for q, Dq in enumerate(D)]
+    ns: dict = {}
+    body += emit_field_sum((model.f, *model.delayed_terms), [X, *D], _names("n", n), ns)
+    step = _compile("x, d", body, _names("n", n), ns)
+
     violations: list[tuple[float, int, float]] = []
     diverged_at = None
     for k in range(horizon):
-        x = seq[k + depth]
-        xn = f.evaluate(x)
-        for q, g in enumerate(gs):
-            dk = delays[q].value(k)
+        delayed = []
+        for d in delays:
+            dk = d.value(k)
             if dk < 0:
                 raise ValueError(f"delay became negative at k={k}")
             src = k - dk + depth
@@ -283,16 +363,17 @@ def simulate_discrete(
                     f"delayed index {k - dk} reaches below the initial window "
                     f"{{-{depth}, ..., 0}}"
                 )
-            gy = g.evaluate(seq[src])
-            for i in range(n):
-                xn[i] += gy[i]
-        if not all(math.isfinite(c) for c in xn):
+            delayed.append(seq[src])
+        try:
+            xn = step(seq[k + depth], delayed)
+        except OverflowError:
+            xn = None
+        if xn is None:
             diverged_at = k + 1
             break
-        for i, c in enumerate(xn):
-            if c < -VIOLATION_EPS:
-                violations.append((float(k + 1), i, c))
-        seq.append(tuple(xn))
+        if min(xn) < -VIOLATION_EPS:
+            violations += [(float(k + 1), i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS]
+        seq.append(xn)
 
     recorded = len(seq) - depth
     times = np.arange(recorded, dtype=float)

@@ -1,0 +1,102 @@
+"""Reference RK4 integrator for the delayed dynamics: one call per stage.
+
+This is the per-stage loop `simulate_continuous` used before it generated a
+straight-line step: every stage looks its delayed argument up on its own and
+evaluates the fields through `PolyVectorField.evaluate`.  Tests compare the
+simulator against it bit for bit.
+
+One case differs from that loop: a positive delay too small to move the
+delayed argument off the step's base time (below half an ulp of t) reads the
+stage state there, where the loop divided zero by zero.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Sequence
+
+from delaycert.delays import as_delay_list, history_depth
+from delaycert.simulate import CLAMP_EPS, VIOLATION_EPS, HistoryUnderrunError
+
+
+def oracle_continuous(model, delay, phi: Callable[[float], Sequence[float]], h: float, horizon: float):
+    """(states, positivity violations, diverged_at) of the per-stage loop."""
+    delays = as_delay_list(delay, len(model.delayed_terms))
+    depth = max(history_depth(d, probe_horizon=max(horizon, 10.0)) for d in delays)
+    steps = int(round(horizon / h))
+    f = model.f
+    gs = model.delayed_terms
+    n = model.n
+    states = [tuple(float(c) for c in phi(0.0))]
+    violations = []
+    diverged_at = None
+    underrun_slack = depth + 1e-9
+
+    def read_history(s):
+        if s < -underrun_slack:
+            raise HistoryUnderrunError(
+                f"delayed argument {s} reaches below the initial window "
+                f"[-{depth}, 0]; delay and history depth are inconsistent"
+            )
+        return phi(max(s, -depth))
+
+    def delayed_state(q, t_stage, y, t_base, x_base, j_complete):
+        tau = delays[q].value(t_stage)
+        if tau < 0.0:
+            raise ValueError(f"delay became negative at t={t_stage}")
+        if tau == 0.0:
+            return y
+        s = t_stage - tau
+        if s <= 0.0:
+            return read_history(s)
+        if s >= t_base:
+            if t_stage == t_base:
+                return y
+            w = (s - t_base) / (t_stage - t_base)
+            return [xb + w * (yi - xb) for xb, yi in zip(x_base, y)]
+        idx = int(s / h)
+        if idx > j_complete - 1:
+            idx = j_complete - 1
+        if idx < 0:
+            idx = 0
+        w = (s - idx * h) / h
+        a = states[idx]
+        b = states[idx + 1]
+        return [ai + w * (bi - ai) for ai, bi in zip(a, b)]
+
+    def rhs(t_stage, y, t_base, x_base, j_complete):
+        out = f.evaluate(y)
+        for q, g in enumerate(gs):
+            gy = g.evaluate(delayed_state(q, t_stage, y, t_base, x_base, j_complete))
+            for i in range(n):
+                out[i] += gy[i]
+        return out
+
+    half = 0.5 * h
+    sixth = h / 6.0
+    for j in range(steps):
+        t = j * h
+        x = states[j]
+        k1 = rhs(t, x, t, x, j)
+        y2 = [xi + half * ki for xi, ki in zip(x, k1)]
+        k2 = rhs(t + half, y2, t, x, j)
+        y3 = [xi + half * ki for xi, ki in zip(x, k2)]
+        k3 = rhs(t + half, y3, t, x, j)
+        y4 = [xi + h * ki for xi, ki in zip(x, k3)]
+        k4 = rhs(t + h, y4, t, x, j)
+        xn = [
+            xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        ]
+        t_next = (j + 1) * h
+        if not all(math.isfinite(c) for c in xn):
+            diverged_at = t_next
+            break
+        for i, c in enumerate(xn):
+            if c < 0.0:
+                if c >= -CLAMP_EPS:
+                    xn[i] = 0.0
+                elif c < -VIOLATION_EPS:
+                    violations.append((t_next, i, c))
+        states.append(tuple(xn))
+    return states, violations, diverged_at

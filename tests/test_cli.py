@@ -331,6 +331,25 @@ def test_mismatched_bound_request(tmp_path, capsys, config, bounds, reason):
     assert reason in capsys.readouterr().err
 
 
+def test_simulate_keeps_every_applicable_requested_bound(tmp_path, capsys):
+    # theta needs positive degree; eta still applies to x' = -x + 0.5 x(t - 1)
+    doc = scalar_config()
+    doc["analysis"]["bounds"] = ["eta", "theta", "beta"]
+    cfg = write(tmp_path, doc)
+    csv = tmp_path / "run.csv"
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--out", str(csv))
+    assert code == 0
+    assert out["bounds_skipped"] == (
+        "theta bound needs positive degree, got 0.0; "
+        "beta bound needs positive degree, got 0.0"
+    )
+    assert out["bound"]["form"] == "exponential"
+    assert out["envelope"]["holds"]
+    assert csv.read_text().splitlines()[0] == "t,x_1,V,bound"
+    assert main(["bounds", "--config", cfg]) == 64
+    assert "theta bound needs positive degree" in capsys.readouterr().err
+
+
 def test_bounds_eta_long_delay_is_finite(tmp_path, capsys):
     # exp(eta * 1000) overflows during bracket doubling; that counts as positive
     doc = scalar_config()

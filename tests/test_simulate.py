@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from delaycert import simulate as simulate_mod
 from delaycert import (
     ConstantDelay,
+    CustomDelay,
     ConstantStepDelay,
     AlternatingParityDelay,
     DecayBound,
@@ -38,6 +41,7 @@ from delaycert import (
 )
 from delaycert.certify import linear_model
 from conftest import growth2d_closed_form, lyapunov_reference
+from rk4_oracle import oracle_continuous
 
 RAMP = PiecewiseLinearDelay(((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)))
 
@@ -172,6 +176,146 @@ def test_stage_times_use_stage_delay():
     traj = simulate_continuous(model, delay, constant_history((1.0,)), 1e-3, 3.0)
     for t, x in zip(traj.times[::300], traj.states[::300]):
         assert x[0] == pytest.approx(0.5 + 0.5 * math.exp(-t), abs=1e-9)
+
+
+# x' = x**3 + 0.5 x(t - tau): from x = 10, x**3 overflows within three steps of 0.01
+BLOW_UP = SystemModel(
+    kind="continuous",
+    f=PolyVectorField(1, (((1.0, (3,)),),)),
+    delayed_terms=(PolyVectorField.from_matrix([[0.5]]),),
+    dilation=Dilation((1.0,)),
+    degree=2.0,
+)
+
+
+def test_power_overflow_truncates_the_run():
+    # the power overflows inside the third step, so the run stops there
+    # with the last two finite states kept
+    traj = simulate_continuous(BLOW_UP, ConstantDelay(0.3), constant_history((10.0,)), 0.01, 1.0)
+    assert traj.metadata["diverged_at"] == 0.03
+    assert len(traj.times) == 3
+    assert np.all(np.isfinite(traj.states))
+
+
+def test_sub_step_delay_reads_the_in_step_segment():
+    # tau = 0.004 < h: the k2..k4 stages read between x(t) and the stage state
+    model = linear_model([[-1.0]], [[[0.5]]], "continuous")
+    traj = simulate_continuous(model, ConstantDelay(0.004), constant_history((1.0,)), 0.01, 1.0)
+    assert traj.states[-1, 0] == 0.6071362804374016
+
+
+def test_negative_delay_raised_at_its_stage_time():
+    model = linear_model([[-1.0]], [[[0.5]]], "continuous")
+    with pytest.raises(ValueError, match=r"delay became negative at t=1\.005$"):
+        simulate_continuous(model, CustomDelay(lambda t: 1.0 - t), constant_history((1.0,)), 0.01, 2.0)
+    # a run that leaves the finite range first never reaches that stage
+    traj = simulate_continuous(BLOW_UP, CustomDelay(lambda t: 1.0 - t), constant_history((10.0,)), 0.01, 2.0)
+    assert traj.metadata["diverged_at"] == 0.03
+
+
+def test_continuous_history_underrun(scalar_half, monkeypatch):
+    # a history window shorter than the delay is an inconsistency, not a read
+    monkeypatch.setattr(simulate_mod, "history_depth", lambda delay, probe_horizon: 0.5)
+    with pytest.raises(HistoryUnderrunError, match="below the initial window"):
+        simulate_continuous(scalar_half, ConstantDelay(1.0), constant_history((1.0,)), 0.01, 1.0)
+
+
+def test_delayed_reads_counted_by_source(scalar_half):
+    # tau = 2: a stage at t <= 2 reads the history, a later one the grid;
+    # k2 and k3 each read at t + h/2
+    h = 0.01
+    traj = simulate_continuous(scalar_half, ConstantDelay(2.0), constant_history((1.0,)), h, 1.0)
+    assert traj.metadata["delayed_reads"] == {"grid": 0, "history": 400, "segment": 0, "current": 0}
+    traj = simulate_continuous(scalar_half, ConstantDelay(2.0), constant_history((1.0,)), h, 4.0)
+    stage_times = [t for j in range(400) for t in (j * h, j * h + 0.5 * h, j * h + 0.5 * h, j * h + h)]
+    history = sum(t - 2.0 <= 0.0 for t in stage_times)
+    assert 800 < history < 810
+    assert traj.metadata["delayed_reads"] == {
+        "grid": 1600 - history, "history": history, "segment": 0, "current": 0,
+    }
+    # a step that overflows made its reads: 3 steps of 4 stages here
+    traj = simulate_continuous(BLOW_UP, ConstantDelay(0.3), constant_history((10.0,)), h, 1.0)
+    assert traj.metadata["diverged_at"] == 0.03
+    assert traj.metadata["delayed_reads"] == {"grid": 0, "history": 12, "segment": 0, "current": 0}
+
+
+def test_delay_below_an_ulp_reads_the_current_state(scalar_half):
+    # s = t - 1e-140 rounds to t for t > 0: k1 reads x(t) itself (no
+    # zero-width segment to divide by) and k2..k4 read the in-step segment
+    traj = simulate_continuous(scalar_half, ConstantDelay(1e-140), constant_history((1.0,)), 0.01, 1.0)
+    assert traj.metadata["delayed_reads"] == {"grid": 0, "history": 1, "segment": 300, "current": 99}
+    zero = simulate_continuous(scalar_half, ConstantDelay(0.0), constant_history((1.0,)), 0.01, 1.0)
+    assert np.allclose(traj.states, zero.states, rtol=1e-14, atol=0.0)
+
+
+# -- bit identity with the per-stage reference loop ------------------------------------
+
+def _assert_matches_oracle(model, delays, phi, h, horizon):
+    traj = simulate_continuous(model, delays, phi, h, horizon)
+    states, violations, diverged_at = oracle_continuous(model, delays, phi, h, horizon)
+    assert np.array_equal(traj.states, np.array(states))
+    assert traj.metadata["diverged_at"] == diverged_at
+    assert traj.metadata["positivity_violations"] == violations
+
+
+@st.composite
+def _cooperative_systems(draw):
+    """n in 1..4 with 1 or 2 delayed terms: nonnegative monomials, plus a
+    negative pure power of x_i in f_i (which keeps f cooperative)."""
+    n = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda e: sum(e) >= 1)
+    coeffs = st.floats(0.05, 2.0)
+
+    def field(decay: bool) -> PolyVectorField:
+        comps = []
+        for i in range(n):
+            terms = draw(st.lists(st.tuples(coeffs, exps), max_size=3))
+            if decay:
+                e = draw(st.integers(1, 3))
+                terms.append((-draw(st.floats(0.5, 3.0)), tuple(e if j == i else 0 for j in range(n))))
+            comps.append(tuple(terms))
+        return PolyVectorField(n, tuple(comps))
+
+    gs = tuple(field(False) for _ in range(draw(st.integers(1, 2))))
+    return SystemModel(kind="continuous", f=field(True), delayed_terms=gs,
+                       dilation=Dilation((1.0,) * n), degree=0.0)
+
+
+_delays = st.one_of(
+    st.sampled_from([0.0, 0.004, 0.01, 0.013]).map(ConstantDelay),
+    st.floats(0.0, 1.5).map(ConstantDelay),
+    st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)).map(
+        lambda ab: SinusoidalDelay(ab[0] + abs(ab[1]), ab[1])
+    ),
+    st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 1.2)), min_size=1, max_size=4,
+             unique_by=lambda k: k[0]).map(lambda ks: PiecewiseLinearDelay(tuple(sorted(ks)))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=_cooperative_systems(),
+    data=st.data(),
+    h=st.sampled_from([0.01, 0.02, 0.05]),
+    steps=st.integers(1, 150),
+    scale=st.sampled_from([0.5, 3.0, 20.0]),
+)
+def test_matches_per_stage_reference_bitwise(model, data, h, steps, scale):
+    n = model.n
+    delays = [data.draw(_delays) for _ in model.delayed_terms]
+    values = data.draw(st.lists(st.floats(0.0, scale), min_size=2 * n, max_size=2 * n))
+    if data.draw(st.booleans()):
+        phi = constant_history(values[:n])
+    else:
+        phi = tabulated_history([-2.0, 0.0], [values[n:], values[:n]])
+    _assert_matches_oracle(model, delays, phi, h, steps * h)
+
+
+def test_matches_reference_across_plan_blocks(cubic2d):
+    # 3,000 steps; the delay ramps below h and back up, so the run passes
+    # through history, grid, in-step and current-state reads
+    delay = PiecewiseLinearDelay(((0.0, 0.5), (4.0, 0.0), (8.0, 0.0), (12.0, 0.004), (20.0, 2.0)))
+    _assert_matches_oracle(cubic2d, delay, constant_history((1.0, 0.5)), 0.01, 30.0)
 
 
 # -- discrete simulation ----------------------------------------------------------------

@@ -89,6 +89,7 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
             delay=[{"family": "constant", "tau": 5}, proportional],
         ),
         "scalar-eta-h1-t2400": variant(scalar, sim={"h": 1, "horizon": 2400}),
+        "scalar-eta-theta": variant(scalar, analysis={"bounds": ["eta", "theta"]}),
     }
     for horizon in (2, 5, 20):
         out[f"scalar-xi-t{horizon}"] = variant(
