@@ -57,7 +57,6 @@ from .rates import (
     eta_bound,
     mu_condition_check,
     solve_monotone,
-    theory_constant,
     theta_bound,
     upper_envelope,
     upper_solution_theta,

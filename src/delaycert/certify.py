@@ -68,14 +68,13 @@ def stability_claim(model: SystemModel) -> str:
 def verify_certificate(
     model: SystemModel,
     v: Sequence[float],
-    tolerance: float = DEFAULT_TOLERANCE,
     provenance: str = "user-supplied",
 ) -> Certificate:
     """Evaluate the margins at v and decide validity.
 
-    Validity requires margin_i < -tolerance * (1 + |f_i(v)|) for all i, so
-    a margin that is merely zero up to rounding is rejected (the theory
-    needs strict inequality).
+    Validity requires margin_i < -DEFAULT_TOLERANCE * (1 + |f_i(v)|) for
+    all i, so a margin that is merely zero up to rounding is rejected (the
+    theory needs strict inequality).
     """
     v = tuple(float(x) for x in v)
     if len(v) != model.n:
@@ -84,7 +83,7 @@ def verify_certificate(
         raise ValueError("certificate vector must be strictly positive")
     m = margins(model, v)
     fv = model.f.evaluate(v)
-    valid = all(mi < -tolerance * (1.0 + abs(fi)) for mi, fi in zip(m, fv))
+    valid = all(mi < -DEFAULT_TOLERANCE * (1.0 + abs(fi)) for mi, fi in zip(m, fv))
     return Certificate(
         v=v, margins=tuple(m), valid=valid,
         provenance=provenance, claim=stability_claim(model),

@@ -28,7 +28,6 @@ from .certify import (
     verify_certificate,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .delays import delay_limits
 from .model import Certificate
 from .simulate import envelope_check, export_csv, level_set_descent, simulate_continuous, simulate_discrete
 
@@ -114,51 +113,6 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.valid else EXIT_NEGATIVE
 
 
-def _compute_bounds(
-    cfg: ExperimentConfig, cert: Certificate
-) -> tuple[list[rates_mod.DecayBound], list[str]]:
-    """The requested bounds that apply to this system and delay, and the
-    reason for each requested form that does not; `auto` adds the first
-    form, in the order eta, theta, xi, beta, that applies."""
-    system = cfg.system
-    tau_sup, alpha = delay_limits(cfg.delays)
-    if cfg.analysis.alpha is not None:
-        alpha = cfg.analysis.alpha
-    bounded = "a bounded delay"
-    proportional = "a proportional delay ratio or analysis.alpha"
-    # name -> (delay parameter, bound function, what the parameter needs,
-    # positive degree); built per call, so wrappers installed on
-    # delaycert.rates (the perfbench tracer) see every bound computed here
-    forms = {
-        "eta": (tau_sup, rates_mod.eta_bound, bounded, False),
-        "theta": (tau_sup, rates_mod.theta_bound, bounded, True),
-        "xi": (alpha, rates_mod.xi_bound, proportional, False),
-        "beta": (alpha, rates_mod.beta_bound, proportional, True),
-    }
-
-    def why_not(name: str) -> str:
-        param, _, needs, positive = forms[name]
-        if param is None:
-            return f"{name} bound needs {needs}"
-        if positive != (system.degree > 0.0):
-            return f"{name} bound needs {'positive' if positive else 'zero'} degree, got {system.degree}"
-        if positive and system.is_discrete:
-            return f"{name} bound applies to continuous systems"
-        return ""
-
-    requested = [name for name in cfg.analysis.bounds if name != "auto"]
-    if "auto" in cfg.analysis.bounds:
-        requested += [name for name in forms if not why_not(name)][:1]
-    out, skipped = [], []
-    for name in dict.fromkeys(requested):
-        if reason := why_not(name):
-            skipped.append(reason)
-            continue
-        param, bound_fn = forms[name][:2]
-        out.append(bound_fn(system, cert.v, param))
-    return out, skipped
-
-
 def cmd_bounds(args) -> int:
     cfg = _load(args)
     cert, reason = _obtain_certificate(cfg)
@@ -169,7 +123,9 @@ def cmd_bounds(args) -> int:
             "note": reason or "decay bounds need a valid certificate",
         })
         return EXIT_NEGATIVE
-    bounds, skipped = _compute_bounds(cfg, cert)
+    bounds, skipped = rates_mod.decay_bounds(
+        cfg.system, cert.v, cfg.analysis.bounds, cfg.delays, cfg.analysis.alpha
+    )
     if skipped:
         raise ConfigError("; ".join(skipped))
     _emit({
@@ -200,7 +156,9 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
     if cert is not None and not cert.valid:
         skipped = "certificate is not valid"
     elif cert is not None:
-        bounds, reasons = _compute_bounds(cfg, cert)
+        bounds, reasons = rates_mod.decay_bounds(
+            system, cert.v, cfg.analysis.bounds, cfg.delays, cfg.analysis.alpha
+        )
         skipped = "; ".join(reasons)
         if not bounds and not skipped:
             skipped = "no bound form applies to this system and delay"
@@ -237,10 +195,9 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
             if not env.holds:
                 status = EXIT_NEGATIVE
         report["bound"] = bound.to_dict()
-        entries = level_set_descent(
-            traj, v, system.dilation, cfg.analysis.gamma, history_v, m_max=200
+        report["level_set_entries"] = level_set_descent(
+            traj, v, system.dilation, cfg.analysis.gamma, history_v
         )
-        report["level_set_entries"] = entries[:50]
     _emit(report)
     return status
 

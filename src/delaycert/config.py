@@ -25,11 +25,12 @@ from .delays import (
     SinusoidalDelay,
 )
 from .model import CONTINUOUS, DISCRETE, Dilation, PolyVectorField, SystemModel, lyapunov_v
+from .rates import FORMS
 from .simulate import constant_history, tabulated_history
 
 SCHEMA_VERSION = 1
 
-KNOWN_BOUNDS = ("auto", "eta", "theta", "xi", "beta")
+KNOWN_BOUNDS = ("auto", *FORMS)
 
 
 class ConfigError(ValueError):

@@ -24,7 +24,6 @@ same sparse form at once build equal values).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -149,10 +148,6 @@ class Dilation:
     def r_max(self) -> float:
         return max(self.r)
 
-    @property
-    def is_standard(self) -> bool:
-        return all(ri == 1.0 for ri in self.r)
-
 
 def dilate(d: Dilation, lam: float, x: Sequence[float]) -> tuple[float, ...]:
     """Apply the dilation map: (lam**r_1 * x_1, ..., lam**r_n * x_n)."""
@@ -189,8 +184,6 @@ class ScalarPoly:
         if len(x) != self.n:
             raise ValueError(f"dimension mismatch: poly has n={self.n}, point has {len(x)}")
         return _sum_monomials((self._sparse,), x)[0]
-
-    __call__ = evaluate
 
     def diff(self, j: int) -> "ScalarPoly":
         """Exact partial derivative with respect to variable j (power rule)."""
@@ -254,8 +247,6 @@ class PolyVectorField:
         if len(x) != self.n:
             raise ValueError(f"dimension mismatch: field has n={self.n}, point has {len(x)}")
         return _sum_monomials(self._sparse, x)
-
-    __call__ = evaluate
 
     def component_poly(self, i: int) -> ScalarPoly:
         return ScalarPoly(self.n, self.components[i])
@@ -336,9 +327,6 @@ class PolyVectorField:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, d: dict) -> "PolyVectorField":
         if set(d) != {"n", "components"}:
@@ -348,10 +336,6 @@ class PolyVectorField:
             for comp in d["components"]
         )
         return cls(int(d["n"]), comps)
-
-    @classmethod
-    def from_json(cls, s: str) -> "PolyVectorField":
-        return cls.from_dict(json.loads(s))
 
 
 def jacobian(F: PolyVectorField) -> tuple[tuple[ScalarPoly, ...], ...]:
@@ -520,6 +504,3 @@ class LevelSetProbe:
         if m < 0:
             raise ValueError("threshold index must be nonnegative")
         return self.gamma ** m * self.phi_norm if m else self.phi_norm
-
-    def thresholds(self, m_max: int) -> list[float]:
-        return [self.threshold(m) for m in range(m_max + 1)]

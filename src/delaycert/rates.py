@@ -21,7 +21,11 @@ largest step delay, q = e p/r_max):
   t**e (theta = 1)      discrete    R1 = 1, R2 = K**e
 
 A bounded delay has ratio 0, so L = 1 there.  Each bound is the largest rate
-of one family that meets the condition:
+of one family that meets the condition.  FORMS lists them in the order
+`auto` tries them, and `why_not` is the one rule for when each applies; the
+four functions check their inputs through it, and `decay_bounds` computes
+every requested form that applies and gives the reason for each that does
+not:
 
   eta_bound    exp(eta t)                bounded delay, p = 0
   theta_bound  (theta t + 1)**(r_max/p)  bounded delay, p > 0, continuous
@@ -37,12 +41,15 @@ methods).  The returned rate sits the relative margin DEFAULT_SAFETY inside
 the open admissible interval: the theory guarantees only its inside.
 `mu_condition_check` decides the condition for any `DecayBound` clock.
 
-The constant multiple depends on the initial history.  `upper_envelope`
-returns, for every bound, a clock mu_u and a constant M with
-W(t) mu_u(t) <= M at every t >= 0, for any size of delay, from the same
-condition along an upper solution D_lam(t) v with lam(t)**r_max = M / mu_u(t):
+The constant multiple depends on the initial history.  `upper_envelope`, the
+one envelope entry point, returns for every bound a clock mu_u and a
+constant M with W(t) mu_u(t) <= M at every t >= 0, for any size of delay,
+from the same condition along an upper solution D_lam(t) v with
+lam(t)**r_max = M / mu_u(t), or raises MissingLimitError where none covers
+the bound:
 
-  eta, theta   mu_u = the bound's own mu, M from `theory_constant`
+  eta          mu_u = the bound's own mu, M = V(phi)
+  theta        mu_u = the bound's own mu, M from `upper_solution_theta`
   xi, beta     mu_u = (t+1)**e, M = V(phi): continuous L = K**e,
                D = k**(-p) e with k**r_max = V(phi) and e <= r_max/p;
                discrete R1 = 2**e, R2 = max(2, K)**e
@@ -270,6 +277,61 @@ def _smallest_rate(form: str, c: _CertData, rates: list[float]) -> DecayBound:
     )
 
 
+FORMS = ("eta", "theta", "xi", "beta")  # auto takes the first that applies
+
+
+def why_not(form: str, model: SystemModel, param: float | None) -> str:
+    """Why the bound `form` does not apply to `model` under its delay
+    parameter `param`, tau_sup for eta and theta and the delay ratio alpha
+    for xi and beta, or "" where it applies."""
+    bounded, positive = form in ("eta", "theta"), form in ("theta", "beta")
+    if param is None:
+        needs = "a bounded delay" if bounded else "a proportional delay ratio or analysis.alpha"
+        return f"{form} bound needs {needs}"
+    if bounded and not param >= 0.0:
+        return "tau_sup must be nonnegative"
+    if not bounded and not 0.0 <= param < 1.0:
+        return f"alpha must lie in [0, 1), got {param}"
+    if positive != (model.degree > 0.0):
+        return f"{form} bound needs {'positive' if positive else 'zero'} degree, got {model.degree}"
+    if positive and model.is_discrete:
+        return f"{form} bound applies to continuous systems"
+    return ""
+
+
+def _require(form: str, model: SystemModel, param: float | None) -> None:
+    if reason := why_not(form, model, param):
+        raise ValueError(reason)
+
+
+def decay_bounds(
+    model: SystemModel,
+    v: Sequence[float],
+    requested: Sequence[str],
+    delays: Sequence[DelayModel],
+    alpha: float | None,
+) -> tuple[list[DecayBound], list[str]]:
+    """The requested bounds that apply to `model` under `delays`, and the
+    reason for each requested form that does not; `auto` adds the first
+    form of FORMS that applies.  An `alpha` that is not None (a declared
+    analysis.alpha) replaces the delays' ratio."""
+    tau_sup, ratio = delay_limits(delays)
+    if alpha is None:
+        alpha = ratio
+    params = {"eta": tau_sup, "theta": tau_sup, "xi": alpha, "beta": alpha}
+    names = [name for name in requested if name != "auto"]
+    if "auto" in requested:
+        names += [name for name in FORMS if not why_not(name, model, params[name])][:1]
+    out, skipped = [], []
+    for name in dict.fromkeys(names):
+        if reason := why_not(name, model, params[name]):
+            skipped.append(reason)
+        else:
+            # looked up at call time, so wrappers installed on this module see it
+            out.append(globals()[f"{name}_bound"](model, v, params[name]))
+    return out, skipped
+
+
 def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBound:
     """Exponential decay rate for degree zero under a bounded delay.
 
@@ -285,10 +347,7 @@ def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBo
     zero after one step and constrains nothing (eta_i = inf).  The
     guaranteed rate is (1 - DEFAULT_SAFETY) times the smallest finite eta_i.
     """
-    if model.degree != 0.0:
-        raise ValueError("exponential bound needs degree zero; use theta_bound instead")
-    if tau_sup < 0.0:
-        raise ValueError("tau_sup must be nonnegative")
+    _require("eta", model, tau_sup)
     c = _rate_data(model, v)
     etas = []
     for i in range(model.n):
@@ -335,16 +394,11 @@ def theta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> Decay
 
         W(t) mu(t) <= M = V(phi) * max(1, theta / (theta' k**p))**(r_max/p)
 
-    which `theory_constant` returns.  The rate stays history-free; the
+    which `upper_envelope` returns.  The rate stays history-free; the
     history and the delay size enter through M.
     """
+    _require("theta", model, tau_sup)
     p = model.degree
-    if p <= 0.0:
-        raise ValueError("polynomial-reciprocal bound needs positive degree; use eta_bound")
-    if model.is_discrete:
-        raise ValueError("theta bound applies to continuous systems")
-    if tau_sup < 0.0:
-        raise ValueError("tau_sup must be nonnegative")
     c = _rate_data(model, v)
     thetas = [-(p / c.r[i]) * (c.fv[i] + c.gv[i]) / c.v[i] for i in range(model.n)]
     cap = math.inf if tau_sup == 0.0 else 1.0 / tau_sup
@@ -374,11 +428,8 @@ def upper_solution_theta(
     -(p/r_i) (f_i(v) + g_i(v)) / v_i, theta_bound's theta_i.  Returns
     (1 - DEFAULT_SAFETY) * min(1/(tau_sup k**p), min_i root_i).
     """
+    _require("theta", model, tau_sup)
     p = model.degree
-    if p <= 0.0 or model.is_discrete:
-        raise ValueError("the upper solution needs a continuous system of positive degree")
-    if tau_sup < 0.0:
-        raise ValueError("tau_sup must be nonnegative")
     if not history_v > 0.0:
         raise ValueError(f"history_v must be positive, got {history_v}")
     c = _rate_data(model, v)
@@ -398,49 +449,6 @@ def upper_solution_theta(
     return (1.0 - DEFAULT_SAFETY) * min(cap, min(roots))
 
 
-def theory_constant(
-    model: SystemModel,
-    v: Sequence[float],
-    bound: DecayBound,
-    tau_sup: float,
-    history_v: float,
-) -> float | None:
-    """The constant M with W(t) <= M / mu(t) for every t >= 0.
-
-    history_v is V(phi), the sup of W over the initial window; tau_sup
-    bounds every delay.  Exponential form, degree zero: M = V(phi) whenever
-    the condition holds, non-strictly, with the exponential limits of the
-    rate under tau_sup, since then D_lam(t) v with
-    lam(t) = k exp(-rate t / r_max) is an upper solution: the ratios of
-    that clock are at most its limits at every t (every k in discrete
-    time), and lam >= k on the initial window.  Polynomial-reciprocal form,
-    continuous: M = V(phi) max(1, theta/(theta' k**p))**e with theta' from
-    upper_solution_theta (see theta_bound), valid for an exponent e up to
-    r_max/p.  Returns None where the argument derives no constant:
-    power-rate forms, an infinite rate, or a rate, exponent or time kind
-    outside those ranges.
-    """
-    if bound.form == POWER_RATE:
-        return None
-    if history_v == 0.0:
-        return 0.0  # the solution stays at zero
-    p = model.degree
-    if bound.form == EXPONENTIAL:
-        if p != 0.0 or math.isinf(bound.rate):  # no float clock for an infinite rate
-            return None
-        c = _rate_data(model, v)
-        limits = c.limits(EXPONENTIAL, bound.rate, None, tau_sup, None)
-        if any(c.condition(i, limits) > 0.0 for i in range(model.n)):
-            return None
-        return history_v
-    rmax = model.dilation.r_max
-    if p <= 0.0 or model.is_discrete or bound.poly_exponent > rmax / p:
-        return None
-    kp = history_v ** (p / rmax)
-    theta_p = upper_solution_theta(model, v, tau_sup, history_v)
-    return history_v * max(1.0, bound.rate / (theta_p * kp)) ** bound.poly_exponent
-
-
 def upper_envelope(
     model: SystemModel,
     v: Sequence[float],
@@ -450,10 +458,20 @@ def upper_envelope(
 ) -> tuple[DecayBound, float]:
     """The clock mu_u and constant M with W(t) mu_u(t) <= M for every t >= 0.
 
-    history_v is V(phi) = k**r_max; (tau_sup, alpha) are
-    `delay_limits(delays)`.  For the exponential and polynomial-reciprocal
-    forms mu_u is the bound's own mu and M is theory_constant's, which
-    needs tau_sup.  For the power forms M = V(phi) and mu_u = (t/s + 1)**e,
+    history_v is V(phi) = k**r_max, the sup of W over the initial window;
+    (tau_sup, alpha) are `delay_limits(delays)`.  For the exponential and
+    polynomial-reciprocal forms mu_u is the bound's own mu, and the delays
+    must be bounded.  Exponential form, degree zero: M = V(phi) whenever
+    the condition holds, non-strictly, with the exponential limits of the
+    rate under tau_sup, since then D_lam(t) v with
+    lam(t) = k exp(-rate t / r_max) is an upper solution: the ratios of
+    that clock are at most its limits at every t (every k in discrete
+    time), and lam >= k on the initial window.  Polynomial-reciprocal form,
+    continuous: M = V(phi) max(1, theta/(theta' k**p))**e with theta' from
+    upper_solution_theta (see theta_bound), valid for an exponent e up to
+    r_max/p.
+
+    For the power forms M = V(phi) and mu_u = (t/s + 1)**e,
     returned as the polynomial-reciprocal bound with rate 1/s and exponent
     e.  Every delay must be bounded or have a ratio, so that
     tau(t) <= alpha t + tau0 for every t >= 0 with tau0 the largest
@@ -469,17 +487,35 @@ def upper_envelope(
 
     holds non-strictly; e is (1 - DEFAULT_SAFETY) times the largest such
     value.  Discrete components with f_i(v) = g_i(v) = 0 are zero after one
-    step and constrain no clock.  Raises MissingLimitError where no upper
-    solution covers the bound: a power form under a delay that is neither
-    bounded nor proportional, or a rate theory_constant derives no
-    constant for.
+    step and constrain no clock.
+
+    Raises MissingLimitError where no upper solution covers the bound: a
+    power form under a delay that is neither bounded nor proportional, the
+    other forms under an unbounded delay, an infinite rate (no float clock),
+    or a rate, exponent or time kind outside the ranges above.
     """
     tau_sup, alpha = delay_limits(delays)
     if bound.form != POWER_RATE:
-        M = None if tau_sup is None else theory_constant(model, v, bound, tau_sup, history_v)
-        if M is None:
-            raise MissingLimitError("no upper solution covers this rate and delay")
-        return bound, M
+        uncovered = MissingLimitError("no upper solution covers this rate and delay")
+        if tau_sup is None:
+            raise uncovered
+        if history_v == 0.0:
+            return bound, 0.0  # the solution stays at zero
+        p = model.degree
+        if bound.form == EXPONENTIAL:
+            if p != 0.0 or math.isinf(bound.rate):
+                raise uncovered
+            c = _rate_data(model, v)
+            limits = c.limits(EXPONENTIAL, bound.rate, None, tau_sup, None)
+            if any(c.condition(i, limits) > 0.0 for i in range(model.n)):
+                raise uncovered
+            return bound, history_v
+        rmax = model.dilation.r_max
+        if p <= 0.0 or model.is_discrete or bound.poly_exponent > rmax / p:
+            raise uncovered
+        kp = history_v ** (p / rmax)
+        theta_p = upper_solution_theta(model, v, tau_sup, history_v)
+        return bound, history_v * max(1.0, bound.rate / (theta_p * kp)) ** bound.poly_exponent
     if alpha is None:
         raise MissingLimitError("a power-rate clock needs every delay bounded or proportional")
     c = _rate_data(model, v)
@@ -523,10 +559,7 @@ def xi_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound
     from the min (the component decays faster than any power).
     W(t) = O(t**(-xi)).
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if model.degree != 0.0:
-        raise ValueError("power-rate root bound needs degree zero; use beta_bound")
+    _require("xi", model, alpha)
     c = _rate_data(model, v)
     xis = [
         math.inf if c.gv[i] == 0.0 or alpha == 0.0
@@ -549,13 +582,8 @@ def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBou
     minimum, which decreases strictly in alpha and tends to zero as the
     delays grow like t.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    _require("beta", model, alpha)
     p = model.degree
-    if p <= 0.0:
-        raise ValueError("this power-rate bound needs positive degree; use xi_bound")
-    if model.is_discrete:
-        raise ValueError("beta bound applies to continuous systems")
     c = _rate_data(model, v)
     lnK = -math.log1p(-alpha)
     stars = []

@@ -44,6 +44,7 @@ from .rates import DEFAULT_SAFETY, DecayBound
 
 CLAMP_EPS = 1e-12      # negative roundoff this small is snapped to zero
 VIOLATION_EPS = 1e-9   # anything below this is a recorded positivity violation
+LEVEL_SETS = 50        # thresholds level_set_descent follows, gamma**0 to gamma**49
 
 
 class HistoryUnderrunError(ValueError):
@@ -449,12 +450,11 @@ def level_set_descent(
     dilation: Dilation,
     gamma: float,
     phi_norm: float,
-    m_max: int = 1000,
 ) -> list[float]:
     """Entry times into the nested Lyapunov sublevel sets.
 
-    For each threshold gamma**m * phi_norm of LevelSetProbe, the entry time
-    is the first grid time after which V stays at or below the threshold
+    For each threshold gamma**m * phi_norm of LevelSetProbe, m < LEVEL_SETS,
+    the entry time is the first grid time after which V stays at or below the threshold
     for the rest of the run (computed from the suffix maximum of V).  Stops
     at the first threshold never entered; the returned times are
     non-decreasing by construction.
@@ -466,7 +466,7 @@ def level_set_descent(
     suffix_max = np.maximum.accumulate(V[::-1])[::-1]
     entries: list[float] = []
     idx = 0
-    for m in range(m_max + 1):
+    for m in range(LEVEL_SETS):
         thr = probe.threshold(m)
         while idx < len(V) and suffix_max[idx] > thr:
             idx += 1

@@ -6,6 +6,7 @@ import pytest
 from delaycert import (
     ConstantDelay,
     ConstantStepDelay,
+    CustomDelay,
     DecayBound,
     Dilation,
     MissingLimitError,
@@ -17,11 +18,13 @@ from delaycert import (
     eta_bound,
     mu_condition_check,
     solve_monotone,
-    theory_constant,
     theta_bound,
+    upper_envelope,
     xi_bound,
 )
 from delaycert.certify import linear_model
+from delaycert.delays import delay_limits
+from delaycert.rates import FORMS, decay_bounds
 
 SAFETY = 1.0 - 1e-6
 
@@ -105,7 +108,8 @@ def test_eta_discrete_zero_component_constrains_nothing():
     bound = eta_bound(zero, (1.0,), tau_sup=2.0)
     assert math.isinf(bound.rate)
     # no float clock exp(inf t) to check an envelope against
-    assert theory_constant(zero, (1.0,), bound, 2.0, history_v=1.0) is None
+    with pytest.raises(MissingLimitError):
+        upper_envelope(zero, (1.0,), bound, [ConstantStepDelay(2)], history_v=1.0)
 
 
 def test_eta_requires_degree_zero(cubic2d):
@@ -258,6 +262,81 @@ def test_beta_monotone_in_alpha_below_cap(cubic2d):
 def test_beta_requires_positive_degree(scalar_half):
     with pytest.raises(ValueError, match="degree"):
         beta_bound(scalar_half, (1.0,), alpha=0.5)
+
+
+# -- which forms apply: decay_bounds against the public functions ----------------------------
+
+BOUND_FNS = {"eta": eta_bound, "theta": theta_bound, "xi": xi_bound, "beta": beta_bound}
+
+
+def _system(request, kind, positive):
+    """A system of the time kind and degree sign with a valid certificate."""
+    if kind == "continuous":
+        if positive:
+            return request.getfixturevalue("cubic2d"), (1.0, 1.0)
+        return request.getfixturevalue("scalar_half"), (1.0,)
+    if positive:
+        return request.getfixturevalue("square_map"), (0.5,)
+    return linear_model([[0.3]], [[[0.2]]], "discrete"), (1.0,)
+
+
+def _delay(kind, family):
+    if family == "undeclared":
+        return CustomDelay(lambda t: 0.5 * t)  # declares neither tau_sup nor alpha
+    if family == "bounded":
+        return ConstantDelay(1.0) if kind == "continuous" else ConstantStepDelay(1)
+    return ProportionalDelay(0.5) if kind == "continuous" else ProportionalStepDelay(0.5)
+
+
+def _first_that_applies(model, v, delays):
+    tau_sup, alpha = delay_limits(delays)
+    for form in FORMS:
+        try:
+            return BOUND_FNS[form](model, v, tau_sup if form in ("eta", "theta") else alpha)
+        except ValueError:
+            pass
+    return None
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["param", "no-param"])
+@pytest.mark.parametrize("positive", [False, True], ids=["p=0", "p>0"])
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+@pytest.mark.parametrize("form", FORMS)
+def test_decay_bounds_skips_exactly_where_the_bound_raises(request, form, kind, positive, given):
+    model, v = _system(request, kind, positive)
+    bounded = form in ("eta", "theta")
+    family = "undeclared" if not given else ("bounded" if bounded else "proportional")
+    delays = [_delay(kind, family)]
+    tau_sup, alpha = delay_limits(delays)
+    bounds, skipped = decay_bounds(model, v, [form], delays, None)
+    try:
+        want = BOUND_FNS[form](model, v, tau_sup if bounded else alpha)
+    except ValueError as exc:
+        assert (bounds, skipped) == ([], [str(exc)])
+    else:
+        assert (bounds, skipped) == ([want], [])
+
+
+@pytest.mark.parametrize("family", ["bounded", "proportional", "undeclared"])
+@pytest.mark.parametrize("positive", [False, True], ids=["p=0", "p>0"])
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+def test_auto_takes_the_first_form_that_applies(request, kind, positive, family):
+    model, v = _system(request, kind, positive)
+    delays = [_delay(kind, family)]
+    first = _first_that_applies(model, v, delays)
+    bounds, skipped = decay_bounds(model, v, ["auto"], delays, None)
+    assert skipped == []
+    assert bounds == ([] if first is None else [first])
+
+
+def test_auto_picks_by_form_order():
+    # a bounded delay has ratio 0, so xi applies too; auto takes eta, which comes first
+    model = linear_model([[0.3]], [[[0.2]]], "discrete")
+    bounds, _ = decay_bounds(model, (1.0,), ["auto"], [ConstantStepDelay(2)], None)
+    assert [b.form for b in bounds] == ["exponential"]
+    bounds, skipped = decay_bounds(model, (1.0,), ["xi", "auto", "theta"], [ConstantStepDelay(2)], None)
+    assert [b.form for b in bounds] == ["power_rate", "exponential"]
+    assert skipped == ["theta bound needs positive degree, got 0.0"]
 
 
 # -- generic mu-stability condition --------------------------------------------------------

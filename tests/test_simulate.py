@@ -33,7 +33,6 @@ from delaycert import (
     eta_bound,
     solve_monotone,
     tabulated_history,
-    theory_constant,
     theta_bound,
     upper_envelope,
     upper_solution_theta,
@@ -382,7 +381,7 @@ def test_envelope_fails_for_faster_rate():
 
 def test_envelope_cubic_benchmark(cubic2d, cubic_run_t50):
     bound = theta_bound(cubic2d, (1.0, 1.0), tau_sup=5.0)
-    M = theory_constant(cubic2d, (1.0, 1.0), bound, 5.0, history_v=1.0)
+    _, M = upper_envelope(cubic2d, (1.0, 1.0), bound, [ConstantDelay(5.0)], history_v=1.0)
     rep = envelope_check(cubic_run_t50, bound, (1.0, 1.0), cubic2d.dilation, M)
     assert rep.holds
 
@@ -391,12 +390,13 @@ def test_theory_constant_cubic_holds_pointwise(cubic2d, cubic_run_t50):
     v = (1.0, 1.0)
     bound = theta_bound(cubic2d, v, tau_sup=5.0)
     theta_p = upper_solution_theta(cubic2d, v, 5.0, history_v=1.0)
-    M = theory_constant(cubic2d, v, bound, 5.0, history_v=1.0)
+    _, M = upper_envelope(cubic2d, v, bound, [ConstantDelay(5.0)], history_v=1.0)
     assert theta_p == pytest.approx(0.035720, abs=1e-6)
     assert M == pytest.approx(bound.rate / theta_p)
     assert M == pytest.approx(5.599, abs=1e-3)
     steeper = DecayBound("polynomial_reciprocal", bound.rate, (2.0, 1.0), (4.0, 1.0), poly_exponent=2.0)
-    assert theory_constant(cubic2d, v, steeper, 5.0, history_v=1.0) is None
+    with pytest.raises(MissingLimitError):
+        upper_envelope(cubic2d, v, steeper, [ConstantDelay(5.0)], history_v=1.0)
     # V(phi) = 1, so the upper solution bounds W by (theta' t + 1)**(-r_max/p)
     W = cubic_run_t50.lyapunov_values(v, cubic2d.dilation)
     times = cubic_run_t50.times
@@ -424,14 +424,15 @@ def test_upper_solution_bounds_scaled_histories(cubic2d, c):
 
 def test_theory_constant_eta_is_history_sup(scalar_half):
     bound = eta_bound(scalar_half, (1.0,), tau_sup=1.0)
-    assert theory_constant(scalar_half, (1.0,), bound, 1.0, history_v=2.0) == 2.0
+    assert upper_envelope(scalar_half, (1.0,), bound, [ConstantDelay(1.0)], history_v=2.0)[1] == 2.0
     traj = simulate_continuous(scalar_half, ConstantDelay(1.0), constant_history((2.0,)), 0.01, 20.0)
     rep = envelope_check(traj, bound, (1.0,), Dilation((1.0,)), M_theory=2.0)
     assert rep.holds
     assert rep.M_fit == pytest.approx(2.0)
     # a rate above the eta root has no constant
     faster = DecayBound("exponential", 1.05 * bound.rate, (1.0,), (1.05 * bound.rate,))
-    assert theory_constant(scalar_half, (1.0,), faster, 1.0, history_v=2.0) is None
+    with pytest.raises(MissingLimitError):
+        upper_envelope(scalar_half, (1.0,), faster, [ConstantDelay(1.0)], history_v=2.0)
 
 
 def test_envelope_check_past_the_float_range_of_the_clock():
