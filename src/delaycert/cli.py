@@ -124,7 +124,7 @@ def cmd_bounds(args) -> int:
         })
         return EXIT_NEGATIVE
     bounds, skipped = rates_mod.decay_bounds(
-        cfg.system, cert.v, cfg.analysis.bounds, cfg.delays, cfg.analysis.alpha
+        cfg.system, cert, cfg.analysis.bounds, cfg.delays, cfg.analysis.alpha
     )
     if skipped:
         raise ConfigError("; ".join(skipped))
@@ -157,7 +157,7 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
         skipped = "certificate is not valid"
     elif cert is not None:
         bounds, reasons = rates_mod.decay_bounds(
-            system, cert.v, cfg.analysis.bounds, cfg.delays, cfg.analysis.alpha
+            system, cert, cfg.analysis.bounds, cfg.delays, cfg.analysis.alpha
         )
         skipped = "; ".join(reasons)
         if not bounds and not skipped:
@@ -183,7 +183,7 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
     elif bound is not None:
         history_v = cfg.history_peak(v, traj.metadata["history_depth"])
         try:
-            clock, M = rates_mod.upper_envelope(system, v, bound, cfg.delays, history_v)
+            clock, M = rates_mod.upper_envelope(system, cert, bound, cfg.delays, history_v)
         except rates_mod.MissingLimitError as exc:
             report["envelope_skipped"] = str(exc)
             status = EXIT_UNDETERMINED

@@ -1,7 +1,8 @@
 """Time-varying delay families for continuous and discrete systems.
 
-Each family exposes the delay value tau(t) (or d(k)) together with its
-declared structural properties: the delay supremum tau_sup (None if
+Each family exposes the delay value tau(t) (or d(k)), its values over an
+array of times (`DelayModel.values`, equal to value bit for bit), together
+with its declared structural properties: the delay supremum tau_sup (None if
 unbounded), a ratio alpha < 1 with tau(t) <= alpha t for every t >= 0 (None
 if the family declares none), and the history depth
 
@@ -36,6 +37,13 @@ class DelayModel:
                   families do (`delay_limits` counts them as 0)
       diverges    whether t - tau(t) -> +infinity is known to hold; None
                   forces sampled analysis
+
+    `values(ts)` is the delay at every time of a float array, each element
+    equal, bit for bit, to value(t).  The base class maps value over ts.  A
+    numpy form may replace the scalar formula only with correctly rounded
+    + - * / and np.float_power, never with np.exp, np.power or np.sin, whose
+    vectorized kernels may differ from libm; a family with a transcendental
+    calls its math function once per element.
     """
 
     is_discrete = False
@@ -45,6 +53,9 @@ class DelayModel:
 
     def value(self, t: float) -> float:
         raise NotImplementedError
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(self.value, ts.tolist()), float, len(ts))
 
     def exact_history_depth(self) -> float | None:
         """Closed-form history depth when the family provides one."""
@@ -67,6 +78,9 @@ class ConstantDelay(DelayModel):
 
     def value(self, t: float) -> float:
         return self.tau
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(len(ts), self.tau, dtype=float)
 
     def exact_history_depth(self) -> float:
         return self.tau
@@ -91,6 +105,9 @@ class SinusoidalDelay(DelayModel):
 
     def value(self, t: float) -> float:
         return self.a + self.b * math.sin(t)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return self.a + self.b * np.fromiter(map(math.sin, ts.tolist()), float, len(ts))
 
     def exact_history_depth(self) -> float | None:
         # d/dt (t - a - b sin t) = 1 - b cos t >= 0 when |b| <= 1, so the
@@ -135,6 +152,16 @@ class PiecewiseLinearDelay(DelayModel):
                 return y0 + w * (y1 - y0)
         return knots[-1][1]  # unreachable
 
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t_k, y_k = (np.array(c) for c in zip(*self.knots))
+        out = np.where(ts <= t_k[0], y_k[0], y_k[-1])
+        inner = (ts > t_k[0]) & (ts < t_k[-1])
+        t = ts[inner]
+        j = np.searchsorted(t_k, t)  # the first knot at or after t ends value's segment
+        w = (t - t_k[j - 1]) / (t_k[j] - t_k[j - 1])
+        out[inner] = y_k[j - 1] + w * (y_k[j] - y_k[j - 1])
+        return out
+
     def exact_history_depth(self) -> float:
         # t - tau(t) is piecewise linear, so its minimum over [0, last knot]
         # is attained at a knot or at t = 0; beyond the last knot it grows.
@@ -158,6 +185,9 @@ class ProportionalDelay(DelayModel):
 
     def value(self, t: float) -> float:
         return self.alpha * t
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return self.alpha * ts
 
     def exact_history_depth(self) -> float:
         return 0.0

@@ -14,7 +14,9 @@ nonzero exponents; each polynomial builds that form once, on first use.
 The simulator does not call the kernel: it runs Python statements that
 `emit_field_sum` writes from the same `_sparse` terms.  The kernel and the
 emitter must agree bit for bit, so a change to the order or form of the
-arithmetic in one is made in the other.  `lyapunov_v` evaluates V at one
+arithmetic in one is made in the other, and `emit_key` lists all that the
+emitter reads, so that compiled code can be reused for equal keys; a change
+to what the emitter reads is made in both.  `lyapunov_v` evaluates V at one
 point or at every row of an array in one numpy expression.
 
 All types are immutable values after construction; every operation in this
@@ -119,6 +121,16 @@ def emit_field_sum(
             if q:
                 lines.append(f"{out} = {out} + _g")
     return lines
+
+
+def emit_key(fields: Sequence[PolyVectorField]) -> tuple:
+    """All that `emit_field_sum` writes its statements and ns from: each
+    term's factors and the exact bits of its coefficient (float.hex keeps
+    -0.0, 0.0 and inf apart).  Fields with equal keys emit the same code."""
+    return tuple(
+        tuple(tuple((coeff.hex(), factors) for coeff, _, factors in comp) for comp in F._sparse)
+        for F in fields
+    )
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,10 @@ the bound:
                D = k**(-p) e with k**r_max = V(phi) and e <= r_max/p;
                discrete R1 = 2**e, R2 = max(2, K)**e
 
+Every function here that takes a certificate vector v also takes a
+`Certificate` in its place and trusts its `valid` flag, so a caller that has
+verified v once passes that; a bare v is verified on every call.
+
 Every delay parameter comes from the delay models, through
 `delays.delay_limits`: tau_sup for eta and theta, the ratio alpha with
 tau(t) <= alpha t for every t >= 0 for xi, beta and the power clocks.  A
@@ -67,8 +71,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .delays import DelayModel, delay_limits
-from .model import SystemModel
+from .model import Certificate, SystemModel
 from .certify import verify_certificate
 
 DEFAULT_SAFETY = 1e-6
@@ -93,6 +99,13 @@ class DecayBound:
     the min and listed in `infinite_components`.  The constant M of the
     envelope depends on the history; `upper_envelope` gives it together
     with the clock it holds for.
+
+    `mu` and `envelope` take one time or an array of times, and each
+    element equals, bit for bit, the scalar formula in Python floats
+    (math.exp, **).  A numpy form may replace a scalar formula only with
+    correctly rounded + - * / and np.float_power, which calls libm pow per
+    element, never with np.exp, np.power or np.sin, whose vectorized
+    kernels may differ from libm; exp is math.exp per element.
     """
 
     form: str
@@ -110,21 +123,26 @@ class DecayBound:
         if not self.rate > 0.0:
             raise ValueError(f"decay rate must be positive, got {self.rate}")
 
-    def mu(self, t: float) -> float:
-        """The clock at t; inf where the exponential form passes the float range."""
-        if self.form == EXPONENTIAL:
-            try:
-                return math.exp(self.rate * t)
-            except OverflowError:
-                return math.inf
-        if self.form == POLYNOMIAL_RECIPROCAL:
-            return (self.rate * t + 1.0) ** self.poly_exponent
-        return t ** self.rate if t > 0.0 else 0.0
+    def mu(self, t):
+        """The clock at the times t (a float or an array): exp(rate t), with
+        exp(inf * 0) = 1 and inf where it passes the float range,
+        (rate t + 1)**poly_exponent, or t**rate (0 for t <= 0)."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(invalid="ignore"):
+            if self.form == EXPONENTIAL:
+                x = np.where(t == 0.0, 0.0, self.rate * t)
+                m = np.fromiter(map(_exp, x.ravel().tolist()), float, x.size).reshape(t.shape)
+            elif self.form == POLYNOMIAL_RECIPROCAL:
+                m = np.float_power(self.rate * t + 1.0, self.poly_exponent)
+            else:
+                m = np.where(t > 0.0, np.float_power(t, self.rate), 0.0)
+        return m[()]
 
-    def envelope(self, t: float) -> float:
+    def envelope(self, t):
         """1 / mu(t) (infinite at t = 0 for power rates, 0 where mu is inf)."""
         m = self.mu(t)
-        return 1.0 / m if m > 0.0 else math.inf
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(m > 0.0, 1.0 / m, math.inf)[()]
 
     def to_dict(self) -> dict:
         d = {
@@ -246,6 +264,14 @@ class _CertData(NamedTuple):
         return (self.rmax / ri) * (self.fv[i] / self.v[i] + delayed) + b
 
 
+def _exp(x: float) -> float:
+    """math.exp(x), inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _pow_times(base: float, expo: float, factor: float) -> float:
     """base**expo * factor with 0 * inf resolved to 0 (absent coupling)."""
     if factor == 0.0:
@@ -253,13 +279,14 @@ def _pow_times(base: float, expo: float, factor: float) -> float:
     return base ** expo * factor
 
 
-def _rate_data(model: SystemModel, v: Sequence[float]) -> _CertData:
-    # the only check on v for library callers, who need not verify first
-    cert = verify_certificate(model, v)
+def _rate_data(model: SystemModel, v: Sequence[float] | Certificate) -> _CertData:
+    """The rate data of v: a Certificate is taken as verified, a bare v is
+    verified here, the only check on v for library callers."""
+    cert = v if isinstance(v, Certificate) else verify_certificate(model, v)
     if not cert.valid:
         raise ValueError(f"not a valid certificate: margins {cert.margins}")
     return _CertData(
-        v, model.f.evaluate(v), model.delayed_sum_at(v),
+        cert.v, model.f.evaluate(cert.v), model.delayed_sum_at(cert.v),
         model.dilation.r, model.dilation.r_max, model.degree, model.is_discrete,
     )
 
@@ -306,7 +333,7 @@ def _require(form: str, model: SystemModel, param: float | None) -> None:
 
 def decay_bounds(
     model: SystemModel,
-    v: Sequence[float],
+    v: Sequence[float] | Certificate,
     requested: Sequence[str],
     delays: Sequence[DelayModel],
     alpha: float | None,
@@ -332,7 +359,7 @@ def decay_bounds(
     return out, skipped
 
 
-def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBound:
+def eta_bound(model: SystemModel, v: Sequence[float] | Certificate, tau_sup: float) -> DecayBound:
     """Exponential decay rate for degree zero under a bounded delay.
 
     Per component, eta_i zeroes the condition with the exponential limits
@@ -362,7 +389,7 @@ def eta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBo
     return _smallest_rate(EXPONENTIAL, c, etas)
 
 
-def theta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> DecayBound:
+def theta_bound(model: SystemModel, v: Sequence[float] | Certificate, tau_sup: float) -> DecayBound:
     """Polynomial-reciprocal envelope for positive degree under a bounded delay.
 
     theta_i = -(p/r_i) (f_i(v) + g_i(v)) / v_i in closed form (positive by
@@ -414,7 +441,7 @@ def theta_bound(model: SystemModel, v: Sequence[float], tau_sup: float) -> Decay
 
 def upper_solution_theta(
     model: SystemModel,
-    v: Sequence[float],
+    v: Sequence[float] | Certificate,
     tau_sup: float,
     history_v: float,
 ) -> float:
@@ -451,7 +478,7 @@ def upper_solution_theta(
 
 def upper_envelope(
     model: SystemModel,
-    v: Sequence[float],
+    v: Sequence[float] | Certificate,
     bound: DecayBound,
     delays: Sequence[DelayModel],
     history_v: float,
@@ -489,10 +516,15 @@ def upper_envelope(
     value.  Discrete components with f_i(v) = g_i(v) = 0 are zero after one
     step and constrain no clock.
 
+    An infinite exponential rate is covered only in discrete time, where
+    f_i(v) = g_i(v) = 0 for every i: every state is zero from k = 1, and
+    mu = exp(inf k) is 1 at k = 0 and inf after, with W mu taken as 0
+    where W = 0 (see `simulate.envelope_check`), so M = V(phi).
+
     Raises MissingLimitError where no upper solution covers the bound: a
     power form under a delay that is neither bounded nor proportional, the
-    other forms under an unbounded delay, an infinite rate (no float clock),
-    or a rate, exponent or time kind outside the ranges above.
+    other forms under an unbounded delay, any other infinite rate, or a
+    rate, exponent or time kind outside the ranges above.
     """
     tau_sup, alpha = delay_limits(delays)
     if bound.form != POWER_RATE:
@@ -503,11 +535,13 @@ def upper_envelope(
             return bound, 0.0  # the solution stays at zero
         p = model.degree
         if bound.form == EXPONENTIAL:
-            if p != 0.0 or math.isinf(bound.rate):
+            if p != 0.0:
                 raise uncovered
             c = _rate_data(model, v)
             limits = c.limits(EXPONENTIAL, bound.rate, None, tau_sup, None)
-            if any(c.condition(i, limits) > 0.0 for i in range(model.n)):
+            # an infinite rate passes only where every component vanishes
+            # after one step; a NaN left-hand side proves nothing
+            if not all(c.condition(i, limits) <= 0.0 for i in range(model.n)):
                 raise uncovered
             return bound, history_v
         rmax = model.dilation.r_max
@@ -549,7 +583,7 @@ def upper_envelope(
     return clock, history_v
 
 
-def xi_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound:
+def xi_bound(model: SystemModel, v: Sequence[float] | Certificate, alpha: float) -> DecayBound:
     """Power-rate exponent for degree zero under a proportional delay ratio.
 
     With K = 1/(1-alpha), xi_i makes the condition's left-hand side with
@@ -569,7 +603,7 @@ def xi_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound
     return _smallest_rate(POWER_RATE, c, xis)
 
 
-def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBound:
+def beta_bound(model: SystemModel, v: Sequence[float] | Certificate, alpha: float) -> DecayBound:
     """Power-rate envelope for positive degree under a proportional delay ratio.
 
     Per component the feasibility boundary is
@@ -614,7 +648,7 @@ def beta_bound(model: SystemModel, v: Sequence[float], alpha: float) -> DecayBou
 
 def mu_condition_check(
     model: SystemModel,
-    v: Sequence[float],
+    v: Sequence[float] | Certificate,
     clock: DecayBound,
     delays: Sequence[DelayModel],
 ) -> bool:

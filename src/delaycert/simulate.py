@@ -12,13 +12,18 @@ on the combined field, bit for bit.
 Which source each stage reads, and at what weight, depends only on the
 delays and the step grid, so a read plan works it out before the steps run:
 numpy computes, for a block of PLAN_BLOCK steps at a time, one (source,
-weight, grid index) triple per stage time and delay.  The step is Python
-source generated once per run from the system's monomials
+weight, grid index) triple per stage time and delay, from one
+`DelayModel.values` call per stage time and delay.  The run loop over a
+block is Python source generated from the system's monomials
 (`model.emit_field_sum`): the four stages and every component, monomial and
 delayed read are unrolled over local names, so a step makes no call and
-builds no list per stage.  The plan and the step do the float operations
-of a per-stage lookup and of `PolyVectorField.evaluate`, in the same order,
-so the trajectory is the same bit for bit.
+builds no list per stage.  The loop binds nothing of one run (the states,
+the history and the positivity record come in as arguments), so it is
+generated and compiled once per (system, h) and kept in a small cache that
+every later run of that system at that step size reuses.  The plan and the
+loop do the float operations of a per-stage lookup and of
+`PolyVectorField.evaluate`, in the same order, so the trajectory is the
+same bit for bit.
 
 Fixed stepping is deliberate: time-varying delays create derivative kinks at
 unpredictable times, and a fine fixed step with a documented O(h^2)
@@ -27,7 +32,7 @@ full step history is retained because unbounded delays can reach back
 arbitrarily far.
 
 Discrete systems iterate the map exactly (floating point only), through
-the same generated field sum.
+the same generated field sum, compiled once per system.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .delays import DelayModel, as_delay_list, history_depth
-from .model import Dilation, LevelSetProbe, SystemModel, emit_field_sum, lyapunov_v
+from .model import Dilation, LevelSetProbe, SystemModel, emit_field_sum, emit_key, lyapunov_v
 from .rates import DEFAULT_SAFETY, DecayBound
 
 CLAMP_EPS = 1e-12      # negative roundoff this small is snapped to zero
@@ -126,35 +131,64 @@ def _names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(n)]
 
 
-def _compile(args: str, body: list[str], outs: list[str], ns: dict) -> Callable:
-    """The function step(args) that runs body and returns the tuple of the
-    names outs when all are finite, else None; ns holds the names it reads."""
-    finite = " and ".join(f"_LO < {v} < _HI" for v in outs)
+def _define(name: str, args: str, body: list[str], ns: dict) -> Callable:
+    """The function name(args) with the statements body.  Every name in ns
+    that body reads is bound as a keyword default, a local, which is
+    faster to read than a global."""
     ns.update(_LO=-math.inf, _HI=math.inf)
-    # step lands in its own dict, not in ns: a function stored in its own
-    # globals is a cycle, which would keep each run's states until a full GC
+    defaults = "".join(f", {k}={k}" for k in ns)
     defined: dict = {}
-    exec("\n    ".join([f"def step({args}):", *body, f"if {finite}: return ({', '.join(outs)},)"]), ns, defined)
-    return defined["step"]
+    exec("\n    ".join([f"def {name}({args}{defaults}):", *body]), ns, defined)
+    return defined[name]
 
 
-def _rk4_step(model: SystemModel, states: list, phi, h: float) -> Callable:
-    """step(x, r): the RK4 step from the state tuple x, with r the step's
-    row of the read plan; the next state tuple, or None when it is not
-    finite.
+def _finite(names: list[str]) -> str:
+    return " and ".join(f"_LO < {v} < _HI" for v in names)
 
-    The step is straight-line source: the stages, components, monomials and
-    delayed reads are unrolled over local names.  Each delayed read is the
-    branch its plan code picks: the interpolation between two stored states
-    S = `states`, the history P = phi, the segment from x to the stage
-    state, or the stage state itself.
+
+_RUNS: dict = {}
+RUN_CACHE_SIZE = 8  # compiled functions kept, one per (system, h), least recently used dropped
+
+
+def _cached(key: tuple, build: Callable[[], Callable]) -> Callable:
+    """build()'s function for key, kept in the bounded cache _RUNS."""
+    fn = _RUNS.pop(key, None) or build()
+    _RUNS[key] = fn
+    while len(_RUNS) > RUN_CACHE_SIZE:
+        _RUNS.pop(next(iter(_RUNS)), None)
+    return fn
+
+
+def _rk4_run(model: SystemModel, h: float) -> Callable:
+    """run(x, rows, S, P, neg): the RK4 steps of one block of rows from the
+    state tuple x, appending each new state tuple to the list S; True when
+    every row was stepped, False at the first step whose state is not
+    finite (that step appends nothing).  An OverflowError it raises means
+    the same.
+
+    rows are the block's rows of the read plan, and each delayed read is
+    the branch its plan code picks: the interpolation between two stored
+    states of S, the history function P, the segment from x to the stage
+    state, or the stage state itself.  A new state with a negative
+    component is replaced by neg(state), which records and clamps it.
+
+    The loop body is straight-line source: the stages, components,
+    monomials and delayed reads are unrolled over local names.  Nothing of
+    one run is bound in the function, so one compiled run serves every run
+    of the system at step size h, from the cache `_RUNS`.
     """
+    h = float(h)
+    fields = (model.f, *model.delayed_terms)
+    return _cached((h.hex(), emit_key(fields)), lambda: _build_rk4_run(model, h))
+
+
+def _build_rk4_run(model: SystemModel, h: float) -> Callable:
     n, fields = model.n, (model.f, *model.delayed_terms)
     X, Y, A, B = (_names(p, n) for p in "xyab")
     D = [_names(f"d{q}_", n) for q in range(len(fields) - 1)]
     plan = [f"c{st}_{q}, w{st}_{q}, i{st}_{q}" for st in range(3) for q in range(len(D))]
-    body = [f"{', '.join(X)}, = x", f"{', '.join(plan)}, = r"]
-    ns: dict = {"S": states, "P": phi, "h": h, "half": 0.5 * h, "sixth": h / 6.0}
+    body = []
+    ns: dict = {"h": h, "half": 0.5 * h, "sixth": h / 6.0}
     for stage, st in enumerate((0, 1, 1, 2), 1):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
         if stage > 1:
             inc = "h" if stage == 4 else "half"
@@ -174,14 +208,40 @@ def _rk4_step(model: SystemModel, states: list, phi, h: float) -> Callable:
             for b, (code, lines) in enumerate(reads.items()):
                 body += [f"{'elif' if b else 'if'} {c} == {code}:", *("    " + line for line in lines)]
         body += emit_field_sum(fields, [Z, *D], _names(f"k{stage}_", n), ns)
-    body += [f"n{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(n)]
-    return _compile("x, r", body, _names("n", n), ns)
+    body += [f"x{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(n)]
+    state = ", ".join(X) + ","
+    body += [
+        f"if not ({_finite(X)}):",
+        "    return False",
+        f"if {' or '.join(f'{x} < 0.0' for x in X)}:",
+        f"    {state} = neg(({state}))",
+        f"S.append(({state}))",
+    ]
+    return _define("run", "x, rows, S, P, neg", [
+        f"{state} = x",
+        f"for {', '.join(plan)}, in rows:",
+        *("    " + line for line in body),
+        "return True",
+    ], ns)
+
+
+def _map_step(model: SystemModel) -> Callable:
+    """step(x, d): the map f(x) + sum_q g_q(d[q]) as one straight-line
+    function of the state tuple x and the delayed state tuples d; the next
+    state tuple, or None when it is not finite."""
+    n = model.n
+    X, N, D = _names("x", n), _names("n", n), [_names(f"d{q}_", n) for q in range(len(model.delayed_terms))]
+    body = [f"{', '.join(X)}, = x"] + [f"{', '.join(Dq)}, = d[{q}]" for q, Dq in enumerate(D)]
+    ns: dict = {}
+    body += emit_field_sum((model.f, *model.delayed_terms), [X, *D], N, ns)
+    body += [f"if {_finite(N)}: return ({', '.join(N)},)"]
+    return _define("step", "x, d", body, ns)
 
 
 def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: float):
     """(rows, codes, error): the delayed reads of RK4 steps j0..j1 - 1.
 
-    rows[j - j0] is step j's row for `_rk4_step`: a (code, w, idx) triple
+    rows yields, in order, step j's row for `_rk4_run`: a (code, w, idx) triple
     per stage time t, t + h/2, t + h (k2 and k3 share the middle one) and
     delay.  With s = t_stage - tau(t_stage), the read is
       _CURRENT  the stage state, when tau = 0 (or s does not move off the
@@ -200,9 +260,8 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
     t = np.arange(j0, j1) * h
     cols, codes, stop, error = [], [], j1 - j0, None
     for st, ts in enumerate((t, t + 0.5 * h, t + h)):
-        stage_times = ts.tolist()
         for d in delays:
-            tau = np.fromiter(map(d.value, stage_times), float, len(stage_times))
+            tau = d.values(ts)
             s = ts - tau
             code = np.select(
                 [tau == 0.0, s <= 0.0, (s >= t) & (ts > t), s >= t],
@@ -226,9 +285,9 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
                     f"delayed argument {s[m]} reaches below the initial window "
                     f"[-{depth}, 0]; delay and history depth are inconsistent"
                 ) if tau[m] >= 0.0 else ValueError(
-                    f"delay became {'negative' if tau[m] < 0.0 else tau[m]} at t={stage_times[m]}"
+                    f"delay became {'negative' if tau[m] < 0.0 else tau[m]} at t={float(ts[m])}"
                 )
-    return list(zip(*(col[:stop].tolist() for col in cols))), np.array(codes), error
+    return zip(*(col[:stop].tolist() for col in cols)), np.array(codes), error
 
 
 def simulate_continuous(
@@ -269,23 +328,22 @@ def simulate_continuous(
     states: list[tuple[float, ...]] = [x]
     violations: list[tuple[float, int, float]] = []
     diverged_at = None
-    step = _rk4_step(model, states, phi, h)
+
+    def neg(xn: tuple[float, ...]) -> tuple[float, ...]:
+        # the state of step len(states), at time len(states) * h
+        violations.extend((len(states) * h, i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS)
+        return tuple(0.0 if -CLAMP_EPS <= c < 0.0 else c for c in xn)
+
+    run = _rk4_run(model, h)
     reads = np.zeros(len(_SOURCES), dtype=np.int64)
     for j0 in range(0, steps, PLAN_BLOCK):
         rows, codes, error = _read_plan(delays, j0, min(j0 + PLAN_BLOCK, steps), h, depth)
-        for j, r in enumerate(rows, j0):
-            try:
-                xn = step(x, r)
-            except OverflowError:
-                xn = None
-            if xn is None:
-                diverged_at = (j + 1) * h
-                break
-            if min(xn) < 0.0:
-                violations += [((j + 1) * h, i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS]
-                xn = tuple(0.0 if -CLAMP_EPS <= c < 0.0 else c for c in xn)
-            states.append(xn)
-            x = xn
+        try:
+            finished = run(states[-1], rows, states, phi, neg)
+        except OverflowError:
+            finished = False
+        if not finished:
+            diverged_at = len(states) * h
         taken = len(states) - 1 - j0 + (diverged_at is not None)  # the diverging step read too
         reads += np.bincount(codes[:, :taken].ravel(), minlength=len(_SOURCES))
         if diverged_at is not None:
@@ -343,12 +401,7 @@ def simulate_discrete(
             raise ValueError(f"history at k={k} has dimension {len(xk)}, model n={n}")
         seq.append(xk)
 
-    # the map f(x) + sum_q g_q(d_q) as one straight-line function
-    X, D = _names("x", n), [_names(f"d{q}_", n) for q in range(len(delays))]
-    body = [f"{', '.join(X)}, = x"] + [f"{', '.join(Dq)}, = d[{q}]" for q, Dq in enumerate(D)]
-    ns: dict = {}
-    body += emit_field_sum((model.f, *model.delayed_terms), [X, *D], _names("n", n), ns)
-    step = _compile("x, d", body, _names("n", n), ns)
+    step = _cached(("discrete", emit_key((model.f, *model.delayed_terms))), lambda: _map_step(model))
 
     violations: list[tuple[float, int, float]] = []
     diverged_at = None
@@ -432,12 +485,13 @@ def envelope_check(
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     W = traj.lyapunov_values(v, dilation)
-    mu = np.array([clock.mu(t) for t in traj.times])
+    mu = clock.mu(traj.times)
     over = np.isinf(mu)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         scaled = W * mu
         # an exponential clock past the float range: W mu = exp(log W + rate t)
         scaled[over] = np.exp(np.log(W[over]) + clock.rate * traj.times[over])
+    scaled[W == 0.0] = 0.0  # nothing left to scale, even by an infinite clock
     M_fit = float(scaled.max())
     return EnvelopeReport(
         M_fit=M_fit, holds=M_fit <= M_theory * (1.0 + DEFAULT_SAFETY), M_theory=M_theory
@@ -464,18 +518,14 @@ def level_set_descent(
         return []
     V = traj.lyapunov_values(v, dilation)
     suffix_max = np.maximum.accumulate(V[::-1])[::-1]
-    entries: list[float] = []
-    idx = 0
-    for m in range(LEVEL_SETS):
-        thr = probe.threshold(m)
-        while idx < len(V) and suffix_max[idx] > thr:
-            idx += 1
-        if idx >= len(V):
-            break
-        entries.append(float(traj.times[idx]))
-        if thr == 0.0:
-            break
-    return entries
+    thresholds = np.array([probe.threshold(m) for m in range(LEVEL_SETS)])
+    # suffix_max is non-increasing: the first index at or below a threshold
+    idx = np.maximum.accumulate(np.searchsorted(-suffix_max, -thresholds))
+    count = int(np.sum(idx < len(V)))  # idx is non-decreasing: a prefix is in range
+    zeros = np.flatnonzero(thresholds[:count] == 0.0)
+    if len(zeros):
+        count = int(zeros[0]) + 1  # the zero set is the last one to enter
+    return traj.times[idx[:count]].tolist()
 
 
 def export_csv(
@@ -500,7 +550,7 @@ def export_csv(
         columns.append(traj.lyapunov_values(v, dilation).tolist())
     if bound is not None and math.isfinite(bound.rate):
         header.append("bound")
-        columns.append([bound.envelope(t) for t in times])
+        columns.append(bound.envelope(traj.times).tolist())
     row = ",".join(["%.17g"] * len(columns))
     lines = [",".join(header)] + [row % cells for cells in zip(*columns)]
     with open(path, "w", newline="") as fh:

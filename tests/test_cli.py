@@ -567,6 +567,27 @@ def test_simulate_infinite_rate_writes_no_bound_column(tmp_path, capsys):
     assert all(math.isfinite(float(c)) for row in lines[1:] for c in row.split(","))
 
 
+def test_simulate_checks_the_zero_map(tmp_path, capsys):
+    # x(k+1) = 0: eta is inf, every state is 0 from k = 1, and the envelope
+    # W(0) <= M = V(phi), W(k) = 0 after is checked, not skipped
+    doc = {
+        "version": 1,
+        "system": {"kind": "discrete", "f": {"n": 1, "components": [[]]},
+                   "delayed": [{"n": 1, "components": [[]]}], "dilation": [1.0], "degree": 0.0},
+        "delay": {"family": "constant_steps", "d": 2},
+        "initial_history": {"constant": [1.0]},
+        "sim": {"horizon": 30},
+        "analysis": {"v": [1.0]},
+    }
+    out_csv = tmp_path / "zero.csv"
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    assert code == 0
+    assert "envelope_skipped" not in out
+    assert out["bound"]["rate"] == "inf"
+    assert out["envelope"] == {"M_fit": 1.0, "M_theory": 1.0, "holds": True}
+    assert out_csv.read_text().splitlines()[0] == "t,x_1,V"
+
+
 def test_simulate_without_power_clock_is_undetermined(tmp_path, capsys):
     # analysis.alpha on a delay that is neither bounded nor proportional:
     # the bound is computed, but no upper solution checks it

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaycert import (
     AlternatingParityDelay,
@@ -100,3 +102,35 @@ def test_custom_delay_without_divergence_is_rejected():
 ])
 def test_delay_limits(delays, limits):
     assert delay_limits(delays) == limits
+
+
+# -- array forms: values(ts) against value(t), bit for bit ------------------------------------
+
+
+def _bits(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+_continuous_delays = st.one_of(
+    st.floats(0.0, 10.0).map(ConstantDelay),
+    st.tuples(st.floats(0.0, 2.0), st.floats(-3.0, 3.0)).map(
+        lambda ab: SinusoidalDelay(ab[0] + abs(ab[1]), ab[1])
+    ),
+    st.lists(st.tuples(st.floats(-5.0, 30.0), st.floats(0.0, 5.0)), min_size=1, max_size=5,
+             unique_by=lambda k: k[0]).map(lambda ks: PiecewiseLinearDelay(tuple(sorted(ks)))),
+    st.floats(0.0, 0.999).map(ProportionalDelay),
+    st.just(LogLagDelay()),
+    st.just(CustomDelay(lambda t: 0.5 + 0.25 * math.cos(t))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delay=_continuous_delays, ts=st.lists(st.floats(0.0, 40.0), max_size=40))
+def test_values_match_value_bitwise(delay, ts):
+    if isinstance(delay, PiecewiseLinearDelay):
+        # before the first knot, on every knot, next to it, and after the last
+        for t, _ in delay.knots:
+            ts += [t - 1.0, np.nextafter(t, -math.inf), t, np.nextafter(t, math.inf), t + 1.0]
+    ts = np.array(ts, dtype=float)
+    assert _bits(delay.values(ts)) == _bits(delay.value(t) for t in ts.tolist())
+

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaycert import (
     ConstantDelay,
@@ -107,9 +109,12 @@ def test_eta_discrete_zero_component_constrains_nothing():
     zero = linear_model([[0.0]], [[[0.0]]], "discrete")
     bound = eta_bound(zero, (1.0,), tau_sup=2.0)
     assert math.isinf(bound.rate)
-    # no float clock exp(inf t) to check an envelope against
+    # every state is zero from k = 1: the clock exp(inf k) is checked with M = V(phi)
+    assert upper_envelope(zero, (1.0,), bound, [ConstantStepDelay(2)], history_v=1.0) == (bound, 1.0)
+    # a map that does not vanish after one step has no infinite clock
     with pytest.raises(MissingLimitError):
-        upper_envelope(zero, (1.0,), bound, [ConstantStepDelay(2)], history_v=1.0)
+        upper_envelope(model, (1.0, 1.0), dataclasses.replace(bound, rate=math.inf),
+                       [ConstantStepDelay(2)], history_v=1.0)
 
 
 def test_eta_requires_degree_zero(cubic2d):
@@ -486,3 +491,65 @@ def test_decay_bound_serialization(cubic2d):
         alpha=0.5,
     ).to_dict()
     assert xi_doc["component_rates"] == ["inf"]
+
+
+# -- DecayBound.mu on arrays against the scalar formulas, bit for bit ------------------------------
+
+
+def _mu_reference(bound: DecayBound, t: float) -> float:
+    """The clock at one time in Python floats: math.exp and **."""
+    if bound.form == "exponential":
+        try:
+            return math.exp(bound.rate * t)
+        except OverflowError:
+            return math.inf
+    if bound.form == "polynomial_reciprocal":
+        return (bound.rate * t + 1.0) ** bound.poly_exponent
+    return t ** bound.rate if t > 0.0 else 0.0
+
+
+def _bits(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    form=st.sampled_from(["exponential", "polynomial_reciprocal", "power_rate"]),
+    rate=st.floats(1e-3, 40.0),
+    exponent=st.floats(0.05, 12.0),
+    ts=st.lists(st.floats(0.0, 3000.0), max_size=40),
+)
+def test_mu_array_matches_scalar_formula_bitwise(form, rate, exponent, ts):
+    bound = DecayBound(form, rate, (1.0,), (rate,),
+                       poly_exponent=exponent if form == "polynomial_reciprocal" else None)
+    # t = 0, and the exponential clock past the float range (exp overflows at 709.78)
+    ts = np.array(ts + [0.0, 1e-300, 1.0, 700.0 / rate, 720.0 / rate], dtype=float)
+    if form != "exponential":
+        ts = ts[ts <= 3000.0]  # keep ** in the float range, where it does not raise
+    expected = [_mu_reference(bound, t) for t in ts.tolist()]
+    assert _bits(bound.mu(ts)) == _bits(expected)
+    assert _bits(bound.envelope(ts)) == _bits(1.0 / m if m > 0.0 else math.inf for m in expected)
+    assert float(bound.mu(float(ts[-1]))).hex() == float(expected[-1]).hex()
+    if form == "exponential":
+        assert math.isinf(bound.mu(720.0 / rate))
+
+
+# -- a verified Certificate is not verified again ----------------------------------------------------
+
+
+def test_rates_trust_a_certificate_and_verify_a_bare_vector(scalar_half, monkeypatch):
+    import delaycert.rates as rates_mod
+    from delaycert import verify_certificate
+
+    cert = verify_certificate(scalar_half, (1.0,))
+    expected = eta_bound(scalar_half, (1.0,), tau_sup=1.0)
+    calls = []
+    monkeypatch.setattr(rates_mod, "verify_certificate", lambda *a, **k: calls.append(a) or cert)
+    bounds, skipped = decay_bounds(scalar_half, cert, ["eta"], [ConstantDelay(1.0)], None)
+    assert bounds == [expected] and skipped == []
+    assert upper_envelope(scalar_half, cert, bounds[0], [ConstantDelay(1.0)], history_v=2.0) == (expected, 2.0)
+    assert calls == []
+    eta_bound(scalar_half, (1.0,), tau_sup=1.0)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="certificate"):
+        eta_bound(scalar_half, dataclasses.replace(cert, valid=False), tau_sup=1.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from delaycert import (
     DecayBound,
     Dilation,
     HistoryUnderrunError,
+    LevelSetProbe,
     LogLagDelay,
     MissingLimitError,
     PiecewiseLinearDelay,
@@ -39,6 +41,7 @@ from delaycert import (
     xi_bound,
 )
 from delaycert.certify import linear_model
+from delaycert.model import emit_key
 from conftest import growth2d_closed_form, lyapunov_reference
 from rk4_oracle import oracle_continuous
 
@@ -456,6 +459,19 @@ def test_envelope_check_past_the_float_range_of_the_clock():
     assert rep.to_dict()["M_fit"] == "inf"
 
 
+def test_envelope_check_infinite_rate_of_a_vanishing_map():
+    # the clock exp(inf k) is 1 at k = 0 and inf after: W mu is W(0) at
+    # k = 0, 0 where W = 0, and inf where W is still positive
+    times = np.arange(6.0)
+    clock = DecayBound("exponential", math.inf, (1.0,), (math.inf,), infinite_components=(0,))
+    vanished = Trajectory(times=times, states=np.array([[0.5], [0.0], [0.0], [0.0], [0.0], [0.0]]))
+    rep = envelope_check(vanished, clock, (1.0,), Dilation((1.0,)), M_theory=1.0)
+    assert rep.holds and rep.M_fit == 0.5
+    lingering = Trajectory(times=times, states=np.array([[0.5], [1e-300], [0.0], [0.0], [0.0], [0.0]]))
+    rep = envelope_check(lingering, clock, (1.0,), Dilation((1.0,)), M_theory=1.0)
+    assert not rep.holds and rep.M_fit == math.inf
+
+
 def test_envelope_rejects_empty():
     traj = Trajectory(times=np.array([]), states=np.empty((0, 1)))
     bound = DecayBound("exponential", 1.0, (1.0,), (1.0,))
@@ -603,6 +619,43 @@ def test_level_set_unstable_trajectory_stops_at_first_threshold(growth2d):
     assert entries == []
 
 
+def _level_set_walk(times, V, gamma, phi_norm):
+    """The entry times by the per-threshold walk level_set_descent used to
+    take: advance one index at a time while the suffix maximum of V is
+    above the threshold."""
+    probe = LevelSetProbe(gamma, phi_norm)
+    suffix_max = np.maximum.accumulate(V[::-1])[::-1]
+    entries, idx = [], 0
+    for m in range(simulate_mod.LEVEL_SETS):
+        thr = probe.threshold(m)
+        while idx < len(V) and suffix_max[idx] > thr:
+            idx += 1
+        if idx >= len(V):
+            break
+        entries.append(float(times[idx]))
+        if thr == 0.0:
+            break
+    return entries
+
+
+_V_values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    V=st.lists(_V_values, min_size=1, max_size=80),
+    gamma=st.one_of(st.sampled_from([0.0, 0.5, 0.9]), st.floats(0.0, 0.999)),
+    phi_norm=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 3.0)),
+)
+def test_level_set_descent_matches_the_walk(V, gamma, phi_norm):
+    # plateaus and exact zeros come from the sampled values; with v = 1 and
+    # r = 1, V is the state itself
+    times = np.arange(len(V)) * 0.5
+    traj = Trajectory(times=times, states=np.array(V)[:, None])
+    entries = level_set_descent(traj, (1.0,), Dilation((1.0,)), gamma, phi_norm)
+    assert entries == _level_set_walk(times, np.array(V), gamma, phi_norm)
+
+
 # -- CSV export ---------------------------------------------------------------------------------
 
 def test_csv_format_and_determinism(tmp_path, cubic2d):
@@ -680,3 +733,52 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)))
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 1)))
+
+
+# -- the compiled run cache -------------------------------------------------------------------
+
+
+def test_one_compiled_run_serves_every_history_and_delay(cubic2d):
+    runs = [
+        (constant_history((1.0, 0.5)), SinusoidalDelay(2.0, 1.0)),
+        (tabulated_history([-3.0, 0.0], [[0.2, 2.0], [1.5, 0.1]]), PiecewiseLinearDelay(((0.0, 0.5), (3.0, 2.5)))),
+    ]
+    for phi, delay in runs + [(runs[0][0], runs[1][1]), (runs[1][0], runs[0][1])]:
+        _assert_matches_oracle(cubic2d, delay, phi, 0.01, 4.0)
+    assert simulate_mod._rk4_run(cubic2d, 0.01) is simulate_mod._rk4_run(cubic2d, 0.01)
+
+
+def test_a_diverging_run_leaves_nothing_to_the_next(scalar_half):
+    blow_up = simulate_continuous(BLOW_UP, ConstantDelay(0.3), constant_history((10.0,)), 0.01, 1.0)
+    assert blow_up.diverged
+    for x0 in (0.5, 1.0):
+        _assert_matches_oracle(BLOW_UP, ConstantDelay(0.3), constant_history((x0,)), 0.01, 1.0)
+    _assert_matches_oracle(scalar_half, ConstantDelay(0.3), constant_history((1.0,)), 0.01, 1.0)
+
+
+def test_runs_are_not_shared_across_signed_zeros_or_step_sizes(scalar_half):
+    def with_coeff(c):
+        return dataclasses.replace(scalar_half, f=PolyVectorField(1, (((-1.0, (1,)), (c, (1,))),)))
+
+    plus, minus = with_coeff(0.0), with_coeff(-0.0)
+    run_plus, run_minus = simulate_mod._rk4_run(plus, 0.01), simulate_mod._rk4_run(minus, 0.01)
+    assert run_plus is not run_minus
+    # each run keeps its own coefficient bits, bound as the default of _c0_0_1
+    def coeff(run):
+        return inspect.signature(run).parameters["_c0_0_1"].default
+
+    assert math.copysign(1.0, coeff(run_plus)) == 1.0
+    assert math.copysign(1.0, coeff(run_minus)) == -1.0
+    assert simulate_mod._rk4_run(plus, 0.01) is not simulate_mod._rk4_run(plus, 0.02)
+    for h in (0.01, 0.02):
+        _assert_matches_oracle(minus, ConstantDelay(0.3), constant_history((1.0,)), h, 1.0)
+
+
+def test_run_cache_is_bounded(scalar_half):
+    steps = [0.001 * (k + 1) for k in range(simulate_mod.RUN_CACHE_SIZE + 3)]
+    for h in steps:
+        simulate_continuous(scalar_half, ConstantDelay(0.5), constant_history((1.0,)), h, 0.05)
+        assert len(simulate_mod._RUNS) <= simulate_mod.RUN_CACHE_SIZE
+    # least recently used first: only the last RUN_CACHE_SIZE step sizes remain
+    key = emit_key((scalar_half.f, *scalar_half.delayed_terms))
+    assert list(simulate_mod._RUNS) == [(h.hex(), key) for h in steps[-simulate_mod.RUN_CACHE_SIZE:]]

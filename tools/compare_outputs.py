@@ -1,8 +1,12 @@
 """Compare the CLI outputs of two delaycert source trees.
 
 Runs `check`, `certify`, `bounds` and `simulate` from each tree on the same
-configs and prints every difference in stdout, exit code or CSV bytes.
-Exits 1 when any run differs and 0 when all agree.
+configs, and `batch` over each seed's six cubic_ensemble configs in one
+process, and prints every difference in stdout, exit code or CSV bytes.
+Exits 1 when any run differs and 0 when all agree.  `batch` is the one path
+where several configs run in one process, and so share what a process keeps
+between runs (such as compiled code); a state that leaks from one config
+into the next shows up there as a difference.
 
     git worktree add ../parent HEAD~1        # or: git archive HEAD~1 | tar -x -C ../parent
     python tools/compare_outputs.py ../parent/src src
@@ -32,9 +36,15 @@ COMMANDS = ("check", "certify", "bounds", "simulate")
 ABSENT = "(absent)"
 
 
-def perfbench_configs() -> dict[str, dict]:
+def _workloads():
     sys.path.insert(0, str(REPO / "perfbench"))
     import workloads
+
+    return workloads
+
+
+def perfbench_configs() -> dict[str, dict]:
+    workloads = _workloads()
 
     out = {}
     for seed in SEEDS:
@@ -115,6 +125,17 @@ def run_tree(src: Path, doc: dict, work: Path) -> dict[str, tuple]:
     return results
 
 
+def run_batch(src: Path, docs: dict[str, dict], work: Path) -> tuple:
+    """(exit code, stdout, {CSV name: bytes}) of one `batch` over docs."""
+    (work / "out").mkdir(parents=True)
+    for stem, doc in docs.items():
+        (work / f"{stem}.json").write_text(json.dumps(doc))
+    argv = [sys.executable, "-m", "delaycert", "batch", *(f"{stem}.json" for stem in docs), "--out", "out"]
+    proc = subprocess.run(argv, cwd=work, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+
+
 def json_differences(old, new, path: str = "") -> list[str]:
     if isinstance(old, dict) and isinstance(new, dict):
         out = []
@@ -162,6 +183,23 @@ def main(argv=None) -> int:
                     differing += 1
                     for line in lines:
                         print(f"{name} {cmd}: {line}")
+        cubic = _workloads().WORKLOADS["cubic_ensemble"]
+        for seed in SEEDS:
+            name, docs = f"cubic_ensemble-s{seed}", cubic.configs(seed)
+            (code_a, out_a, csvs_a), (code_b, out_b, csvs_b) = (
+                run_batch(src, docs, Path(tmp) / side / f"{name}-batch")
+                for side, src in (("old", old_src), ("new", new_src))
+            )
+            lines = [f"exit code: {code_a} -> {code_b}"] if code_a != code_b else []
+            if out_a != out_b:
+                lines.append("stdout differs")
+            lines += [f"{csv} bytes differ" for csv in sorted(set(csvs_a) | set(csvs_b))
+                      if csvs_a.get(csv) != csvs_b.get(csv)]
+            runs += 1
+            if lines:
+                differing += 1
+                for line in lines:
+                    print(f"{name} batch: {line}")
     print(f"{runs} runs on {len(configs)} configs; {differing} differ")
     return 1 if differing else 0
 
