@@ -17,12 +17,21 @@ constant along each dilation orbit, so the best-effort search explores only
 direction space (rays of the positive simplex) and refines the best ray by
 multiplicative coordinate descent.  A failed search is NOT a proof of
 infeasibility and is reported as plain absence.
+
+The search scores about ten thousand directions, each with one `margins`
+call.  Those calls run a straight-line function of v that
+`model.emit_field_sum` writes; the search compiles it once per system and
+keeps it in the compiled-function cache of `model`.  Every other caller
+(verification, rates, the linear route) evaluates a handful of points and
+takes the monomial kernel, which also stands in wherever a power in the
+compiled function overflows.  Both paths give the same margins bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from operator import truediv
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +41,12 @@ from .model import (
     Certificate,
     PolyVectorField,
     SystemModel,
+    _cached,
+    _define,
+    _names,
     dilate,
+    emit_field_sum,
+    emit_key,
     is_homogeneous,
 )
 
@@ -47,8 +61,21 @@ class HypothesisError(ValueError):
     this route: a negative verdict, not malformed input."""
 
 
-def margins(model: SystemModel, v: Sequence[float]) -> list[float]:
-    """Per-component certificate residuals at v (negative means stable)."""
+def margins(
+    model: SystemModel, v: Sequence[float], evaluator: Callable | None = None
+) -> list[float]:
+    """Per-component certificate residuals at v (negative means stable).
+
+    evaluator, the model's `_margin_evaluator`, computes the same list
+    from compiled code.  Where one of its powers overflows, the monomial
+    kernel computes the list instead and counts that monomial as a signed
+    infinity.
+    """
+    if evaluator is not None:
+        try:
+            return evaluator(v)
+        except OverflowError:
+            pass
     out = model.f.evaluate(v)
     gs = model.delayed_sum_at(v)
     for i in range(model.n):
@@ -190,28 +217,47 @@ def linear_model(A, B_list, kind: str) -> SystemModel:
 # -- nonlinear route ----------------------------------------------------------
 
 
-def _ray_score(model: SystemModel, u: Sequence[float]) -> float:
+def _margin_evaluator(model: SystemModel) -> Callable[[Sequence[float]], list[float]]:
+    """margins(v): `margins(model, v)` as one straight-line function of v.
+
+    It sums, bit for bit, as the kernel path does: f_i(v) + (g_0,i(v) +
+    g_1,i(v) + ...), minus v_i in discrete time, with each field's
+    statements from `emit_field_sum`.  A power that overflows raises
+    OverflowError.  Compiling costs more than a few dozen kernel calls, so
+    only the search, which scores thousands of rays, builds one.
+    """
+    n, gs = model.n, model.delayed_terms
+    X, F, G = _names("x", n), _names("f", n), _names("s", n)
+    ns: dict = {}
+    body = [f"{', '.join(X)}, = v"]
+    body += emit_field_sum((model.f,), [X], F, ns, tag="f")
+    body += emit_field_sum(gs, [X] * len(gs), G, ns, tag="g")
+    minus = [f" - {x}" if model.is_discrete else "" for x in X]
+    body.append(f"return [{', '.join(f'{a} + {b}{c}' for a, b, c in zip(F, G, minus))}]")
+    return _define("margins", "v", body, ns)
+
+
+def _ray_score(model: SystemModel, u: Sequence[float], evaluator: Callable) -> float:
     """Worst normalized margin along a simplex direction (lower is better)."""
-    m = margins(model, u)
-    return max(mi / ui for mi, ui in zip(m, u))
+    return max(map(truediv, margins(model, u, evaluator), u))
 
 
 def _refine_ray(
-    model: SystemModel, u: list[float], iters: int
+    model: SystemModel, u: list[float], iters: int, evaluator: Callable
 ) -> tuple[list[float], float]:
     """Multiplicative coordinate descent on the simplex direction."""
-    n = len(u)
-    score = _ray_score(model, u)
+    score = _ray_score(model, u, evaluator)
     delta = 0.5
     for _ in range(iters):
         improved = False
-        for j in range(n):
-            for factor in (1.0 + delta, 1.0 / (1.0 + delta)):
-                w = list(u)
+        factors = (1.0 + delta, 1.0 / (1.0 + delta))
+        for j in range(len(u)):
+            for factor in factors:
+                w = u.copy()
                 w[j] *= factor
                 total = sum(w)
                 w = [wi / total for wi in w]
-                s = _ray_score(model, w)
+                s = _ray_score(model, w, evaluator)
                 if s < score:
                     u, score = w, s
                     improved = True
@@ -239,10 +285,12 @@ def find_certificate_nonlinear(model: SystemModel, seed: int = 0) -> np.ndarray 
     n = model.n
     if RAY_SAMPLES < n:
         raise ValueError(f"RAY_SAMPLES={RAY_SAMPLES} must be at least n={n}")
-    for field_ in (model.f, *model.delayed_terms):
+    fields = (model.f, *model.delayed_terms)
+    for field_ in fields:
         ok, witness = is_homogeneous(field_, model.dilation, model.degree)
         if not ok:
             raise HypothesisError(f"model failed the exact homogeneity check: {witness}")
+    evaluator = _cached(("margins", model.kind, emit_key(fields)), lambda: _margin_evaluator(model))
 
     rng = np.random.default_rng(seed)
     rays: list[list[float]] = [[1.0 / n] * n]
@@ -254,10 +302,10 @@ def find_certificate_nonlinear(model: SystemModel, seed: int = 0) -> np.ndarray 
     for row in rng.dirichlet(np.ones(n), size=RAY_SAMPLES):
         rays.append([max(float(x), 1e-12) for x in row])
 
-    scored = sorted(((_ray_score(model, u), k) for k, u in enumerate(rays)))
+    scored = sorted(((_ray_score(model, u, evaluator), k) for k, u in enumerate(rays)))
     best_u, best_score = None, math.inf
     for s0, k in scored[: max(4, n)]:
-        u, s = _refine_ray(model, list(rays[k]), REFINE_ITERS)
+        u, s = _refine_ray(model, list(rays[k]), REFINE_ITERS, evaluator)
         if s < best_score:
             best_u, best_score = u, s
 

@@ -11,17 +11,24 @@ which reduces to the weighted l-infinity norm under the standard dilation.
 Every polynomial, scalar or vector, is evaluated by one monomial kernel,
 `_sum_monomials`, over a sparse form of its terms that lists only the
 nonzero exponents; each polynomial builds that form once, on first use.
-The simulator does not call the kernel: it runs Python statements that
-`emit_field_sum` writes from the same `_sparse` terms.  The kernel and the
-emitter must agree bit for bit, so a change to the order or form of the
-arithmetic in one is made in the other, and `emit_key` lists all that the
-emitter reads, so that compiled code can be reused for equal keys; a change
-to what the emitter reads is made in both.  `lyapunov_v` evaluates V at one
+The two hot loops, the simulator's steps and the certificate search's
+margins, do not call the kernel: they run Python statements that
+`emit_field_sum` writes from the same `_sparse` terms.  The kernel stays
+the path of every one-shot evaluation, where compiling would cost more
+than it saves, and of a power that overflows, which it counts as a signed
+infinity.  The kernel and the emitter must agree bit for bit, so a change
+to the order or form of the arithmetic in one is made in the other, and
+`emit_key` lists all that the emitter reads, so that compiled code can be
+reused for equal keys; a change to what the emitter reads is made in both.
+The helpers that compile emitted statements (`_define`, `_names`) and the
+bounded cache of compiled functions that the simulator and the search
+share (`_cached`, `_RUNS`) live here too.  `lyapunov_v` evaluates V at one
 point or at every row of an array in one numpy expression.
 
 All types are immutable values after construction; every operation in this
 module is pure and safe to call concurrently (two threads that build the
-same sparse form at once build equal values).
+same sparse form at once build equal values), except `_cached`, whose
+cache a concurrent caller may fill twice with equal functions.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,7 +96,8 @@ CHAIN = 200  # terms per emitted statement: a flat sum of thousands of terms ove
 
 
 def emit_field_sum(
-    fields: Sequence[PolyVectorField], args: Sequence[Sequence[str]], outs: Sequence[str], ns: dict
+    fields: Sequence[PolyVectorField], args: Sequence[Sequence[str]], outs: Sequence[str], ns: dict,
+    tag: str = "",
 ) -> list[str]:
     """Python statements that set each name outs[i] to component i of
     fields[0](args[0]) + fields[1](args[1]) + ..., where args[q] names the
@@ -100,20 +108,24 @@ def emit_field_sum(
     right, each t = coeff * x_j * x_k ** e with its factors in variable
     order, and each later field's component is added to it whole, as
     `out[i] += g(y)[i]` does.  Coefficients are bound in ns by name
-    (_c<q>_<i>_<k>), never written out, so inf and -0.0 stay exact; a sum
-    longer than CHAIN terms continues in further statements.  The
-    statements also use the name _g.  A power that overflows raises
-    OverflowError, where the kernel counts its monomial as a signed
-    infinity; either way that component is not finite.
+    (_c<tag><q>_<i>_<k>), never written out, so inf and -0.0 stay exact; a
+    name already bound to other bits raises ValueError, so two calls into
+    one ns with different fields need different tags.  A sum longer than
+    CHAIN terms continues in further statements.  The statements also use
+    the name _g.  A power that overflows raises OverflowError, where the
+    kernel counts its monomial as a signed infinity; either way that
+    component is not finite.
     """
     lines = []
     for i, out in enumerate(outs):
         for q, (F, xs) in enumerate(zip(fields, args)):
             terms = []
             for k, (coeff, _, factors) in enumerate(F._sparse[i]):
-                ns[f"_c{q}_{i}_{k}"] = coeff
+                name = f"_c{tag}{q}_{i}_{k}"
+                if ns.setdefault(name, coeff).hex() != coeff.hex():
+                    raise ValueError(f"{name} is already bound to {ns[name]!r}, not {coeff!r}")
                 powers = (xs[j] if e == 1 else f"{xs[j]} ** {e}" for j, e in factors)
-                terms.append(" * ".join([f"_c{q}_{i}_{k}", *powers]))
+                terms.append(" * ".join([name, *powers]))
             acc, head = (out if q == 0 else "_g"), "0.0"
             for lo in range(0, len(terms), CHAIN) or [0]:
                 lines.append(f"{acc} = {' + '.join([head, *terms[lo:lo + CHAIN]])}")
@@ -131,6 +143,33 @@ def emit_key(fields: Sequence[PolyVectorField]) -> tuple:
         tuple(tuple((coeff.hex(), factors) for coeff, _, factors in comp) for comp in F._sparse)
         for F in fields
     )
+
+
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _define(name: str, args: str, body: list[str], ns: dict) -> Callable:
+    """The function name(args) with the statements body.  Every name in ns
+    that body reads is bound as a keyword default, a local, which is
+    faster to read than a global."""
+    defaults = "".join(f", {k}={k}" for k in ns)
+    defined: dict = {}
+    exec("\n    ".join([f"def {name}({args}{defaults}):", *body]), ns, defined)
+    return defined[name]
+
+
+_RUNS: dict = {}
+RUN_CACHE_SIZE = 8  # compiled functions kept, least recently used dropped
+
+
+def _cached(key: tuple, build: Callable[[], Callable]) -> Callable:
+    """build()'s function for key, kept in the bounded cache _RUNS."""
+    fn = _RUNS.pop(key, None) or build()
+    _RUNS[key] = fn
+    while len(_RUNS) > RUN_CACHE_SIZE:
+        _RUNS.pop(next(iter(_RUNS)), None)
+    return fn
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ block is Python source generated from the system's monomials
 delayed read are unrolled over local names, so a step makes no call and
 builds no list per stage.  The loop binds nothing of one run (the states,
 the history and the positivity record come in as arguments), so it is
-generated and compiled once per (system, h) and kept in a small cache that
-every later run of that system at that step size reuses.  The plan and the
-loop do the float operations of a per-stage lookup and of
-`PolyVectorField.evaluate`, in the same order, so the trajectory is the
-same bit for bit.
+generated and compiled once per (system, h) and kept in the small cache of
+compiled functions in `model`, which every later run of that system at that
+step size reuses.  The plan and the loop do the float operations of a
+per-stage lookup and of `PolyVectorField.evaluate`, in the same order, so
+the trajectory is the same bit for bit.
 
 Fixed stepping is deliberate: time-varying delays create derivative kinks at
 unpredictable times, and a fine fixed step with a documented O(h^2)
@@ -44,8 +44,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .delays import DelayModel, as_delay_list, history_depth
-from .model import Dilation, LevelSetProbe, SystemModel, emit_field_sum, emit_key, lyapunov_v
-from .rates import DEFAULT_SAFETY, DecayBound
+from .model import Dilation, LevelSetProbe, SystemModel, _cached, _define, _names, emit_field_sum, emit_key, lyapunov_v
+from .model import RUN_CACHE_SIZE, _RUNS  # noqa: F401  (re-exported: the cache of compiled runs)
+from .rates import DEFAULT_SAFETY, DecayBound, _exp
 
 CLAMP_EPS = 1e-12      # negative roundoff this small is snapped to zero
 VIOLATION_EPS = 1e-9   # anything below this is a recorded positivity violation
@@ -127,36 +128,11 @@ _SOURCES = ("grid", "history", "segment", "current")
 PLAN_BLOCK = 1024  # steps per read plan, so the plan's size does not grow with the horizon
 
 
-def _names(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(n)]
-
-
-def _define(name: str, args: str, body: list[str], ns: dict) -> Callable:
-    """The function name(args) with the statements body.  Every name in ns
-    that body reads is bound as a keyword default, a local, which is
-    faster to read than a global."""
-    ns.update(_LO=-math.inf, _HI=math.inf)
-    defaults = "".join(f", {k}={k}" for k in ns)
-    defined: dict = {}
-    exec("\n    ".join([f"def {name}({args}{defaults}):", *body]), ns, defined)
-    return defined[name]
+_BOUNDS = {"_LO": -math.inf, "_HI": math.inf}  # the names that _finite's test reads
 
 
 def _finite(names: list[str]) -> str:
     return " and ".join(f"_LO < {v} < _HI" for v in names)
-
-
-_RUNS: dict = {}
-RUN_CACHE_SIZE = 8  # compiled functions kept, one per (system, h), least recently used dropped
-
-
-def _cached(key: tuple, build: Callable[[], Callable]) -> Callable:
-    """build()'s function for key, kept in the bounded cache _RUNS."""
-    fn = _RUNS.pop(key, None) or build()
-    _RUNS[key] = fn
-    while len(_RUNS) > RUN_CACHE_SIZE:
-        _RUNS.pop(next(iter(_RUNS)), None)
-    return fn
 
 
 def _rk4_run(model: SystemModel, h: float) -> Callable:
@@ -188,7 +164,7 @@ def _build_rk4_run(model: SystemModel, h: float) -> Callable:
     D = [_names(f"d{q}_", n) for q in range(len(fields) - 1)]
     plan = [f"c{st}_{q}, w{st}_{q}, i{st}_{q}" for st in range(3) for q in range(len(D))]
     body = []
-    ns: dict = {"h": h, "half": 0.5 * h, "sixth": h / 6.0}
+    ns: dict = {**_BOUNDS, "h": h, "half": 0.5 * h, "sixth": h / 6.0}
     for stage, st in enumerate((0, 1, 1, 2), 1):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
         if stage > 1:
             inc = "h" if stage == 4 else "half"
@@ -232,7 +208,7 @@ def _map_step(model: SystemModel) -> Callable:
     n = model.n
     X, N, D = _names("x", n), _names("n", n), [_names(f"d{q}_", n) for q in range(len(model.delayed_terms))]
     body = [f"{', '.join(X)}, = x"] + [f"{', '.join(Dq)}, = d[{q}]" for q, Dq in enumerate(D)]
-    ns: dict = {}
+    ns: dict = dict(_BOUNDS)
     body += emit_field_sum((model.f, *model.delayed_terms), [X, *D], N, ns)
     body += [f"if {_finite(N)}: return ({', '.join(N)},)"]
     return _define("step", "x, d", body, ns)
@@ -487,10 +463,14 @@ def envelope_check(
     W = traj.lyapunov_values(v, dilation)
     mu = clock.mu(traj.times)
     over = np.isinf(mu)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         scaled = W * mu
-        # an exponential clock past the float range: W mu = exp(log W + rate t)
-        scaled[over] = np.exp(np.log(W[over]) + clock.rate * traj.times[over])
+    # an exponential clock past the float range: W mu = exp(log W + rate t),
+    # with math.log and exp per element, as DecayBound's clocks are computed
+    scaled[over] = [
+        _exp(math.log(w) + clock.rate * t) if w else 0.0
+        for w, t in zip(W[over].tolist(), traj.times[over].tolist())
+    ]
     scaled[W == 0.0] = 0.0  # nothing left to scale, even by an infinite clock
     M_fit = float(scaled.max())
     return EnvelopeReport(

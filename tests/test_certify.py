@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from delaycert import (
     spectral_radius,
     verify_certificate,
 )
+from delaycert import certify as certify_mod
+from delaycert import model as model_mod
 from delaycert.certify import linear_model
 
 
@@ -243,3 +246,178 @@ def test_validity_invariant_along_dilation_orbits(cubic2d, lam, v1, v2):
     p, r = cubic2d.degree, cubic2d.dilation.r
     for i, (m0, m1) in enumerate(zip(base.margins, moved.margins)):
         assert m1 == pytest.approx(lam ** (p + r[i]) * m0, rel=1e-8, abs=1e-12)
+
+
+# -- the search's compiled margin evaluator ----------------------------------------------
+
+_COEFFS = st.one_of(st.sampled_from([-0.0, 0.0, math.inf]), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _models_and_points(draw):
+    n = draw(st.integers(1, 4))
+    term = st.tuples(_COEFFS, st.lists(st.integers(0, 4), min_size=n, max_size=n))
+
+    def field():
+        comps = draw(st.lists(st.lists(term, max_size=4), min_size=n, max_size=n))
+        # a nonzero term needs an exponent, so that the field vanishes at 0
+        return PolyVectorField(n, tuple(
+            tuple((c, [e[0] + (c != 0.0 and not any(e)), *e[1:]]) for c, e in comp) for comp in comps
+        ))
+
+    model = SystemModel(
+        kind=draw(st.sampled_from(["continuous", "discrete"])),
+        f=field(),
+        delayed_terms=tuple(field() for _ in range(draw(st.integers(1, 2)))),
+        dilation=Dilation((1.0,) * n),
+        degree=0.0,
+    )
+    # 10**-150 .. 10**150: cubes and fourth powers of the large ones overflow
+    v = draw(st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e), min_size=n, max_size=n))
+    return model, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models_and_points())
+def test_margin_evaluator_matches_kernel_bitwise(model_and_point):
+    model, v = model_and_point
+    evaluator = certify_mod._margin_evaluator(model)
+    got, want = margins(model, v, evaluator), margins(model, v)
+    assert [m.hex() for m in got] == [m.hex() for m in want]
+    try:
+        direct = evaluator(v)
+    except OverflowError:
+        return  # margins fell back to the kernel
+    assert [m.hex() for m in direct] == [m.hex() for m in want]
+
+
+def test_margin_evaluator_sums_delayed_terms_before_adding_f():
+    # f + (g_0 + g_1), as the kernel path does: 1 + (1e16 - 1e16) is 1,
+    # while (1 + 1e16) - 1e16 is 0
+    model = SystemModel(
+        kind="continuous",
+        f=PolyVectorField(1, (((1.0, (1,)),),)),
+        delayed_terms=(PolyVectorField(1, (((1e16, (1,)),),)), PolyVectorField(1, (((-1e16, (1,)),),))),
+        dilation=Dilation((1.0,)),
+        degree=0.0,
+    )
+    assert certify_mod._margin_evaluator(model)([1.0]) == margins(model, [1.0]) == [1.0]
+
+
+def test_margin_evaluator_overflow_falls_back_to_signed_infinity():
+    model = SystemModel(
+        kind="discrete",
+        f=PolyVectorField(2, (((-1.0, (3, 0)),), ((0.5, (0, 1)),))),
+        delayed_terms=(PolyVectorField(2, ((), ((2.0, (1, 0)),))),),
+        dilation=Dilation((1.0, 3.0)),
+        degree=2.0,
+    )
+    evaluator = certify_mod._margin_evaluator(model)
+    with pytest.raises(OverflowError):
+        evaluator([1e200, 1.0])
+    assert margins(model, [1e200, 1.0], evaluator) == [-math.inf, 2e200 - 0.5]
+
+
+def _random_cooperative_system(rng, n, kind, n_delayed):
+    """Degree 0 under r = (1, 2, 1, ...): linear couplings between components
+    of equal weight, quadratic ones from weight-1 into weight-2 components,
+    and a diagonal that makes every margin at the all-ones vector -slack
+    (a discrete diagonal stops at 0), so some systems are not stable."""
+    r = [1.0 if i % 2 == 0 else 2.0 for i in range(n)]
+    light = [i for i in range(n) if r[i] == 1.0]
+
+    def unit(*js):
+        e = [0] * n
+        for j in js:
+            e[j] += 1
+        return tuple(e)
+
+    def coupling(diagonal):
+        comps = []
+        for i in range(n):
+            terms = [(float(rng.uniform(0.1, 0.5)), unit(j)) for j in range(n)
+                     if r[j] == r[i] and (diagonal or j != i) and rng.random() < 0.6]
+            if r[i] == 2.0:
+                terms += [(float(rng.uniform(0.1, 0.5)), unit(*rng.choice(light, size=2))) for _ in range(2)]
+            comps.append(terms)
+        return comps
+
+    f, gs = coupling(False), [coupling(True) for _ in range(n_delayed)]
+    push = [sum(c for c, _ in f[i]) + sum(c for g in gs for c, _ in g[i]) for i in range(n)]
+    slack = rng.uniform(-0.3, 1.0)
+    for i in range(n):
+        d = push[i] - (1.0 - slack if kind == "discrete" else -slack)
+        f[i].insert(0, (-d if kind == "continuous" else max(-d, 0.0), unit(i)))
+    return SystemModel(
+        kind=kind,
+        f=PolyVectorField(n, tuple(tuple(c) for c in f)),
+        delayed_terms=tuple(PolyVectorField(n, tuple(tuple(c) for c in g)) for g in gs),
+        dilation=Dilation(tuple(r)),
+        degree=0.0,
+    )
+
+
+def test_search_returns_the_same_v_with_and_without_the_evaluator(monkeypatch):
+    rng = np.random.default_rng(2024)
+    systems = [
+        _random_cooperative_system(rng, int(rng.integers(2, 5)), kind, int(rng.integers(1, 3)))
+        for kind in ("continuous", "discrete") for _ in range(30)
+    ]
+    with_evaluator = [find_certificate_nonlinear(m, seed=k) for k, m in enumerate(systems)]
+    monkeypatch.setattr(certify_mod, "_cached", lambda key, build: None)  # the kernel path
+    kernel = [find_certificate_nonlinear(m, seed=k) for k, m in enumerate(systems)]
+    found = 0
+    for a, b in zip(with_evaluator, kernel):
+        assert (a is None) == (b is None)
+        if a is not None:
+            found += 1
+            assert [x.hex() for x in a] == [x.hex() for x in b]
+    assert 20 <= found < len(systems)  # both verdicts are covered
+
+
+def _count_margins(monkeypatch, model):
+    calls = [0]
+    kernel_margins = certify_mod.margins
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel_margins(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(certify_mod, "margins", counted)
+        v = find_certificate_nonlinear(model, seed=3)
+    return calls[0], v
+
+
+def test_search_counts_margins_once_per_scored_direction(monkeypatch, cubic2d):
+    # one call per scored direction, with the evaluator or without: 932 on
+    # this search, as before the evaluator existed
+    compiled = _count_margins(monkeypatch, cubic2d)
+    monkeypatch.setattr(certify_mod, "_cached", lambda key, build: None)
+    assert compiled[0] == _count_margins(monkeypatch, cubic2d)[0] == 932
+
+
+def test_search_compiles_its_evaluator_once_per_system(monkeypatch):
+    monkeypatch.setattr(model_mod, "_RUNS", {})
+    builds = []
+    build = certify_mod._margin_evaluator
+    monkeypatch.setattr(certify_mod, "_margin_evaluator", lambda model: builds.append(model) or build(model))
+    rng = np.random.default_rng(5)
+    model = _random_cooperative_system(rng, 4, "continuous", 1)
+    twin = SystemModel(  # an equal system built anew: the same key, no sparse forms yet
+        kind=model.kind,
+        f=PolyVectorField.from_dict(model.f.to_dict()),
+        delayed_terms=tuple(PolyVectorField.from_dict(g.to_dict()) for g in model.delayed_terms),
+        dilation=model.dilation,
+        degree=model.degree,
+    )
+    find_certificate_nonlinear(model)
+    assert builds == [model]
+    find_certificate_nonlinear(twin)
+    find_certificate_nonlinear(model, seed=1)
+    assert builds == [model]
+    (key, evaluator), = model_mod._RUNS.items()
+    assert key[:2] == ("margins", "continuous")
+    # the discrete system of the same fields is another evaluator
+    find_certificate_nonlinear(dataclasses.replace(twin, kind="discrete"))
+    assert len(builds) == 2 and model_mod._RUNS[key] is evaluator

@@ -636,6 +636,43 @@ def test_batch_runs_multiple_configs(tmp_path, capsys):
     assert (out_dir / "one.csv").exists() and (out_dir / "two.csv").exists()
 
 
+def dense_linear_config(n):
+    """x' = A x + B x(t - 1), dense: A has -n on its diagonal and 0.3 off
+    it, B is 0.5 everywhere, so the all-ones vector has margins -0.2 n - 0.3."""
+    def matrix(diag, off):
+        return {"n": n, "components": [
+            [{"coeff": diag if j == i else off, "exp": [int(k == j) for k in range(n)]} for j in range(n)]
+            for i in range(n)
+        ]}
+
+    return {
+        "version": 1,
+        "system": {
+            "kind": "continuous",
+            "f": matrix(-float(n), 0.3),
+            "delayed": [matrix(0.5, 0.5)],
+            "dilation": [1] * n,
+            "degree": 0,
+        },
+        "delay": {"family": "constant", "tau": 1},
+        "initial_history": {"constant": [1] * n},
+        "sim": {"h": 0.01, "horizon": 1},
+    }
+
+
+def test_one_shot_commands_on_a_linear_system_compile_nothing(tmp_path, capsys, monkeypatch):
+    # compiling the margin evaluator at n = 50 costs more than a one-shot
+    # command's few margin evaluations: only the nonlinear search builds one
+    from delaycert import model as model_mod
+
+    monkeypatch.setattr(model_mod, "_RUNS", {})
+    # check at n = 10: its symbolic Jacobian takes seconds at n = 50
+    for cmd, n in (("check", 10), ("certify", 50), ("bounds", 50)):
+        code, _ = run_cli(capsys, cmd, "--config", write(tmp_path, dense_linear_config(n)))
+        assert code == 0
+    assert model_mod._RUNS == {}
+
+
 # -- benchmark tracer ------------------------------------------------------------
 
 def test_benchmark_tracer_wraps_current_names(tmp_path, capsys, monkeypatch):

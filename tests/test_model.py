@@ -146,6 +146,27 @@ def test_emitted_power_overflow_raises():
         F(1e200)
 
 
+def test_emitted_coefficients_are_never_rebound_to_other_bits():
+    # two fields emitted into one ns at the same q: the second would bind
+    # _c0_0_0 to its own coefficient and the first field's code would read it
+    f = PolyVectorField(1, (((-1.0, (1,)),),))
+    g = PolyVectorField(1, (((0.5, (1,)),),))
+    ns: dict = {}
+    emit_field_sum([f], [["x0"]], ["a0"], ns)
+    with pytest.raises(ValueError, match="_c0_0_0"):
+        emit_field_sum([g], [["x0"]], ["b0"], ns)
+    assert ns["_c0_0_0"] == -1.0
+    # the same bits again (as once per RK4 stage) are allowed, -0.0 is not 0.0
+    assert emit_field_sum([f], [["y0"]], ["c0"], ns) == ["c0 = 0.0 + _c0_0_0 * y0"]
+    zero, minus_zero = (PolyVectorField(1, (((c, (1,)),),)) for c in (0.0, -0.0))
+    emit_field_sum([zero], [["x0"]], ["a0"], ns, tag="z")
+    with pytest.raises(ValueError, match="_cz0_0_0"):
+        emit_field_sum([minus_zero], [["x0"]], ["a0"], ns, tag="z")
+    # a different tag keeps the fields apart
+    emit_field_sum([g], [["x0"]], ["b0"], ns, tag="g")
+    assert (ns["_c0_0_0"], ns["_cg0_0_0"]) == (-1.0, 0.5)
+
+
 # -- dilation ------------------------------------------------------------------
 
 def test_dilate_basic():

@@ -459,6 +459,21 @@ def test_envelope_check_past_the_float_range_of_the_clock():
     assert rep.to_dict()["M_fit"] == "inf"
 
 
+def test_envelope_check_past_the_float_range_computes_per_element():
+    # W mu past the clock's float range is exp(log W + rate t) with math.log
+    # and math.exp per element, never numpy's vectorized exp and log, whose
+    # last bits may differ from libm's: M_fit equals that form exactly
+    rng = np.random.default_rng(12)
+    clock = DecayBound("exponential", 0.37, (1.0,), (0.37,))
+    for _ in range(200):
+        t = float(rng.uniform(1920.0, 2000.0))
+        w = float(np.exp(-0.37 * t + rng.uniform(-5.0, 5.0)))
+        traj = Trajectory(times=np.array([0.0, t]), states=np.array([[1e-300], [w]]))
+        assert clock.mu(t) == math.inf
+        rep = envelope_check(traj, clock, (1.0,), Dilation((1.0,)), M_theory=1.0)
+        assert rep.M_fit == math.exp(math.log(w) + 0.37 * t)
+
+
 def test_envelope_check_infinite_rate_of_a_vanishing_map():
     # the clock exp(inf k) is 1 at k = 0 and inf after: W mu is W(0) at
     # k = 0, 0 where W = 0, and inf where W is still positive

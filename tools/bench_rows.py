@@ -3,10 +3,13 @@
 Runs `python3 perfbench/run.py --trace 0` in each tree on every workload
 that BENCHMARK.json gates, in alternating pairs (the parent first in even
 pairs, the change first in odd ones), and writes the median and quartiles
-of every end-to-end metric for both trees to one JSON file.
+of every end-to-end metric for both trees to one JSON file.  Seeds given
+with --held-out run the same pairs after --seed, and their rows go under
+`held_out` in the same file.
 
     git archive HEAD~1 | tar -x -C ../parent
     python tools/bench_rows.py ../parent . --out BENCH_<n>.json --pairs 10 --seconds 50
+    python tools/bench_rows.py ../parent . --out BENCH_<n>.json --held-out 5   # and seed 5
 
 Each tree runs its own perfbench/ on its own src/, from its root.  For each
 metric the file also gives `change_wins`, the number of pairs in which the
@@ -53,33 +56,38 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50.0, help="run length of each run")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--held-out", type=int, nargs="*", default=[],
+                    help="further seeds, run in pairs after --seed and written under held_out")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
 
-    rows = {}
-    for w in (w["name"] for w in bench["workloads"]):
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for k in range(args.pairs):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_once(roots[side], w, args.seed, args.seconds))
-                print(f"{w} pair {k + 1}/{args.pairs} {side}: "
-                      f"run_s {runs[side][-1]['metrics']['run_s']['value']:.4f}", flush=True)
-        metrics = {}
-        for name in better:
-            per = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-            sign = 1.0 if better[name] == "higher" else -1.0
-            diff = sign * (np.array(per["change"]) - np.array(per["parent"]))
-            row = {"unit": units[name], "better": better[name]}
-            row.update({side: summary(per[side]) for side in per})
-            row["change_wins"] = int(np.sum(diff > 0.0))
-            row["ratio"] = row["change"]["median"] / row["parent"]["median"]
-            metrics[name] = row
-        failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
-        rows[w] = {"metrics": metrics, "failed_ops": failed}
+    def rows_of(seed: int) -> dict:
+        rows = {}
+        for w in (w["name"] for w in bench["workloads"]):
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for k in range(args.pairs):
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    runs[side].append(run_once(roots[side], w, seed, args.seconds))
+                    print(f"{w} seed {seed} pair {k + 1}/{args.pairs} {side}: "
+                          f"run_s {runs[side][-1]['metrics']['run_s']['value']:.4f}", flush=True)
+            metrics = {}
+            for name in better:
+                per = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+                sign = 1.0 if better[name] == "higher" else -1.0
+                diff = sign * (np.array(per["change"]) - np.array(per["parent"]))
+                row = {"unit": units[name], "better": better[name]}
+                row.update({side: summary(per[side]) for side in per})
+                row["change_wins"] = int(np.sum(diff > 0.0))
+                row["ratio"] = row["change"]["median"] / row["parent"]["median"]
+                metrics[name] = row
+            failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+            rows[w] = {"metrics": metrics, "failed_ops": failed}
+        return rows
 
+    tables = {seed: rows_of(seed) for seed in [args.seed, *args.held_out]}
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seed": args.seed,
@@ -90,14 +98,17 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "nproc": os.cpu_count(),
         },
-        "workloads": rows,
+        "workloads": tables[args.seed],
     }
+    if args.held_out:
+        doc["held_out"] = {str(seed): tables[seed] for seed in args.held_out}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    for w, row in rows.items():
-        for name, m in row["metrics"].items():
-            print(f"{w:18s} {name:12s} parent {m['parent']['median']:.6g} "
-                  f"change {m['change']['median']:.6g} ratio {m['ratio']:.3f} "
-                  f"wins {m['change_wins']}/{args.pairs}")
+    for seed, rows in tables.items():
+        for w, row in rows.items():
+            for name, m in row["metrics"].items():
+                print(f"seed {seed} {w:18s} {name:12s} parent {m['parent']['median']:.6g} "
+                      f"change {m['change']['median']:.6g} ratio {m['ratio']:.3f} "
+                      f"wins {m['change_wins']}/{args.pairs}")
     return 0
 
 
