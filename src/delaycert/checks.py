@@ -259,13 +259,13 @@ def check_delay_assumption(delay: DelayModel, horizon: float) -> DelayAssumption
 
     # sampled path for structurally unknown delays
     ts = np.geomspace(1e-3, horizon, 4096)
-    w = np.array([t - delay.value(t) for t in ts])
+    w = ts - delay.values(ts)
     head = w[: max(8, len(w) // 20)]
     tail = w[-max(8, len(w) // 20):]
     a5 = PASS if (tail.min() > max(0.0, head.max())) else FAIL
     T = horizon / 10.0
     mask = ts > T
-    ratios = np.array([delay.value(t) / t for t in ts[mask]])
+    ratios = delay.values(ts[mask]) / ts[mask]
     rmax = float(ratios.max()) if ratios.size else None
     if rmax is None or rmax >= 0.98:
         a51 = UNDETERMINED

@@ -211,7 +211,7 @@ def cmd_batch(args) -> int:
         try:
             cfg = load_config(path)
             status = _run_simulation(cfg, out_dir / (path.stem + ".csv"))
-        except ConfigError as exc:
+        except ValueError as exc:  # ConfigError included
             print(f"error: {path}: {exc}", file=sys.stderr)
             status = EXIT_CONFIG
         worst = max(worst, status)

@@ -63,6 +63,14 @@ def _check_history_rows(rows: list, n: int, where: str) -> None:
             raise ConfigError(f"{where} entries must be finite nonnegative numbers, got {row}")
 
 
+def _finite(value, where: str) -> float:
+    """value as a float; anything but a finite real number is a ConfigError
+    that names where it was found."""
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _field_from(doc, where: str) -> PolyVectorField:
     doc = _require_mapping(doc, where)
     _check_keys(doc, {"n", "components"}, set(), where)
@@ -93,19 +101,28 @@ def delay_from(doc, where: str = "delay") -> DelayModel:
         )
     cls, params = _DELAY_FAMILIES[family]
     _check_keys(doc, {"family"} | params, set(), where)
-    kwargs = {k: doc[k] for k in params}
-    if family == "piecewise_linear":
-        kwargs["knots"] = tuple((float(t), float(tau)) for t, tau in kwargs["knots"])
+    for k in params - {"knots"}:
+        _finite(doc[k], f"{where}.{k}")
     try:
-        return cls(**kwargs)
-    except ValueError as exc:
+        return cls(**{k: doc[k] for k in params})
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class SimSettings:
+    """Step size and horizon, each a finite positive number (kept as a
+    float); the command-line overrides are checked here too."""
+
     h: float
     horizon: float
+
+    def __post_init__(self):
+        for key in ("h", "horizon"):
+            value = _finite(getattr(self, key), f"sim.{key}")
+            if value <= 0.0:
+                raise ConfigError(f"sim.{key} must be positive, got {value!r}")
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -189,11 +206,12 @@ def parse_config(doc) -> ExperimentConfig:
     if not isinstance(delayed_docs, list) or not delayed_docs:
         raise ConfigError("system.delayed must be a non-empty list of vector fields")
     gs = tuple(_field_from(g, f"system.delayed[{q}]") for q, g in enumerate(delayed_docs))
+    degree = _finite(sys_doc["degree"], "system.degree")
     try:
         dilation = Dilation(tuple(sys_doc["dilation"]))
         system = SystemModel(
             kind=sys_doc["kind"], f=f, delayed_terms=gs,
-            dilation=dilation, degree=float(sys_doc["degree"]),
+            dilation=dilation, degree=degree,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"system: {exc}") from exc
@@ -235,13 +253,12 @@ def parse_config(doc) -> ExperimentConfig:
     if system.is_discrete:
         if "h" in sim_doc:
             raise ConfigError("sim.h does not apply to discrete systems")
-        sim = SimSettings(h=1.0, horizon=float(int(sim_doc["horizon"])))
+        # a discrete horizon counts whole steps
+        sim = SimSettings(h=1.0, horizon=int(_finite(sim_doc["horizon"], "sim.horizon")))
     else:
         if "h" not in sim_doc:
             raise ConfigError("sim.h is required for continuous systems")
-        sim = SimSettings(h=float(sim_doc["h"]), horizon=float(sim_doc["horizon"]))
-    if sim.h <= 0.0 or sim.horizon <= 0.0:
-        raise ConfigError("sim.h and sim.horizon must be positive")
+        sim = SimSettings(h=sim_doc["h"], horizon=sim_doc["horizon"])
 
     ana_doc = _require_mapping(doc.get("analysis", {}), "analysis")
     _check_keys(
@@ -253,17 +270,17 @@ def parse_config(doc) -> ExperimentConfig:
     if v is not None:
         if not isinstance(v, list) or len(v) != system.n:
             raise ConfigError(f"analysis.v must be a vector of length {system.n}")
-        v = tuple(float(x) for x in v)
+        v = tuple(_finite(x, "analysis.v entry") for x in v)
     bounds = tuple(ana_doc.get("bounds", ["auto"]))
     for b in bounds:
         if b not in KNOWN_BOUNDS:
             raise ConfigError(f"analysis.bounds entries must be in {KNOWN_BOUNDS}, got {b!r}")
-    gamma = float(ana_doc.get("gamma", 0.9))
+    gamma = _finite(ana_doc.get("gamma", 0.9), "analysis.gamma")
     if not 0.0 <= gamma < 1.0:
         raise ConfigError("analysis.gamma must lie in [0, 1)")
     alpha = ana_doc.get("alpha")
     if alpha is not None:
-        alpha = float(alpha)
+        alpha = _finite(alpha, "analysis.alpha")
         if not 0.0 <= alpha < 1.0:
             raise ConfigError("analysis.alpha must lie in [0, 1)")
     analysis = AnalysisSettings(v=v, gamma=gamma, bounds=bounds, alpha=alpha)

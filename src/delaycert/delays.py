@@ -67,8 +67,8 @@ class ConstantDelay(DelayModel):
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise ValueError("delay must be nonnegative")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau!r}")
 
     diverges = True
 
@@ -94,8 +94,8 @@ class SinusoidalDelay(DelayModel):
     b: float
 
     def __post_init__(self):
-        if self.a < abs(self.b):
-            raise ValueError("need a >= |b| for a nonnegative delay")
+        if not abs(self.b) <= self.a < math.inf:
+            raise ValueError(f"need finite a >= |b| for a nonnegative delay, got {self.a!r}, {self.b!r}")
 
     diverges = True
 
@@ -124,14 +124,17 @@ class PiecewiseLinearDelay(DelayModel):
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        knots = tuple((float(t), float(tau)) for t, tau in self.knots)
+        try:
+            knots = tuple((float(t), float(tau)) for t, tau in self.knots)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"knots must be [t, tau] number pairs, got {self.knots!r}") from exc
         if len(knots) < 1:
             raise ValueError("need at least one knot")
         ts = [t for t, _ in knots]
-        if sorted(ts) != ts or len(set(ts)) != len(ts):
-            raise ValueError("knot times must be strictly increasing")
-        if min(tau for _, tau in knots) < 0.0:
-            raise ValueError("delay values must be nonnegative")
+        if sorted(ts) != ts or len(set(ts)) != len(ts) or not all(map(math.isfinite, ts)):
+            raise ValueError("knot times must be finite and strictly increasing")
+        if not all(0.0 <= tau < math.inf for _, tau in knots):
+            raise ValueError("delay values must be finite and nonnegative")
         object.__setattr__(self, "knots", knots)
 
     diverges = True
@@ -178,7 +181,7 @@ class ProportionalDelay(DelayModel):
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
 
     tau_sup = None
     diverges = True
@@ -229,8 +232,8 @@ class ConstantStepDelay(DelayModel):
     d: int
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("delay must be nonnegative")
+        if not 0 <= self.d < math.inf:
+            raise ValueError(f"d must be finite and nonnegative, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
 
     is_discrete = True
@@ -271,7 +274,7 @@ class ProportionalStepDelay(DelayModel):
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
 
     is_discrete = True
     tau_sup = None
@@ -297,7 +300,7 @@ def history_depth(delay: DelayModel, probe_horizon: float = 200.0) -> float:
     if probe_horizon <= 0.0:
         raise ValueError("probe horizon must be positive")
     ts = np.linspace(0.0, probe_horizon, 50001)
-    w = np.array([t - delay.value(t) for t in ts])
+    w = ts - delay.values(ts)
     if delay.diverges is None and w[-1] <= 0.0:
         raise ValueError(
             "delayed argument never became positive within the probe horizon; "
@@ -312,7 +315,7 @@ def history_depth(delay: DelayModel, probe_horizon: float = 200.0) -> float:
     lo = ts[max(j - 1, 0)]
     hi = ts[min(j + 1, len(ts) - 1)]
     fine = np.linspace(lo, hi, 2001)
-    depth = -min(float(min(t - delay.value(t) for t in fine)), float(w[: t0_idx + 1].min()))
+    depth = -min(float((fine - delay.values(fine)).min()), float(w[: t0_idx + 1].min()))
     return max(0.0, depth)
 
 

@@ -8,22 +8,28 @@ certificates, and the weighted max-type Lyapunov function
 
 which reduces to the weighted l-infinity norm under the standard dilation.
 
+`ScalarPoly` is the one store of polynomial terms: it checks and
+normalises a term list and builds its sparse form, which lists only the
+nonzero exponents, once, on first use.  A `PolyVectorField` builds one
+`ScalarPoly` per component when it is constructed and keeps it; its
+`components`, its sparse form, `component_poly` and `jacobian` all read
+those stored rows, so no row is checked or built twice.
+
 Every polynomial, scalar or vector, is evaluated by one monomial kernel,
-`_sum_monomials`, over a sparse form of its terms that lists only the
-nonzero exponents; each polynomial builds that form once, on first use.
-The two hot loops, the simulator's steps and the certificate search's
-margins, do not call the kernel: they run Python statements that
-`emit_field_sum` writes from the same `_sparse` terms.  The kernel stays
-the path of every one-shot evaluation, where compiling would cost more
-than it saves, and of a power that overflows, which it counts as a signed
-infinity.  The kernel and the emitter must agree bit for bit, so a change
-to the order or form of the arithmetic in one is made in the other, and
-`emit_key` lists all that the emitter reads, so that compiled code can be
-reused for equal keys; a change to what the emitter reads is made in both.
-The helpers that compile emitted statements (`_define`, `_names`) and the
-bounded cache of compiled functions that the simulator and the search
-share (`_cached`, `_RUNS`) live here too.  `lyapunov_v` evaluates V at one
-point or at every row of an array in one numpy expression.
+`_sum_monomials`, over that sparse form.  The two hot loops, the
+simulator's steps and the certificate search's margins, do not call the
+kernel: they run Python statements that `emit_field_sum` writes from the
+same `_sparse` terms.  The kernel stays the path of every one-shot
+evaluation, where compiling would cost more than it saves, and of a power
+that overflows, which it counts as a signed infinity.  The kernel and the
+emitter must agree bit for bit, so a change to the order or form of the
+arithmetic in one is made in the other, and `emit_key` lists all that the
+emitter reads, so that compiled code can be reused for equal keys; a
+change to what the emitter reads is made in both.  The helpers that
+compile emitted statements (`_define`, `_names`) and the bounded cache of
+compiled functions that the simulator and the search share (`_cached`,
+`_RUNS`) live here too.  `lyapunov_v` evaluates V at one point or at every
+row of an array in one numpy expression.
 
 All types are immutable values after construction; every operation in this
 module is pure and safe to call concurrently (two threads that build the
@@ -34,7 +40,7 @@ cache a concurrent caller may fill twice with equal functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -55,13 +61,6 @@ def _overflow_value(coeff: float, x: Sequence[float], exps: tuple[int, ...]) -> 
         if xi < 0.0 and e % 2:
             sign = -sign
     return sign * math.inf
-
-
-def _sparse_terms(terms: tuple[Term, ...]) -> tuple[SparseTerm, ...]:
-    return tuple(
-        (coeff, exps, tuple((j, e) for j, e in enumerate(exps) if e))
-        for coeff, exps in terms
-    )
 
 
 def _sum_monomials(
@@ -187,8 +186,8 @@ class Dilation:
         rs = tuple(float(ri) for ri in self.r)
         if not rs:
             raise ValueError("dilation needs at least one exponent")
-        if min(rs) <= 0.0:
-            raise ValueError(f"dilation exponents must be positive, got {rs}")
+        if not all(0.0 < ri < math.inf for ri in rs):
+            raise ValueError(f"dilation exponents must be finite and positive, got {rs}")
         object.__setattr__(self, "r", rs)
 
     @property
@@ -211,25 +210,33 @@ def dilate(d: Dilation, lam: float, x: Sequence[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ScalarPoly:
-    """Polynomial in n variables, stored as monomial terms (coeff, exponents)."""
+    """Polynomial in n variables, stored as monomial terms (coeff, exponents).
+
+    The one place where a term list is checked and normalised: each
+    exponent tuple must have n nonnegative integer entries (1.0 counts as
+    1, 1.5 is an error), and terms are kept as (float, tuple of ints).
+    """
 
     n: int
     terms: tuple[Term, ...]
 
     def __post_init__(self):
         norm = []
-        for coeff, exps in self.terms:
-            exps = tuple(int(e) for e in exps)
+        for coeff, given in self.terms:
+            exps = tuple(int(e) for e in given)
             if len(exps) != self.n:
                 raise ValueError(f"term exponent tuple {exps} does not match n={self.n}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"exponents must be nonnegative integers, got {exps}")
+            if exps != tuple(given) or any(e < 0 for e in exps):
+                raise ValueError(f"exponents must be nonnegative integers, got {tuple(given)}")
             norm.append((float(coeff), exps))
         object.__setattr__(self, "terms", tuple(norm))
 
     @cached_property
     def _sparse(self) -> tuple[SparseTerm, ...]:
-        return _sparse_terms(self.terms)
+        return tuple(
+            (coeff, exps, tuple((j, e) for j, e in enumerate(exps) if e))
+            for coeff, exps in self.terms
+        )
 
     def evaluate(self, x: Sequence[float]) -> float:
         if len(x) != self.n:
@@ -268,6 +275,7 @@ class PolyVectorField:
 
     n: int
     components: tuple[tuple[Term, ...], ...]
+    _rows: tuple[ScalarPoly, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.components) != self.n:
@@ -275,24 +283,15 @@ class PolyVectorField:
                 f"field must have one component per dimension: n={self.n}, "
                 f"got {len(self.components)} components"
             )
-        norm = []
-        for comp in self.components:
-            terms = []
-            for coeff, exps in comp:
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.n:
-                    raise ValueError(f"term exponents {exps} do not match n={self.n}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"exponents must be nonnegative, got {exps}")
-                terms.append((float(coeff), exps))
-            norm.append(tuple(terms))
-        object.__setattr__(self, "components", tuple(norm))
+        rows = tuple(ScalarPoly(self.n, comp) for comp in self.components)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "components", tuple(row.terms for row in rows))
 
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
     def _sparse(self) -> tuple[tuple[SparseTerm, ...], ...]:
-        return tuple(_sparse_terms(terms) for terms in self.components)
+        return tuple(row._sparse for row in self._rows)
 
     def evaluate(self, x: Sequence[float]) -> list[float]:
         if len(x) != self.n:
@@ -300,7 +299,7 @@ class PolyVectorField:
         return _sum_monomials(self._sparse, x)
 
     def component_poly(self, i: int) -> ScalarPoly:
-        return ScalarPoly(self.n, self.components[i])
+        return self._rows[i]
 
     # -- algebra ------------------------------------------------------------
 
@@ -391,9 +390,7 @@ class PolyVectorField:
 
 def jacobian(F: PolyVectorField) -> tuple[tuple[ScalarPoly, ...], ...]:
     """Exact symbolic Jacobian: entry (i, j) is d F_i / d x_j (power rule)."""
-    return tuple(
-        tuple(F.component_poly(i).diff(j) for j in range(F.n)) for i in range(F.n)
-    )
+    return tuple(tuple(row.diff(j) for j in range(F.n)) for row in F._rows)
 
 
 def is_homogeneous(

@@ -215,6 +215,77 @@ def test_check_rejects_history_outside_theorems(tmp_path, capsys, kind, history)
     assert "initial_history" in captured.err
 
 
+def test_check_discrete_system_tests_f_for_monotonicity(tmp_path, capsys):
+    code, doc = run_cli(capsys, "check", "--config", write(tmp_path, discrete_config()))
+    assert code == 0
+    checks = doc["report"]["checks"]
+    assert checks["nondecreasing:f"] == {"verdict": "pass", "mode": "proof"}
+    assert "cooperative:f" not in checks
+    # a decreasing map fails, with a witness
+    doc_ = discrete_config()
+    doc_["system"]["f"]["components"][0][0]["coeff"] = -0.3
+    code, doc = run_cli(capsys, "check", "--config", write(tmp_path, doc_))
+    assert code == 2
+    assert doc["report"]["checks"]["nondecreasing:f"]["verdict"] == "fail"
+    assert doc["report"]["checks"]["nondecreasing:f"]["witness"]["entry"] == [0, 0]
+
+
+def _with(doc, path, value):
+    """doc with the entry at path (a list of keys) set to value."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _exps(exp):
+    return {"n": 1, "components": [[{"coeff": -1, "exp": exp}]]}
+
+
+# every case once crashed with a traceback (exit 1) or was accepted
+@pytest.mark.parametrize("doc, cmd, argv, key", [
+    (_with(scalar_config(), ["delay"], {"family": "constant", "tau": "x"}), "certify", [], "tau"),
+    (_with(cubic_config(), ["delay"], {"family": "proportional", "alpha": "x"}), "certify", [], "alpha"),
+    (_with(discrete_config(), ["delay"], {"family": "constant_steps", "d": "x"}), "certify", [], "d"),
+    (_with(cubic_config(), ["delay"], {"family": "sinusoidal", "a": None, "b": 1}), "certify", [], "a"),
+    (_with(cubic_config(), ["delay"], {"family": "sinusoidal", "a": 4, "b": math.nan}), "certify", [], "b"),
+    (_with(growth_config(), ["delay"], {"family": "piecewise_linear", "knots": 5}), "certify", [], "knots"),
+    (_with(growth_config(), ["delay"], {"family": "piecewise_linear", "knots": [[0, "x"]]}),
+     "certify", [], "knots"),
+    (_with(growth_config(), ["delay"], {"family": "piecewise_linear", "knots": [[0, 1e400]]}),
+     "certify", [], "delay values"),
+    (_with(discrete_config(), ["delay"], {"family": "constant_steps", "d": 1e400}), "certify", [], "d"),
+    (_with(scalar_config(), ["delay"], {"family": "constant", "tau": 1e400}), "certify", [], "tau"),
+    (_with(discrete_config(), ["sim", "horizon"], 1e400), "certify", [], "sim.horizon"),
+    (_with(scalar_config(), ["sim", "horizon"], 1e400), "simulate", [], "sim.horizon"),
+    (_with(scalar_config(), ["sim", "h"], "x"), "certify", [], "sim.h"),
+    (scalar_config(), "simulate", ["--horizon", "inf"], "sim.horizon"),
+    (scalar_config(), "certify", ["--h", "nan"], "sim.h"),
+    (scalar_config(), "certify", ["--h", "0"], "sim.h"),
+    (_with(scalar_config(), ["system", "degree"], "x"), "certify", [], "system.degree"),
+    (_with(scalar_config(), ["system", "dilation"], [1e400]), "certify", [], "dilation"),
+    (_with(scalar_config(), ["analysis", "v"], [None]), "certify", [], "analysis.v"),
+    (_with(scalar_config(), ["analysis", "gamma"], None), "certify", [], "analysis.gamma"),
+    (_with(scalar_config(), ["system", "f"], _exps([1, 0])), "check", [], "exponent"),
+    (_with(scalar_config(), ["system", "f"], _exps([-1])), "check", [], "exponent"),
+    (_with(scalar_config(), ["system", "f"], _exps([1.5])), "check", [], "exponent"),
+], ids=[
+    "tau-str", "alpha-str", "d-str", "a-null", "b-nan", "knots-int", "knots-str", "knots-inf",
+    "d-inf", "tau-inf", "discrete-horizon-inf", "continuous-horizon-inf", "h-str",
+    "horizon-arg-inf", "h-arg-nan", "h-arg-zero", "degree-str", "dilation-inf", "v-null",
+    "gamma-null", "exponent-length", "exponent-negative", "exponent-fractional",
+])
+def test_malformed_numbers_exit_64_naming_the_key(tmp_path, capsys, doc, cmd, argv, key):
+    out = ["--out", str(tmp_path / "x.csv")] if cmd == "simulate" else []
+    code = main([cmd, "--config", write(tmp_path, doc), *argv, *out])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert key in captured.err
+
+
 # -- certify -------------------------------------------------------------------
 
 def test_certify_cubic_user_vector(tmp_path, capsys):
@@ -259,6 +330,41 @@ def test_certify_unstable_linear_absent(tmp_path, capsys):
     code, out = run_cli(capsys, "certify", "--config", write(tmp_path, doc))
     assert code == 2
     assert out["certificate"] is None
+
+
+@pytest.mark.parametrize("f_exp, g_exp, degree", [([1], [1], 0), ([3], [3], 2)],
+                         ids=["linear", "cubic"])
+def test_certify_unstable_system_has_no_certificate(tmp_path, capsys, f_exp, g_exp, degree):
+    # x' = x + 0.2 x(t - 1), and its cubic twin: cooperative and monotone,
+    # but every margin is positive, so neither route finds a certificate
+    doc = scalar_config()
+    del doc["analysis"]
+    doc["system"]["f"] = {"n": 1, "components": [[{"coeff": 1, "exp": f_exp}]]}
+    doc["system"]["delayed"] = [{"n": 1, "components": [[{"coeff": 0.2, "exp": g_exp}]]}]
+    doc["system"]["degree"] = degree
+    code, out = run_cli(capsys, "certify", "--config", write(tmp_path, doc))
+    assert code == 2
+    assert out["certificate"] is None
+    assert out["note"].startswith("no certificate found")
+
+
+def test_seed_argument_overrides_the_config_seed(tmp_path, capsys, monkeypatch):
+    from delaycert import cli
+
+    seeds = []
+
+    def search(system, seed):
+        seeds.append(seed)
+        return find(system, seed)
+
+    find = cli.find_certificate_nonlinear
+    monkeypatch.setattr(cli, "find_certificate_nonlinear", search)
+    doc = cubic_config(seed=3)
+    del doc["analysis"]["v"]
+    cfg = write(tmp_path, doc)
+    outs = [run_cli(capsys, "certify", "--config", cfg, *argv) for argv in ([], ["--seed", "11"])]
+    assert seeds == [3, 11]
+    assert [code for code, _ in outs] == [0, 0]
 
 
 # -- bounds --------------------------------------------------------------------
@@ -624,6 +730,17 @@ def test_cli_overrides(tmp_path, capsys):
     assert doc["samples"] == 11
 
 
+def test_simulate_with_an_invalid_certificate_skips_the_bounds(tmp_path, capsys):
+    doc = scalar_config()
+    doc["system"]["delayed"][0]["components"][0][0]["coeff"] = 1.5  # margin 0.5 at v = 1
+    out_csv = tmp_path / "invalid.csv"
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    assert code == 0
+    assert out["bounds_skipped"] == "certificate is not valid"
+    assert "bound" not in out and "envelope" not in out
+    assert out_csv.read_text().splitlines()[0] == "t,x_1,V"
+
+
 # -- batch ---------------------------------------------------------------------
 
 def test_batch_runs_multiple_configs(tmp_path, capsys):
@@ -634,6 +751,23 @@ def test_batch_runs_multiple_configs(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert (out_dir / "one.csv").exists() and (out_dir / "two.csv").exists()
+
+
+def test_batch_keeps_going_after_an_unusable_config(tmp_path, capsys):
+    # the history table lacks k = -2, which the delay d = 2 reads: the
+    # config parses, and the simulator rejects it
+    bad_doc = discrete_config()
+    bad_doc["initial_history"] = {"table": {"times": [-1, 0], "states": [[1], [1]]}}
+    bad = write(tmp_path, bad_doc, "bad.json")
+    good = write(tmp_path, discrete_config(), "good.json")
+    out_dir = tmp_path / "out"
+    code = main(["batch", bad, good, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert "k=-2" in captured.err
+    assert (out_dir / "good.csv").exists()
+    assert not (out_dir / "bad.csv").exists()
 
 
 def dense_linear_config(n):
@@ -666,9 +800,8 @@ def test_one_shot_commands_on_a_linear_system_compile_nothing(tmp_path, capsys, 
     from delaycert import model as model_mod
 
     monkeypatch.setattr(model_mod, "_RUNS", {})
-    # check at n = 10: its symbolic Jacobian takes seconds at n = 50
-    for cmd, n in (("check", 10), ("certify", 50), ("bounds", 50)):
-        code, _ = run_cli(capsys, cmd, "--config", write(tmp_path, dense_linear_config(n)))
+    for cmd in ("check", "certify", "bounds"):
+        code, _ = run_cli(capsys, cmd, "--config", write(tmp_path, dense_linear_config(50)))
         assert code == 0
     assert model_mod._RUNS == {}
 

@@ -75,6 +75,22 @@ def test_delay_validation():
         PiecewiseLinearDelay(((0.0, 1.0), (0.0, 2.0)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: ConstantDelay(v),
+    lambda v: SinusoidalDelay(v, 1.0),
+    lambda v: SinusoidalDelay(4.0, v),
+    lambda v: ProportionalDelay(v),
+    lambda v: ConstantStepDelay(v),
+    lambda v: ProportionalStepDelay(v),
+    lambda v: PiecewiseLinearDelay(((0.0, v),)),
+    lambda v: PiecewiseLinearDelay(((0.0, 1.0), (v, 2.0))),
+])
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+def test_delay_families_reject_nonfinite_parameters(make, v):
+    with pytest.raises(ValueError, match="finite|lie in"):
+        make(v)
+
+
 def test_custom_delay_without_divergence_is_rejected():
     frozen = CustomDelay(lambda t: t)  # t - tau(t) stuck at zero
     with pytest.raises(ValueError, match="divergence"):

@@ -197,6 +197,12 @@ def test_dilation_validation():
     assert Dilation((1.0, 2.0)).r_max == 2.0
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_dilation_rejects_nonfinite_exponents(r):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Dilation((1.0, r))
+
+
 # -- homogeneity identity (exact test and the sampled functional identity) ------
 
 def test_cubic_fields_homogeneous_degree_two():
@@ -284,6 +290,51 @@ def test_lyapunov_dilation_scaling(lam, x, r2):
 
 
 # -- jacobian --------------------------------------------------------------------
+
+def _dense_field(n, seed):
+    """n components of n terms each, each term with about n/10 variables
+    raised to powers 1 or 2."""
+    rng = np.random.default_rng(seed)
+    return PolyVectorField(n, tuple(
+        tuple((float(c), tuple(int(e) for e in exps)) for c, exps in zip(
+            rng.uniform(-2.0, 2.0, n), rng.integers(1, 3, (n, n)) * (rng.random((n, n)) < 0.1)))
+        for _ in range(n)
+    ))
+
+
+def test_field_keeps_its_rows_and_differentiates_them():
+    n = 50
+    F = _dense_field(n, 5)
+    J = jacobian(F)
+    for i in range(n):
+        assert F.component_poly(i) is F.component_poly(i)
+        assert F.component_poly(i).terms == F.components[i]
+        row = ScalarPoly(n, F.components[i])
+        for j in range(n):
+            want = row.diff(j).terms
+            assert [(c.hex(), e) for c, e in J[i][j].terms] == [(c.hex(), e) for c, e in want]
+    assert F._sparse == tuple(F.component_poly(i)._sparse for i in range(n))
+
+
+@pytest.mark.parametrize("exps, match", [
+    ((1, 0), "does not match n=1"),
+    ((-1,), "nonnegative integers"),
+    ((1.5,), "nonnegative integers"),
+    (("1",), "nonnegative integers"),
+])
+def test_terms_with_malformed_exponents_are_rejected(exps, match):
+    with pytest.raises(ValueError, match=match):
+        ScalarPoly(1, ((1.0, exps),))
+    with pytest.raises(ValueError, match=match):
+        PolyVectorField(1, (((1.0, exps),),))
+
+
+def test_terms_are_normalised_once():
+    F = PolyVectorField(2, (((1, [2.0, np.int64(1)]),), ((-3, (0, 1)),)))
+    assert F.components == (((1.0, (2, 1)),), ((-3.0, (0, 1)),))
+    assert all(type(e) is int for terms in F.components for _, exps in terms for e in exps)
+    assert F == PolyVectorField(2, F.components)
+
 
 def test_jacobian_cubic_entries():
     J = jacobian(CUBIC_F)

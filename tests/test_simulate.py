@@ -320,6 +320,26 @@ def test_matches_reference_across_plan_blocks(cubic2d):
     _assert_matches_oracle(cubic2d, delay, constant_history((1.0, 0.5)), 0.01, 30.0)
 
 
+NEGATIVE_FEEDBACK = SystemModel(
+    kind="continuous",
+    f=PolyVectorField.from_matrix([[-1.0]]),
+    delayed_terms=(PolyVectorField.from_matrix([[-0.8]]),),
+    dilation=Dilation((1.0,)),
+    degree=0.0,
+)
+
+
+@pytest.mark.parametrize("delay, count", [(ConstantDelay(1.0), 998), (SinusoidalDelay(1.0, 0.5), 985)])
+def test_negative_states_are_recorded_as_the_reference_does(delay, count):
+    # x' = -x - 0.8 x(t - 1) is not a positive system: it swings through
+    # zero, so the run records (and clamps) negative states on every swing
+    phi = constant_history((1.0,))
+    _assert_matches_oracle(NEGATIVE_FEEDBACK, delay, phi, 0.01, 20.0)
+    traj = simulate_continuous(NEGATIVE_FEEDBACK, delay, phi, 0.01, 20.0)
+    assert len(traj.metadata["positivity_violations"]) == count
+    assert traj.states.min() < 0.0
+
+
 # -- discrete simulation ----------------------------------------------------------------
 
 def test_alternating_delay_identity(alternating_discrete):
@@ -347,6 +367,24 @@ def test_discrete_rejects_underrun(alternating_discrete):
         simulate_discrete(
             alternating_discrete, ConstantStepDelay(3), {0: (1.0,)}, 5
         )
+
+
+def test_discrete_records_negative_states():
+    # x(k+1) = 0.5 x(k) - 0.8 x(k - 1): negative states are kept and listed
+    model = SystemModel(
+        kind="discrete",
+        f=PolyVectorField.from_matrix([[0.5]]),
+        delayed_terms=(PolyVectorField.from_matrix([[-0.8]]),),
+        dilation=Dilation((1.0,)),
+        degree=0.0,
+    )
+    traj = simulate_discrete(model, ConstantStepDelay(1), {0: (1.0,), -1: (1.0,)}, 12)
+    xs = [1.0, 1.0]
+    for _ in range(12):
+        xs.append(0.5 * xs[-1] + -0.8 * xs[-2])
+    assert traj.states[:, 0].tolist() == xs[1:]
+    want = [(float(k), 0, x) for k, x in enumerate(xs[1:]) if x < 0.0]
+    assert want and traj.metadata["positivity_violations"] == want
 
 
 def test_discrete_exactly_nonnegative(square_map):
