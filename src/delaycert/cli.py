@@ -8,7 +8,8 @@ on stdout; trajectories go to CSV.  Exit codes:
         blow-up, envelope violated)
     3   undetermined (sampling could neither prove nor refute, or no
         theory envelope covers the bound, so it is not checked)
-    64  unusable configuration or arguments
+    64  unusable configuration or arguments, a command-line usage error
+        included (`--help` exits 0)
 """
 
 from __future__ import annotations
@@ -123,9 +124,7 @@ def cmd_bounds(args) -> int:
             "note": reason or "decay bounds need a valid certificate",
         })
         return EXIT_NEGATIVE
-    bounds, skipped = rates_mod.decay_bounds(
-        cfg.system, cert, cfg.analysis.bounds, cfg.delays, cfg.analysis.alpha
-    )
+    bounds, skipped = rates_mod.decay_bounds(cfg.system, cert, cfg.analysis.bounds, cfg.delays)
     if skipped:
         raise ConfigError("; ".join(skipped))
     _emit({
@@ -156,9 +155,7 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
     if cert is not None and not cert.valid:
         skipped = "certificate is not valid"
     elif cert is not None:
-        bounds, reasons = rates_mod.decay_bounds(
-            system, cert, cfg.analysis.bounds, cfg.delays, cfg.analysis.alpha
-        )
+        bounds, reasons = rates_mod.decay_bounds(system, cert, cfg.analysis.bounds, cfg.delays)
         skipped = "; ".join(reasons)
         if not bounds and not skipped:
             skipped = "no bound form applies to this system and delay"
@@ -218,8 +215,17 @@ def cmd_batch(args) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_CONFIG, not 2, which
+    is the negative verdict; subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delaycert",
         description=(
             "Certify delay-independent stability of positive systems, compute "

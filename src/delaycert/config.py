@@ -75,9 +75,14 @@ def _field_from(doc, where: str) -> PolyVectorField:
     doc = _require_mapping(doc, where)
     _check_keys(doc, {"n", "components"}, set(), where)
     try:
-        return PolyVectorField.from_dict(doc)
+        field = PolyVectorField.from_dict(doc)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    # the field takes any float; a config coefficient is a finite JSON number
+    for comp in doc["components"]:
+        for term in comp:
+            _finite(term["coeff"], f"{where} coefficient")
+    return field
 
 
 _DELAY_FAMILIES: dict[str, tuple[type, set[str]]] = {
@@ -130,7 +135,6 @@ class AnalysisSettings:
     v: tuple[float, ...] | None = None
     gamma: float = 0.9
     bounds: tuple[str, ...] = ("auto",)
-    alpha: float | None = None
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,13 @@ class ExperimentConfig:
     sim: SimSettings
     analysis: AnalysisSettings
     seed: int = 0
+
+    def __post_init__(self):
+        # also checks a --horizon override, applied through dataclasses.replace
+        if self.system.is_discrete and not self.sim.horizon.is_integer():
+            raise ConfigError(
+                f"sim.horizon counts whole steps for a discrete system, got {self.sim.horizon!r}"
+            )
 
     def history_continuous(self) -> Callable[[float], Sequence[float]]:
         doc = self.history_doc
@@ -253,19 +264,14 @@ def parse_config(doc) -> ExperimentConfig:
     if system.is_discrete:
         if "h" in sim_doc:
             raise ConfigError("sim.h does not apply to discrete systems")
-        # a discrete horizon counts whole steps
-        sim = SimSettings(h=1.0, horizon=int(_finite(sim_doc["horizon"], "sim.horizon")))
+        sim = SimSettings(h=1.0, horizon=sim_doc["horizon"])
     else:
         if "h" not in sim_doc:
             raise ConfigError("sim.h is required for continuous systems")
         sim = SimSettings(h=sim_doc["h"], horizon=sim_doc["horizon"])
 
     ana_doc = _require_mapping(doc.get("analysis", {}), "analysis")
-    _check_keys(
-        ana_doc, set(),
-        {"v", "gamma", "bounds", "alpha"},
-        "analysis",
-    )
+    _check_keys(ana_doc, set(), {"v", "gamma", "bounds"}, "analysis")
     v = ana_doc.get("v")
     if v is not None:
         if not isinstance(v, list) or len(v) != system.n:
@@ -278,12 +284,7 @@ def parse_config(doc) -> ExperimentConfig:
     gamma = _finite(ana_doc.get("gamma", 0.9), "analysis.gamma")
     if not 0.0 <= gamma < 1.0:
         raise ConfigError("analysis.gamma must lie in [0, 1)")
-    alpha = ana_doc.get("alpha")
-    if alpha is not None:
-        alpha = _finite(alpha, "analysis.alpha")
-        if not 0.0 <= alpha < 1.0:
-            raise ConfigError("analysis.alpha must lie in [0, 1)")
-    analysis = AnalysisSettings(v=v, gamma=gamma, bounds=bounds, alpha=alpha)
+    analysis = AnalysisSettings(v=v, gamma=gamma, bounds=bounds)
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):

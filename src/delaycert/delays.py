@@ -232,8 +232,8 @@ class ConstantStepDelay(DelayModel):
     d: int
 
     def __post_init__(self):
-        if not 0 <= self.d < math.inf:
-            raise ValueError(f"d must be finite and nonnegative, got {self.d!r}")
+        if not (0 <= self.d < math.inf and float(self.d).is_integer()):
+            raise ValueError(f"d must be a finite nonnegative whole number of steps, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
 
     is_discrete = True

@@ -313,7 +313,7 @@ def why_not(form: str, model: SystemModel, param: float | None) -> str:
     for xi and beta, or "" where it applies."""
     bounded, positive = form in ("eta", "theta"), form in ("theta", "beta")
     if param is None:
-        needs = "a bounded delay" if bounded else "a proportional delay ratio or analysis.alpha"
+        needs = "a bounded delay" if bounded else "a proportional delay ratio"
         return f"{form} bound needs {needs}"
     if bounded and not param >= 0.0:
         return "tau_sup must be nonnegative"
@@ -336,15 +336,13 @@ def decay_bounds(
     v: Sequence[float] | Certificate,
     requested: Sequence[str],
     delays: Sequence[DelayModel],
-    alpha: float | None,
 ) -> tuple[list[DecayBound], list[str]]:
     """The requested bounds that apply to `model` under `delays`, and the
     reason for each requested form that does not; `auto` adds the first
-    form of FORMS that applies.  An `alpha` that is not None (a declared
-    analysis.alpha) replaces the delays' ratio."""
-    tau_sup, ratio = delay_limits(delays)
-    if alpha is None:
-        alpha = ratio
+    form of FORMS that applies.  tau_sup and the ratio alpha come from
+    `delay_limits(delays)` only, as in `upper_envelope` and
+    `mu_condition_check`."""
+    tau_sup, alpha = delay_limits(delays)
     params = {"eta": tau_sup, "theta": tau_sup, "xi": alpha, "beta": alpha}
     names = [name for name in requested if name != "auto"]
     if "auto" in requested:

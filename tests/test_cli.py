@@ -243,6 +243,10 @@ def _exps(exp):
     return {"n": 1, "components": [[{"coeff": -1, "exp": exp}]]}
 
 
+def _coeff(coeff):
+    return {"n": 1, "components": [[{"coeff": coeff, "exp": [1]}]]}
+
+
 # every case once crashed with a traceback (exit 1) or was accepted
 @pytest.mark.parametrize("doc, cmd, argv, key", [
     (_with(scalar_config(), ["delay"], {"family": "constant", "tau": "x"}), "certify", [], "tau"),
@@ -270,11 +274,20 @@ def _exps(exp):
     (_with(scalar_config(), ["system", "f"], _exps([1, 0])), "check", [], "exponent"),
     (_with(scalar_config(), ["system", "f"], _exps([-1])), "check", [], "exponent"),
     (_with(scalar_config(), ["system", "f"], _exps([1.5])), "check", [], "exponent"),
+    (_with(discrete_config(), ["delay", "d"], 2.5), "check", [], "delay: d must be a finite nonnegative whole"),
+    (_with(discrete_config(), ["sim", "horizon"], 30.7), "check", [], "sim.horizon"),
+    (discrete_config(), "simulate", ["--horizon", "12.9"], "sim.horizon"),
+    (_with(scalar_config(), ["system", "f"], _coeff(-1e400)), "certify", [], "system.f"),
+    (_with(scalar_config(), ["system", "f"], _coeff(math.nan)), "simulate", [], "system.f"),
+    (_with(scalar_config(), ["system", "f"], _coeff("-1")), "certify", [], "system.f"),
+    (_with(scalar_config(), ["system", "delayed"], [_coeff(math.inf)]), "check", [], "system.delayed[0]"),
 ], ids=[
     "tau-str", "alpha-str", "d-str", "a-null", "b-nan", "knots-int", "knots-str", "knots-inf",
     "d-inf", "tau-inf", "discrete-horizon-inf", "continuous-horizon-inf", "h-str",
     "horizon-arg-inf", "h-arg-nan", "h-arg-zero", "degree-str", "dilation-inf", "v-null",
     "gamma-null", "exponent-length", "exponent-negative", "exponent-fractional",
+    "d-fractional", "discrete-horizon-fractional", "discrete-horizon-arg-fractional",
+    "coeff-inf", "coeff-nan", "coeff-str", "delayed-coeff-inf",
 ])
 def test_malformed_numbers_exit_64_naming_the_key(tmp_path, capsys, doc, cmd, argv, key):
     out = ["--out", str(tmp_path / "x.csv")] if cmd == "simulate" else []
@@ -284,6 +297,111 @@ def test_malformed_numbers_exit_64_naming_the_key(tmp_path, capsys, doc, cmd, ar
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert key in captured.err
+
+
+def test_whole_step_counts_given_as_floats_are_accepted(tmp_path, capsys):
+    doc = discrete_config()
+    doc["delay"]["d"] = 2.0
+    doc["sim"]["horizon"] = 30.0
+    cfg = write(tmp_path, doc)
+    code, out = run_cli(capsys, "check", "--config", cfg)
+    assert code == 0
+    assert out["delays"]["delay_0"]["tau_sup"] == 2.0
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--horizon", "12.0",
+                        "--out", str(tmp_path / "run.csv"))
+    assert code == 0
+    assert out["final_time"] == 12.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "config.json"],
+    ["bounds", "--config", "config.json", "--bogus"],
+    ["bounds", "--config", "config.json", "--h", "abc"],
+], ids=["missing-out", "unknown-option", "malformed-h"])
+def test_usage_errors_exit_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["check", "certify", "bounds", "simulate", "batch"])
+def test_analysis_alpha_is_an_unknown_key(tmp_path, capsys, cmd):
+    # the delays are the one source of the delay ratio
+    doc = scalar_config()
+    doc["delay"] = {"family": "proportional", "alpha": 0.5}
+    doc["analysis"]["alpha"] = 0.1
+    cfg = write(tmp_path, doc)
+    if cmd == "batch":
+        argv = [cmd, cfg, "--out", str(tmp_path / "out")]
+    elif cmd == "simulate":
+        argv = [cmd, "--config", cfg, "--out", str(tmp_path / "run.csv")]
+    else:
+        argv = [cmd, "--config", cfg]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "unknown keys: ['alpha']" in captured.err
+
+
+def test_bounds_take_the_ratio_of_a_proportional_delay(tmp_path, capsys):
+    # x' = -x + 0.5 x(t/2): K = 2, and -1 + 0.5 * 2**xi = 0 at xi = 1
+    doc = scalar_config()
+    doc["delay"] = {"family": "proportional", "alpha": 0.5}
+    code, out = run_cli(capsys, "bounds", "--config", write(tmp_path, doc))
+    assert code == 0
+    (bound,) = out["bounds"]
+    assert bound["form"] == "power_rate"
+    assert bound["rate"] == pytest.approx(0.999999, abs=1e-12)
+
+
+CONTINUOUS_DELAYS = [
+    {"family": "constant", "tau": 1},
+    {"family": "sinusoidal", "a": 4, "b": 1},
+    {"family": "piecewise_linear", "knots": [[0, 0], [1, 0], [2, 1]]},
+    {"family": "proportional", "alpha": 0.5},
+    {"family": "log_lag"},
+]
+DISCRETE_DELAYS = [
+    {"family": "constant_steps", "d": 2},
+    {"family": "alternating_parity"},
+    {"family": "proportional_steps", "alpha": 0.5},
+]
+
+
+def test_every_finite_bound_meets_the_condition_under_its_delays():
+    # decay_bounds reads tau_sup and the ratio from the delays only, so every
+    # finite rate it returns is clocked by the condition under those delays
+    from delaycert import rates
+    from delaycert.cli import _obtain_certificate
+    from delaycert.config import parse_config
+
+    checked = 0
+    for config, delays in [(scalar_config, CONTINUOUS_DELAYS), (cubic_config, CONTINUOUS_DELAYS),
+                           (discrete_config, DISCRETE_DELAYS)]:
+        for delay in delays:
+            cfg = parse_config({**config(), "delay": delay})
+            cert, _ = _obtain_certificate(cfg)
+            for form in rates.FORMS:
+                bounds, _ = rates.decay_bounds(cfg.system, cert, [form], cfg.delays)
+                for bound in bounds:
+                    if math.isfinite(bound.rate):
+                        assert rates.mu_condition_check(cfg.system, cert, bound, cfg.delays), (delay, form)
+                        checked += 1
+    assert checked == 14  # the others are infinite or do not apply
+    # a ratio below the delay's own gives a rate that the delay does not support
+    cfg = parse_config({**scalar_config(), "delay": CONTINUOUS_DELAYS[3]})
+    assert not rates.mu_condition_check(cfg.system, (1.0,), rates.xi_bound(cfg.system, (1.0,), 0.1), cfg.delays)
 
 
 # -- certify -------------------------------------------------------------------
@@ -470,9 +588,9 @@ def test_bounds_eta_long_delay_is_finite(tmp_path, capsys):
 
 
 def test_bounds_infinite_rate_is_strict_json(tmp_path, capsys):
-    # alpha = 0 leaves xi without a finite root
+    # a bounded delay has ratio 0, which leaves xi without a finite root
     doc = scalar_config()
-    doc["analysis"].update(bounds=["xi"], alpha=0.0)
+    doc["analysis"]["bounds"] = ["xi"]
     code = main(["bounds", "--config", write(tmp_path, doc)])
     assert code == 0
 
@@ -607,7 +725,7 @@ def test_simulate_discrete_level_sets_read_the_history_window(tmp_path, capsys):
             "times": [-3, -2, -1, 0], "states": [[9], [5], [4], [1]],
         }},
         "sim": {"horizon": 30},
-        "analysis": {"v": [1], "bounds": ["xi"], "alpha": 0.5},
+        "analysis": {"v": [1], "bounds": ["xi"]},
     }
     out_csv = tmp_path / "levels.csv"
     code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
@@ -662,8 +780,9 @@ def test_simulate_exponential_clock_past_the_float_range(tmp_path, capsys):
 
 
 def test_simulate_infinite_rate_writes_no_bound_column(tmp_path, capsys):
+    # xi under a bounded delay, whose ratio is 0, is infinite
     doc = scalar_config()
-    doc["analysis"].update(bounds=["xi"], alpha=0.0)
+    doc["analysis"]["bounds"] = ["xi"]
     out_csv = tmp_path / "xi0.csv"
     code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
     assert code == 0
@@ -694,19 +813,23 @@ def test_simulate_checks_the_zero_map(tmp_path, capsys):
     assert out_csv.read_text().splitlines()[0] == "t,x_1,V"
 
 
-def test_simulate_without_power_clock_is_undetermined(tmp_path, capsys):
-    # analysis.alpha on a delay that is neither bounded nor proportional:
-    # the bound is computed, but no upper solution checks it
+def test_xi_without_a_delay_ratio_is_skipped(tmp_path, capsys):
+    # log_lag is neither bounded nor proportional, so it has no ratio and
+    # xi does not apply: simulate skips it, and bounds refuses the request
     doc = scalar_config()
     doc["delay"] = {"family": "log_lag"}
-    doc["analysis"].update(bounds=["xi"], alpha=0.5)
+    doc["analysis"]["bounds"] = ["xi"]
+    cfg = write(tmp_path, doc)
     out_csv = tmp_path / "loglag.csv"
-    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
-    assert code == 3
-    assert "bounded or proportional" in out["envelope_skipped"]
-    assert "envelope" not in out
-    assert out["bound"]["form"] == "power_rate"
-    assert out_csv.read_text().splitlines()[0] == "t,x_1,V,bound"
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out_csv))
+    assert code == 0
+    assert out["bounds_skipped"] == "xi bound needs a proportional delay ratio"
+    assert "bound" not in out and "envelope" not in out
+    assert out_csv.read_text().splitlines()[0] == "t,x_1,V"
+    assert main(["bounds", "--config", cfg]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "xi bound needs a proportional delay ratio" in captured.err
 
 
 def test_simulate_rejects_history_outside_orthant(tmp_path, capsys):

@@ -313,7 +313,7 @@ def test_decay_bounds_skips_exactly_where_the_bound_raises(request, form, kind, 
     family = "undeclared" if not given else ("bounded" if bounded else "proportional")
     delays = [_delay(kind, family)]
     tau_sup, alpha = delay_limits(delays)
-    bounds, skipped = decay_bounds(model, v, [form], delays, None)
+    bounds, skipped = decay_bounds(model, v, [form], delays)
     try:
         want = BOUND_FNS[form](model, v, tau_sup if bounded else alpha)
     except ValueError as exc:
@@ -329,7 +329,7 @@ def test_auto_takes_the_first_form_that_applies(request, kind, positive, family)
     model, v = _system(request, kind, positive)
     delays = [_delay(kind, family)]
     first = _first_that_applies(model, v, delays)
-    bounds, skipped = decay_bounds(model, v, ["auto"], delays, None)
+    bounds, skipped = decay_bounds(model, v, ["auto"], delays)
     assert skipped == []
     assert bounds == ([] if first is None else [first])
 
@@ -337,9 +337,9 @@ def test_auto_takes_the_first_form_that_applies(request, kind, positive, family)
 def test_auto_picks_by_form_order():
     # a bounded delay has ratio 0, so xi applies too; auto takes eta, which comes first
     model = linear_model([[0.3]], [[[0.2]]], "discrete")
-    bounds, _ = decay_bounds(model, (1.0,), ["auto"], [ConstantStepDelay(2)], None)
+    bounds, _ = decay_bounds(model, (1.0,), ["auto"], [ConstantStepDelay(2)])
     assert [b.form for b in bounds] == ["exponential"]
-    bounds, skipped = decay_bounds(model, (1.0,), ["xi", "auto", "theta"], [ConstantStepDelay(2)], None)
+    bounds, skipped = decay_bounds(model, (1.0,), ["xi", "auto", "theta"], [ConstantStepDelay(2)])
     assert [b.form for b in bounds] == ["power_rate", "exponential"]
     assert skipped == ["theta bound needs positive degree, got 0.0"]
 
@@ -545,7 +545,7 @@ def test_rates_trust_a_certificate_and_verify_a_bare_vector(scalar_half, monkeyp
     expected = eta_bound(scalar_half, (1.0,), tau_sup=1.0)
     calls = []
     monkeypatch.setattr(rates_mod, "verify_certificate", lambda *a, **k: calls.append(a) or cert)
-    bounds, skipped = decay_bounds(scalar_half, cert, ["eta"], [ConstantDelay(1.0)], None)
+    bounds, skipped = decay_bounds(scalar_half, cert, ["eta"], [ConstantDelay(1.0)])
     assert bounds == [expected] and skipped == []
     assert upper_envelope(scalar_half, cert, bounds[0], [ConstantDelay(1.0)], history_v=2.0) == (expected, 2.0)
     assert calls == []

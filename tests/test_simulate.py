@@ -614,7 +614,7 @@ def test_discrete_clock_skips_components_that_vanish():
 
 
 def test_power_clock_shifts_by_a_bounded_delay(scalar_half):
-    # analysis.alpha declared on tau = 5: the clock ((t + 6)/6)**e, with
+    # a power-rate bound under tau = 5: the clock ((t + 6)/6)**e, with
     # -1 + 0.5 * 6**e + e/6 = 0, dominates the history window [-5, 0]
     v, delay = (1.0,), ConstantDelay(5.0)
     bound = xi_bound(scalar_half, v, 0.5)

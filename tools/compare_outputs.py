@@ -75,7 +75,7 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
         "cubic-eta": variant(cubic, analysis={"bounds": ["eta"]}),
         "discrete-constant-steps": discrete,
         "discrete-constant-steps-eta": variant(discrete, analysis={"bounds": ["eta"]}),
-        "discrete-constant-steps-alpha": variant(discrete, analysis={"alpha": 0.5}),
+        "discrete-proportional-steps": variant(discrete, delay={"family": "proportional_steps", "alpha": 0.5}),
         "cubic-t5": variant(cubic, sim={"h": 0.01, "horizon": 5}),
         "cubic-beta": variant(cubic, delay=proportional),
         "cubic-beta-t5": variant(cubic, delay=proportional, sim={"h": 0.01, "horizon": 5}),
@@ -86,10 +86,9 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
         }}),
         "scalar-eta-tau1000": variant(scalar, delay={"family": "constant", "tau": 1000},
                                       analysis={"bounds": ["eta"]}),
-        "scalar-xi-alpha0": variant(scalar, analysis={"bounds": ["xi"], "alpha": 0.0}),
-        "scalar-xi-constant-delay": variant(scalar, analysis={"bounds": ["xi"], "alpha": 0.5}),
-        "scalar-xi-log-lag": variant(scalar, delay={"family": "log_lag"},
-                                     analysis={"bounds": ["xi"], "alpha": 0.5}),
+        "scalar-xi-constant-delay": variant(scalar, analysis={"bounds": ["xi"]}),
+        "scalar-xi-proportional": variant(scalar, delay=proportional, analysis={"bounds": ["xi"]}),
+        "scalar-xi-log-lag": variant(scalar, delay={"family": "log_lag"}, analysis={"bounds": ["xi"]}),
         "scalar-tau-sup-declared": variant(scalar, delay=proportional, analysis={"tau_sup": 1}),
         "scalar-mixed-delays": variant(
             scalar,
