@@ -6,8 +6,7 @@ on stdout; trajectories go to CSV.  Exit codes:
     0   success / positive verdict
     2   negative scientific verdict (hypothesis failure, no certificate,
         blow-up, envelope violated)
-    3   undetermined (sampling could neither prove nor refute, or no
-        theory envelope covers the bound, so it is not checked)
+    3   undetermined (sampling could neither prove nor refute)
     64  unusable configuration or arguments, a command-line usage error
         included (`--help` exits 0)
 """
@@ -179,18 +178,14 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
         status = EXIT_NEGATIVE
     elif bound is not None:
         history_v = cfg.history_peak(v, traj.metadata["history_depth"])
-        try:
-            clock, M = rates_mod.upper_envelope(system, cert, bound, cfg.delays, history_v)
-        except rates_mod.MissingLimitError as exc:
-            report["envelope_skipped"] = str(exc)
-            status = EXIT_UNDETERMINED
-        else:
-            env = envelope_check(traj, clock, v, system.dilation, M)
-            report["envelope"] = env.to_dict()
-            if clock is not bound:
-                report["envelope"]["clock"] = clock.to_dict()
-            if not env.holds:
-                status = EXIT_NEGATIVE
+        # decay_bounds returns only bounds that upper_envelope covers
+        clock, M = rates_mod.upper_envelope(system, cert, bound, cfg.delays, history_v)
+        env = envelope_check(traj, clock, v, system.dilation, M)
+        report["envelope"] = env.to_dict()
+        if clock is not bound:
+            report["envelope"]["clock"] = clock.to_dict()
+        if not env.holds:
+            status = EXIT_NEGATIVE
         report["bound"] = bound.to_dict()
         report["level_set_entries"] = level_set_descent(
             traj, v, system.dilation, cfg.analysis.gamma, history_v

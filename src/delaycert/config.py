@@ -53,20 +53,25 @@ def _check_keys(d: dict, required: set[str], optional: set[str], where: str) -> 
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a boolean (bool is an int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_history_rows(rows: list, n: int, where: str) -> None:
     """Each row must be n finite nonnegative numbers: the theorems cover
     histories in the positive orthant only."""
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"{where} must be a vector of length {n}")
-        if not all(isinstance(x, (int, float)) and math.isfinite(x) and x >= 0 for x in row):
+        if not all(_is_number(x) and math.isfinite(x) and x >= 0 for x in row):
             raise ConfigError(f"{where} entries must be finite nonnegative numbers, got {row}")
 
 
 def _finite(value, where: str) -> float:
     """value as a float; anything but a finite real number is a ConfigError
     that names where it was found."""
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _is_number(value) or not math.isfinite(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 

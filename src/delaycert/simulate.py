@@ -33,10 +33,22 @@ arbitrarily far.
 
 Discrete systems iterate the map exactly (floating point only), through
 the same generated field sum, compiled once per system.
+
+CSV export writes the bytes `'%.17g' % x` writes, without a formatting call
+per float.  For PLAN_BLOCK rows at a time, numpy estimates the decimal
+exponent E = floor(log10|x|), scales |x| by 10**(16 - E) in double-double
+(Dekker's TwoProduct against a table of powers of ten, each the sum of two
+doubles), corrects E where the integer part falls outside [1e16, 1e17),
+rounds to 17 digits and lays out digits, point and exponent by the %g rule.
+The fraction it rounds is within 1e-14 of the exact one, so Python's
+formatter takes every value whose fraction lies within 1e-7 of one half
+(a possible tie), and zeros, values that are not finite and values outside
+[1e-200, 1e200], where the scaling could leave the float range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Mapping, Sequence
@@ -239,19 +251,24 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
         for d in delays:
             tau = d.values(ts)
             s = ts - tau
-            code = np.select(
-                [tau == 0.0, s <= 0.0, (s >= t) & (ts > t), s >= t],
-                [_CURRENT, _HISTORY, _SEGMENT, _CURRENT],
-                _GRID,
-            )
+            # in reverse order of priority: the first condition that holds writes last
+            code = np.full(len(t), _GRID)
+            ahead = s >= t
+            code[ahead] = _CURRENT
+            code[ahead & (ts > t)] = _SEGMENT
+            code[s <= 0.0] = _HISTORY
+            code[tau == 0.0] = _CURRENT
+            grid = code == _GRID
             with np.errstate(divide="ignore", invalid="ignore"):
-                idx = (np.where(code == _GRID, s, 0.0) / h).astype(np.int64)
-                idx = np.maximum(np.minimum(idx, np.arange(j0 - 1, j1 - 1)), 0)
-                w = np.select(
-                    [code == _GRID, code == _SEGMENT, code == _HISTORY],
-                    [(s - idx * h) / h, (s - t) / (ts - t), np.where(-depth > s, -depth, s)],
-                    0.0,
-                )
+                idx = (np.where(grid, s, 0.0) / h).astype(np.int64)
+                np.minimum(idx, np.arange(j0 - 1, j1 - 1), out=idx)
+                np.maximum(idx, 0, out=idx)
+                w = (s - idx * h) / h
+                w[~grid] = 0.0
+                if (seg := code == _SEGMENT).any():
+                    w[seg] = (s[seg] - t[seg]) / (ts[seg] - t[seg])
+                if (hist := code == _HISTORY).any():
+                    w[hist] = np.where(-depth > s[hist], -depth, s[hist])
             cols += [code, w, idx]
             codes += [code] * (1 + (st == 1))
             bad = np.flatnonzero(~(tau >= 0.0) | (s < -depth - 1e-9))
@@ -508,6 +525,127 @@ def level_set_descent(
     return traj.times[idx[:count]].tolist()
 
 
+@functools.cache
+def _tens() -> tuple[np.ndarray, ...]:
+    """(hi, hi_h, hi_l, lo), indexed by E + 202 for E in [-202, 202]: the
+    power 10**(16 - E) as the double-double hi + lo (hi the nearest double,
+    lo the nearest double to the rest), with hi split into two 26-bit
+    halves hi_h + hi_l for Dekker's TwoProduct.  Python's int to float
+    conversion and int true division round correctly, so hi and lo are exact
+    to the last bit."""
+    hi, lo = [], []
+    for k in range(16 + 202, 16 - 203, -1):
+        if k >= 0:
+            h = float(10**k)
+            lo.append(float(10**k - int(h)))
+        else:
+            h = 1 / 10**-k
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+        hi.append(h)
+    hi_a, lo_a = np.array(hi), np.array(lo)
+    c = 134217729.0 * hi_a  # 2**27 + 1
+    hi_h = c - (c - hi_a)
+    return hi_a, hi_h, hi_a - hi_h, lo_a
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The four ASCII digits of 0000..9999, each packed in one uint32."""
+    i = np.arange(10000)[:, None]
+    return (ord("0") + i // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _scaled(a, a_h, a_l, E):
+    """(floor(X), X - floor(X)) of X = a * 10**(16 - E), with a = a_h + a_l
+    split as in `_tens`: the product in double-double, its integer part
+    exact in int64 and its fraction within 1e-14."""
+    hi, hi_h, hi_l, lo = (col[E + 202] for col in _tens())
+    p = a * hi
+    r = (((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l) + a * lo
+    floor = np.floor(r)
+    return p.astype(np.int64) + floor.astype(np.int64), r - floor
+
+
+def _g17_fields(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the bytes of `'%.17g' % x` for every element of x down its
+    column of rows 0..28 of the uint8 array out (the module docstring has
+    the method).
+
+    The rows are slots: the sign, "0." and up to three zeros (for a decimal
+    exponent E in [-4, -1]), 18 slots for the 17 digits and the decimal
+    point, then "e", the exponent's sign and three exponent digits.  A slot
+    the field does not use holds 0.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-200) & (a <= 1e200)
+    a[~fast] = 1.0
+    E = np.floor(np.log10(a)).astype(np.int64)  # an estimate: corrected below
+    c = 134217729.0 * a
+    a_h = c - (c - a)
+    a_l = a - a_h
+    N, frac = _scaled(a, a_h, a_l, E)
+    off = np.flatnonzero((N < 10**16) | (N >= 10**17))
+    if len(off):
+        E[off] += np.where(N[off] < 10**16, -1, 1)
+        N[off], frac[off] = _scaled(a[off], a_h[off], a_l[off], E[off])
+    # a possible tie, or an exponent still off, goes to Python's formatter
+    fast &= (N >= 10**16) & (N < 10**17) & (np.abs(frac - 0.5) >= 1e-7)
+    N += frac > 0.5
+    carry = N == 10**17
+    N[carry] = 10**16
+    E += carry
+
+    quads = np.empty((len(x), 6), np.uint32)
+    for j in range(4, 0, -1):
+        N, rest = np.divmod(N, 10000)
+        quads[:, j] = _digit_quads()[rest]
+    quads[:, 0] = _digit_quads()[N]
+    quads[:, 5] = 0
+    # row 0 "0", rows 1..17 the digits, row 18 empty
+    D = np.ascontiguousarray(quads.view(np.uint8)[:, 2:21].T)
+    slot = np.arange(18, dtype=np.uint8)[:, None]
+    digits = ((D[1:18] != ord("0")) * slot[1:]).max(axis=0)  # trailing zeros stripped
+    sci = (E < -4) | (E >= 17)
+    small = ~sci & (E < 0)
+    fixed = ~sci & ~small
+    point = (sci + small * 18 + fixed * (E + 1)).astype(np.uint8)  # 18: no point
+    keep = np.maximum(digits, fixed * (E + 1)).astype(np.uint8)  # the integer part stays
+    below, above = slot < point, slot > point
+    body = D[1:19] * below + D[0:18] * above
+    body *= (slot - above) < keep
+    body += (slot == point) * ((point < keep) * np.uint8(ord(".")))
+
+    out[0] = (x < 0) * np.uint8(ord("-"))
+    out[1] = small * np.uint8(ord("0"))
+    out[2] = small * np.uint8(ord("."))
+    out[3:6] = (slot[:3] < (-1 - E) * small) * np.uint8(ord("0"))
+    out[6:24] = body
+    out[24:29] = 0
+    if len(i := np.flatnonzero(sci)):
+        e = np.abs(E[i])
+        quad = _digit_quads()[e].view(np.uint8).reshape(-1, 4)  # "0" and three digits
+        out[24, i] = ord("e")
+        out[25, i] = np.where(E[i] < 0, ord("-"), ord("+"))
+        out[26, i] = (e >= 100) * quad[:, 1]
+        out[27:29, i] = quad[:, 2:].T
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.array([b"%.17g" % f for f in x[slow].tolist()], "S29")
+        out[:29, slow] = text.view(np.uint8).reshape(-1, 29).T
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of the rows of a 2-D float array, every float as '%.17g'."""
+    rows, cols = block.shape
+    out = np.empty((30, rows * cols), np.uint8)
+    _g17_fields(block.ravel(), out)
+    out[29] = ord(",")
+    out[29, cols - 1 :: cols] = ord("\n")
+    text = out.T.ravel()
+    return np.compress(text != 0, text).tobytes()
+
+
 def export_csv(
     traj: Trajectory,
     path,
@@ -521,17 +659,21 @@ def export_csv(
     1/mu(t), left out when the bound's rate is infinite (faster than any
     power: no envelope to write).  Floats are written with 17 significant
     digits so the file round-trips exactly.
+
+    The fields are the bytes of `'%.17g' % x`, made by numpy a block of
+    PLAN_BLOCK rows at a time (see the module docstring); zeros, values that
+    are not finite or lie outside [1e-200, 1e200], and values within 1e-7 of
+    a rounding tie are formatted by Python itself.
     """
     header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)]
-    times = traj.times.tolist()
-    columns = [times, *traj.states.T.tolist()]
+    columns = [traj.times, *traj.states.T]
     if v is not None and dilation is not None:
         header.append("V")
-        columns.append(traj.lyapunov_values(v, dilation).tolist())
+        columns.append(traj.lyapunov_values(v, dilation))
     if bound is not None and math.isfinite(bound.rate):
         header.append("bound")
-        columns.append(bound.envelope(traj.times).tolist())
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(header)] + [row % cells for cells in zip(*columns)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        columns.append(bound.envelope(traj.times))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for j in range(0, len(traj.times), PLAN_BLOCK):
+            fh.write(_csv_rows(np.column_stack([col[j : j + PLAN_BLOCK] for col in columns])))

@@ -299,6 +299,21 @@ def test_malformed_numbers_exit_64_naming_the_key(tmp_path, capsys, doc, cmd, ar
     assert key in captured.err
 
 
+# bool is an int in Python: each of these was once read as the number 1
+@pytest.mark.parametrize("doc, cmd, key", [
+    (_with(discrete_config(), ["delay", "d"], True), "bounds", "delay.d"),
+    (_with(scalar_config(), ["system", "f"], _coeff(True)), "certify", "system.f coefficient"),
+    (_with(scalar_config(), ["initial_history"], {"constant": [True]}), "check", "initial_history.constant"),
+], ids=["d", "coeff", "history"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, doc, cmd, key):
+    code = main([cmd, "--config", write(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert key in captured.err
+
+
 def test_whole_step_counts_given_as_floats_are_accepted(tmp_path, capsys):
     doc = discrete_config()
     doc["delay"]["d"] = 2.0

@@ -25,6 +25,7 @@ from delaycert import (
     xi_bound,
 )
 from delaycert.certify import linear_model
+from delaycert.config import _DELAY_FAMILIES, delay_from
 from delaycert.delays import delay_limits
 from delaycert.rates import FORMS, decay_bounds
 
@@ -332,6 +333,39 @@ def test_auto_takes_the_first_form_that_applies(request, kind, positive, family)
     bounds, skipped = decay_bounds(model, v, ["auto"], delays)
     assert skipped == []
     assert bounds == ([] if first is None else [first])
+
+
+# one set of parameters per delay family of the config schema
+FAMILY_PARAMS = {
+    "constant": {"tau": 1.0},
+    "sinusoidal": {"a": 2.0, "b": 1.0},
+    "piecewise_linear": {"knots": [[0, 0], [1, 0], [2, 1]]},
+    "proportional": {"alpha": 0.5},
+    "log_lag": {},
+    "constant_steps": {"d": 2},
+    "alternating_parity": {},
+    "proportional_steps": {"alpha": 0.5},
+}
+
+
+def test_family_params_cover_the_schema():
+    assert set(FAMILY_PARAMS) == set(_DELAY_FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+@pytest.mark.parametrize("positive", [False, True], ids=["p=0", "p>0"])
+def test_every_bound_decay_bounds_returns_has_an_envelope(request, positive, family):
+    # simulate checks each bound decay_bounds returns against the clock of
+    # upper_envelope, with no branch for a bound that has none
+    delay = delay_from({"family": family, **FAMILY_PARAMS[family]})
+    model, v = _system(request, "discrete" if delay.is_discrete else "continuous", positive)
+    bounds, _ = decay_bounds(model, v, FORMS, [delay])
+    # no form applies to a discrete system of positive degree, nor without a delay limit
+    assert bounds or (positive and delay.is_discrete) or delay_limits([delay]) == (None, None)
+    for bound in bounds:
+        for history_v in (0.0, 1.0, 100.0):
+            _, M = upper_envelope(model, v, bound, [delay], history_v)
+            assert M >= 0.0
 
 
 def test_auto_picks_by_form_order():

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -760,6 +761,48 @@ def test_csv_without_analysis_columns(tmp_path, cubic2d):
     path = tmp_path / "bare.csv"
     export_csv(traj, path)
     assert path.read_text().splitlines()[0] == "t,x_1,x_2"
+
+
+def _g17_reference(x: np.ndarray) -> list[str]:
+    return ["%.17g" % f for f in x.tolist()]
+
+
+def _csv_fields(x: np.ndarray) -> list[str]:
+    return simulate_mod._csv_rows(x[:, None]).decode().splitlines()
+
+
+def test_csv_kernel_matches_python_on_random_bit_patterns():
+    # every exponent, both signs, subnormals, infinities and NaNs
+    bits = np.random.default_rng(15).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    assert _csv_fields(x) == _g17_reference(x)
+
+
+def test_csv_kernel_matches_python_on_edge_values():
+    powers = np.array([10.0**k for k in range(-300, 301)])
+    lo, hi = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    # 1e-14 is a double just below 10**-14 that rounds up to it at 17 digits
+    assert Fraction(1e-14) < Fraction(1, 10**14) and "%.17g" % 1e-14 == "1e-14"
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max, 1e-14],
+        powers, lo, hi, -powers, -lo, -hi,
+        np.arange(-4000, 4000) / 8,
+        np.arange(-2000, 2000) + 0.5,
+    ])
+    assert _csv_fields(x) == _g17_reference(x)
+
+
+def test_csv_spans_several_blocks(tmp_path):
+    rows = 3 * simulate_mod.PLAN_BLOCK + 7
+    rng = np.random.default_rng(3)
+    times = np.arange(rows) * 0.01
+    states = np.exp(rng.normal(0.0, 30.0, (rows, 2)))
+    states[::97] = 0.0
+    traj = Trajectory(times=times, states=states)
+    path = tmp_path / "long.csv"
+    export_csv(traj, path)
+    lines = ["t,x_1,x_2"] + ["%.17g,%.17g,%.17g" % (t, *x) for t, x in zip(times.tolist(), states.tolist())]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 # -- trajectory validation ------------------------------------------------------------------------
