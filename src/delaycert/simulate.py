@@ -556,11 +556,14 @@ def _digit_quads() -> np.ndarray:
     return (ord("0") + i // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8).view(np.uint32).ravel()
 
 
-def _scaled(a, a_h, a_l, E):
-    """(floor(X), X - floor(X)) of X = a * 10**(16 - E), with a = a_h + a_l
-    split as in `_tens`: the product in double-double, its integer part
-    exact in int64 and its fraction within 1e-14."""
+def _scaled(a, E):
+    """(floor(X), X - floor(X)) of X = a * 10**(16 - E): the product in
+    double-double, its integer part exact in int64 and its fraction within
+    1e-14."""
     hi, hi_h, hi_l, lo = (col[E + 202] for col in _tens())
+    c = 134217729.0 * a  # a = a_h + a_l, split as in `_tens`
+    a_h = c - (c - a)
+    a_l = a - a_h
     p = a * hi
     r = (((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l) + a * lo
     floor = np.floor(r)
@@ -581,14 +584,11 @@ def _g17_fields(x: np.ndarray, out: np.ndarray) -> None:
     fast = (a >= 1e-200) & (a <= 1e200)
     a[~fast] = 1.0
     E = np.floor(np.log10(a)).astype(np.int64)  # an estimate: corrected below
-    c = 134217729.0 * a
-    a_h = c - (c - a)
-    a_l = a - a_h
-    N, frac = _scaled(a, a_h, a_l, E)
+    N, frac = _scaled(a, E)
     off = np.flatnonzero((N < 10**16) | (N >= 10**17))
     if len(off):
         E[off] += np.where(N[off] < 10**16, -1, 1)
-        N[off], frac[off] = _scaled(a[off], a_h[off], a_l[off], E[off])
+        N[off], frac[off] = _scaled(a[off], E[off])
     # a possible tie, or an exponent still off, goes to Python's formatter
     fast &= (N >= 10**16) & (N < 10**17) & (np.abs(frac - 0.5) >= 1e-7)
     N += frac > 0.5
