@@ -14,22 +14,37 @@ deterministic and solver-free.
 
 For nonlinear homogeneous fields the sign pattern of the margins is
 constant along each dilation orbit, so the best-effort search explores only
-direction space (rays of the positive simplex) and refines the best ray by
-multiplicative coordinate descent.  A failed search is NOT a proof of
-infeasibility and is reported as plain absence.
+direction space (rays of the positive simplex), scores each ray by its
+worst normalized margin, and refines the best rays by multiplicative
+coordinate descent.  A failed search is NOT a proof of infeasibility and is
+reported as plain absence.
 
 The search scores about ten thousand directions, each with one `margins`
-call.  Those calls run a straight-line function of v that
-`model.emit_field_sum` writes; the search compiles it once per system and
-keeps it in the compiled-function cache of `model`.  Every other caller
-(verification, rates, the linear route) evaluates a handful of points and
-takes the monomial kernel, which also stands in wherever a power in the
-compiled function overflows.  Both paths give the same margins bit for bit.
+call, and both its hot loops run as generated code:
+
+- The margins are a straight-line function of v that
+  `model.emit_field_sum` writes; the search compiles it once per system
+  and keeps it in the compiled-function cache of `model`.  Every other
+  caller (verification, rates, the linear route) evaluates a handful of
+  points and takes the monomial kernel, which also stands in wherever a
+  power in the compiled function overflows.  Both paths give the same
+  margins bit for bit.
+- The coordinate descent is one function per dimension n, built once and
+  cached (`_refine_sweep`).  Its iterations and candidates stay loops; the
+  renormalization and the worst-margin score are spelled out over the n
+  components, so its source grows linearly in n.  It gives the same ray
+  and score bit for bit as the plain loop: totals come from the builtin
+  `sum`, and the score makes the comparisons `max` makes.  It looks
+  `margins` up in this module at each call, one per candidate, so a
+  wrapper put in its place (a call counter) sees every call, and an
+  overflow falls back to the kernel inside `margins` as before.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from operator import truediv
 from typing import Callable, Sequence
 
@@ -242,30 +257,42 @@ def _ray_score(model: SystemModel, u: Sequence[float], evaluator: Callable) -> f
     return max(map(truediv, margins(model, u, evaluator), u))
 
 
-def _refine_ray(
-    model: SystemModel, u: list[float], iters: int, evaluator: Callable
-) -> tuple[list[float], float]:
-    """Multiplicative coordinate descent on the simplex direction."""
-    score = _ray_score(model, u, evaluator)
-    delta = 0.5
-    for _ in range(iters):
-        improved = False
-        factors = (1.0 + delta, 1.0 / (1.0 + delta))
-        for j in range(len(u)):
-            for factor in factors:
-                w = u.copy()
-                w[j] *= factor
-                total = sum(w)
-                w = [wi / total for wi in w]
-                s = _ray_score(model, w, evaluator)
-                if s < score:
-                    u, score = w, s
-                    improved = True
-        if not improved:
-            delta *= 0.5
-            if delta < 1e-9:
-                break
-    return u, score
+@functools.cache
+def _refine_sweep(n: int) -> Callable:
+    """refine(model, u, iters, evaluator) -> (u, score): multiplicative
+    coordinate descent on a simplex direction of dimension n.  Each
+    candidate scales one u_j by 1 + delta or 1 / (1 + delta), is
+    renormalized and is scored as `_ray_score` scores it."""
+    X, M = _names("x", n), _names("m", n)
+
+    def score(vec: str, dest: str) -> list[str]:
+        lines = [f"{', '.join(M)}, = certify.margins(model, {vec}, evaluator)", f"{dest} = m0 / x0"]
+        for m, x in zip(M[1:], X[1:]):
+            lines += [f"t = {m} / {x}", f"if t > {dest}: {dest} = t"]
+        return lines
+
+    body = [f"{', '.join(X)}, = u", *score("u", "score"), "delta = 0.5", "for _ in range(iters):"]
+    body += [
+        "    improved = False",
+        "    factors = (1.0 + delta, 1.0 / (1.0 + delta))",
+        f"    for j in range({n}):",
+        "        for factor in factors:",
+        "            w = u.copy()",
+        "            w[j] *= factor",
+        "            total = sum(w)",
+        f"            {', '.join(X)}, = w",
+        f"            {', '.join(X)}, = w = [{', '.join(f'{x} / total' for x in X)}]",
+        *(f"            {line}" for line in score("w", "s")),
+        "            if s < score:",
+        "                u, score = w, s",
+        "                improved = True",
+        "    if not improved:",
+        "        delta *= 0.5",
+        "        if delta < 1e-9:",
+        "            break",
+        "return u, score",
+    ]
+    return _define("refine", "model, u, iters, evaluator", body, {"certify": sys.modules[__name__]})
 
 
 def find_certificate_nonlinear(model: SystemModel, seed: int = 0) -> np.ndarray | None:
@@ -305,7 +332,7 @@ def find_certificate_nonlinear(model: SystemModel, seed: int = 0) -> np.ndarray 
     scored = sorted(((_ray_score(model, u, evaluator), k) for k, u in enumerate(rays)))
     best_u, best_score = None, math.inf
     for s0, k in scored[: max(4, n)]:
-        u, s = _refine_ray(model, list(rays[k]), REFINE_ITERS, evaluator)
+        u, s = _refine_sweep(n)(model, list(rays[k]), REFINE_ITERS, evaluator)
         if s < best_score:
             best_u, best_score = u, s
 

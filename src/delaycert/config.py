@@ -68,6 +68,12 @@ def _check_history_rows(rows: list, n: int, where: str) -> None:
             raise ConfigError(f"{where} entries must be finite nonnegative numbers, got {row}")
 
 
+def _check_numbers(values, where: str) -> None:
+    """values must be a list of JSON numbers; a boolean is not one."""
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
+
+
 def _finite(value, where: str) -> float:
     """value as a float; anything but a finite real number is a ConfigError
     that names where it was found."""
@@ -87,6 +93,7 @@ def _field_from(doc, where: str) -> PolyVectorField:
     for comp in doc["components"]:
         for term in comp:
             _finite(term["coeff"], f"{where} coefficient")
+            _check_numbers(term["exp"], f"{where} exponent")
     return field
 
 
@@ -113,6 +120,9 @@ def delay_from(doc, where: str = "delay") -> DelayModel:
     _check_keys(doc, {"family"} | params, set(), where)
     for k in params - {"knots"}:
         _finite(doc[k], f"{where}.{k}")
+    if "knots" in params and isinstance(doc["knots"], list):
+        for knot in doc["knots"]:
+            _check_numbers(knot, f"{where}.knots entry")
     try:
         return cls(**{k: doc[k] for k in params})
     except (ValueError, TypeError) as exc:
@@ -223,6 +233,7 @@ def parse_config(doc) -> ExperimentConfig:
         raise ConfigError("system.delayed must be a non-empty list of vector fields")
     gs = tuple(_field_from(g, f"system.delayed[{q}]") for q, g in enumerate(delayed_docs))
     degree = _finite(sys_doc["degree"], "system.degree")
+    _check_numbers(sys_doc["dilation"], "system.dilation")
     try:
         dilation = Dilation(tuple(sys_doc["dilation"]))
         system = SystemModel(
@@ -254,6 +265,7 @@ def parse_config(doc) -> ExperimentConfig:
         times, states = table["times"], table["states"]
         if not (isinstance(times, list) and isinstance(states, list)) or len(times) != len(states):
             raise ConfigError("initial_history.table times and states must have equal length")
+        _check_numbers(times, "initial_history.table.times")
         _check_history_rows(states, system.n, "initial_history.table.states row")
         try:
             tabulated_history(times, states)
@@ -292,7 +304,7 @@ def parse_config(doc) -> ExperimentConfig:
     analysis = AnalysisSettings(v=v, gamma=gamma, bounds=bounds)
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not (_is_number(seed) and isinstance(seed, int)):
         raise ConfigError("seed must be an integer")
 
     return ExperimentConfig(

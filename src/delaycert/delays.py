@@ -292,7 +292,8 @@ def history_depth(delay: DelayModel, probe_horizon: float = 200.0) -> float:
 
     Exact for the parametric families; otherwise found by grid minimization
     of t - tau(t) over [0, T0], where T0 is the last observed time with
-    t - tau(t) <= 0.
+    t - tau(t) <= 0, refined to float resolution by gridding the bracket
+    around the grid minimizer again.
     """
     exact = delay.exact_history_depth()
     if exact is not None:
@@ -309,14 +310,18 @@ def history_depth(delay: DelayModel, probe_horizon: float = 200.0) -> float:
     nonpos = np.nonzero(w <= 0.0)[0]
     if len(nonpos) == 0:
         return 0.0
-    t0_idx = nonpos[-1]
-    j = int(np.argmin(w[: t0_idx + 1]))
-    # local refinement around the coarse minimizer
-    lo = ts[max(j - 1, 0)]
-    hi = ts[min(j + 1, len(ts) - 1)]
-    fine = np.linspace(lo, hi, 2001)
-    depth = -min(float((fine - delay.values(fine)).min()), float(w[: t0_idx + 1].min()))
-    return max(0.0, depth)
+    grid, w = ts, w[: nonpos[-1] + 1]
+    lowest = float(w.min())
+    # grid the bracket around the grid minimizer again, 1000 times finer,
+    # until that finds no lower point (a bracket that stops shrinking at
+    # float resolution repeats its grid, so this ends)
+    while True:
+        j = int(np.argmin(w))
+        grid = np.linspace(grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)], 2001)
+        w = grid - delay.values(grid)
+        if not w.min() < lowest:
+            return max(0.0, -lowest)
+        lowest = float(w.min())
 
 
 def delay_limits(delays: Sequence[DelayModel]) -> tuple[float | None, float | None]:

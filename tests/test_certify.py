@@ -1,5 +1,7 @@
 import dataclasses
+import dis
 import math
+from operator import truediv
 
 import numpy as np
 import pytest
@@ -421,3 +423,72 @@ def test_search_compiles_its_evaluator_once_per_system(monkeypatch):
     # the discrete system of the same fields is another evaluator
     find_certificate_nonlinear(dataclasses.replace(twin, kind="discrete"))
     assert len(builds) == 2 and model_mod._RUNS[key] is evaluator
+
+
+# -- the generated coordinate-descent sweep -------------------------------------------
+
+
+def _reference_ray_score(model, u, evaluator):
+    return max(map(truediv, margins(model, u, evaluator), u))
+
+
+def _reference_refine_ray(model, u, iters, evaluator):
+    """The sweep as a plain Python loop: the generated one must match it bit for bit."""
+    score = _reference_ray_score(model, u, evaluator)
+    delta = 0.5
+    for _ in range(iters):
+        improved = False
+        factors = (1.0 + delta, 1.0 / (1.0 + delta))
+        for j in range(len(u)):
+            for factor in factors:
+                w = u.copy()
+                w[j] *= factor
+                total = sum(w)
+                w = [wi / total for wi in w]
+                s = _reference_ray_score(model, w, evaluator)
+                if s < score:
+                    u, score = w, s
+                    improved = True
+        if not improved:
+            delta *= 0.5
+            if delta < 1e-9:
+                break
+    return u, score
+
+
+def _assert_sweep_matches_reference(model, u):
+    evaluator = certify_mod._margin_evaluator(model)
+    want = _reference_refine_ray(model, list(u), certify_mod.REFINE_ITERS, evaluator)
+    got = certify_mod._refine_sweep(model.n)(model, list(u), certify_mod.REFINE_ITERS, evaluator)
+    assert [x.hex() for x in got[0]] == [x.hex() for x in want[0]]
+    assert got[1].hex() == want[1].hex()
+
+
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sweep_matches_the_python_loop_bitwise(n, kind):
+    rng = np.random.default_rng([n, kind == "discrete"])
+    for n_delayed in (1, 2):
+        model = _random_cooperative_system(rng, n, kind, n_delayed)
+        for u in ([1.0 / n] * n, [float(x) for x in rng.dirichlet(np.ones(n))]):
+            _assert_sweep_matches_reference(model, u)
+
+
+def test_sweep_matches_the_python_loop_where_a_power_overflows():
+    # the first ray's x0**3 overflows, so its margins are the kernel's
+    # [-inf, 2e200 - 0.5]; the renormalized candidates stay finite
+    model = SystemModel(
+        kind="discrete",
+        f=PolyVectorField(2, (((-1.0, (3, 0)),), ((0.5, (0, 1)),))),
+        delayed_terms=(PolyVectorField(2, ((), ((2.0, (1, 0)),))),),
+        dilation=Dilation((1.0, 3.0)),
+        degree=2.0,
+    )
+    _assert_sweep_matches_reference(model, [1e200, 1.0])
+
+
+def test_sweep_source_grows_linearly_in_n():
+    def lines(n):  # the generated function's last line number is its line count
+        return max(line for _, line in dis.findlinestarts(certify_mod._refine_sweep(n).__code__))
+
+    assert lines(50) - lines(8) == 7 * (lines(8) - lines(2)) > 0

@@ -304,7 +304,13 @@ def test_malformed_numbers_exit_64_naming_the_key(tmp_path, capsys, doc, cmd, ar
     (_with(discrete_config(), ["delay", "d"], True), "bounds", "delay.d"),
     (_with(scalar_config(), ["system", "f"], _coeff(True)), "certify", "system.f coefficient"),
     (_with(scalar_config(), ["initial_history"], {"constant": [True]}), "check", "initial_history.constant"),
-], ids=["d", "coeff", "history"])
+    (_with(scalar_config(), ["system", "dilation"], [True]), "check", "system.dilation"),
+    (_with(scalar_config(), ["seed"], True), "certify", "seed"),
+    (_with(scalar_config(), ["system", "f"], _exps([True])), "check", "system.f exponent"),
+    (_with(scalar_config(), ["initial_history"], {"table": {"times": [-1, False], "states": [[1], [1]]}}),
+     "check", "initial_history.table.times"),
+    (_with(growth_config(), ["delay", "knots"], [[0, 0], [1, False], [2, True]]), "check", "delay.knots"),
+], ids=["d", "coeff", "history", "dilation", "seed", "exponent", "history-time", "knots"])
 def test_json_booleans_are_not_numbers(tmp_path, capsys, doc, cmd, key):
     code = main([cmd, "--config", write(tmp_path, doc)])
     captured = capsys.readouterr()

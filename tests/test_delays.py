@@ -150,3 +150,12 @@ def test_values_match_value_bitwise(delay, ts):
     ts = np.array(ts, dtype=float)
     assert _bits(delay.values(ts)) == _bits(delay.value(t) for t in ts.tolist())
 
+
+@pytest.mark.parametrize("delay, probe, exact, tol", [
+    # the coarse grid misses t = 1/4 by 0.4 and the first refinement by 4e-4
+    (CustomDelay(lambda t: t ** 0.5), 40000.0, 0.25, 1e-12),
+    # t - 3 - 2 sin t is lowest at t = pi/3
+    (SinusoidalDelay(3.0, 2.0), 20000.0, 3.0 + math.sqrt(3.0) - math.pi / 3.0, 1e-11),
+], ids=["sqrt", "sinusoidal"])
+def test_sampled_history_depth_reaches_float_precision(delay, probe, exact, tol):
+    assert history_depth(delay, probe_horizon=probe) == pytest.approx(exact, abs=tol)
