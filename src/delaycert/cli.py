@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -52,6 +53,8 @@ def _load(args) -> ExperimentConfig:
         )
         cfg = dataclasses.replace(cfg, sim=new_sim)
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
@@ -219,7 +222,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was."""
     parser = _Parser(
         prog="delaycert",
         description=(

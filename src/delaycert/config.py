@@ -304,8 +304,8 @@ def parse_config(doc) -> ExperimentConfig:
     analysis = AnalysisSettings(v=v, gamma=gamma, bounds=bounds)
 
     seed = doc.get("seed", 0)
-    if not (_is_number(seed) and isinstance(seed, int)):
-        raise ConfigError("seed must be an integer")
+    if not (_is_number(seed) and isinstance(seed, int)) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
     return ExperimentConfig(
         system=system, delays=delays, history_doc=hist_doc, sim=sim, analysis=analysis, seed=seed,

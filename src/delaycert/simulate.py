@@ -13,17 +13,30 @@ Which source each stage reads, and at what weight, depends only on the
 delays and the step grid, so a read plan works it out before the steps run:
 numpy computes, for a block of PLAN_BLOCK steps at a time, one (source,
 weight, grid index) triple per stage time and delay, from one
-`DelayModel.values` call per stage time and delay.  The run loop over a
-block is Python source generated from the system's monomials
-(`model.emit_field_sum`): the four stages and every component, monomial and
-delayed read are unrolled over local names, so a step makes no call and
-builds no list per stage.  The loop binds nothing of one run (the states,
-the history and the positivity record come in as arguments), so it is
-generated and compiled once per (system, h) and kept in the small cache of
-compiled functions in `model`, which every later run of that system at that
-step size reuses.  The plan and the loop do the float operations of a
-per-stage lookup and of `PolyVectorField.evaluate`, in the same order, so
-the trajectory is the same bit for bit.
+`DelayModel.values` call per stage time and delay.
+
+The run loop over a block is generated from the system's monomials, once
+per (system, h), and kept in the small cache of compiled functions in
+`model`, which every later run of that system at that step size reuses.
+It is generated twice, from one term walk (`model.emit_field_sum` and
+`model.emit_field_sum_c`) and one sequence of stage statements (`_stages`):
+  - as C, which `native` compiles with the system C compiler into a shared
+    object cached on disk.  It steps the plan's numpy columns and writes
+    each new state into a preallocated (steps + 1, n) array; the history
+    reads of a block are filled in before it by calling phi, and a
+    negative state is handed back to Python to be recorded and clamped.
+    The coefficients come in at call time, so one object serves every
+    system with the same dimension, delays and monomial pattern;
+  - as Python, the four stages and every component, monomial and delayed
+    read unrolled over local names.  This loop runs where no C kernel can
+    be built (no compiler, a failed compile, a cache that cannot be
+    written), and it is the reference the C kernel is tested against.
+Only whether the kernel could be built chooses between them, and
+metadata["integrator"] says which ran.  Both do the float operations of a
+per-stage lookup and of `PolyVectorField.evaluate`, in the same order, and
+a power x ** e in C is CPython's own float power, so the trajectory,
+positivity record, divergence time and read counts are the same bit for
+bit.
 
 Fixed stepping is deliberate: time-varying delays create derivative kinks at
 unpredictable times, and a fine fixed step with a documented O(h^2)
@@ -55,8 +68,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import native
 from .delays import DelayModel, as_delay_list, history_depth
-from .model import Dilation, LevelSetProbe, SystemModel, _cached, _define, _names, emit_field_sum, emit_key, lyapunov_v
+from .model import Dilation, LevelSetProbe, SystemModel, _cached, _define, _names, emit_field_sum, emit_field_sum_c
+from .model import emit_key, lyapunov_v
 from .model import RUN_CACHE_SIZE, _RUNS  # noqa: F401  (re-exported: the cache of compiled runs)
 from .rates import DEFAULT_SAFETY, DecayBound, _exp
 
@@ -164,39 +179,60 @@ def _rk4_run(model: SystemModel, h: float) -> Callable:
     monomials and delayed reads are unrolled over local names.  Nothing of
     one run is bound in the function, so one compiled run serves every run
     of the system at step size h, from the cache `_RUNS`.
+
+    run.native is the same loop as a C kernel (see `_native_rk4`), or None
+    when none could be built.
     """
     h = float(h)
     fields = (model.f, *model.delayed_terms)
     return _cached((h.hex(), emit_key(fields)), lambda: _build_rk4_run(model, h))
 
 
-def _build_rk4_run(model: SystemModel, h: float) -> Callable:
-    n, fields = model.n, (model.f, *model.delayed_terms)
-    X, Y, A, B = (_names(p, n) for p in "xyab")
-    D = [_names(f"d{q}_", n) for q in range(len(fields) - 1)]
-    plan = [f"c{st}_{q}, w{st}_{q}, i{st}_{q}" for st in range(3) for q in range(len(D))]
+def _stages(names, end: str, read: Callable, fsum: Callable) -> list[str]:
+    """The statements of one RK4 step, from the state x to the new state
+    x, in either language: names = (X, Y, D, K) name the state, the stage
+    state, each delay's delayed state and each stage's slope; end ends a
+    statement.  Stage s sets y = x + h_s k_{s-1}, then read(st, q, codes,
+    Z, D[q]) gives the lines of the delayed read branches of stage time st,
+    then fsum(s, Z, D, K[s - 1]) the stage's field sum."""
+    X, Y, D, K = names
     body = []
-    ns: dict = {**_BOUNDS, "h": h, "half": 0.5 * h, "sixth": h / 6.0}
     for stage, st in enumerate((0, 1, 1, 2), 1):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
         if stage > 1:
             inc = "h" if stage == 4 else "half"
-            body += [f"y{i} = x{i} + {inc} * k{stage - 1}_{i}" for i in range(n)]
+            body += [f"{y} = {x} + {inc} * {k}{end}" for y, x, k in zip(Y, X, K[stage - 2])]
         Z = X if stage == 1 else Y
         for q, Dq in enumerate(D):
-            c, w, i = f"c{st}_{q}", f"w{st}_{q}", f"i{st}_{q}"
-            reads = {
-                _GRID: [f"{', '.join(A)}, = S[{i}]", f"{', '.join(B)}, = S[{i} + 1]"]
-                + [f"{d} = {a} + {w} * ({b} - {a})" for d, a, b in zip(Dq, A, B)],
-                _HISTORY: [f"{', '.join(Dq)}, = P({w})"],
-                _SEGMENT: [f"{d} = {x} + {w} * ({y} - {x})" for d, x, y in zip(Dq, X, Y)],
-                _CURRENT: [f"{d} = {z}" for d, z in zip(Dq, Z)],
-            }
-            if stage == 3:  # k3 keeps k2's grid and history reads: same time, same values
-                del reads[_GRID], reads[_HISTORY]
-            for b, (code, lines) in enumerate(reads.items()):
-                body += [f"{'elif' if b else 'if'} {c} == {code}:", *("    " + line for line in lines)]
-        body += emit_field_sum(fields, [Z, *D], _names(f"k{stage}_", n), ns)
-    body += [f"x{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(n)]
+            # k3 keeps k2's grid and history reads: same time, same values
+            codes = (_SEGMENT, _CURRENT) if stage == 3 else (_GRID, _HISTORY, _SEGMENT, _CURRENT)
+            body += read(st, q, codes, Z, Dq)
+        body += fsum(stage, Z, D, K[stage - 1])
+    body += [f"{x} = {x} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4}){end}" for x, k1, k2, k3, k4 in zip(X, *K)]
+    return body
+
+
+def _build_rk4_run(model: SystemModel, h: float) -> Callable:
+    n, fields = model.n, (model.f, *model.delayed_terms)
+    X, Y, A, B = (_names(p, n) for p in "xyab")
+    Q = len(fields) - 1
+    plan = [f"c{st}_{q}, w{st}_{q}, i{st}_{q}" for st in range(3) for q in range(Q)]
+    ns: dict = {**_BOUNDS, "h": h, "half": 0.5 * h, "sixth": h / 6.0}
+
+    def read(st, q, codes, Z, Dq):
+        c, w, i = f"c{st}_{q}", f"w{st}_{q}", f"i{st}_{q}"
+        reads = {
+            _GRID: [f"{', '.join(A)}, = S[{i}]", f"{', '.join(B)}, = S[{i} + 1]"]
+            + [f"{d} = {a} + {w} * ({b} - {a})" for d, a, b in zip(Dq, A, B)],
+            _HISTORY: [f"{', '.join(Dq)}, = P({w})"],
+            _SEGMENT: [f"{d} = {x} + {w} * ({y} - {x})" for d, x, y in zip(Dq, X, Y)],
+            _CURRENT: [f"{d} = {z}" for d, z in zip(Dq, Z)],
+        }
+        return [line for b, code in enumerate(codes)
+                for line in (f"{'elif' if b else 'if'} {c} == {code}:", *("    " + r for r in reads[code]))]
+
+    D = [_names(f"d{q}_", n) for q in range(Q)]
+    K = [_names(f"k{s}_", n) for s in range(1, 5)]
+    body = _stages((X, Y, D, K), "", read, lambda s, Z, D, K: emit_field_sum(fields, [Z, *D], K, ns))
     state = ", ".join(X) + ","
     body += [
         f"if not ({_finite(X)}):",
@@ -205,12 +241,114 @@ def _build_rk4_run(model: SystemModel, h: float) -> Callable:
         f"    {state} = neg(({state}))",
         f"S.append(({state}))",
     ]
-    return _define("run", "x, rows, S, P, neg", [
+    run = _define("run", "x, rows, S, P, neg", [
         f"{state} = x",
         f"for {', '.join(plan)}, in rows:",
         *("    " + line for line in body),
         "return True",
     ], ns)
+    run.native = _native_rk4(model, h)
+    return run
+
+
+def _rk4_source(model: SystemModel) -> tuple[str, list[float]]:
+    """(source, coefficients): the C function rk4_block, the run loop of
+    `_build_rk4_run` with the same statements in C, and the coefficients
+    it reads as c[0], c[1], ...
+
+        int64_t rk4_block(r, r1, R, j, S, c, C, W, I, P, h, half, sixth)
+
+    steps the plan rows r .. r1 - 1 from the state row j of the (steps +
+    1, n) array S, writing row j + 1 at each step.  The plan columns C
+    (codes), W (weights) and I (indices) have R entries per (stage time,
+    delay); a history read takes row I of the array P instead of calling
+    the history function.  It returns r1 when every row was stepped, r when
+    the new state of row r has a negative component (it is stored), and
+    -1 - r when that state is not finite or one of its powers overflowed
+    (nothing is stored).  The field sum is one function, `field`, that
+    each stage calls, so the compiler sees each term once.
+    """
+    n, fields = model.n, (model.f, *model.delayed_terms)
+    Q = len(fields) - 1
+
+    def arr(v: str, start: int = 0) -> list[str]:
+        return [f"{v}[{i}]" for i in range(start, start + n)]
+
+    X, Y, *K = (arr(v) for v in ("x", "y", "k1", "k2", "k3", "k4"))
+    D = [arr("d", q * n) for q in range(Q)]
+
+    def read(st, q, codes, Z, Dq):
+        reads = {
+            _GRID: ["a = S + I[p] * N;"] + [f"{d} = a[{i}] + w * (a[N + {i}] - a[{i}]);" for i, d in enumerate(Dq)],
+            _HISTORY: ["a = P + I[p] * N;"] + [f"{d} = a[{i}];" for i, d in enumerate(Dq)],
+            _SEGMENT: [f"{d} = {x} + w * ({y} - {x});" for d, x, y in zip(Dq, X, Y)],
+            _CURRENT: [f"{d} = {z};" for d, z in zip(Dq, Z)],
+        }
+        cases = [line for code in codes for line in (f"case {code}:", *reads[code], "break;")]
+        return [f"p = {st * Q + q} * R + r;", "w = W[p];", "switch (C[p]) {", *cases, "}"]
+
+    field, coeffs = emit_field_sum_c(fields, [arr("z"), *D], arr("k"))
+    body = _stages((X, Y, D, K), ";", read,
+                   lambda s, *_: [f"field({'x' if s == 1 else 'y'}, d, k{s}, c, &ovf);"])
+    source = "\n".join([
+        native.PY_POW,
+        "#include <stdint.h>",
+        "static void field(const double *z, const double *d, double *k, const double *c, int *flag)",
+        "{",
+        "double _g;",
+        "int ovf = 0;",
+        *field,
+        "*flag |= ovf;",
+        "}",
+        "",
+        "int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, double *S, const double *c,",
+        "                  const int64_t *C, const double *W, const int64_t *I, const double *P,",
+        "                  double h, double half, double sixth)",
+        "{",
+        f"enum {{ N = {n} }};",
+        f"double x[N], y[N], d[{Q * n}], k1[N], k2[N], k3[N], k4[N], w;",
+        "const double *a;",
+        "double *s = S + j * N;",
+        "int64_t p;",
+        "int ovf = 0;",
+        *(f"{x} = s[{i}];" for i, x in enumerate(X)),
+        "for (; r < r1; r++) {",
+        *body,
+        f"if (ovf || !({' && '.join(f'-HUGE_VAL < {x} && {x} < HUGE_VAL' for x in X)}))",
+        "return -1 - r;",
+        "s += N;",
+        *(f"s[{i}] = {x};" for i, x in enumerate(X)),
+        f"if ({' || '.join(f'{x} < 0.0' for x in X)})",
+        "return r;",
+        "}",
+        "return r1;",
+        "}",
+    ])
+    return source, coeffs
+
+
+def _native_rk4(model: SystemModel, h: float) -> Callable | None:
+    """kernel(S, j, r, r1, code, w, idx, P): `rk4_block` (see `_rk4_source`)
+    on numpy arrays, with the system's coefficients and h; None when the C
+    kernel cannot be built (`native.load`)."""
+    source, coeffs = _rk4_source(model)
+    lib = native.load(source)
+    if lib is None:
+        return None
+    import ctypes
+
+    fn = lib.rk4_block
+    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    fn.restype = i64
+    fn.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl, dbl, dbl]
+    c = np.array(coeffs, dtype=float)
+    hs = (h, 0.5 * h, h / 6.0)
+
+    def kernel(S, j, r, r1, code, w, idx, P):
+        return fn(r, r1, code.shape[1], j, S.ctypes.data, c.ctypes.data, code.ctypes.data,
+                  w.ctypes.data, idx.ctypes.data, P.ctypes.data, *hs)
+
+    return kernel
 
 
 def _map_step(model: SystemModel) -> Callable:
@@ -227,11 +365,12 @@ def _map_step(model: SystemModel) -> Callable:
 
 
 def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: float):
-    """(rows, codes, error): the delayed reads of RK4 steps j0..j1 - 1.
+    """(code, w, idx, stop, error): the delayed reads of RK4 steps j0..j1 - 1.
 
-    rows yields, in order, step j's row for `_rk4_run`: a (code, w, idx) triple
-    per stage time t, t + h/2, t + h (k2 and k3 share the middle one) and
-    delay.  With s = t_stage - tau(t_stage), the read is
+    code, w and idx have a row per stage time t, t + h/2, t + h (k2 and k3
+    share the middle one) and delay, row st * Q + q for stage time st and
+    delay q of Q, and a column per step.  With s = t_stage - tau(t_stage),
+    the read is
       _CURRENT  the stage state, when tau = 0 (or s does not move off the
                 step's base time t: the in-step segment has no width);
       _HISTORY  phi(w), w = max(s, -depth), when s <= 0;
@@ -239,20 +378,20 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
       _GRID     the stored states idx and idx + 1 at weight
                 w = (s - idx h)/h, idx = int(s/h) clamped to [0, j - 1].
     These are the float operations of a scalar lookup, so the reads are the
-    same bit for bit.  codes holds the code of every stage's read, one row
-    per (stage, delay), for counting reads.  error is the exception of the
-    first step that reads a negative delay or below the initial window, else
-    None; the rows stop before that step, which raises it if the run gets
-    there.
+    same bit for bit.  error is the exception of the first step that reads
+    a negative delay or below the initial window, else None; stop is that
+    step's column (j1 - j0 without one), and the run raises error if it
+    gets there.
     """
     t = np.arange(j0, j1) * h
-    cols, codes, stop, error = [], [], j1 - j0, None
-    for st, ts in enumerate((t, t + 0.5 * h, t + h)):
+    cols: tuple[list, list, list] = ([], [], [])
+    stop, error = j1 - j0, None
+    for ts in (t, t + 0.5 * h, t + h):
         for d in delays:
             tau = d.values(ts)
             s = ts - tau
             # in reverse order of priority: the first condition that holds writes last
-            code = np.full(len(t), _GRID)
+            code = np.full(len(t), _GRID, dtype=np.int64)
             ahead = s >= t
             code[ahead] = _CURRENT
             code[ahead & (ts > t)] = _SEGMENT
@@ -269,8 +408,8 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
                     w[seg] = (s[seg] - t[seg]) / (ts[seg] - t[seg])
                 if (hist := code == _HISTORY).any():
                     w[hist] = np.where(-depth > s[hist], -depth, s[hist])
-            cols += [code, w, idx]
-            codes += [code] * (1 + (st == 1))
+            for col, a in zip(cols, (code, w, idx)):
+                col.append(a)
             bad = np.flatnonzero(~(tau >= 0.0) | (s < -depth - 1e-9))
             if len(bad) and bad[0] < stop:
                 stop = m = int(bad[0])
@@ -280,7 +419,30 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
                 ) if tau[m] >= 0.0 else ValueError(
                     f"delay became {'negative' if tau[m] < 0.0 else tau[m]} at t={float(ts[m])}"
                 )
-    return zip(*(col[:stop].tolist() for col in cols)), np.array(codes), error
+    return (*(np.array(col) for col in cols), stop, error)
+
+
+def _native_block(kernel: Callable, S: np.ndarray, j0: int, stop: int, code, w, idx, phi, neg) -> tuple[int, bool]:
+    """Steps j0 .. j0 + stop - 1 of the read plan (code, w, idx) through the
+    C kernel, from row j0 of the state array S: (rows of S then stored,
+    True when every step was taken, False at a state that is not finite).
+
+    The history reads are filled in first: row k of P is phi at the k-th
+    of them, and idx points there.  A new state with a negative component
+    is replaced by neg(state, row) before the kernel resumes."""
+    hist = code == _HISTORY
+    hist[:, stop:] = False
+    at = np.flatnonzero(hist)
+    P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, S.shape[1])
+    idx.flat[at] = np.arange(len(at))
+    r = 0
+    while (r := kernel(S, j0 + r, r, stop, code, w, idx, P)) != stop:
+        if r < 0:  # the state of row j0 - r is not finite
+            return j0 - r, False
+        row = j0 + r + 1
+        S[row] = neg(tuple(S[row].tolist()), row)
+        r += 1
+    return j0 + stop + 1, True
 
 
 def simulate_continuous(
@@ -299,7 +461,9 @@ def simulate_continuous(
     metadata["diverged_at"] rather than raised: blow-up is the expected
     outcome for unstable systems.  metadata["delayed_reads"] counts the
     stages' delayed reads by source: history, grid, in-step segment and
-    current stage state.
+    current stage state.  metadata["integrator"] says which loop ran the
+    steps, "native" (the C kernel) or "python" (where no kernel could be
+    built); both give the same trajectory bit for bit.
     """
     if model.is_discrete:
         raise ValueError("model is discrete; use simulate_discrete")
@@ -318,35 +482,46 @@ def simulate_continuous(
     if len(x) != n:
         raise ValueError(f"history returns dimension {len(x)}, model n={n}")
 
-    states: list[tuple[float, ...]] = [x]
     violations: list[tuple[float, int, float]] = []
     diverged_at = None
 
-    def neg(xn: tuple[float, ...]) -> tuple[float, ...]:
-        # the state of step len(states), at time len(states) * h
-        violations.extend((len(states) * h, i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS)
+    def neg(xn: tuple[float, ...], row: int) -> tuple[float, ...]:
+        violations.extend((row * h, i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS)
         return tuple(0.0 if -CLAMP_EPS <= c < 0.0 else c for c in xn)
 
     run = _rk4_run(model, h)
+    if run.native is None:
+        states: list[tuple[float, ...]] = [x]
+    else:
+        S = np.empty((steps + 1, n))
+        S[0] = x
+    Q = len(delays)
     reads = np.zeros(len(_SOURCES), dtype=np.int64)
     for j0 in range(0, steps, PLAN_BLOCK):
-        rows, codes, error = _read_plan(delays, j0, min(j0 + PLAN_BLOCK, steps), h, depth)
-        try:
-            finished = run(states[-1], rows, states, phi, neg)
-        except OverflowError:
-            finished = False
+        code, w, idx, stop, error = _read_plan(delays, j0, min(j0 + PLAN_BLOCK, steps), h, depth)
+        if run.native is None:
+            cols = [a[:, :stop].tolist() for a in (code, w, idx)]
+            rows = zip(*(col[k] for k in range(len(code)) for col in cols))
+            try:
+                finished = run(states[-1], rows, states, phi, lambda xn: neg(xn, len(states)))
+            except OverflowError:
+                finished = False
+            stored = len(states)
+        else:
+            stored, finished = _native_block(run.native, S, j0, stop, code, w, idx, phi, neg)
         if not finished:
-            diverged_at = len(states) * h
-        taken = len(states) - 1 - j0 + (diverged_at is not None)  # the diverging step read too
-        reads += np.bincount(codes[:, :taken].ravel(), minlength=len(_SOURCES))
+            diverged_at = stored * h
+        taken = stored - 1 - j0 + (diverged_at is not None)  # the diverging step read too
+        # k2 and k3 both read at the middle stage time
+        reads += np.bincount(np.concatenate((code, code[Q:2 * Q]))[:, :taken].ravel(), minlength=len(_SOURCES))
         if diverged_at is not None:
             break
         if error is not None:
             raise error
 
     return Trajectory(
-        times=np.arange(len(states)) * h,
-        states=np.array(states),
+        times=np.arange(stored) * h,
+        states=np.array(states) if run.native is None else S[:stored],
         metadata={
             "kind": "continuous",
             "h": h,
@@ -356,6 +531,7 @@ def simulate_continuous(
             "positivity_violations": violations,
             "diverged_at": diverged_at,
             "delayed_reads": dict(zip(_SOURCES, reads.tolist())),
+            "integrator": "python" if run.native is None else "native",
         },
     )
 

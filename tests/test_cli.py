@@ -281,13 +281,15 @@ def _coeff(coeff):
     (_with(scalar_config(), ["system", "f"], _coeff(math.nan)), "simulate", [], "system.f"),
     (_with(scalar_config(), ["system", "f"], _coeff("-1")), "certify", [], "system.f"),
     (_with(scalar_config(), ["system", "delayed"], [_coeff(math.inf)]), "check", [], "system.delayed[0]"),
+    (cubic_config(analysis={"gamma": 0.9}, seed=-1), "certify", [], "seed"),
+    (cubic_config(analysis={"gamma": 0.9}), "certify", ["--seed", "-3"], "seed"),
 ], ids=[
     "tau-str", "alpha-str", "d-str", "a-null", "b-nan", "knots-int", "knots-str", "knots-inf",
     "d-inf", "tau-inf", "discrete-horizon-inf", "continuous-horizon-inf", "h-str",
     "horizon-arg-inf", "h-arg-nan", "h-arg-zero", "degree-str", "dilation-inf", "v-null",
     "gamma-null", "exponent-length", "exponent-negative", "exponent-fractional",
     "d-fractional", "discrete-horizon-fractional", "discrete-horizon-arg-fractional",
-    "coeff-inf", "coeff-nan", "coeff-str", "delayed-coeff-inf",
+    "coeff-inf", "coeff-nan", "coeff-str", "delayed-coeff-inf", "seed-negative", "seed-arg-negative",
 ])
 def test_malformed_numbers_exit_64_naming_the_key(tmp_path, capsys, doc, cmd, argv, key):
     out = ["--out", str(tmp_path / "x.csv")] if cmd == "simulate" else []
@@ -346,6 +348,12 @@ def test_usage_errors_exit_64(capsys, argv):
     assert exc.value.code == 64
     assert captured.out == ""
     assert "error: " in captured.err
+
+
+def test_the_parser_is_built_once():
+    from delaycert import cli
+
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_help_exits_0(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delaycert import simulate as simulate_mod
+from delaycert import model as model_mod, native, simulate as simulate_mod
 from delaycert import (
     ConstantDelay,
     CustomDelay,
@@ -47,6 +47,8 @@ from conftest import growth2d_closed_form, lyapunov_reference
 from rk4_oracle import oracle_continuous
 
 RAMP = PiecewiseLinearDelay(((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)))
+# the integrator every run takes: the C kernel wherever a compiler is found
+INTEGRATOR = "native" if native._compiler() is not None else "python"
 
 
 # -- closed-form regression --------------------------------------------------------
@@ -255,6 +257,7 @@ def test_delay_below_an_ulp_reads_the_current_state(scalar_half):
 
 def _assert_matches_oracle(model, delays, phi, h, horizon):
     traj = simulate_continuous(model, delays, phi, h, horizon)
+    assert traj.metadata["integrator"] == INTEGRATOR
     states, violations, diverged_at = oracle_continuous(model, delays, phi, h, horizon)
     assert np.array_equal(traj.states, np.array(states))
     assert traj.metadata["diverged_at"] == diverged_at
@@ -339,6 +342,188 @@ def test_negative_states_are_recorded_as_the_reference_does(delay, count):
     traj = simulate_continuous(NEGATIVE_FEEDBACK, delay, phi, 0.01, 20.0)
     assert len(traj.metadata["positivity_violations"]) == count
     assert traj.states.min() < 0.0
+
+
+# -- the C kernel against the generated Python loop ------------------------------------
+
+def _assert_native_matches_python(model, delays, phi, h, horizon):
+    """Run once as every run does, and once with no kernel to build, which
+    runs the generated Python loop; the two agree bit for bit."""
+    traj = simulate_continuous(model, delays, phi, h, horizon)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_mod, "_native_rk4", lambda model, h: None)
+        mp.setattr(model_mod, "_RUNS", {})
+        ref = simulate_continuous(model, delays, phi, h, horizon)
+    assert (traj.metadata["integrator"], ref.metadata["integrator"]) == (INTEGRATOR, "python")
+    assert traj.states.shape == ref.states.shape
+    assert np.array_equal(traj.states.view(np.uint64), ref.states.view(np.uint64))
+    for key in ("diverged_at", "delayed_reads"):
+        assert traj.metadata[key] == ref.metadata[key]
+
+    def bits(violations):
+        return [(t.hex(), i, c.hex()) for t, i, c in violations]
+
+    assert bits(traj.metadata["positivity_violations"]) == bits(ref.metadata["positivity_violations"])
+    return traj
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_cooperative_systems(), data=st.data(), h=st.sampled_from([0.01, 0.05]),
+       steps=st.integers(1, 150), scale=st.sampled_from([0.5, 3.0, 20.0]))
+def test_native_matches_the_python_loop_bitwise(model, data, h, steps, scale):
+    n = model.n
+    delays = [data.draw(_delays) for _ in model.delayed_terms]
+    values = data.draw(st.lists(st.floats(0.0, scale), min_size=2 * n, max_size=2 * n))
+    phi = tabulated_history([-2.0, 0.0], [values[n:], values[:n]])
+    _assert_native_matches_python(model, delays, phi, h, steps * h)
+
+
+@pytest.mark.parametrize("delays", [
+    [PiecewiseLinearDelay(((0.0, 0.5), (1.0, 0.0), (2.0, 0.0), (3.0, 0.004), (5.0, 1.0)))],
+    [ConstantDelay(0.004), PiecewiseLinearDelay(((0.0, 1.0), (1.0, 0.0), (2.0, 0.0), (4.0, 1.0)))],
+], ids=["one-delay", "two-delays"])
+def test_native_reads_every_source_as_the_python_loop_does(cubic2d, delays):
+    # below h the stages read the in-step segment, at zero the stage state
+    model = dataclasses.replace(cubic2d, delayed_terms=cubic2d.delayed_terms * len(delays))
+    traj = _assert_native_matches_python(model, delays, constant_history((1.0, 0.5)), 0.01, 6.0)
+    assert all(traj.metadata["delayed_reads"].values())
+
+
+def test_native_stops_where_a_power_overflows():
+    traj = _assert_native_matches_python(BLOW_UP, ConstantDelay(0.3), constant_history((10.0,)), 0.01, 1.0)
+    assert traj.metadata["diverged_at"] == 0.03
+    # an exponent past the float range: Python's ** raises for every base
+    huge = dataclasses.replace(BLOW_UP, f=PolyVectorField(1, (((-1.0, (1,)), (1e-300, (2**1100,))),)))
+    traj = _assert_native_matches_python(huge, ConstantDelay(0.3), constant_history((0.5,)), 0.01, 1.0)
+    assert traj.metadata["diverged_at"] == 0.01
+
+
+@pytest.mark.parametrize("delay, count", [(ConstantDelay(1.0), 998), (SinusoidalDelay(1.0, 0.5), 985)])
+def test_native_records_negative_states_as_the_python_loop_does(delay, count):
+    traj = _assert_native_matches_python(NEGATIVE_FEEDBACK, delay, constant_history((1.0,)), 0.01, 20.0)
+    assert len(traj.metadata["positivity_violations"]) == count
+
+
+def test_native_reads_tabulated_histories(cubic2d):
+    phi = tabulated_history([-3.0, -1.0, 0.0], [[0.2, 2.0], [3.0, 0.5], [1.5, 0.1]])
+    traj = _assert_native_matches_python(cubic2d, PiecewiseLinearDelay(((0.0, 0.5), (3.0, 2.5))), phi, 0.01, 4.0)
+    assert traj.metadata["delayed_reads"]["history"] > 0
+
+
+def test_native_on_a_dense_linear_system():
+    rng = np.random.default_rng(20)
+    A, B = rng.random((20, 20)) / 20, rng.random((20, 20)) / 40
+    model = linear_model((A - 2.0 * np.eye(20)).tolist(), [B.tolist()], "continuous")
+    _assert_native_matches_python(model, SinusoidalDelay(1.0, 0.5), constant_history(rng.random(20)), 0.02, 3.0)
+
+
+def test_native_powers_of_tiny_and_negative_states():
+    # cubes of 1e-105 are subnormal and of 1e-110 underflow to zero; the
+    # negative feedback swings x through zero, so odd and even powers of
+    # negative bases come up too
+    model = SystemModel(
+        kind="continuous",
+        f=PolyVectorField(2, (((-1.0, (1, 0)), (-1.0, (3, 0)), (0.5, (0, 2))),
+                              ((-1.0, (0, 1)), (2.0, (0, 3)), (1.0, (2, 1))))),
+        delayed_terms=(PolyVectorField(2, (((-0.8, (1, 0)), (0.1, (0, 4))), ((0.3, (1, 0)),))),),
+        dilation=Dilation((1.0, 1.0)),
+        degree=0.0,
+    )
+    for x0 in [(1e-105, 1e-110), (1e-110, 1e-105), (1.0, 1e-110)]:
+        _assert_native_matches_python(model, ConstantDelay(0.5), constant_history(x0), 0.01, 10.0)
+
+
+_POW_EDGES = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2.0, -2.0, 0.5, -1.5,
+              1e-105, -1e-105, 1e-110, 5e-324, -5e-324, 1e103, 1e200, -1e200, 1.7976931348623157e308]
+
+
+def test_power_helper_is_python_power():
+    lib = native.load(native.PY_POW + "double call(double x, double e, int odd, int *ovf)"
+                                      "{ return py_pow(x, e, odd, ovf); }")
+    if lib is None:
+        pytest.skip("no C compiler")
+    import ctypes
+
+    lib.call.restype = ctypes.c_double
+    lib.call.argtypes = [ctypes.c_double, ctypes.c_double, ctypes.c_int, ctypes.POINTER(ctypes.c_int)]
+    for x in _POW_EDGES:
+        for e in (2, 3, 4, 7, 1000, 1001):
+            ovf = ctypes.c_int(0)
+            got = lib.call(x, float(e), e % 2, ctypes.byref(ovf))
+            try:
+                want = x ** e
+            except OverflowError:
+                assert ovf.value == 1, (x, e)
+                continue
+            assert ovf.value == 0, (x, e)
+            assert got.hex() == want.hex(), (x, e)
+
+
+# -- the kernel cache ---------------------------------------------------------------------
+
+_SOURCE = "double twice(double x) { return 2.0 * x; }"
+
+
+def _twice(lib):
+    import ctypes
+
+    lib.twice.restype, lib.twice.argtypes = ctypes.c_double, [ctypes.c_double]
+    return lib.twice(1.5)
+
+
+@pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
+def test_kernels_are_compiled_once_into_the_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _twice(native.load(_SOURCE)) == 3.0
+    files = list((tmp_path / "delaycert").iterdir())
+    assert [f.suffix for f in files] == [".so"]  # no temporary file is left behind
+    # a later load reads the file: nothing else could be loaded now
+    monkeypatch.setattr(native, "_compile", lambda source, path: False)
+    assert _twice(native.load(_SOURCE)) == 3.0
+    assert native.load(_SOURCE + "\n") is None
+
+
+@pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
+def test_a_damaged_kernel_file_is_rebuilt_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    compile_, calls = native._compile, []
+    monkeypatch.setattr(native, "_compile", lambda *a: calls.append(a) or compile_(*a))
+    for source in (_SOURCE + "/* a */", _SOURCE + "/* b */"):
+        path = native._path(source)
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b"not a shared object")
+    assert _twice(native.load(_SOURCE + "/* a */")) == 3.0
+    assert len(calls) == 1
+    # a file that still does not load after its rebuild gives no kernel
+    monkeypatch.setattr(native, "_compile", lambda *a: calls.append(a) or True)
+    assert native.load(_SOURCE + "/* b */") is None
+    assert len(calls) == 2
+
+
+def test_no_kernel_without_compiler_compilable_source_or_cache(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    assert native.load("this is not C") is None
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))  # the cache would be under a file
+    assert native.load(_SOURCE + "/* b */") is None
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert native._compiler() is None
+    assert native.load(_SOURCE + "/* b */") is None
+
+
+def test_without_compiler_the_python_loop_runs(tmp_path, monkeypatch, cubic2d):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setattr(model_mod, "_RUNS", {})
+    assert simulate_mod._rk4_run(cubic2d, 0.01).native is None
+    phi, delay = constant_history((1.0, 0.5)), SinusoidalDelay(2.0, 1.0)
+    traj = simulate_continuous(cubic2d, delay, phi, 0.01, 4.0)
+    assert traj.metadata["integrator"] == "python"
+    states, violations, diverged_at = oracle_continuous(cubic2d, delay, phi, 0.01, 4.0)
+    assert np.array_equal(traj.states, np.array(states))
 
 
 # -- discrete simulation ----------------------------------------------------------------
