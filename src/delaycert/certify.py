@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from operator import truediv
 from typing import Callable, Sequence
 
 import numpy as np
@@ -252,17 +251,13 @@ def _margin_evaluator(model: SystemModel) -> Callable[[Sequence[float]], list[fl
     return _define("margins", "v", body, ns)
 
 
-def _ray_score(model: SystemModel, u: Sequence[float], evaluator: Callable) -> float:
-    """Worst normalized margin along a simplex direction (lower is better)."""
-    return max(map(truediv, margins(model, u, evaluator), u))
-
-
 @functools.cache
 def _refine_sweep(n: int) -> Callable:
     """refine(model, u, iters, evaluator) -> (u, score): multiplicative
     coordinate descent on a simplex direction of dimension n.  Each
     candidate scales one u_j by 1 + delta or 1 / (1 + delta), is
-    renormalized and is scored as `_ray_score` scores it."""
+    renormalized and is scored by its worst normalized margin, the largest
+    m_i / u_i (lower is better).  With iters = 0 it scores u alone."""
     X, M = _names("x", n), _names("m", n)
 
     def score(vec: str, dest: str) -> list[str]:
@@ -329,10 +324,11 @@ def find_certificate_nonlinear(model: SystemModel, seed: int = 0) -> np.ndarray 
     for row in rng.dirichlet(np.ones(n), size=RAY_SAMPLES):
         rays.append([max(float(x), 1e-12) for x in row])
 
-    scored = sorted(((_ray_score(model, u, evaluator), k) for k, u in enumerate(rays)))
+    refine = _refine_sweep(n)
+    scored = sorted(((refine(model, u, 0, evaluator)[1], k) for k, u in enumerate(rays)))
     best_u, best_score = None, math.inf
     for s0, k in scored[: max(4, n)]:
-        u, s = _refine_sweep(n)(model, list(rays[k]), REFINE_ITERS, evaluator)
+        u, s = refine(model, list(rays[k]), REFINE_ITERS, evaluator)
         if s < best_score:
             best_u, best_score = u, s
 

@@ -164,7 +164,10 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
     bound = bounds[0] if bounds else None
 
     v = cert.v if cert else None
-    export_csv(traj, out_path, v=v, dilation=system.dilation, bound=bound)
+    try:
+        export_csv(traj, out_path, v=v, dilation=system.dilation, bound=bound)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out_path}: {exc.strerror}") from exc
 
     report: dict = {
         "csv": str(out_path),
@@ -199,7 +202,10 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
 
 def cmd_batch(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make the directory {out_dir}: {exc.strerror}") from exc
     worst = EXIT_OK
     for path in args.configs:
         path = Path(path)

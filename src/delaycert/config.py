@@ -85,6 +85,8 @@ def _finite(value, where: str) -> float:
 def _field_from(doc, where: str) -> PolyVectorField:
     doc = _require_mapping(doc, where)
     _check_keys(doc, {"n", "components"}, set(), where)
+    if not _finite(doc["n"], f"{where}.n").is_integer():
+        raise ConfigError(f"{where}.n must be a whole number, got {doc['n']!r}")
     try:
         field = PolyVectorField.from_dict(doc)
     except (ValueError, KeyError, TypeError) as exc:
@@ -112,7 +114,7 @@ _DELAY_FAMILIES: dict[str, tuple[type, set[str]]] = {
 def delay_from(doc, where: str = "delay") -> DelayModel:
     doc = _require_mapping(doc, where)
     family = doc.get("family")
-    if family not in _DELAY_FAMILIES:
+    if not isinstance(family, str) or family not in _DELAY_FAMILIES:
         raise ConfigError(
             f"{where}.family must be one of {sorted(_DELAY_FAMILIES)}, got {family!r}"
         )
@@ -220,7 +222,7 @@ def parse_config(doc) -> ExperimentConfig:
         {"analysis", "seed"},
         "config",
     )
-    if doc["version"] != SCHEMA_VERSION:
+    if not _is_number(doc["version"]) or doc["version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version {doc['version']!r} (expected {SCHEMA_VERSION})")
 
     sys_doc = _require_mapping(doc["system"], "system")
@@ -294,14 +296,13 @@ def parse_config(doc) -> ExperimentConfig:
         if not isinstance(v, list) or len(v) != system.n:
             raise ConfigError(f"analysis.v must be a vector of length {system.n}")
         v = tuple(_finite(x, "analysis.v entry") for x in v)
-    bounds = tuple(ana_doc.get("bounds", ["auto"]))
-    for b in bounds:
-        if b not in KNOWN_BOUNDS:
-            raise ConfigError(f"analysis.bounds entries must be in {KNOWN_BOUNDS}, got {b!r}")
+    bounds = ana_doc.get("bounds", ["auto"])
+    if not isinstance(bounds, list) or not all(b in KNOWN_BOUNDS for b in bounds):
+        raise ConfigError(f"analysis.bounds must be a list of entries in {KNOWN_BOUNDS}, got {bounds!r}")
     gamma = _finite(ana_doc.get("gamma", 0.9), "analysis.gamma")
     if not 0.0 <= gamma < 1.0:
         raise ConfigError("analysis.gamma must lie in [0, 1)")
-    analysis = AnalysisSettings(v=v, gamma=gamma, bounds=bounds)
+    analysis = AnalysisSettings(v=v, gamma=gamma, bounds=tuple(bounds))
 
     seed = doc.get("seed", 0)
     if not (_is_number(seed) and isinstance(seed, int)) or seed < 0:

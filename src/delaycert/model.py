@@ -350,12 +350,6 @@ class PolyVectorField:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        if self.n != other.n:
-            raise ValueError("cannot add fields of different dimension")
-        comps = tuple(a + b for a, b in zip(self.components, other.components))
-        return PolyVectorField(self.n, comps)
-
     def scaled(self, c: float) -> "PolyVectorField":
         comps = tuple(
             tuple((c * coeff, exps) for coeff, exps in terms) for terms in self.components

@@ -18,25 +18,26 @@ weight, grid index) triple per stage time and delay, from one
 The run loop over a block is generated from the system's monomials, once
 per (system, h), and kept in the small cache of compiled functions in
 `model`, which every later run of that system at that step size reuses.
-It is generated twice, from one term walk (`model.emit_field_sum` and
-`model.emit_field_sum_c`) and one sequence of stage statements (`_stages`):
-  - as C, which `native` compiles with the system C compiler into a shared
-    object cached on disk.  It steps the plan's numpy columns and writes
-    each new state into a preallocated (steps + 1, n) array; the history
-    reads of a block are filled in before it by calling phi, and a
-    negative state is handed back to Python to be recorded and clamped.
+It is one RK4 kernel with one contract (see `_rk4_run`), rendered from one
+term walk (`model.emit_field_sum` and `model.emit_field_sum_c`) and one
+sequence of stage statements (`_stages`) in one of two languages:
+  - C, which `native` compiles with the system C compiler into a shared
+    object cached on disk, stepping a preallocated (steps + 1, n) array.
     The coefficients come in at call time, so one object serves every
     system with the same dimension, delays and monomial pattern;
-  - as Python, the four stages and every component, monomial and delayed
-    read unrolled over local names.  This loop runs where no C kernel can
-    be built (no compiler, a failed compile, a cache that cannot be
-    written), and it is the reference the C kernel is tested against.
-Only whether the kernel could be built chooses between them, and
-metadata["integrator"] says which ran.  Both do the float operations of a
-per-stage lookup and of `PolyVectorField.evaluate`, in the same order, and
-a power x ** e in C is CPython's own float power, so the trajectory,
-positivity record, divergence time and read counts are the same bit for
-bit.
+  - Python, the four stages and every component, monomial and delayed
+    read unrolled over local names, appending to a list of state tuples.
+    It is built only where no C kernel can be (no compiler, a failed
+    compile, a cache that cannot be written), and it is the reference the
+    C kernel is tested against.
+One driver, `_run_block`, runs either over a block of the read plan: it
+fills in the block's history reads by calling phi before the kernel runs,
+and records and clamps a negative state the kernel hands back before it
+resumes.  metadata["integrator"] says which kernel ran.  Both do the float
+operations of a per-stage lookup and of `PolyVectorField.evaluate`, in the
+same order, and a power x ** e in C is CPython's own float power, so the
+trajectory, positivity record, divergence time and read counts are the
+same bit for bit.
 
 Fixed stepping is deliberate: time-varying delays create derivative kinks at
 unpredictable times, and a fine fixed step with a documented O(h^2)
@@ -72,7 +73,6 @@ from . import native
 from .delays import DelayModel, as_delay_list, history_depth
 from .model import Dilation, LevelSetProbe, SystemModel, _cached, _define, _names, emit_field_sum, emit_field_sum_c
 from .model import emit_key, lyapunov_v
-from .model import RUN_CACHE_SIZE, _RUNS  # noqa: F401  (re-exported: the cache of compiled runs)
 from .rates import DEFAULT_SAFETY, DecayBound, _exp
 
 CLAMP_EPS = 1e-12      # negative roundoff this small is snapped to zero
@@ -153,6 +153,9 @@ def tabulated_history(times: Sequence[float], states) -> Callable[[float], tuple
 _GRID, _HISTORY, _SEGMENT, _CURRENT = range(4)
 _SOURCES = ("grid", "history", "segment", "current")
 PLAN_BLOCK = 1024  # steps per read plan, so the plan's size does not grow with the horizon
+# plan columns the Python loop turns into Python scalars at a time: a
+# negative state ends a kernel call, and the next call converts from there
+PLAN_CHUNK = 64
 
 
 _BOUNDS = {"_LO": -math.inf, "_HI": math.inf}  # the names that _finite's test reads
@@ -162,30 +165,30 @@ def _finite(names: list[str]) -> str:
     return " and ".join(f"_LO < {v} < _HI" for v in names)
 
 
-def _rk4_run(model: SystemModel, h: float) -> Callable:
-    """run(x, rows, S, P, neg): the RK4 steps of one block of rows from the
-    state tuple x, appending each new state tuple to the list S; True when
-    every row was stepped, False at the first step whose state is not
-    finite (that step appends nothing).  An OverflowError it raises means
-    the same.
+def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
+    """(integrator, kernel): the RK4 block loop of the system at step size
+    h, kept in the cache `_RUNS`, so every later run of the system at h
+    reuses it.  It is the C kernel ("native", see `_native_rk4`) wherever
+    `native.load` can build one, and only otherwise the generated Python
+    loop ("python", see `_python_rk4`).
 
-    rows are the block's rows of the read plan, and each delayed read is
-    the branch its plan code picks: the interpolation between two stored
-    states of S, the history function P, the segment from x to the stage
-    state, or the stage state itself.  A new state with a negative
-    component is replaced by neg(state), which records and clamps it.
-
-    The loop body is straight-line source: the stages, components,
-    monomials and delayed reads are unrolled over local names.  Nothing of
-    one run is bound in the function, so one compiled run serves every run
-    of the system at step size h, from the cache `_RUNS`.
-
-    run.native is the same loop as a C kernel (see `_native_rk4`), or None
-    when none could be built.
+    Both kernels have one contract, kernel(S, j, r, r1, code, w, idx, P):
+    from the state row j of the store S they take the steps of the read
+    plan's columns r .. r1 - 1 (code, w and idx, see `_read_plan`), storing
+    the new state of column r' as row j + 1 + r' - r, where a history read
+    takes the row idx of the array P.  They return r1 when every step was
+    taken, r' when the state of column r' has a negative component (it is
+    stored as it is), and -1 - r' when that state is not finite or one of
+    its powers overflowed (nothing is stored).
     """
     h = float(h)
     fields = (model.f, *model.delayed_terms)
-    return _cached((h.hex(), emit_key(fields)), lambda: _build_rk4_run(model, h))
+
+    def build() -> tuple[str, Callable]:
+        kernel = _native_rk4(model, h)
+        return ("native", kernel) if kernel is not None else ("python", _python_rk4(model, h))
+
+    return _cached((h.hex(), emit_key(fields)), build)
 
 
 def _stages(names, end: str, read: Callable, fsum: Callable) -> list[str]:
@@ -211,11 +214,16 @@ def _stages(names, end: str, read: Callable, fsum: Callable) -> list[str]:
     return body
 
 
-def _build_rk4_run(model: SystemModel, h: float) -> Callable:
+def _python_rk4(model: SystemModel, h: float) -> Callable:
+    """The kernel of `_rk4_run`'s contract as generated Python, where S is
+    a list of state tuples that each step appends to.  The loop body is
+    straight-line source: the stages, components, monomials and delayed
+    reads are unrolled over local names.  Nothing of one run is bound in
+    the function, so it serves every run of the system at step size h."""
     n, fields = model.n, (model.f, *model.delayed_terms)
     X, Y, A, B = (_names(p, n) for p in "xyab")
     Q = len(fields) - 1
-    plan = [f"c{st}_{q}, w{st}_{q}, i{st}_{q}" for st in range(3) for q in range(Q)]
+    plan = [f"{v}{st}_{q}" for v in "cwi" for st in range(3) for q in range(Q)]  # plan row st * Q + q
     ns: dict = {**_BOUNDS, "h": h, "half": 0.5 * h, "sixth": h / 6.0}
 
     def read(st, q, codes, Z, Dq):
@@ -223,7 +231,7 @@ def _build_rk4_run(model: SystemModel, h: float) -> Callable:
         reads = {
             _GRID: [f"{', '.join(A)}, = S[{i}]", f"{', '.join(B)}, = S[{i} + 1]"]
             + [f"{d} = {a} + {w} * ({b} - {a})" for d, a, b in zip(Dq, A, B)],
-            _HISTORY: [f"{', '.join(Dq)}, = P({w})"],
+            _HISTORY: [f"{', '.join(Dq)}, = P[{i}].tolist()"],
             _SEGMENT: [f"{d} = {x} + {w} * ({y} - {x})" for d, x, y in zip(Dq, X, Y)],
             _CURRENT: [f"{d} = {z}" for d, z in zip(Dq, Z)],
         }
@@ -236,37 +244,36 @@ def _build_rk4_run(model: SystemModel, h: float) -> Callable:
     state = ", ".join(X) + ","
     body += [
         f"if not ({_finite(X)}):",
-        "    return False",
-        f"if {' or '.join(f'{x} < 0.0' for x in X)}:",
-        f"    {state} = neg(({state}))",
+        "    return -1 - r",
         f"S.append(({state}))",
+        f"if {' or '.join(f'{x} < 0.0' for x in X)}:",
+        "    return r",
     ]
-    run = _define("run", "x, rows, S, P, neg", [
-        f"{state} = x",
-        f"for {', '.join(plan)}, in rows:",
-        *("    " + line for line in body),
-        "return True",
+    return _define("run", "S, j, r, r1, code, w, idx, P", [
+        f"{state} = S[j]",
+        "try:",
+        f"    for r0 in range(r, r1, {PLAN_CHUNK}):",
+        f"        e = min(r0 + {PLAN_CHUNK}, r1)",
+        "        cols = code[:, r0:e].tolist() + w[:, r0:e].tolist() + idx[:, r0:e].tolist()",
+        f"        for r, {', '.join(plan)}, in zip(range(r0, e), *cols):",
+        *("            " + line for line in body),
+        "except OverflowError:",
+        "    return -1 - r",
+        "return r1",
     ], ns)
-    run.native = _native_rk4(model, h)
-    return run
 
 
 def _rk4_source(model: SystemModel) -> tuple[str, list[float]]:
-    """(source, coefficients): the C function rk4_block, the run loop of
-    `_build_rk4_run` with the same statements in C, and the coefficients
-    it reads as c[0], c[1], ...
+    """(source, coefficients): the C function rk4_block, the loop of
+    `_python_rk4` with the same statements in C, and the coefficients it
+    reads as c[0], c[1], ...
 
         int64_t rk4_block(r, r1, R, j, S, c, C, W, I, P, h, half, sixth)
 
-    steps the plan rows r .. r1 - 1 from the state row j of the (steps +
-    1, n) array S, writing row j + 1 at each step.  The plan columns C
-    (codes), W (weights) and I (indices) have R entries per (stage time,
-    delay); a history read takes row I of the array P instead of calling
-    the history function.  It returns r1 when every row was stepped, r when
-    the new state of row r has a negative component (it is stored), and
-    -1 - r when that state is not finite or one of its powers overflowed
-    (nothing is stored).  The field sum is one function, `field`, that
-    each stage calls, so the compiler sees each term once.
+    is the kernel of `_rk4_run`'s contract on a (steps + 1, n) array S,
+    where the plan columns C (codes), W (weights) and I (indices) have R
+    entries per (stage time, delay).  The field sum is one function,
+    `field`, that each stage calls, so the compiler sees each term once.
     """
     n, fields = model.n, (model.f, *model.delayed_terms)
     Q = len(fields) - 1
@@ -422,10 +429,11 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
     return (*(np.array(col) for col in cols), stop, error)
 
 
-def _native_block(kernel: Callable, S: np.ndarray, j0: int, stop: int, code, w, idx, phi, neg) -> tuple[int, bool]:
-    """Steps j0 .. j0 + stop - 1 of the read plan (code, w, idx) through the
-    C kernel, from row j0 of the state array S: (rows of S then stored,
-    True when every step was taken, False at a state that is not finite).
+def _run_block(kernel: Callable, S, j0: int, stop: int, code, w, idx, phi, neg) -> tuple[int, bool]:
+    """Steps j0 .. j0 + stop - 1 of the read plan (code, w, idx) through
+    kernel (see `_rk4_run`), from row j0 of the state store S: (rows of S
+    then stored, True when every step was taken, False at a state that is
+    not finite).
 
     The history reads are filled in first: row k of P is phi at the k-th
     of them, and idx points there.  A new state with a negative component
@@ -433,14 +441,14 @@ def _native_block(kernel: Callable, S: np.ndarray, j0: int, stop: int, code, w, 
     hist = code == _HISTORY
     hist[:, stop:] = False
     at = np.flatnonzero(hist)
-    P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, S.shape[1])
+    P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, len(S[0]))
     idx.flat[at] = np.arange(len(at))
     r = 0
     while (r := kernel(S, j0 + r, r, stop, code, w, idx, P)) != stop:
         if r < 0:  # the state of row j0 - r is not finite
             return j0 - r, False
         row = j0 + r + 1
-        S[row] = neg(tuple(S[row].tolist()), row)
+        S[row] = neg(tuple(map(float, S[row])), row)
         r += 1
     return j0 + stop + 1, True
 
@@ -461,7 +469,7 @@ def simulate_continuous(
     metadata["diverged_at"] rather than raised: blow-up is the expected
     outcome for unstable systems.  metadata["delayed_reads"] counts the
     stages' delayed reads by source: history, grid, in-step segment and
-    current stage state.  metadata["integrator"] says which loop ran the
+    current stage state.  metadata["integrator"] says which kernel ran the
     steps, "native" (the C kernel) or "python" (where no kernel could be
     built); both give the same trajectory bit for bit.
     """
@@ -489,26 +497,14 @@ def simulate_continuous(
         violations.extend((row * h, i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS)
         return tuple(0.0 if -CLAMP_EPS <= c < 0.0 else c for c in xn)
 
-    run = _rk4_run(model, h)
-    if run.native is None:
-        states: list[tuple[float, ...]] = [x]
-    else:
-        S = np.empty((steps + 1, n))
-        S[0] = x
+    integrator, kernel = _rk4_run(model, h)
+    S = np.empty((steps + 1, n)) if integrator == "native" else [x]
+    S[0] = x
     Q = len(delays)
     reads = np.zeros(len(_SOURCES), dtype=np.int64)
     for j0 in range(0, steps, PLAN_BLOCK):
         code, w, idx, stop, error = _read_plan(delays, j0, min(j0 + PLAN_BLOCK, steps), h, depth)
-        if run.native is None:
-            cols = [a[:, :stop].tolist() for a in (code, w, idx)]
-            rows = zip(*(col[k] for k in range(len(code)) for col in cols))
-            try:
-                finished = run(states[-1], rows, states, phi, lambda xn: neg(xn, len(states)))
-            except OverflowError:
-                finished = False
-            stored = len(states)
-        else:
-            stored, finished = _native_block(run.native, S, j0, stop, code, w, idx, phi, neg)
+        stored, finished = _run_block(kernel, S, j0, stop, code, w, idx, phi, neg)
         if not finished:
             diverged_at = stored * h
         taken = stored - 1 - j0 + (diverged_at is not None)  # the diverging step read too
@@ -521,7 +517,7 @@ def simulate_continuous(
 
     return Trajectory(
         times=np.arange(stored) * h,
-        states=np.array(states) if run.native is None else S[:stored],
+        states=np.asarray(S[:stored]),
         metadata={
             "kind": "continuous",
             "h": h,
@@ -531,7 +527,7 @@ def simulate_continuous(
             "positivity_violations": violations,
             "diverged_at": diverged_at,
             "delayed_reads": dict(zip(_SOURCES, reads.tolist())),
-            "integrator": "python" if run.native is None else "native",
+            "integrator": integrator,
         },
     )
 

@@ -13,6 +13,15 @@ from delaycert import (
 
 E = math.e
 
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Compiled kernels go to a directory of the session, not to the user's
+    cache; a test that sets XDG_CACHE_HOME itself overrides it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
 # 2-d cubic benchmark: cooperative f, non-decreasing g, degree 2 under r=(1,2)
 CUBIC_F = PolyVectorField(
     2,

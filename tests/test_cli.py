@@ -283,6 +283,11 @@ def _coeff(coeff):
     (_with(scalar_config(), ["system", "delayed"], [_coeff(math.inf)]), "check", [], "system.delayed[0]"),
     (cubic_config(analysis={"gamma": 0.9}, seed=-1), "certify", [], "seed"),
     (cubic_config(analysis={"gamma": 0.9}), "certify", ["--seed", "-3"], "seed"),
+    (_with(scalar_config(), ["analysis", "bounds"], 5), "bounds", [], "analysis.bounds"),
+    (_with(scalar_config(), ["analysis", "bounds"], None), "bounds", [], "analysis.bounds"),
+    (_with(scalar_config(), ["delay", "family"], ["constant"]), "check", [], "delay.family"),
+    (_with(scalar_config(), ["system", "f", "n"], 1.5), "check", [], "system.f.n"),
+    (_with(scalar_config(), ["system", "delayed"], [dict(_coeff(0.5), n="1")]), "check", [], "system.delayed[0].n"),
 ], ids=[
     "tau-str", "alpha-str", "d-str", "a-null", "b-nan", "knots-int", "knots-str", "knots-inf",
     "d-inf", "tau-inf", "discrete-horizon-inf", "continuous-horizon-inf", "h-str",
@@ -290,6 +295,7 @@ def _coeff(coeff):
     "gamma-null", "exponent-length", "exponent-negative", "exponent-fractional",
     "d-fractional", "discrete-horizon-fractional", "discrete-horizon-arg-fractional",
     "coeff-inf", "coeff-nan", "coeff-str", "delayed-coeff-inf", "seed-negative", "seed-arg-negative",
+    "bounds-int", "bounds-null", "family-list", "n-fractional", "n-str",
 ])
 def test_malformed_numbers_exit_64_naming_the_key(tmp_path, capsys, doc, cmd, argv, key):
     out = ["--out", str(tmp_path / "x.csv")] if cmd == "simulate" else []
@@ -312,7 +318,9 @@ def test_malformed_numbers_exit_64_naming_the_key(tmp_path, capsys, doc, cmd, ar
     (_with(scalar_config(), ["initial_history"], {"table": {"times": [-1, False], "states": [[1], [1]]}}),
      "check", "initial_history.table.times"),
     (_with(growth_config(), ["delay", "knots"], [[0, 0], [1, False], [2, True]]), "check", "delay.knots"),
-], ids=["d", "coeff", "history", "dilation", "seed", "exponent", "history-time", "knots"])
+    (_with(scalar_config(), ["system", "f", "n"], True), "check", "system.f.n"),
+    (_with(scalar_config(), ["version"], True), "check", "version"),
+], ids=["d", "coeff", "history", "dilation", "seed", "exponent", "history-time", "knots", "n", "version"])
 def test_json_booleans_are_not_numbers(tmp_path, capsys, doc, cmd, key):
     code = main([cmd, "--config", write(tmp_path, doc)])
     captured = capsys.readouterr()
@@ -920,6 +928,21 @@ def test_batch_keeps_going_after_an_unusable_config(tmp_path, capsys):
     assert "k=-2" in captured.err
     assert (out_dir / "good.csv").exists()
     assert not (out_dir / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("cmd, out", [
+    ("simulate", lambda tmp_path: tmp_path / "missing" / "x.csv"),
+    ("simulate", lambda tmp_path: tmp_path),
+    ("batch", lambda tmp_path: Path(write(tmp_path, {}, "file"))),
+], ids=["simulate-missing-dir", "simulate-directory", "batch-file"])
+def test_an_unusable_out_exits_64_naming_it(tmp_path, capsys, cmd, out):
+    cfg = write(tmp_path, scalar_config())
+    args = [cfg] if cmd == "batch" else ["--config", cfg]
+    code = main([cmd, *args, "--out", str(out(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "--out" in captured.err
 
 
 def dense_linear_config(n):

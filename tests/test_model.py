@@ -96,7 +96,8 @@ def test_eval_matches_dense_loop_bitwise(field_and_point):
 def test_eval_linear_in_coefficients(x, a, b):
     F1 = CUBIC_F.scaled(a)
     F2 = CUBIC_G.scaled(b)
-    left = (F1 + F2).evaluate(x)
+    # the sum of the two fields: each component holds the terms of both
+    left = PolyVectorField(2, tuple(p + q for p, q in zip(F1.components, F2.components))).evaluate(x)
     f1 = F1.evaluate(x)
     f2 = F2.evaluate(x)
     for l, u, w in zip(left, f1, f2):

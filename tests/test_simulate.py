@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 from fractions import Fraction
 
@@ -42,6 +41,7 @@ from delaycert import (
     xi_bound,
 )
 from delaycert.certify import linear_model
+from delaycert.delays import history_depth
 from delaycert.model import emit_key
 from conftest import growth2d_closed_form, lyapunov_reference
 from rk4_oracle import oracle_continuous
@@ -518,12 +518,61 @@ def test_without_compiler_the_python_loop_runs(tmp_path, monkeypatch, cubic2d):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setenv("PATH", str(tmp_path))
     monkeypatch.setattr(model_mod, "_RUNS", {})
-    assert simulate_mod._rk4_run(cubic2d, 0.01).native is None
     phi, delay = constant_history((1.0, 0.5)), SinusoidalDelay(2.0, 1.0)
     traj = simulate_continuous(cubic2d, delay, phi, 0.01, 4.0)
     assert traj.metadata["integrator"] == "python"
     states, violations, diverged_at = oracle_continuous(cubic2d, delay, phi, 0.01, 4.0)
     assert np.array_equal(traj.states, np.array(states))
+
+
+@pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
+def test_with_a_compiler_no_python_loop_is_built(monkeypatch, cubic2d):
+    def refuse(model, h):
+        raise AssertionError("the Python loop was built")
+
+    monkeypatch.setattr(simulate_mod, "_python_rk4", refuse)
+    monkeypatch.setattr(model_mod, "_RUNS", {})
+    for h in (0.01, 0.02):
+        traj = simulate_continuous(cubic2d, SinusoidalDelay(2.0, 1.0), constant_history((1.0, 0.5)), h, 2.0)
+        assert traj.metadata["integrator"] == "native"
+
+
+# x' = 1e300 x: the product passes the float range without an OverflowError
+LINEAR_BLOW_UP = dataclasses.replace(BLOW_UP, f=PolyVectorField.from_matrix([[1e300]]), degree=0.0)
+
+
+@pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
+@pytest.mark.parametrize("model, x0, delay, ends", [
+    (NEGATIVE_FEEDBACK, 1.0, ConstantDelay(1.0), "negative"),
+    (BLOW_UP, 10.0, ConstantDelay(0.3), "overflow"),
+    (LINEAR_BLOW_UP, 1e10, ConstantDelay(0.3), "not finite"),
+], ids=["negative", "overflow", "not-finite"])
+def test_both_kernels_return_the_same_codes_and_rows_on_a_block(model, x0, delay, ends):
+    # one plan block through the one driver, once per kernel: every code a
+    # kernel returns and every row it stores agree bit for bit
+    h, steps = 0.01, 300
+    plan = simulate_mod._read_plan([delay], 0, steps, h, history_depth(delay, probe_horizon=10.0))
+    runs = []
+    for kernel, S in [(simulate_mod._native_rk4(model, h), np.empty((steps + 1, 1))),
+                      (simulate_mod._python_rk4(model, h), [None])]:
+        codes = []
+
+        def spy(*args):
+            codes.append(kernel(*args))
+            return codes[-1]
+
+        S[0] = (x0,)
+        code, w, idx, stop, _ = (a.copy() if isinstance(a, np.ndarray) else a for a in plan)
+        stored, finished = simulate_mod._run_block(spy, S, 0, stop, code, w, idx, constant_history((x0,)),
+                                                   lambda xn, row: tuple(max(c, 0.0) for c in xn))
+        runs.append((codes, stored, finished, np.asarray(S[:stored]).view(np.uint64)))
+    (codes, stored, finished, rows), python = runs
+    assert (codes, stored, finished) == python[:3]
+    assert np.array_equal(rows, python[3])
+    if ends == "negative":
+        assert finished and len(codes) > 1 and all(0 <= r < steps for r in codes[:-1])
+    else:
+        assert not finished and codes[-1] < 0 and stored == -codes[-1]
 
 
 # -- discrete simulation ----------------------------------------------------------------
@@ -1037,29 +1086,32 @@ def test_a_diverging_run_leaves_nothing_to_the_next(scalar_half):
     _assert_matches_oracle(scalar_half, ConstantDelay(0.3), constant_history((1.0,)), 0.01, 1.0)
 
 
-def test_runs_are_not_shared_across_signed_zeros_or_step_sizes(scalar_half):
+def test_runs_are_not_shared_across_signed_zeros_or_step_sizes(scalar_half, monkeypatch):
+    monkeypatch.setattr(model_mod, "_RUNS", {})
+
     def with_coeff(c):
         return dataclasses.replace(scalar_half, f=PolyVectorField(1, (((-1.0, (1,)), (c, (1,))),)))
 
-    plus, minus = with_coeff(0.0), with_coeff(-0.0)
-    run_plus, run_minus = simulate_mod._rk4_run(plus, 0.01), simulate_mod._rk4_run(minus, 0.01)
-    assert run_plus is not run_minus
-    # each run keeps its own coefficient bits, bound as the default of _c0_0_1
-    def coeff(run):
-        return inspect.signature(run).parameters["_c0_0_1"].default
-
-    assert math.copysign(1.0, coeff(run_plus)) == 1.0
-    assert math.copysign(1.0, coeff(run_minus)) == -1.0
-    assert simulate_mod._rk4_run(plus, 0.01) is not simulate_mod._rk4_run(plus, 0.02)
+    # a sum starts at 0.0, so a zero coefficient's sign cannot move a state:
+    # the signed zeros show in their own runs, and two nonzero coefficients
+    # show that each run steps with its own system's coefficients
+    models = [with_coeff(c) for c in (0.0, -0.0, 0.25, 0.3)]
+    phi, delay = constant_history((1.0,)), ConstantDelay(0.3)
     for h in (0.01, 0.02):
-        _assert_matches_oracle(minus, ConstantDelay(0.3), constant_history((1.0,)), h, 1.0)
+        trajs = [simulate_continuous(m, delay, phi, h, 1.0) for m in models]
+        for m, traj in zip(models, trajs):
+            states, _, _ = oracle_continuous(m, delay, phi, h, 1.0)
+            assert np.array_equal(traj.states.view(np.uint64), np.array(states).view(np.uint64))
+        assert not np.array_equal(trajs[2].states, trajs[3].states)
+    keys = [(h.hex(), emit_key((m.f, *m.delayed_terms))) for h in (0.01, 0.02) for m in models]
+    assert len(set(keys)) == 8 and set(model_mod._RUNS) == set(keys)
 
 
 def test_run_cache_is_bounded(scalar_half):
-    steps = [0.001 * (k + 1) for k in range(simulate_mod.RUN_CACHE_SIZE + 3)]
+    steps = [0.001 * (k + 1) for k in range(model_mod.RUN_CACHE_SIZE + 3)]
     for h in steps:
         simulate_continuous(scalar_half, ConstantDelay(0.5), constant_history((1.0,)), h, 0.05)
-        assert len(simulate_mod._RUNS) <= simulate_mod.RUN_CACHE_SIZE
+        assert len(model_mod._RUNS) <= model_mod.RUN_CACHE_SIZE
     # least recently used first: only the last RUN_CACHE_SIZE step sizes remain
     key = emit_key((scalar_half.f, *scalar_half.delayed_terms))
-    assert list(simulate_mod._RUNS) == [(h.hex(), key) for h in steps[-simulate_mod.RUN_CACHE_SIZE:]]
+    assert list(model_mod._RUNS) == [(h.hex(), key) for h in steps[-model_mod.RUN_CACHE_SIZE:]]
