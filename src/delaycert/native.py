@@ -16,6 +16,14 @@ builtin folding of pow (-fno-builtin), so that pow(x, 2.0) is the C
 library's pow, as in Python, and not x * x.  CFLAGS from the environment are
 not read.
 
+Besides the generated RK4 kernels, `load` serves one fixed-source kernel:
+the CSV writer of `simulate` (`_CSV_SOURCE`), whose source does not depend
+on the system, so one cached object serves every run.  It calls
+__builtin_floor, __builtin_fabs and __builtin_memcpy by those names, which
+-fno-builtin leaves the compiler free to expand inline.  That is safe where
+pow's folding is not: floor and fabs are exact in IEEE arithmetic and
+memcpy copies bytes, so an expansion gives the library call's result.
+
 `PY_POW` is the C helper py_pow(x, e, odd, &ovf): CPython 3.11's float_pow
 for a float x and a positive whole exponent e (odd tells whether e is odd),
 which sets ovf where Python raises OverflowError.

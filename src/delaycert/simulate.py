@@ -49,15 +49,20 @@ Discrete systems iterate the map exactly (floating point only), through
 the same generated field sum, compiled once per system.
 
 CSV export writes the bytes `'%.17g' % x` writes, without a formatting call
-per float.  For PLAN_BLOCK rows at a time, numpy estimates the decimal
-exponent E = floor(log10|x|), scales |x| by 10**(16 - E) in double-double
-(Dekker's TwoProduct against a table of powers of ten, each the sum of two
-doubles), corrects E where the integer part falls outside [1e16, 1e17),
-rounds to 17 digits and lays out digits, point and exponent by the %g rule.
-The fraction it rounds is within 1e-14 of the exact one, so Python's
-formatter takes every value whose fraction lies within 1e-7 of one half
-(a possible tie), and zeros, values that are not finite and values outside
-[1e-200, 1e200], where the scaling could leave the float range.
+per float where a C compiler is found.  One fixed C function, compiled
+once by `native` for every run, writes a block of PLAN_BLOCK rows into one
+byte buffer, fields, commas and newlines in order.  For each value it
+estimates the decimal exponent E = floor(log10|x|) from the binary one,
+scales |x| by 10**(16 - E) in double-double (Dekker's TwoProduct against
+a table of powers of ten, each the sum of two doubles), corrects E where
+the integer part falls outside [1e16, 1e17), rounds to 17 digits and lays
+out digits, point and exponent by the %g rule.  The fraction it rounds is
+within 1e-14 of the exact one, so it stops at every value whose fraction
+lies within 1e-7 of one half (a possible tie), and at zeros, values that
+are not finite and values outside [1e-200, 1e200], where the scaling could
+leave the float range.  It returns that value's index; Python writes the
+value and its separator, and the C function resumes after it.  Where no
+kernel can be built, Python writes every value.
 """
 
 from __future__ import annotations
@@ -471,7 +476,8 @@ def simulate_continuous(
     stages' delayed reads by source: history, grid, in-step segment and
     current stage state.  metadata["integrator"] says which kernel ran the
     steps, "native" (the C kernel) or "python" (where no kernel could be
-    built); both give the same trajectory bit for bit.
+    built); both give the same trajectory bit for bit.  A step count whose
+    states cannot be allocated raises ValueError before any step is taken.
     """
     if model.is_discrete:
         raise ValueError("model is discrete; use simulate_discrete")
@@ -481,11 +487,18 @@ def simulate_continuous(
     if any(d.is_discrete for d in delays):
         raise ValueError("continuous simulation needs continuous delay models")
     depth = max(history_depth(d, probe_horizon=max(horizon, 10.0)) for d in delays)
-    steps = int(round(horizon / h))
+    n = model.n
+    try:
+        steps = int(round(horizon / h))
+        # the C kernel's store, and the size of the trajectory either kernel returns
+        S = np.empty((steps + 1, n))
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(
+            f"{horizon / h:.3g} steps of sim.h = {h!r} to sim.horizon = {horizon!r}: "
+            "their states cannot be allocated"
+        ) from None
     if steps < 1:
         raise ValueError("horizon shorter than one step")
-
-    n = model.n
     x = tuple(float(c) for c in phi(0.0))
     if len(x) != n:
         raise ValueError(f"history returns dimension {len(x)}, model n={n}")
@@ -498,7 +511,8 @@ def simulate_continuous(
         return tuple(0.0 if -CLAMP_EPS <= c < 0.0 else c for c in xn)
 
     integrator, kernel = _rk4_run(model, h)
-    S = np.empty((steps + 1, n)) if integrator == "native" else [x]
+    if integrator == "python":
+        S = [x]
     S[0] = x
     Q = len(delays)
     reads = np.zeros(len(_SOURCES), dtype=np.int64)
@@ -697,14 +711,130 @@ def level_set_descent(
     return traj.times[idx[:count]].tolist()
 
 
-@functools.cache
-def _tens() -> tuple[np.ndarray, ...]:
-    """(hi, hi_h, hi_l, lo), indexed by E + 202 for E in [-202, 202]: the
-    power 10**(16 - E) as the double-double hi + lo (hi the nearest double,
-    lo the nearest double to the rest), with hi split into two 26-bit
-    halves hi_h + hi_l for Dekker's TwoProduct.  Python's int to float
-    conversion and int true division round correctly, so hi and lo are exact
-    to the last bit."""
+FIELD_BYTES = 25  # the longest '%.17g' field, as in "-2.2250738585072014e-308", and its separator
+
+_CSV_SOURCE = r"""
+#include <stdint.h>
+
+#define LOW 10000000000000000LL   /* 10**16 */
+#define HIGH 100000000000000000LL /* 10**17 */
+
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* floor(X), with *frac = X - floor(X), of X = a * 10**(16 - E) in
+   double-double, where t is the row E + 202 of the powers of ten */
+static int64_t scaled(double a, const double *t, double *frac)
+{
+    double c = 134217729.0 * a;
+    double a_h = c - (c - a);
+    double a_l = a - a_h;
+    double p = a * t[0];
+    double r = (((a_h * t[1] - p) + a_h * t[2] + a_l * t[1]) + a_l * t[2]) + a * t[3];
+    double f = __builtin_floor(r);
+    *frac = r - f;
+    return (int64_t)p + (int64_t)f;
+}
+
+int64_t csv_fields(const double *x, int64_t i, int64_t m, int64_t cols, const double *tens,
+                   char *out, int64_t *end)
+{
+    char *o = out + *end, d[32] = {0};
+    int64_t col = i % cols, E, N, e;
+    uint64_t bits;
+    uint32_t hi, lo;
+    double a, frac;
+    int nd, k;
+    for (; i < m; i++) {
+        a = __builtin_fabs(x[i]);
+        if (!(a >= 1e-200 && a <= 1e200))
+            break;
+        /* E from the binary exponent and a linear log2 of the mantissa,
+           which is at most one too low */
+        __builtin_memcpy(&bits, &a, 8);
+        E = (int64_t)__builtin_floor(((double)(int64_t)(bits >> 52) - 1023.0
+                                      + (double)(bits & 0xfffffffffffffULL) * 0x1p-52)
+                                     * 0.30102999566398120);
+        N = scaled(a, tens + 4 * (E + 202), &frac);
+        if (N < LOW || N >= HIGH) {
+            E += N < LOW ? -1 : 1;
+            N = scaled(a, tens + 4 * (E + 202), &frac);
+        }
+        /* a possible tie, or an exponent still off, goes to Python */
+        if (N < LOW || N >= HIGH || __builtin_fabs(frac - 0.5) < 1e-7)
+            break;
+        N += frac > 0.5;
+        if (N == HIGH) {
+            N = LOW;
+            E++;
+        }
+        hi = (uint32_t)(N / 100000000);
+        lo = (uint32_t)(N % 100000000);
+        for (k = 15; k >= 9; k -= 2, lo /= 100)
+            __builtin_memcpy(d + k, PAIRS + 2 * (lo % 100), 2);
+        for (k = 7; k >= 1; k -= 2, hi /= 100)
+            __builtin_memcpy(d + k, PAIRS + 2 * (hi % 100), 2);
+        d[0] = (char)('0' + hi);
+        for (nd = 17; d[nd - 1] == '0'; nd--)
+            ;
+        /* the 16-byte copies may run past the field: the next one, or the
+           caller's slack, takes those bytes */
+        *o = '-';
+        o += x[i] < 0.0;
+        if (E < -4 || E >= 17) {
+            *o++ = d[0];
+            if (nd > 1) {
+                *o++ = '.';
+                __builtin_memcpy(o, d + 1, 16);
+                o += nd - 1;
+            }
+            *o++ = 'e';
+            *o++ = E < 0 ? '-' : '+';
+            e = E < 0 ? -E : E;
+            if (e >= 100) {
+                *o++ = (char)('0' + e / 100);
+                e %= 100;
+            }
+            __builtin_memcpy(o, PAIRS + 2 * e, 2);
+            o += 2;
+        }
+        else if (E < 0) {
+            __builtin_memcpy(o, "0.000", 5);
+            o += 1 - E;
+            __builtin_memcpy(o, d, 17);
+            o += nd;
+        }
+        else {
+            __builtin_memcpy(o, d, 17);
+            o += E + 1;
+            if (nd > E + 1) {
+                *o++ = '.';
+                __builtin_memcpy(o, d + E + 1, 16);
+                o += nd - E - 1;
+            }
+        }
+        if (++col == cols) {
+            *o++ = '\n';
+            col = 0;
+        }
+        else
+            *o++ = ',';
+    }
+    *end = o - out;
+    return i;
+}
+"""
+
+
+def _tens() -> np.ndarray:
+    """The rows (hi, hi_h, hi_l, lo) for E = -202 .. 202: the power
+    10**(16 - E) as the double-double hi + lo (hi the nearest double, lo
+    the nearest double to the rest), with hi split into two 26-bit halves
+    hi_h + hi_l for Dekker's TwoProduct.  Python's int to float conversion
+    and int true division round correctly, so hi and lo are exact to the
+    last bit."""
     hi, lo = [], []
     for k in range(16 + 202, 16 - 203, -1):
         if k >= 0:
@@ -718,104 +848,59 @@ def _tens() -> tuple[np.ndarray, ...]:
     hi_a, lo_a = np.array(hi), np.array(lo)
     c = 134217729.0 * hi_a  # 2**27 + 1
     hi_h = c - (c - hi_a)
-    return hi_a, hi_h, hi_a - hi_h, lo_a
+    return np.column_stack([hi_a, hi_h, hi_a - hi_h, lo_a])
+
+
+def _no_fields(x, i: int, cols: int, buf: bytearray, at: int) -> tuple[int, int]:
+    """The kernel of `_csv_kernel`'s contract that formats nothing."""
+    return i, at
 
 
 @functools.cache
-def _digit_quads() -> np.ndarray:
-    """The four ASCII digits of 0000..9999, each packed in one uint32."""
-    i = np.arange(10000)[:, None]
-    return (ord("0") + i // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8).view(np.uint32).ravel()
+def _csv_kernel() -> Callable:
+    """fields(x, i, cols, buf, at): the C function `csv_fields` of
+    _CSV_SOURCE, loaded on the first call; `_no_fields` where `native.load`
+    cannot build it.
 
-
-def _scaled(a, E):
-    """(floor(X), X - floor(X)) of X = a * 10**(16 - E): the product in
-    double-double, its integer part exact in int64 and its fraction within
-    1e-14."""
-    hi, hi_h, hi_l, lo = (col[E + 202] for col in _tens())
-    c = 134217729.0 * a  # a = a_h + a_l, split as in `_tens`
-    a_h = c - (c - a)
-    a_l = a - a_h
-    p = a * hi
-    r = (((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l) + a * lo
-    floor = np.floor(r)
-    return p.astype(np.int64) + floor.astype(np.int64), r - floor
-
-
-def _g17_fields(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the bytes of `'%.17g' % x` for every element of x down its
-    column of rows 0..28 of the uint8 array out (the module docstring has
-    the method).
-
-    The rows are slots: the sign, "0." and up to three zeros (for a decimal
-    exponent E in [-4, -1]), 18 slots for the 17 digits and the decimal
-    point, then "e", the exponent's sign and three exponent digits.  A slot
-    the field does not use holds 0.
+    From the value i of the float array x, the rows of a block with cols
+    values each, it writes the bytes of '%.17g' % x[i], x[i + 1], ..., each
+    followed by a comma or, at a row's end, a newline, into the bytearray
+    buf from byte at.  It returns (i', at'), where i' is len(x) or the first
+    value it cannot format, with nothing written for it, and at' ends the
+    bytes written.  It may write up to 16 bytes past at'.
     """
-    a = np.abs(x)
-    fast = (a >= 1e-200) & (a <= 1e200)
-    a[~fast] = 1.0
-    E = np.floor(np.log10(a)).astype(np.int64)  # an estimate: corrected below
-    N, frac = _scaled(a, E)
-    off = np.flatnonzero((N < 10**16) | (N >= 10**17))
-    if len(off):
-        E[off] += np.where(N[off] < 10**16, -1, 1)
-        N[off], frac[off] = _scaled(a[off], E[off])
-    # a possible tie, or an exponent still off, goes to Python's formatter
-    fast &= (N >= 10**16) & (N < 10**17) & (np.abs(frac - 0.5) >= 1e-7)
-    N += frac > 0.5
-    carry = N == 10**17
-    N[carry] = 10**16
-    E += carry
+    lib = native.load(_CSV_SOURCE)
+    if lib is None:
+        return _no_fields
+    import ctypes
 
-    quads = np.empty((len(x), 6), np.uint32)
-    for j in range(4, 0, -1):
-        N, rest = np.divmod(N, 10000)
-        quads[:, j] = _digit_quads()[rest]
-    quads[:, 0] = _digit_quads()[N]
-    quads[:, 5] = 0
-    # row 0 "0", rows 1..17 the digits, row 18 empty
-    D = np.ascontiguousarray(quads.view(np.uint8)[:, 2:21].T)
-    slot = np.arange(18, dtype=np.uint8)[:, None]
-    digits = ((D[1:18] != ord("0")) * slot[1:]).max(axis=0)  # trailing zeros stripped
-    sci = (E < -4) | (E >= 17)
-    small = ~sci & (E < 0)
-    fixed = ~sci & ~small
-    point = (sci + small * 18 + fixed * (E + 1)).astype(np.uint8)  # 18: no point
-    keep = np.maximum(digits, fixed * (E + 1)).astype(np.uint8)  # the integer part stays
-    below, above = slot < point, slot > point
-    body = D[1:19] * below + D[0:18] * above
-    body *= (slot - above) < keep
-    body += (slot == point) * ((point < keep) * np.uint8(ord(".")))
+    fn = lib.csv_fields
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.restype = i64
+    fn.argtypes = [ptr, i64, i64, i64, ptr, ptr, ctypes.POINTER(i64)]
+    tens = _tens()
 
-    out[0] = (x < 0) * np.uint8(ord("-"))
-    out[1] = small * np.uint8(ord("0"))
-    out[2] = small * np.uint8(ord("."))
-    out[3:6] = (slot[:3] < (-1 - E) * small) * np.uint8(ord("0"))
-    out[6:24] = body
-    out[24:29] = 0
-    if len(i := np.flatnonzero(sci)):
-        e = np.abs(E[i])
-        quad = _digit_quads()[e].view(np.uint8).reshape(-1, 4)  # "0" and three digits
-        out[24, i] = ord("e")
-        out[25, i] = np.where(E[i] < 0, ord("-"), ord("+"))
-        out[26, i] = (e >= 100) * quad[:, 1]
-        out[27:29, i] = quad[:, 2:].T
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        text = np.array([b"%.17g" % f for f in x[slow].tolist()], "S29")
-        out[:29, slow] = text.view(np.uint8).reshape(-1, 29).T
+    def fields(x, i, cols, buf, at):
+        if not (x.dtype == np.float64 and x.flags.c_contiguous and len(buf) >= at + (x.size - i) * FIELD_BYTES + 16):
+            raise ValueError("csv_fields needs contiguous floats and room for each of their fields")
+        end = i64(at)
+        i = fn(x.ctypes.data, i, x.size, cols, tens.ctypes.data, ctypes.addressof(ctypes.c_char.from_buffer(buf)), end)
+        return i, end.value
+
+    return fields
 
 
-def _csv_rows(block: np.ndarray) -> bytes:
-    """The CSV lines of the rows of a 2-D float array, every float as '%.17g'."""
-    rows, cols = block.shape
-    out = np.empty((30, rows * cols), np.uint8)
-    _g17_fields(block.ravel(), out)
-    out[29] = ord(",")
-    out[29, cols - 1 :: cols] = ord("\n")
-    text = out.T.ravel()
-    return np.compress(text != 0, text).tobytes()
+def _csv_lines(fields: Callable, x: np.ndarray, cols: int, buf: bytearray) -> int:
+    """Write the CSV lines of x, the rows of a block with cols values each,
+    into buf through fields (see `_csv_kernel`), and return their length in
+    bytes.  Python formats each value the kernel stops at, and the kernel
+    resumes after it."""
+    i, at = fields(x, 0, cols, buf, 0)
+    while i < len(x):
+        text = b"%.17g" % x[i] + (b"," if (i + 1) % cols else b"\n")
+        buf[at : at + len(text)] = text
+        i, at = fields(x, i + 1, cols, buf, at + len(text))
+    return at
 
 
 def export_csv(
@@ -832,10 +917,10 @@ def export_csv(
     power: no envelope to write).  Floats are written with 17 significant
     digits so the file round-trips exactly.
 
-    The fields are the bytes of `'%.17g' % x`, made by numpy a block of
-    PLAN_BLOCK rows at a time (see the module docstring); zeros, values that
-    are not finite or lie outside [1e-200, 1e200], and values within 1e-7 of
-    a rounding tie are formatted by Python itself.
+    The fields are the bytes of `'%.17g' % x`, written a block of
+    PLAN_BLOCK rows at a time into one buffer by the C kernel of
+    `_csv_kernel` (see the module docstring).  Python formats the values
+    the kernel leaves to it, and every value where no kernel can be built.
     """
     header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)]
     columns = [traj.times, *traj.states.T]
@@ -845,7 +930,10 @@ def export_csv(
     if bound is not None and math.isfinite(bound.rate):
         header.append("bound")
         columns.append(bound.envelope(traj.times))
+    fields, cols = _csv_kernel(), len(columns)
+    buf = bytearray(min(len(traj.times), PLAN_BLOCK) * cols * FIELD_BYTES + 16)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for j in range(0, len(traj.times), PLAN_BLOCK):
-            fh.write(_csv_rows(np.column_stack([col[j : j + PLAN_BLOCK] for col in columns])))
+            block = np.column_stack([col[j : j + PLAN_BLOCK] for col in columns])
+            fh.write(memoryview(buf)[: _csv_lines(fields, block.ravel(), cols, buf)])

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from delaycert import simulate as simulate_mod
 from delaycert.cli import main
 
 CUBIC_F_DOC = {
@@ -878,6 +880,40 @@ def test_simulate_rejects_history_outside_orthant(tmp_path, capsys):
     assert code == 64
     assert out is None
     assert not (tmp_path / "neg.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--h", "1e-300"], ["--h", "5e-324"], ["--horizon", "1e9"]],
+                         ids=["h-tiny", "h-subnormal", "horizon-huge"])
+def test_a_step_count_whose_states_cannot_be_allocated_exits_64(tmp_path, capsys, monkeypatch, argv):
+    # 1e11 steps (1.46 TiB of states) is made to fail here, as it would on
+    # most machines, so that nothing is allocated and no step is taken
+    empty = np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if shape == (10**11 + 1, 2):
+            raise MemoryError("Unable to allocate 1.46 TiB")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse)
+    out_csv = tmp_path / "x.csv"
+    code = main(["simulate", "--config", write(tmp_path, cubic_config()), *argv, "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "cannot be allocated" in captured.err
+    assert "sim.h = " in captured.err and "sim.horizon = " in captured.err
+    assert not out_csv.exists()
+
+
+def test_check_certify_and_bounds_never_load_the_csv_kernel(tmp_path, capsys):
+    cfg = write(tmp_path, cubic_config(sim={"h": 0.01, "horizon": 1}))
+    simulate_mod._csv_kernel.cache_clear()
+    for cmd in ("check", "certify", "bounds"):
+        assert main([cmd, "--config", cfg]) == 0
+        assert simulate_mod._csv_kernel.cache_info().currsize == 0, cmd
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    capsys.readouterr()
+    assert simulate_mod._csv_kernel.cache_info().currsize == 1
 
 
 def test_cli_overrides(tmp_path, capsys):

@@ -997,22 +997,45 @@ def test_csv_without_analysis_columns(tmp_path, cubic2d):
     assert path.read_text().splitlines()[0] == "t,x_1,x_2"
 
 
-def _g17_reference(x: np.ndarray) -> list[str]:
-    return ["%.17g" % f for f in x.tolist()]
+def _g17_reference(x: np.ndarray, cols: int = 1) -> str:
+    return "".join("%.17g" % f + ("," if (i + 1) % cols else "\n") for i, f in enumerate(x.tolist()))
 
 
-def _csv_fields(x: np.ndarray) -> list[str]:
-    return simulate_mod._csv_rows(x[:, None]).decode().splitlines()
+def _csv_text(fields, x: np.ndarray, cols: int = 1) -> str:
+    buf = bytearray(len(x) * simulate_mod.FIELD_BYTES + 16)
+    return bytes(buf[: simulate_mod._csv_lines(fields, x, cols, buf)]).decode()
 
 
-def test_csv_kernel_matches_python_on_random_bit_patterns():
+@pytest.fixture
+def csv_kernels(tmp_path, monkeypatch):
+    """{kind: fields} of the CSV kernels, each loaded afresh: "native", the C
+    function (where a compiler is found), and "python", what loads with no
+    compiler and an empty cache, which formats nothing."""
+    load, kernels = simulate_mod._csv_kernel, {}
+    load.cache_clear()
+    if INTEGRATOR == "native":
+        kernels["native"] = load()
+        assert kernels["native"] is not simulate_mod._no_fields
+        load.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_compiler", lambda: None)
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path))
+        kernels["python"] = load()
+        load.cache_clear()
+    assert kernels["python"] is simulate_mod._no_fields
+    assert not any(tmp_path.iterdir())
+    return kernels
+
+
+def test_csv_kernel_matches_python_on_random_bit_patterns(csv_kernels):
     # every exponent, both signs, subnormals, infinities and NaNs
     bits = np.random.default_rng(15).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
     x = bits.view(np.float64)
-    assert _csv_fields(x) == _g17_reference(x)
+    for kind, fields in csv_kernels.items():
+        assert _csv_text(fields, x) == _g17_reference(x), kind
 
 
-def test_csv_kernel_matches_python_on_edge_values():
+def test_csv_kernel_matches_python_on_edge_values(csv_kernels):
     powers = np.array([10.0**k for k in range(-300, 301)])
     lo, hi = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
     # 1e-14 is a double just below 10**-14 that rounds up to it at 17 digits
@@ -1023,20 +1046,69 @@ def test_csv_kernel_matches_python_on_edge_values():
         np.arange(-4000, 4000) / 8,
         np.arange(-2000, 2000) + 0.5,
     ])
-    assert _csv_fields(x) == _g17_reference(x)
+    for kind, fields in csv_kernels.items():
+        assert _csv_text(fields, x) == _g17_reference(x), kind
 
 
-def test_csv_spans_several_blocks(tmp_path):
+# 18 significant digits ending in 5: a tie at 17 digits, which %g rounds to even
+TIES = np.concatenate([
+    [1000000000000000.25, 1000000000000000.75, -2000000000000000.25, 123456789012345.125],
+    1e15 + np.arange(1, 2000, 2) / 4,
+    -(1e14 + np.arange(1, 2000, 2) / 8),
+])
+
+
+def test_csv_kernel_leaves_ties_to_python(csv_kernels):
+    assert "%.17g" % 1000000000000000.25 == "1000000000000000.2"
+    assert "%.17g" % 1000000000000000.75 == "1000000000000000.8"
+    assert Fraction(float(TIES[-1])) == -(10**14 + Fraction(1999, 8))  # every tie is exact
+    for kind, fields in csv_kernels.items():
+        buf = bytearray(len(TIES) * simulate_mod.FIELD_BYTES + 16)
+        assert fields(TIES, 0, 1, buf, 0) == (0, 0), kind  # the first value stops the kernel
+        assert _csv_text(fields, TIES) == _g17_reference(TIES), kind
+
+
+@pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
+def test_csv_kernel_refuses_arrays_and_buffers_it_cannot_write_safely(csv_kernels):
+    fields, x, room = csv_kernels["native"], np.arange(1.0, 11.0), 10 * simulate_mod.FIELD_BYTES + 16
+    for args in [(x[::2], 0, 1, bytearray(room), 0), (x.astype(np.float32), 0, 1, bytearray(room), 0),
+                 (x, 0, 1, bytearray(room - 1), 0), (x, 0, 1, bytearray(room), 1)]:
+        with pytest.raises(ValueError):
+            fields(*args)
+    buf = bytearray(room)
+    assert fields(x, 0, 1, buf, 0) == (10, 21) and buf[:21] == b"1\n2\n3\n4\n5\n6\n7\n8\n9\n10\n"
+
+
+@pytest.mark.parametrize("cols", [2, 3, 5])
+def test_csv_kernel_resumes_with_the_right_separator(csv_kernels, cols):
+    # values Python formats at the start, middle and end of rows, one after
+    # another and across row ends, and a block of nothing else
+    rng = np.random.default_rng(cols)
+    x = np.exp(rng.normal(0.0, 30.0, 300 * cols))
+    slow = np.array([0.0, -0.0, np.nan, np.inf, 1e-250, -1e250, *TIES[:4]])
+    for start in (0, 1, cols - 1, 7 * cols - 1, 8 * cols - 2, len(x) - 3):
+        x[start : start + 3] = rng.choice(slow, 3)
+    x[40 * cols : 50 * cols] = rng.choice(slow, 10 * cols)
+    everything_slow = rng.choice(slow, 20 * cols)
+    for kind, fields in csv_kernels.items():
+        for y in (x, everything_slow):
+            assert _csv_text(fields, y, cols) == _g17_reference(y, cols), kind
+
+
+def test_csv_spans_several_blocks(tmp_path, monkeypatch, csv_kernels):
     rows = 3 * simulate_mod.PLAN_BLOCK + 7
     rng = np.random.default_rng(3)
     times = np.arange(rows) * 0.01
     states = np.exp(rng.normal(0.0, 30.0, (rows, 2)))
     states[::97] = 0.0
+    states[5::89, 1] = TIES[: len(states[5::89])]
     traj = Trajectory(times=times, states=states)
-    path = tmp_path / "long.csv"
-    export_csv(traj, path)
     lines = ["t,x_1,x_2"] + ["%.17g,%.17g,%.17g" % (t, *x) for t, x in zip(times.tolist(), states.tolist())]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    for kind, fields in csv_kernels.items():
+        monkeypatch.setattr(simulate_mod, "_csv_kernel", lambda: fields)
+        path = tmp_path / f"{kind}.csv"
+        export_csv(traj, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), kind
 
 
 # -- trajectory validation ------------------------------------------------------------------------

@@ -10,6 +10,7 @@ into the next shows up there as a difference.
 
     git worktree add ../parent HEAD~1        # or: git archive HEAD~1 | tar -x -C ../parent
     python tools/compare_outputs.py ../parent/src src
+    python tools/compare_outputs.py ../parent/src src --no-compiler
 
 The configs are those of the perfbench workloads at seeds 1-3 (generated by
 perfbench/workloads.py, which is only imported) and variants built from the
@@ -17,6 +18,11 @@ config builders of tests/test_cli.py.  JSON reports are compared key by key,
 so a difference is printed as the path of the key with both values.  Each
 run is a separate `python -m delaycert` process with PYTHONPATH set to its
 tree; files go to a temporary directory that is removed afterwards.
+
+With --no-compiler every run has PATH set to an empty directory and
+XDG_CACHE_HOME to a fresh one, so that no C kernel can be built and each
+tree runs its Python code; the tool then also reports whether that kernel
+cache stayed empty, and exits 1 when it did not.
 """
 
 from __future__ import annotations
@@ -108,11 +114,11 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
     return out
 
 
-def run_tree(src: Path, doc: dict, work: Path) -> dict[str, tuple]:
+def run_tree(src: Path, doc: dict, work: Path, env: dict) -> dict[str, tuple]:
     """{command: (exit code, stdout, CSV bytes or None)} of one tree on one config."""
     work.mkdir(parents=True)
     (work / "config.json").write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(env, PYTHONPATH=str(src))
     results = {}
     for cmd in COMMANDS:
         argv = [sys.executable, "-m", "delaycert", cmd, "--config", "config.json"]
@@ -124,13 +130,13 @@ def run_tree(src: Path, doc: dict, work: Path) -> dict[str, tuple]:
     return results
 
 
-def run_batch(src: Path, docs: dict[str, dict], work: Path) -> tuple:
+def run_batch(src: Path, docs: dict[str, dict], work: Path, env: dict) -> tuple:
     """(exit code, stdout, {CSV name: bytes}) of one `batch` over docs."""
     (work / "out").mkdir(parents=True)
     for stem, doc in docs.items():
         (work / f"{stem}.json").write_text(json.dumps(doc))
     argv = [sys.executable, "-m", "delaycert", "batch", *(f"{stem}.json" for stem in docs), "--out", "out"]
-    proc = subprocess.run(argv, cwd=work, env=dict(os.environ, PYTHONPATH=str(src)),
+    proc = subprocess.run(argv, cwd=work, env=dict(env, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
 
@@ -163,14 +169,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path, help="the src directory of the reference tree")
     parser.add_argument("new_src", type=Path, help="the src directory of the changed tree")
+    parser.add_argument("--no-compiler", action="store_true",
+                        help="run without a C compiler and with an empty kernel cache")
     args = parser.parse_args(argv)
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
     configs = {**perfbench_configs(), **cli_test_configs(new_src)}
     runs = differing = 0
     with tempfile.TemporaryDirectory() as tmp:
+        env, cache, cached = dict(os.environ), Path(tmp) / "cache", []
+        if args.no_compiler:
+            for path in (Path(tmp) / "bin", cache):
+                path.mkdir()
+            env.update(PATH=str(Path(tmp) / "bin"), XDG_CACHE_HOME=str(cache))
         for name, doc in configs.items():
-            old = run_tree(old_src, doc, Path(tmp) / "old" / name)
-            new = run_tree(new_src, doc, Path(tmp) / "new" / name)
+            old = run_tree(old_src, doc, Path(tmp) / "old" / name, env)
+            new = run_tree(new_src, doc, Path(tmp) / "new" / name, env)
             for cmd in COMMANDS:
                 (code_a, out_a, csv_a), (code_b, out_b, csv_b) = old[cmd], new[cmd]
                 lines = [f"exit code: {code_a} -> {code_b}"] if code_a != code_b else []
@@ -186,7 +199,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             name, docs = f"cubic_ensemble-s{seed}", cubic.configs(seed)
             (code_a, out_a, csvs_a), (code_b, out_b, csvs_b) = (
-                run_batch(src, docs, Path(tmp) / side / f"{name}-batch")
+                run_batch(src, docs, Path(tmp) / side / f"{name}-batch", env)
                 for side, src in (("old", old_src), ("new", new_src))
             )
             lines = [f"exit code: {code_a} -> {code_b}"] if code_a != code_b else []
@@ -199,8 +212,11 @@ def main(argv=None) -> int:
                 differing += 1
                 for line in lines:
                     print(f"{name} batch: {line}")
+        if args.no_compiler:
+            cached = sorted(p.relative_to(cache) for p in cache.rglob("*") if p.is_file())
+            print(f"kernel cache without a compiler: {len(cached)} files", *cached[:5])
     print(f"{runs} runs on {len(configs)} configs; {differing} differ")
-    return 1 if differing else 0
+    return 1 if differing or cached else 0
 
 
 if __name__ == "__main__":
