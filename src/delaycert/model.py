@@ -18,22 +18,20 @@ those stored rows, so no row is checked or built twice.
 Every polynomial, scalar or vector, is evaluated by one monomial kernel,
 `_sum_monomials`, over that sparse form.  The two hot loops, the
 simulator's steps and the certificate search's margins, do not call the
-kernel: they run statements written from the same `_sparse` terms by one
-term walk, `_field_sum`, which decides which terms go into which
-statement, in what order.  It has two renderers: `emit_field_sum` writes
-Python, and `emit_field_sum_c` writes C for the simulator's native kernel,
-differing only in how a coefficient, a power and a statement end are
-written.  The kernel stays the path of every one-shot evaluation, where
-compiling would cost more than it saves, and of a power that overflows,
-which it counts as a signed infinity.  The kernel and both renderings must
-agree bit for bit, so a change to the order or form of the arithmetic in
-one is made in the others, and `emit_key` lists all that the emitter
-reads, so that compiled code can be reused for equal keys; a change to
-what the emitter reads is made in both.  The helpers that
-compile emitted statements (`_define`, `_names`) and the bounded cache of
-compiled functions that the simulator and the search share (`_cached`,
-`_RUNS`) live here too.  `lyapunov_v` evaluates V at one point or at every
-row of an array in one numpy expression.
+kernel.  One renderer, `emit_field_sum`, writes the same sparse terms as
+Python statements, and `field_tables` lists them, in the same order, as
+the arrays that the simulator's one fixed C kernel reads; no C is written
+from a system.  The kernel stays the path of every one-shot evaluation,
+where compiling would cost more than it saves, and of a power that
+overflows, which it counts as a signed infinity.  The kernel, the
+rendered statements and the C kernel's walk over the tables must agree
+bit for bit, so a change to the order or form of the arithmetic in one is
+made in the others, and `emit_key` lists all that the renderer and the
+tables read, so that compiled code can be reused for equal keys.  The
+helpers that compile emitted statements (`_define`, `_names`) and the
+bounded cache of compiled functions that the simulator and the search
+share (`_cached`, `_RUNS`) live here too.  `lyapunov_v` evaluates V at one
+point or at every row of an array in one numpy expression.
 
 All types are immutable values after construction; every operation in this
 module is pure and safe to call concurrently (two threads that build the
@@ -98,29 +96,6 @@ def _sum_monomials(
 CHAIN = 200  # terms per emitted statement: a flat sum of thousands of terms overflows the compiler
 
 
-def _field_sum(
-    fields: Sequence[PolyVectorField], args: Sequence[Sequence[str]], outs: Sequence[str],
-    coeff: Callable[[int, int, int, float], str], power: Callable[[str, int], str],
-) -> list[tuple[str, list[str]]]:
-    """The term walk of `emit_field_sum`, as (target, summands) statements
-    that set target to the left-to-right sum of its summands; coeff(q, i, k,
-    c) and power(x, e) write a term's coefficient and powers."""
-    stmts = []
-    for i, out in enumerate(outs):
-        for q, (F, xs) in enumerate(zip(fields, args)):
-            terms = []
-            for k, (c, _, factors) in enumerate(F._sparse[i]):
-                powers = (xs[j] if e == 1 else power(xs[j], e) for j, e in factors)
-                terms.append(" * ".join([coeff(q, i, k, c), *powers]))
-            acc, head = (out if q == 0 else "_g"), "0.0"
-            for lo in range(0, len(terms), CHAIN) or [0]:
-                stmts.append((acc, [head, *terms[lo:lo + CHAIN]]))
-                head = acc
-            if q:
-                stmts.append((out, [out, "_g"]))
-    return stmts
-
-
 def emit_field_sum(
     fields: Sequence[PolyVectorField], args: Sequence[Sequence[str]], outs: Sequence[str], ns: dict,
     tag: str = "",
@@ -142,49 +117,62 @@ def emit_field_sum(
     kernel counts its monomial as a signed infinity; either way that
     component is not finite.
     """
-    def coeff(q: int, i: int, k: int, c: float) -> str:
-        name = f"_c{tag}{q}_{i}_{k}"
-        if ns.setdefault(name, c).hex() != c.hex():
-            raise ValueError(f"{name} is already bound to {ns[name]!r}, not {c!r}")
-        return name
+    stmts = []
+    for i, out in enumerate(outs):
+        for q, (F, xs) in enumerate(zip(fields, args)):
+            terms = []
+            for k, (c, _, factors) in enumerate(F._sparse[i]):
+                name = f"_c{tag}{q}_{i}_{k}"
+                if ns.setdefault(name, c).hex() != c.hex():
+                    raise ValueError(f"{name} is already bound to {ns[name]!r}, not {c!r}")
+                powers = (xs[j] if e == 1 else f"{xs[j]} ** {e}" for j, e in factors)
+                terms.append(" * ".join([name, *powers]))
+            acc, head = (out if q == 0 else "_g"), "0.0"
+            for lo in range(0, len(terms), CHAIN) or [0]:
+                stmts.append(f"{acc} = {' + '.join([head, *terms[lo:lo + CHAIN]])}")
+                head = acc
+            if q:
+                stmts.append(f"{out} = {out} + _g")
+    return stmts
 
-    stmts = _field_sum(fields, args, outs, coeff, "{} ** {}".format)
-    return [f"{acc} = {' + '.join(terms)}" for acc, terms in stmts]
 
+def field_tables(fields: Sequence[PolyVectorField]) -> tuple[np.ndarray, ...]:
+    """(span, coeff, first, var, power, odd): the terms that
+    `emit_field_sum` writes, in its order, as arrays for a kernel that
+    reads them instead of compiling them.
 
-def emit_field_sum_c(
-    fields: Sequence[PolyVectorField], args: Sequence[Sequence[str]], outs: Sequence[str],
-) -> tuple[list[str], list[float]]:
-    """(statements, coefficients): `emit_field_sum`'s statements written as
-    C, from the same term walk, and the coefficients in the order the
-    statements read them as c[0], c[1], ...
-
-    Only the rendering differs.  The coefficients come in at call time, so
-    their bits are kept and the code depends only on the sparsity pattern.
-    A power x ** e is `py_pow(x, e, odd, &ovf)`, the C helper that
-    `native.PY_POW` defines to compute what Python's `**` computes and to
-    set ovf where Python raises OverflowError."""
-    coeffs: list[float] = []
-
-    def coeff(q: int, i: int, k: int, c: float) -> str:
-        coeffs.append(c)
-        return f"c[{len(coeffs) - 1}]"
-
-    def power(x: str, e: int) -> str:
-        try:
-            w = float(e)
-        except OverflowError:  # so does x ** e
-            return f"(ovf = 1, {x})"
-        return f"py_pow({x}, {w!r}, {int(w % 2.0 == 1.0)}, &ovf)"
-
-    stmts = _field_sum(fields, args, outs, coeff, power)
-    return [f"{acc} = {' + '.join(terms)};" for acc, terms in stmts], coeffs
+    The terms of component i of fields[q] are span[s] .. span[s + 1] - 1,
+    s = i * len(fields) + q.  Term t is coeff[t] times its factors
+    first[t] .. first[t + 1] - 1, in variable order; factor f is variable
+    var[f] to the power power[f], the exponent as the float that Python's
+    float ** int takes, or inf where it does not fit a float and ** raises
+    OverflowError; odd[f] is 1 where that float is odd.  The coefficients
+    keep their bits, so one kernel serves every system.
+    """
+    groups = [F._sparse[i] for i in range(fields[0].n) for F in fields]
+    terms = [term for group in groups for term in group]
+    var, power = [], []
+    for _, _, factors in terms:
+        for j, e in factors:
+            var.append(j)
+            try:
+                power.append(float(e))
+            except OverflowError:  # so does x ** e
+                power.append(math.inf)
+    i64 = np.int64
+    return (np.cumsum([0, *map(len, groups)], dtype=i64),
+            np.array([c for c, _, _ in terms], dtype=float),
+            np.cumsum([0, *(len(factors) for _, _, factors in terms)], dtype=i64),
+            np.array(var, dtype=i64),
+            np.array(power, dtype=float),
+            np.array([w % 2.0 == 1.0 for w in power], dtype=i64))
 
 
 def emit_key(fields: Sequence[PolyVectorField]) -> tuple:
-    """All that `emit_field_sum` writes its statements and ns from: each
-    term's factors and the exact bits of its coefficient (float.hex keeps
-    -0.0, 0.0 and inf apart).  Fields with equal keys emit the same code."""
+    """All that `emit_field_sum` writes its statements and ns from, and
+    `field_tables` its tables: each term's factors and the exact bits of
+    its coefficient (float.hex keeps -0.0, 0.0 and inf apart).  Fields with
+    equal keys emit the same code and tables."""
     return tuple(
         tuple(tuple((coeff.hex(), factors) for coeff, _, factors in comp) for comp in F._sparse)
         for F in fields

@@ -1,9 +1,9 @@
-"""Generated C, compiled once into a shared object and cached on disk.
+"""C compiled once into a shared object and cached on disk.
 
 `load(source)` compiles C source with the system C compiler and loads the
 result with ctypes.  The object is cached under $XDG_CACHE_HOME/delaycert
 (by default ~/.cache/delaycert), named by the sha256 of the source and the
-compiler flags, so every later process that generates the same source loads
+compiler flags, so every later process that loads the same source loads
 it without compiling.  It is written under a temporary name and renamed into
 place, so processes that compile the same source at once do not see each
 other's partial files.  A cached file that fails to load is rebuilt once.
@@ -16,17 +16,21 @@ builtin folding of pow (-fno-builtin), so that pow(x, 2.0) is the C
 library's pow, as in Python, and not x * x.  CFLAGS from the environment are
 not read.
 
-Besides the generated RK4 kernels, `load` serves one fixed-source kernel:
-the CSV writer of `simulate` (`_CSV_SOURCE`), whose source does not depend
-on the system, so one cached object serves every run.  It calls
-__builtin_floor, __builtin_fabs and __builtin_memcpy by those names, which
--fno-builtin leaves the compiler free to expand inline.  That is safe where
-pow's folding is not: floor and fabs are exact in IEEE arithmetic and
-memcpy copies bytes, so an expansion gives the library call's result.
+The program loads one source: `simulate._SOURCE`, which holds `PY_POW`,
+the RK4 kernel and the CSV writer.  Its text does not depend on the
+system, so it is compiled once per machine, into one cached object that
+serves every run and every export; nothing is loaded at import.  The CSV
+writer calls __builtin_floor, __builtin_fabs and __builtin_memcpy by those
+names, which -fno-builtin leaves the compiler free to expand inline.  That
+is safe where pow's folding is not: floor and fabs are exact in IEEE
+arithmetic and memcpy copies bytes, so an expansion gives the library
+call's result.
 
 `PY_POW` is the C helper py_pow(x, e, odd, &ovf): CPython 3.11's float_pow
 for a float x and a positive whole exponent e (odd tells whether e is odd),
-which sets ovf where Python raises OverflowError.
+which sets ovf where Python raises OverflowError.  An e of infinity stands
+for an integer exponent past the float range, which Python cannot convert,
+so it sets ovf for every x.
 """
 
 from __future__ import annotations
@@ -37,18 +41,21 @@ from pathlib import Path
 
 FLAGS = ("-O2", "-shared", "-fPIC", "-fno-builtin", "-ffp-contract=off")
 LIBS = ("-lm",)
-COMPILE_TIMEOUT = 120.0  # seconds; a dense n = 50 system compiles in about 2 s
+COMPILE_TIMEOUT = 120.0  # seconds; the program's one source compiles in about 0.3 s
 
 PY_POW = r"""
 #include <errno.h>
 #include <math.h>
 
 /* x ** e as CPython 3.11's float_pow computes it, for e a positive whole
-   number; *ovf is set where Python raises OverflowError */
+   number, or infinity for one past the float range; *ovf is set where
+   Python raises OverflowError */
 static double py_pow(double x, double e, int odd, int *ovf)
 {
     int negate = 0;
     double r;
+    if (e == HUGE_VAL)  /* Python cannot convert e to a float */
+        *ovf = 1;
     if (x != x)
         return x;
     if (x == HUGE_VAL || x == -HUGE_VAL)

@@ -15,21 +15,22 @@ numpy computes, for a block of PLAN_BLOCK steps at a time, one (source,
 weight, grid index) triple per stage time and delay, from one
 `DelayModel.values` call per stage time and delay.
 
-The run loop over a block is generated from the system's monomials, once
-per (system, h), and kept in the small cache of compiled functions in
-`model`, which every later run of that system at that step size reuses.
-It is one RK4 kernel with one contract (see `_rk4_run`), rendered from one
-term walk (`model.emit_field_sum` and `model.emit_field_sum_c`) and one
-sequence of stage statements (`_stages`) in one of two languages:
-  - C, which `native` compiles with the system C compiler into a shared
-    object cached on disk, stepping a preallocated (steps + 1, n) array.
-    The coefficients come in at call time, so one object serves every
-    system with the same dimension, delays and monomial pattern;
-  - Python, the four stages and every component, monomial and delayed
-    read unrolled over local names, appending to a list of state tuples.
-    It is built only where no C kernel can be (no compiler, a failed
-    compile, a cache that cannot be written), and it is the reference the
-    C kernel is tested against.
+The run loop over a block is one RK4 kernel with one contract (see
+`_rk4_run`), built once per (system, h) and kept in the small cache of
+compiled functions in `model`, which every later run of that system at
+that step size reuses.  It has two forms:
+  - C: `rk4_block`, one fixed function whose text does not depend on the
+    system.  It reads the system's term tables (`model.field_tables`,
+    built once per cached kernel), stepping a preallocated (steps + 1, n)
+    array.  Its source, the power helper `native.PY_POW` and the CSV
+    writer below are one C source, which `native` compiles once per
+    machine into one cached object, on the first simulate or export;
+  - Python, generated from the system's monomials by the one renderer
+    `model.emit_field_sum`: the four stages and every component, monomial
+    and delayed read unrolled over local names, appending to a list of
+    state tuples.  It is built only where no C kernel can be (no compiler,
+    a failed compile, a cache that cannot be written), and it is the
+    reference the C kernel is tested against.
 One driver, `_run_block`, runs either over a block of the read plan: it
 fills in the block's history reads by calling phi before the kernel runs,
 and records and clamps a negative state the kernel hands back before it
@@ -49,8 +50,8 @@ Discrete systems iterate the map exactly (floating point only), through
 the same generated field sum, compiled once per system.
 
 CSV export writes the bytes `'%.17g' % x` writes, without a formatting call
-per float where a C compiler is found.  One fixed C function, compiled
-once by `native` for every run, writes a block of PLAN_BLOCK rows into one
+per float where a C compiler is found.  One fixed C function, `csv_fields`
+in the one compiled object, writes a block of PLAN_BLOCK rows into one
 byte buffer, fields, commas and newlines in order.  For each value it
 estimates the decimal exponent E = floor(log10|x|) from the binary one,
 scales |x| by 10**(16 - E) in double-double (Dekker's TwoProduct against
@@ -62,7 +63,7 @@ lies within 1e-7 of one half (a possible tie), and at zeros, values that
 are not finite and values outside [1e-200, 1e200], where the scaling could
 leave the float range.  It returns that value's index; Python writes the
 value and its separator, and the C function resumes after it.  Where no
-kernel can be built, Python writes every value.
+kernel can be built, one `%` over a whole block writes every value.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ import numpy as np
 
 from . import native
 from .delays import DelayModel, as_delay_list, history_depth
-from .model import Dilation, LevelSetProbe, SystemModel, _cached, _define, _names, emit_field_sum, emit_field_sum_c
-from .model import emit_key, lyapunov_v
+from .model import Dilation, LevelSetProbe, SystemModel, _cached, _define, _names, emit_field_sum, emit_key
+from .model import field_tables, lyapunov_v
 from .rates import DEFAULT_SAFETY, DecayBound, _exp
 
 CLAMP_EPS = 1e-12      # negative roundoff this small is snapped to zero
@@ -184,7 +185,8 @@ def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
     takes the row idx of the array P.  They return r1 when every step was
     taken, r' when the state of column r' has a negative component (it is
     stored as it is), and -1 - r' when that state is not finite or one of
-    its powers overflowed (nothing is stored).
+    its powers overflowed (it is not stored: the C kernel may have written
+    its row, which the run does not keep).
     """
     h = float(h)
     fields = (model.f, *model.delayed_terms)
@@ -194,29 +196,6 @@ def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
         return ("native", kernel) if kernel is not None else ("python", _python_rk4(model, h))
 
     return _cached((h.hex(), emit_key(fields)), build)
-
-
-def _stages(names, end: str, read: Callable, fsum: Callable) -> list[str]:
-    """The statements of one RK4 step, from the state x to the new state
-    x, in either language: names = (X, Y, D, K) name the state, the stage
-    state, each delay's delayed state and each stage's slope; end ends a
-    statement.  Stage s sets y = x + h_s k_{s-1}, then read(st, q, codes,
-    Z, D[q]) gives the lines of the delayed read branches of stage time st,
-    then fsum(s, Z, D, K[s - 1]) the stage's field sum."""
-    X, Y, D, K = names
-    body = []
-    for stage, st in enumerate((0, 1, 1, 2), 1):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
-        if stage > 1:
-            inc = "h" if stage == 4 else "half"
-            body += [f"{y} = {x} + {inc} * {k}{end}" for y, x, k in zip(Y, X, K[stage - 2])]
-        Z = X if stage == 1 else Y
-        for q, Dq in enumerate(D):
-            # k3 keeps k2's grid and history reads: same time, same values
-            codes = (_SEGMENT, _CURRENT) if stage == 3 else (_GRID, _HISTORY, _SEGMENT, _CURRENT)
-            body += read(st, q, codes, Z, Dq)
-        body += fsum(stage, Z, D, K[stage - 1])
-    body += [f"{x} = {x} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4}){end}" for x, k1, k2, k3, k4 in zip(X, *K)]
-    return body
 
 
 def _python_rk4(model: SystemModel, h: float) -> Callable:
@@ -230,22 +209,29 @@ def _python_rk4(model: SystemModel, h: float) -> Callable:
     Q = len(fields) - 1
     plan = [f"{v}{st}_{q}" for v in "cwi" for st in range(3) for q in range(Q)]  # plan row st * Q + q
     ns: dict = {**_BOUNDS, "h": h, "half": 0.5 * h, "sixth": h / 6.0}
-
-    def read(st, q, codes, Z, Dq):
-        c, w, i = f"c{st}_{q}", f"w{st}_{q}", f"i{st}_{q}"
-        reads = {
-            _GRID: [f"{', '.join(A)}, = S[{i}]", f"{', '.join(B)}, = S[{i} + 1]"]
-            + [f"{d} = {a} + {w} * ({b} - {a})" for d, a, b in zip(Dq, A, B)],
-            _HISTORY: [f"{', '.join(Dq)}, = P[{i}].tolist()"],
-            _SEGMENT: [f"{d} = {x} + {w} * ({y} - {x})" for d, x, y in zip(Dq, X, Y)],
-            _CURRENT: [f"{d} = {z}" for d, z in zip(Dq, Z)],
-        }
-        return [line for b, code in enumerate(codes)
-                for line in (f"{'elif' if b else 'if'} {c} == {code}:", *("    " + r for r in reads[code]))]
-
     D = [_names(f"d{q}_", n) for q in range(Q)]
     K = [_names(f"k{s}_", n) for s in range(1, 5)]
-    body = _stages((X, Y, D, K), "", read, lambda s, Z, D, K: emit_field_sum(fields, [Z, *D], K, ns))
+    body = []
+    for stage, st in enumerate((0, 1, 1, 2), 1):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
+        if stage > 1:
+            inc = "h" if stage == 4 else "half"
+            body += [f"{y} = {x} + {inc} * {k}" for y, x, k in zip(Y, X, K[stage - 2])]
+        Z = X if stage == 1 else Y
+        for q, Dq in enumerate(D):
+            c, w, i = f"c{st}_{q}", f"w{st}_{q}", f"i{st}_{q}"
+            reads = {
+                _GRID: [f"{', '.join(A)}, = S[{i}]", f"{', '.join(B)}, = S[{i} + 1]"]
+                + [f"{d} = {a} + {w} * ({b} - {a})" for d, a, b in zip(Dq, A, B)],
+                _HISTORY: [f"{', '.join(Dq)}, = P[{i}].tolist()"],
+                _SEGMENT: [f"{d} = {x} + {w} * ({y} - {x})" for d, x, y in zip(Dq, X, Y)],
+                _CURRENT: [f"{d} = {z}" for d, z in zip(Dq, Z)],
+            }
+            # k3 keeps k2's grid and history reads: same time, same values
+            codes = (_SEGMENT, _CURRENT) if stage == 3 else (_GRID, _HISTORY, _SEGMENT, _CURRENT)
+            body += [line for b, code in enumerate(codes)
+                     for line in (f"{'elif' if b else 'if'} {c} == {code}:", *("    " + r for r in reads[code]))]
+        body += emit_field_sum(fields, [Z, *D], K[stage - 1], ns)
+    body += [f"{x} = {x} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})" for x, k1, k2, k3, k4 in zip(X, *K)]
     state = ", ".join(X) + ","
     body += [
         f"if not ({_finite(X)}):",
@@ -268,83 +254,75 @@ def _python_rk4(model: SystemModel, h: float) -> Callable:
     ], ns)
 
 
-def _rk4_source(model: SystemModel) -> tuple[str, list[float]]:
-    """(source, coefficients): the C function rk4_block, the loop of
-    `_python_rk4` with the same statements in C, and the coefficients it
-    reads as c[0], c[1], ...
+# `_python_rk4`'s loop as one fixed C function over `field_tables`, so one
+# compiled object serves every system.  The plan codes are _GRID, _HISTORY,
+# _SEGMENT and _CURRENT.
+_RK4_SOURCE = r"""
+enum { GRID, HISTORY, SEGMENT, CURRENT };
 
-        int64_t rk4_block(r, r1, R, j, S, c, C, W, I, P, h, half, sixth)
-
-    is the kernel of `_rk4_run`'s contract on a (steps + 1, n) array S,
-    where the plan columns C (codes), W (weights) and I (indices) have R
-    entries per (stage time, delay).  The field sum is one function,
-    `field`, that each stage calls, so the compiler sees each term once.
-    """
-    n, fields = model.n, (model.f, *model.delayed_terms)
-    Q = len(fields) - 1
-
-    def arr(v: str, start: int = 0) -> list[str]:
-        return [f"{v}[{i}]" for i in range(start, start + n)]
-
-    X, Y, *K = (arr(v) for v in ("x", "y", "k1", "k2", "k3", "k4"))
-    D = [arr("d", q * n) for q in range(Q)]
-
-    def read(st, q, codes, Z, Dq):
-        reads = {
-            _GRID: ["a = S + I[p] * N;"] + [f"{d} = a[{i}] + w * (a[N + {i}] - a[{i}]);" for i, d in enumerate(Dq)],
-            _HISTORY: ["a = P + I[p] * N;"] + [f"{d} = a[{i}];" for i, d in enumerate(Dq)],
-            _SEGMENT: [f"{d} = {x} + w * ({y} - {x});" for d, x, y in zip(Dq, X, Y)],
-            _CURRENT: [f"{d} = {z};" for d, z in zip(Dq, Z)],
+int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, int64_t n, int64_t Q, double *S,
+                  const int64_t *C, const double *W, const int64_t *I, const double *P,
+                  const int64_t *span, const double *coeff, const int64_t *first,
+                  const int64_t *var, const double *power, const int64_t *odd,
+                  double h, double half, double sixth)
+{
+    double y[n], d[Q * n], k[4][n], sum, v, *x = S + j * n;
+    const double *a, *z;
+    int64_t i, q, p, g, t, f, stage;
+    int stop = 0;  /* a power overflowed, or the new state is not finite or negative */
+    for (; r < r1; r++, x += n) {
+        for (stage = 0; stage < 4; stage++) {  /* k1 at t, k2 and k3 at t + h/2, k4 at t + h */
+            for (i = 0; stage && i < n; i++)
+                y[i] = x[i] + (stage == 3 ? h : half) * k[stage - 1][i];
+            z = stage ? y : x;
+            for (q = 0; q < Q; q++) {
+                p = ((stage + 1) / 2 * Q + q) * R + r;
+                if (stage == 2 && C[p] < SEGMENT)  /* k3 keeps k2's grid and history reads */
+                    continue;
+                a = C[p] == GRID ? S + I[p] * n : C[p] == HISTORY ? P + I[p] * n : z;
+                for (i = 0; i < n; i++)
+                    d[q * n + i] = C[p] == GRID ? a[i] + W[p] * (a[n + i] - a[i])
+                                   : C[p] == SEGMENT ? x[i] + W[p] * (y[i] - x[i]) : a[i];
+            }
+            /* k = f(z) + g_1(d) + g_2(d + n) + ..., summed as emit_field_sum's statements sum */
+            for (i = 0, g = 0; i < n; i++) {
+                for (q = 0; q <= Q; q++, g++) {
+                    a = q ? d + (q - 1) * n : z;
+                    for (sum = 0.0, t = span[g]; t < span[g + 1]; t++) {
+                        f = first[t];
+                        if (first[t + 1] == f + 1 && power[f] == 1.0)  /* one linear factor */
+                            v = coeff[t] * a[var[f]];
+                        else
+                            for (v = coeff[t]; f < first[t + 1]; f++)
+                                v *= power[f] == 1.0 ? a[var[f]] : py_pow(a[var[f]], power[f], (int)odd[f], &stop);
+                        sum += v;
+                    }
+                    k[stage][i] = q ? k[stage][i] + sum : sum;
+                }
+            }
         }
-        cases = [line for code in codes for line in (f"case {code}:", *reads[code], "break;")]
-        return [f"p = {st * Q + q} * R + r;", "w = W[p];", "switch (C[p]) {", *cases, "}"]
-
-    field, coeffs = emit_field_sum_c(fields, [arr("z"), *D], arr("k"))
-    body = _stages((X, Y, D, K), ";", read,
-                   lambda s, *_: [f"field({'x' if s == 1 else 'y'}, d, k{s}, c, &ovf);"])
-    source = "\n".join([
-        native.PY_POW,
-        "#include <stdint.h>",
-        "static void field(const double *z, const double *d, double *k, const double *c, int *flag)",
-        "{",
-        "double _g;",
-        "int ovf = 0;",
-        *field,
-        "*flag |= ovf;",
-        "}",
-        "",
-        "int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, double *S, const double *c,",
-        "                  const int64_t *C, const double *W, const int64_t *I, const double *P,",
-        "                  double h, double half, double sixth)",
-        "{",
-        f"enum {{ N = {n} }};",
-        f"double x[N], y[N], d[{Q * n}], k1[N], k2[N], k3[N], k4[N], w;",
-        "const double *a;",
-        "double *s = S + j * N;",
-        "int64_t p;",
-        "int ovf = 0;",
-        *(f"{x} = s[{i}];" for i, x in enumerate(X)),
-        "for (; r < r1; r++) {",
-        *body,
-        f"if (ovf || !({' && '.join(f'-HUGE_VAL < {x} && {x} < HUGE_VAL' for x in X)}))",
-        "return -1 - r;",
-        "s += N;",
-        *(f"s[{i}] = {x};" for i, x in enumerate(X)),
-        f"if ({' || '.join(f'{x} < 0.0' for x in X)})",
-        "return r;",
-        "}",
-        "return r1;",
-        "}",
-    ])
-    return source, coeffs
+        /* the new state goes to the next row, which is kept only when finite */
+        for (i = 0; i < n; i++) {
+            x[n + i] = x[i] + sixth * (k[0][i] + 2.0 * k[1][i] + 2.0 * k[2][i] + k[3][i]);
+            stop |= !(-HUGE_VAL < x[n + i] && x[n + i] < HUGE_VAL);
+        }
+        if (stop)
+            return -1 - r;
+        for (i = 0; i < n; i++)
+            stop |= x[n + i] < 0.0;
+        if (stop)
+            return r;
+    }
+    return r1;
+}
+"""
 
 
 def _native_rk4(model: SystemModel, h: float) -> Callable | None:
-    """kernel(S, j, r, r1, code, w, idx, P): `rk4_block` (see `_rk4_source`)
-    on numpy arrays, with the system's coefficients and h; None when the C
-    kernel cannot be built (`native.load`)."""
-    source, coeffs = _rk4_source(model)
-    lib = native.load(source)
+    """kernel(S, j, r, r1, code, w, idx, P): `rk4_block` of `_RK4_SOURCE`
+    on numpy arrays, with the system's term tables (`field_tables`, built
+    here once) and h; None when `native.load` cannot build the C source."""
+    lib = native.load(_SOURCE)
     if lib is None:
         return None
     import ctypes
@@ -352,13 +330,14 @@ def _native_rk4(model: SystemModel, h: float) -> Callable | None:
     fn = lib.rk4_block
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     fn.restype = i64
-    fn.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, dbl, dbl, dbl]
-    c = np.array(coeffs, dtype=float)
+    fn.argtypes = [*[i64] * 6, *[ptr] * 11, dbl, dbl, dbl]
+    n, Q = model.n, len(model.delayed_terms)
+    tables = field_tables((model.f, *model.delayed_terms))
     hs = (h, 0.5 * h, h / 6.0)
 
     def kernel(S, j, r, r1, code, w, idx, P):
-        return fn(r, r1, code.shape[1], j, S.ctypes.data, c.ctypes.data, code.ctypes.data,
-                  w.ctypes.data, idx.ctypes.data, P.ctypes.data, *hs)
+        arrays = (S, code, w, idx, P, *tables)
+        return fn(r, r1, code.shape[1], j, n, Q, *(a.ctypes.data for a in arrays), *hs)
 
     return kernel
 
@@ -714,8 +693,6 @@ def level_set_descent(
 FIELD_BYTES = 25  # the longest '%.17g' field, as in "-2.2250738585072014e-308", and its separator
 
 _CSV_SOURCE = r"""
-#include <stdint.h>
-
 #define LOW 10000000000000000LL   /* 10**16 */
 #define HIGH 100000000000000000LL /* 10**17 */
 
@@ -828,6 +805,11 @@ int64_t csv_fields(const double *x, int64_t i, int64_t m, int64_t cols, const do
 """
 
 
+# the program's one C source: compiled once per machine into one cached
+# object, which serves every run (`_native_rk4`) and every export (`_csv_kernel`)
+_SOURCE = "\n".join([native.PY_POW, "#include <stdint.h>", _RK4_SOURCE, _CSV_SOURCE])
+
+
 def _tens() -> np.ndarray:
     """The rows (hi, hi_h, hi_l, lo) for E = -202 .. 202: the power
     10**(16 - E) as the double-double hi + lo (hi the nearest double, lo
@@ -852,14 +834,15 @@ def _tens() -> np.ndarray:
 
 
 def _no_fields(x, i: int, cols: int, buf: bytearray, at: int) -> tuple[int, int]:
-    """The kernel of `_csv_kernel`'s contract that formats nothing."""
+    """The kernel of `_csv_kernel`'s contract that formats nothing, which
+    `_csv_lines` takes to mean that Python formats the whole block."""
     return i, at
 
 
 @functools.cache
 def _csv_kernel() -> Callable:
     """fields(x, i, cols, buf, at): the C function `csv_fields` of
-    _CSV_SOURCE, loaded on the first call; `_no_fields` where `native.load`
+    `_SOURCE`, loaded on the first call; `_no_fields` where `native.load`
     cannot build it.
 
     From the value i of the float array x, the rows of a block with cols
@@ -869,7 +852,7 @@ def _csv_kernel() -> Callable:
     value it cannot format, with nothing written for it, and at' ends the
     bytes written.  It may write up to 16 bytes past at'.
     """
-    lib = native.load(_CSV_SOURCE)
+    lib = native.load(_SOURCE)
     if lib is None:
         return _no_fields
     import ctypes
@@ -891,10 +874,15 @@ def _csv_kernel() -> Callable:
 
 
 def _csv_lines(fields: Callable, x: np.ndarray, cols: int, buf: bytearray) -> int:
-    """Write the CSV lines of x, the rows of a block with cols values each,
-    into buf through fields (see `_csv_kernel`), and return their length in
-    bytes.  Python formats each value the kernel stops at, and the kernel
-    resumes after it."""
+    """Write the CSV lines of x, the whole rows of a block with cols values
+    each, into buf through fields (see `_csv_kernel`), and return their
+    length in bytes.  Python formats each value the kernel stops at, and
+    the kernel resumes after it.  Where no kernel can be built
+    (`_no_fields`), one `%` formats the whole block."""
+    if fields is _no_fields:
+        text = (b"%.17g," * (cols - 1) + b"%.17g\n") * (len(x) // cols) % tuple(x.tolist())
+        buf[: len(text)] = text
+        return len(text)
     i, at = fields(x, 0, cols, buf, 0)
     while i < len(x):
         text = b"%.17g" % x[i] + (b"," if (i + 1) % cols else b"\n")

@@ -905,15 +905,27 @@ def test_a_step_count_whose_states_cannot_be_allocated_exits_64(tmp_path, capsys
     assert not out_csv.exists()
 
 
-def test_check_certify_and_bounds_never_load_the_csv_kernel(tmp_path, capsys):
+def test_check_certify_and_bounds_never_load_the_csv_kernel(tmp_path, capsys, monkeypatch):
+    from delaycert import model as model_mod, native
+
     cfg = write(tmp_path, cubic_config(sim={"h": 0.01, "horizon": 1}))
+    cache, loads, load = tmp_path / "cache", [], native.load
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(native, "load", lambda source: loads.append(source) or load(source))
+    monkeypatch.setattr(model_mod, "_RUNS", {})
     simulate_mod._csv_kernel.cache_clear()
     for cmd in ("check", "certify", "bounds"):
         assert main([cmd, "--config", cfg]) == 0
         assert simulate_mod._csv_kernel.cache_info().currsize == 0, cmd
+        assert loads == [] and not cache.exists(), cmd
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
     capsys.readouterr()
     assert simulate_mod._csv_kernel.cache_info().currsize == 1
+    simulate_mod._csv_kernel.cache_clear()
+    # the RK4 kernel and the CSV writer load one fixed source
+    assert len(loads) == 2 and len(set(loads)) == 1
+    if native._compiler() is not None:
+        assert [f.suffix for f in (cache / "delaycert").iterdir()] == [".so"]
 
 
 def test_cli_overrides(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from delaycert import (
     jacobian,
     lyapunov_v,
 )
-from delaycert.model import CHAIN, _sum_monomials, emit_field_sum, emit_field_sum_c
+from delaycert.model import _sum_monomials, emit_field_sum
 from conftest import CUBIC_F, CUBIC_G, lyapunov_reference
 
 
@@ -167,30 +166,6 @@ def test_emitted_coefficients_are_never_rebound_to_other_bits():
     # a different tag keeps the fields apart
     emit_field_sum([g], [["x0"]], ["b0"], ns, tag="g")
     assert (ns["_c0_0_0"], ns["_cg0_0_0"]) == (-1.0, 0.5)
-
-
-def test_c_rendering_differs_only_in_coefficients_powers_and_statement_ends():
-    # one term walk: read each c[k] as the k-th name bound in ns and each
-    # py_pow(x, e, odd, &ovf) as x ** e, and the C statements are the Python ones
-    long = PolyVectorField(2, (
-        tuple((0.5 + k, (k % 3, 1 + k % 2)) for k in range(2 * CHAIN + 5)),
-        ((math.inf, (1, 0)), (-0.0, (0, 7))),
-    ))
-    fields, args = (long, CUBIC_F, CUBIC_G), [["x0", "x1"], ["d0", "d1"], ["e0", "e1"]]
-    ns: dict = {}
-    py = emit_field_sum(fields, args, ["k0", "k1"], ns)
-    c, coeffs = emit_field_sum_c(fields, args, ["k0", "k1"])
-    names = list(ns)
-    assert [v.hex() for v in coeffs] == [ns[name].hex() for name in names]
-    odd = {m[2]: m[3] for line in c for m in re.finditer(r"py_pow\((\w+), ([\d.]+), ([01]), &ovf\)", line)}
-    assert odd == {"2.0": "0", "3.0": "1", "4.0": "0", "7.0": "1"}
-    as_python = []
-    for line in c:
-        line = re.sub(r"py_pow\((\w+), ([\d.]+), [01], &ovf\)", lambda m: f"{m[1]} ** {int(float(m[2]))}", line)
-        as_python.append(re.sub(r"c\[(\d+)\]", lambda m: names[int(m[1])], line.removesuffix(";")))
-    assert as_python == py
-    # the long sum continues over three statements; a later field is summed in _g, then added
-    assert len(py) == (3 + 2 + 2) + (1 + 2 + 2)
 
 
 # -- dilation ------------------------------------------------------------------

@@ -500,6 +500,25 @@ def test_a_damaged_kernel_file_is_rebuilt_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
+def test_every_system_step_size_and_export_share_one_compiled_object(tmp_path, monkeypatch, cubic2d,
+                                                                    scalar_half):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(model_mod, "_RUNS", {})
+    simulate_mod._csv_kernel.cache_clear()
+    rng = np.random.default_rng(20)
+    dense = linear_model((rng.random((20, 20)) / 20 - 2.0 * np.eye(20)).tolist(),
+                         [(rng.random((20, 20)) / 40).tolist()], "continuous")
+    for h in (0.01, 0.02):
+        for model in (cubic2d, dense, scalar_half):
+            traj = simulate_continuous(model, ConstantDelay(0.5), constant_history([0.5] * model.n), h, 1.0)
+            assert traj.metadata["integrator"] == "native"
+            export_csv(traj, tmp_path / "run.csv")
+    simulate_mod._csv_kernel.cache_clear()
+    assert len(model_mod._RUNS) == 6
+    assert [f.suffix for f in (tmp_path / "delaycert").iterdir()] == [".so"]
+
+
 def test_no_kernel_without_compiler_compilable_source_or_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
@@ -1006,6 +1025,15 @@ def _csv_text(fields, x: np.ndarray, cols: int = 1) -> str:
     return bytes(buf[: simulate_mod._csv_lines(fields, x, cols, buf)]).decode()
 
 
+def _assert_same_lines(got: str, want: str, kind: str) -> None:
+    """got == want, reporting the first line that differs: a diff of two
+    texts of 100,000 lines takes minutes to render."""
+    if got != want:
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        k = next((k for k, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+        pytest.fail(f"{kind}: line {k} is {a[k:k + 1]}, not {b[k:k + 1]} ({len(a)} lines, not {len(b)})")
+
+
 @pytest.fixture
 def csv_kernels(tmp_path, monkeypatch):
     """{kind: fields} of the CSV kernels, each loaded afresh: "native", the C
@@ -1032,7 +1060,7 @@ def test_csv_kernel_matches_python_on_random_bit_patterns(csv_kernels):
     bits = np.random.default_rng(15).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
     x = bits.view(np.float64)
     for kind, fields in csv_kernels.items():
-        assert _csv_text(fields, x) == _g17_reference(x), kind
+        _assert_same_lines(_csv_text(fields, x), _g17_reference(x), kind)
 
 
 def test_csv_kernel_matches_python_on_edge_values(csv_kernels):
@@ -1047,7 +1075,7 @@ def test_csv_kernel_matches_python_on_edge_values(csv_kernels):
         np.arange(-2000, 2000) + 0.5,
     ])
     for kind, fields in csv_kernels.items():
-        assert _csv_text(fields, x) == _g17_reference(x), kind
+        _assert_same_lines(_csv_text(fields, x), _g17_reference(x), kind)
 
 
 # 18 significant digits ending in 5: a tie at 17 digits, which %g rounds to even
@@ -1065,7 +1093,7 @@ def test_csv_kernel_leaves_ties_to_python(csv_kernels):
     for kind, fields in csv_kernels.items():
         buf = bytearray(len(TIES) * simulate_mod.FIELD_BYTES + 16)
         assert fields(TIES, 0, 1, buf, 0) == (0, 0), kind  # the first value stops the kernel
-        assert _csv_text(fields, TIES) == _g17_reference(TIES), kind
+        _assert_same_lines(_csv_text(fields, TIES), _g17_reference(TIES), kind)
 
 
 @pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
@@ -1092,7 +1120,7 @@ def test_csv_kernel_resumes_with_the_right_separator(csv_kernels, cols):
     everything_slow = rng.choice(slow, 20 * cols)
     for kind, fields in csv_kernels.items():
         for y in (x, everything_slow):
-            assert _csv_text(fields, y, cols) == _g17_reference(y, cols), kind
+            _assert_same_lines(_csv_text(fields, y, cols), _g17_reference(y, cols), kind)
 
 
 def test_csv_spans_several_blocks(tmp_path, monkeypatch, csv_kernels):
@@ -1108,7 +1136,7 @@ def test_csv_spans_several_blocks(tmp_path, monkeypatch, csv_kernels):
         monkeypatch.setattr(simulate_mod, "_csv_kernel", lambda: fields)
         path = tmp_path / f"{kind}.csv"
         export_csv(traj, path)
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), kind
+        _assert_same_lines(path.read_bytes().decode(), "\n".join(lines) + "\n", kind)
 
 
 # -- trajectory validation ------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Before/after benchmark rows for two delaycert trees.
 
 Runs `python3 perfbench/run.py --trace 0` in each tree on every workload
-that BENCHMARK.json gates, in alternating pairs (the parent first in even
-pairs, the change first in odd ones), and writes the median and quartiles
-of every end-to-end metric for both trees to one JSON file.  Seeds given
-with --held-out run the same pairs after --seed, and their rows go under
-`held_out` in the same file.
+that BENCHMARK.json gates, or on each workload named with --workload, in
+alternating pairs (the parent first in even pairs, the change first in odd
+ones), and writes the median and quartiles of every end-to-end metric for
+both trees to one JSON file.  Seeds given with --held-out run the same
+pairs after --seed, and their rows go under `held_out` in the same file.
 
     git archive HEAD~1 | tar -x -C ../parent
     python tools/bench_rows.py ../parent . --out BENCH_<n>.json --pairs 10 --seconds 50
     python tools/bench_rows.py ../parent . --out BENCH_<n>.json --held-out 5   # and seed 5
+    python tools/bench_rows.py ../parent . --out rows.json --workload linear_dense --workload discrete_long
 
 Each tree runs its own perfbench/ on its own src/, from its root.  For each
 metric the file also gives `change_wins`, the number of pairs in which the
@@ -58,6 +59,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--held-out", type=int, nargs="*", default=[],
                     help="further seeds, run in pairs after --seed and written under held_out")
+    ap.add_argument("--workload", action="append",
+                    help="a workload to run (repeatable); by default every one BENCHMARK.json lists")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
@@ -66,7 +69,7 @@ def main(argv=None) -> int:
 
     def rows_of(seed: int) -> dict:
         rows = {}
-        for w in (w["name"] for w in bench["workloads"]):
+        for w in args.workload or [w["name"] for w in bench["workloads"]]:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for k in range(args.pairs):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
