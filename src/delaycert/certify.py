@@ -58,6 +58,7 @@ from .model import (
     _cached,
     _define,
     _names,
+    _sum_monomials,
     dilate,
     emit_field_sum,
     emit_key,
@@ -65,6 +66,9 @@ from .model import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
+# a float margin below -EXACT_SKIP times the sum of its terms' absolute
+# values has the sign of its exact value: rounding moves it far less
+EXACT_SKIP = 2.0 ** -20
 RAY_SAMPLES = 256  # random simplex directions scored by the nonlinear search
 REFINE_ITERS = 200  # coordinate-descent sweeps on each refined ray
 
@@ -115,7 +119,9 @@ def verify_certificate(
 
     Validity requires margin_i < -DEFAULT_TOLERANCE * (1 + |f_i(v)|) for
     all i, so a margin that is merely zero up to rounding is rejected (the
-    theory needs strict inequality).
+    theory needs strict inequality), and every margin negative in exact
+    arithmetic (`_exactly_negative`): where large terms cancel, rounding
+    can move a margin by more than that cushion.
     """
     v = tuple(float(x) for x in v)
     if len(v) != model.n:
@@ -125,10 +131,37 @@ def verify_certificate(
     m = margins(model, v)
     fv = model.f.evaluate(v)
     valid = all(mi < -DEFAULT_TOLERANCE * (1.0 + abs(fi)) for mi, fi in zip(m, fv))
+    valid = valid and _exactly_negative(model, v, m)
     return Certificate(
         v=v, margins=tuple(m), valid=valid,
         provenance=provenance, claim=stability_claim(model),
+        f_v=tuple(fv) if valid else None, g_v=tuple(model.delayed_sum_at(v)) if valid else None,
     )
+
+
+def _exactly_negative(model: SystemModel, v: tuple[float, ...], m: Sequence[float]) -> bool:
+    """Whether every margin at v is negative in exact arithmetic, given
+    the float margins m.
+
+    A float margin below -EXACT_SKIP times the sum of its terms' absolute
+    values (v_i among them in discrete time) keeps its sign.  Every other
+    margin is summed in Fraction: the coefficients and v are floats, so
+    dyadic rationals, and the exponents are whole numbers, so the sum is
+    exact.  A margin with a coefficient that is not finite has no exact
+    value; its float rule stands.
+    """
+    for i, mi in enumerate(m):
+        terms = [term for F in (model.f, *model.delayed_terms) for term in F._sparse[i]]
+        own = v[i] if model.is_discrete else 0.0
+        size = _sum_monomials((tuple((abs(c), e, fs) for c, e, fs in terms),), v)[0] + own
+        if mi < -EXACT_SKIP * size or not all(math.isfinite(c) for c, _, _ in terms):
+            continue
+        from fractions import Fraction  # here: a margin this close to zero is rare
+
+        exact = sum(Fraction(c) * math.prod(Fraction(v[j]) ** e for j, e in fs) for c, _, fs in terms)
+        if exact - Fraction(own) >= 0:
+            return False
+    return True
 
 
 # -- linear route -------------------------------------------------------------

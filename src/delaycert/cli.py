@@ -9,6 +9,15 @@ on stdout; trajectories go to CSV.  Exit codes:
     3   undetermined (sampling could neither prove nor refute)
     64  unusable configuration or arguments, a command-line usage error
         included (`--help` exits 0)
+
+`batch` loads each config and obtains its certificate and bounds in input
+order on the calling thread, then simulates the configs on up to one thread
+per usable core and prints their reports, and the `error:` lines of
+unusable configs, in input order: its stdout, stderr, exit code and CSV
+bytes are those of `simulate` run on one config after another.  The
+simulating threads run their Python one at a time under one lock
+(`native.held`) and overlap only in the C kernel and CSV writer; configs
+that share a file name, and so a CSV, run one after another.
 """
 
 from __future__ import annotations
@@ -17,10 +26,13 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
+import threading
 from pathlib import Path
 
 from . import checks as checks_mod
+from . import native
 from . import rates as rates_mod
 from .certify import (
     HypothesisError,
@@ -138,10 +150,29 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    return _run_simulation(cfg, Path(args.out))
+    status, report = _run_simulation(cfg, _analyse(cfg), Path(args.out))
+    _emit(report)
+    return status
 
 
-def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
+def _analyse(cfg: ExperimentConfig) -> tuple[Certificate | None, list, str]:
+    """(certificate, bounds, why there is no bound) of cfg: all that
+    `_run_simulation` needs of the theory."""
+    cert, skipped = _obtain_certificate(cfg)
+    bounds = []
+    if cert is not None and not cert.valid:
+        skipped = "certificate is not valid"
+    elif cert is not None:
+        bounds, reasons = rates_mod.decay_bounds(cfg.system, cert, cfg.analysis.bounds, cfg.delays)
+        skipped = "; ".join(reasons)
+        if not bounds and not skipped:
+            skipped = "no bound form applies to this system and delay"
+    return cert, bounds, skipped
+
+
+def _run_simulation(cfg: ExperimentConfig, analysis: tuple, out_path: Path) -> tuple[int, dict]:
+    """(exit code, report) of one simulation of cfg, checked against its
+    `_analyse` result, its CSV written to out_path; nothing is printed."""
     system = cfg.system
     if system.is_discrete:
         traj = simulate_discrete(
@@ -152,15 +183,7 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
             system, list(cfg.delays), cfg.history_continuous(), cfg.sim.h, cfg.sim.horizon
         )
 
-    cert, skipped = _obtain_certificate(cfg)
-    bounds = []
-    if cert is not None and not cert.valid:
-        skipped = "certificate is not valid"
-    elif cert is not None:
-        bounds, reasons = rates_mod.decay_bounds(system, cert, cfg.analysis.bounds, cfg.delays)
-        skipped = "; ".join(reasons)
-        if not bounds and not skipped:
-            skipped = "no bound form applies to this system and delay"
+    cert, bounds, skipped = analysis
     bound = bounds[0] if bounds else None
 
     v = cert.v if cert else None
@@ -196,26 +219,62 @@ def _run_simulation(cfg: ExperimentConfig, out_path: Path) -> int:
         report["level_set_entries"] = level_set_descent(
             traj, v, system.dilation, cfg.analysis.gamma, history_v
         )
-    _emit(report)
-    return status
+    return status, report
 
 
 def cmd_batch(args) -> int:
+    """Simulate each config and print the reports and errors in input
+    order (see the module docstring).  An exception other than ValueError
+    ends the batch after the reports of the configs before its own; the
+    configs not yet started are not run."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so that importing the CLI stays cheap
+
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out: cannot make the directory {out_dir}: {exc.strerror}") from exc
-    worst = EXIT_OK
-    for path in args.configs:
-        path = Path(path)
+    # configs and their analyses, or the error lines of unusable configs.
+    # Every field evaluation happens here, before the first run starts, so a
+    # profiler that nests calls by time never puts one inside another
+    # thread's integration
+    jobs: list[tuple | str] = []
+    failure = None
+    for path in map(Path, args.configs):
         try:
             cfg = load_config(path)
-            status = _run_simulation(cfg, out_dir / (path.stem + ".csv"))
+            jobs.append((path, cfg, _analyse(cfg)))
         except ValueError as exc:  # ConfigError included
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            status = EXIT_CONFIG
-        worst = max(worst, status)
+            jobs.append(f"error: {path}: {exc}")
+        except Exception as exc:  # raised after the reports before it
+            failure = exc
+            break
+    python = threading.Lock()
+
+    def run(job: tuple | str) -> tuple[int, dict | str]:
+        if isinstance(job, str):
+            return EXIT_CONFIG, job
+        path, cfg, analysis = job
+        try:
+            with native.held(python):
+                return _run_simulation(cfg, analysis, out_dir / (path.stem + ".csv"))
+        except ValueError as exc:
+            return EXIT_CONFIG, f"error: {path}: {exc}"
+
+    stems = [Path(path).stem for path in args.configs]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # configs that share a file name write one CSV, so they run in input order
+    workers = min(len(stems), cores) if len(set(stems)) == len(stems) else 1
+    worst = EXIT_OK
+    with ThreadPoolExecutor(workers) as pool:
+        for status, out in pool.map(run, jobs):
+            if isinstance(out, str):
+                print(out, file=sys.stderr)
+            else:
+                _emit(out)
+            worst = max(worst, status)
+    if failure is not None:
+        raise failure
     return worst
 
 
@@ -254,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("bounds", help="compute guaranteed decay-rate bounds"))
     add_common(sub.add_parser("simulate", help="integrate the delayed dynamics"), out_required=True)
 
-    batch = sub.add_parser("batch", help="simulate several configs")
+    batch = sub.add_parser(
+        "batch",
+        help="simulate several configs, on up to the number of usable cores; "
+        "reports are printed in input order",
+    )
     batch.add_argument("configs", nargs="+", help="experiment configs (JSON)")
     batch.add_argument("--out", required=True, help="output directory for CSV files")
     return parser

@@ -35,13 +35,14 @@ point or at every row of an array in one numpy expression.
 
 All types are immutable values after construction; every operation in this
 module is pure and safe to call concurrently (two threads that build the
-same sparse form at once build equal values), except `_cached`, whose
-cache a concurrent caller may fill twice with equal functions.
+same sparse form at once build equal values).  `_cached` builds under a
+lock, so a key that two threads ask for at once is built once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -194,16 +195,19 @@ def _define(name: str, args: str, body: list[str], ns: dict) -> Callable:
 
 
 _RUNS: dict = {}
+_RUNS_LOCK = threading.RLock()
 RUN_CACHE_SIZE = 8  # compiled functions kept, least recently used dropped
 
 
 def _cached(key: tuple, build: Callable[[], Callable]) -> Callable:
-    """build()'s function for key, kept in the bounded cache _RUNS."""
-    fn = _RUNS.pop(key, None) or build()
-    _RUNS[key] = fn
-    while len(_RUNS) > RUN_CACHE_SIZE:
-        _RUNS.pop(next(iter(_RUNS)), None)
-    return fn
+    """build()'s function for key, kept in the bounded cache _RUNS; the
+    lock is held while build runs, so each key is built once."""
+    with _RUNS_LOCK:
+        fn = _RUNS.pop(key, None) or build()
+        _RUNS[key] = fn
+        while len(_RUNS) > RUN_CACHE_SIZE:
+            _RUNS.pop(next(iter(_RUNS)), None)
+        return fn
 
 
 @dataclass(frozen=True)
@@ -535,6 +539,10 @@ class Certificate:
     Continuous margins: f_i(v) + sum_q g_{q,i}(v); discrete margins subtract
     v_i.  The certificate is valid when every margin is strictly negative
     (strictness enforced with a relative tolerance by the verifier).
+
+    f_v and g_v are f(v) and sum_q g_q(v) of the model that verified a
+    valid certificate, kept so that the rate bounds do not evaluate them
+    again; they are not part of its value.
     """
 
     v: tuple[float, ...]
@@ -542,6 +550,8 @@ class Certificate:
     valid: bool
     provenance: str = "user-supplied"
     claim: str = "global"
+    f_v: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
+    g_v: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(float(x) for x in self.v))

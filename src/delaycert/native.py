@@ -31,12 +31,22 @@ for a float x and a positive whole exponent e (odd tells whether e is odd),
 which sets ovf where Python raises OverflowError.  An e of infinity stands
 for an integer exponent past the float range, which Python cannot convert,
 so it sets ovf for every x.
+
+`held(lock)` and `call(fn, *args)` let threads share one lock for their
+Python and overlap in C: a thread that runs a block under `held(lock)`
+lets the lock go for the length of each C call made through `call`, and
+takes it back before it runs Python again.  ctypes releases the GIL for
+each call into a `CDLL`, and the C functions touch no Python object, so
+those calls run alongside each other and alongside one thread's Python.
+Everything else, the Python kernels among it, runs one thread at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
+import threading
 from pathlib import Path
 
 FLAGS = ("-O2", "-shared", "-fPIC", "-fno-builtin", "-ffp-contract=off")
@@ -144,3 +154,31 @@ def load(source: str):
         except OSError:  # a damaged file: rebuilt once
             pass
     return None
+
+
+_held = threading.local()  # .lock: the lock of the calling thread's `held` block
+
+
+@contextlib.contextmanager
+def held(lock):
+    """Run the block holding lock, which `call` lets go of while C runs
+    (see the module docstring)."""
+    with lock:
+        _held.lock = lock
+        try:
+            yield
+        finally:
+            _held.lock = None
+
+
+def call(fn, *args):
+    """fn(*args), a function of a library `load` returned, with the lock of
+    the calling thread's `held` block, if any, let go of while it runs."""
+    lock = getattr(_held, "lock", None)
+    if lock is None:
+        return fn(*args)
+    lock.release()
+    try:
+        return fn(*args)
+    finally:
+        lock.acquire()

@@ -281,12 +281,15 @@ def _pow_times(base: float, expo: float, factor: float) -> float:
 
 def _rate_data(model: SystemModel, v: Sequence[float] | Certificate) -> _CertData:
     """The rate data of v: a Certificate is taken as verified, a bare v is
-    verified here, the only check on v for library callers."""
+    verified here, the only check on v for library callers.  f(v) and g(v)
+    are the certificate's where its verifier kept them."""
     cert = v if isinstance(v, Certificate) else verify_certificate(model, v)
     if not cert.valid:
         raise ValueError(f"not a valid certificate: margins {cert.margins}")
     return _CertData(
-        cert.v, model.f.evaluate(cert.v), model.delayed_sum_at(cert.v),
+        cert.v,
+        list(cert.f_v) if cert.f_v is not None else model.f.evaluate(cert.v),
+        list(cert.g_v) if cert.g_v is not None else model.delayed_sum_at(cert.v),
         model.dilation.r, model.dilation.r_max, model.degree, model.is_discrete,
     )
 

@@ -64,6 +64,11 @@ are not finite and values outside [1e-200, 1e200], where the scaling could
 leave the float range.  It returns that value's index; Python writes the
 value and its separator, and the C function resumes after it.  Where no
 kernel can be built, one `%` over a whole block writes every value.
+
+Both C functions, `rk4_block` and `csv_fields`, are called through
+`native.call`: they run without the GIL and without the lock of a
+`native.held` block, so that `batch` runs overlap in them.  The Python
+loops, the generated RK4 loop and the discrete map, hold both throughout.
 """
 
 from __future__ import annotations
@@ -337,7 +342,7 @@ def _native_rk4(model: SystemModel, h: float) -> Callable | None:
 
     def kernel(S, j, r, r1, code, w, idx, P):
         arrays = (S, code, w, idx, P, *tables)
-        return fn(r, r1, code.shape[1], j, n, Q, *(a.ctypes.data for a in arrays), *hs)
+        return native.call(fn, r, r1, code.shape[1], j, n, Q, *(a.ctypes.data for a in arrays), *hs)
 
     return kernel
 
@@ -867,7 +872,8 @@ def _csv_kernel() -> Callable:
         if not (x.dtype == np.float64 and x.flags.c_contiguous and len(buf) >= at + (x.size - i) * FIELD_BYTES + 16):
             raise ValueError("csv_fields needs contiguous floats and room for each of their fields")
         end = i64(at)
-        i = fn(x.ctypes.data, i, x.size, cols, tens.ctypes.data, ctypes.addressof(ctypes.c_char.from_buffer(buf)), end)
+        i = native.call(fn, x.ctypes.data, i, x.size, cols, tens.ctypes.data,
+                        ctypes.addressof(ctypes.c_char.from_buffer(buf)), end)
         return i, end.value
 
     return fields

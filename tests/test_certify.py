@@ -33,6 +33,16 @@ def test_verify_cubic_ones(cubic2d):
     assert cert.claim == "global"
 
 
+def test_a_valid_certificate_carries_f_and_g_at_v_and_an_invalid_one_does_not(cubic2d):
+    cert = verify_certificate(cubic2d, (1.0, 1.0))
+    assert cert.f_v == tuple(cubic2d.f.evaluate((1.0, 1.0)))
+    assert cert.g_v == tuple(cubic2d.delayed_sum_at((1.0, 1.0)))
+    assert cert == dataclasses.replace(cert, f_v=None, g_v=None)  # not part of its value
+    assert "f_v" not in cert.to_dict()
+    bad = verify_certificate(dataclasses.replace(cubic2d, f=cubic2d.f.scaled(-1.0)), (1.0, 1.0))
+    assert not bad.valid and bad.f_v is None and bad.g_v is None
+
+
 def test_verify_discrete_square_local(square_map):
     cert = verify_certificate(square_map, (0.5,))
     assert cert.margins == (-0.25,)
@@ -52,6 +62,24 @@ def test_verify_zero_margin_is_invalid():
     cert = verify_certificate(model, (1.0, 1.0))
     assert cert.margins[0] == 0.0
     assert not cert.valid
+
+
+@pytest.mark.parametrize("kind, f, m, negative", [
+    ("discrete", 0.5, -1.0, True),        # far below rounding: the float sign stands
+    ("discrete", 0.5, -1e-9, False),      # 0.5 + 0.5 - 1 is exactly 0
+    ("continuous", 0.5, -1e-9, False),    # 0.5 + 0.5 is positive
+    ("continuous", -2.0, -1e-9, True),    # -2 + 0.5 is negative
+    ("continuous", math.inf, -1e-9, True),  # no exact value: the float rule decides
+])
+def test_exact_pass_decides_margins_near_rounding(kind, f, m, negative):
+    model = SystemModel(
+        kind=kind,
+        f=PolyVectorField(1, (((f, (1,)),),)),
+        delayed_terms=(PolyVectorField(1, (((0.5, (1,)),),)),),
+        dilation=Dilation((1.0,)),
+        degree=0.0,
+    )
+    assert certify_mod._exactly_negative(model, (1.0,), [m]) is negative
 
 
 def test_verify_rejects_nonpositive_vector(cubic2d):

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +457,36 @@ def test_certify_cubic_user_vector(tmp_path, capsys):
     assert doc["certificate"]["provenance"] == "user-supplied"
 
 
+def test_a_vector_whose_exact_margins_are_positive_is_no_certificate(tmp_path, capsys):
+    # A + B is not Hurwitz (det -0.588), and the exact margins at v are
+    # +3.35e-9 and +1.04e-9; the float margins, -8.17e-9 and -1.21e-8, pass
+    # the float rule, because two rounded products of about 1e8 cancel
+    doc = scalar_config()
+    doc["system"] = {
+        "kind": "continuous",
+        "f": {"n": 2, "components": [
+            [{"coeff": -184302654.7015329, "exp": [1, 0]}, {"coeff": 105297250.07312062, "exp": [0, 1]}],
+            [{"coeff": 249510155.94232348, "exp": [1, 0]}, {"coeff": -142552115.3159149, "exp": [0, 1]}],
+        ]},
+        "delayed": [{"n": 2, "components": [
+            [{"coeff": 1.2359004123415527e-08, "exp": [0, 1]}],
+            [{"coeff": 1.765902422375395e-08, "exp": [1, 0]}],
+        ]}],
+        "dilation": [1, 1],
+        "degree": 0,
+    }
+    doc["initial_history"] = {"constant": [1, 1]}
+    doc["analysis"] = {"v": [1.0, 1.7503083373359631]}
+    cfg = write(tmp_path, doc)
+    code, out = run_cli(capsys, "certify", "--config", cfg)
+    assert code == 2
+    assert out["certificate"]["valid"] is False
+    assert all(m < 0.0 for m in out["certificate"]["margins"])
+    code, out = run_cli(capsys, "bounds", "--config", cfg)
+    assert code == 2
+    assert out["bounds"] == []
+
+
 def test_certify_discrete_linear_solve(tmp_path, capsys):
     doc = {
         "version": 1,
@@ -661,8 +694,9 @@ def test_simulate_determinism_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_blowup_truncates_and_exits_2(tmp_path, capsys):
-    doc = {
+def _blow_up_config():
+    """x(k+1) = x(k)**2 from 1.5: leaves the float range at k = 11 (exit 2)."""
+    return {
         "version": 1,
         "system": {
             "kind": "discrete",
@@ -675,8 +709,11 @@ def test_simulate_blowup_truncates_and_exits_2(tmp_path, capsys):
         "initial_history": {"constant": [1.5]},
         "sim": {"horizon": 40},
     }
+
+
+def test_simulate_blowup_truncates_and_exits_2(tmp_path, capsys):
     out_csv = tmp_path / "blow.csv"
-    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(out_csv))
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, _blow_up_config()), "--out", str(out_csv))
     assert code == 2
     assert out["diverged_at"] == 11
     assert len(out_csv.read_text().splitlines()) == 1 + 11  # header + surviving rows
@@ -976,6 +1013,168 @@ def test_batch_keeps_going_after_an_unusable_config(tmp_path, capsys):
     assert "k=-2" in captured.err
     assert (out_dir / "good.csv").exists()
     assert not (out_dir / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("compiler", [True, False], ids=["compiler", "no-compiler"])
+def test_batch_writes_what_simulate_writes_one_config_at_a_time(tmp_path, capsys, monkeypatch, compiler):
+    from delaycert import model as model_mod
+
+    if not compiler:  # no kernel can be built: every run is Python, under one lock
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(model_mod, "_RUNS", {})
+        simulate_mod._csv_kernel.cache_clear()
+    unusable = {**scalar_config(), "extra": 1}
+    docs = {
+        "a": cubic_config(sim={"h": 0.01, "horizon": 3}),
+        "b": cubic_config(sim={"h": 0.01, "horizon": 4}, delay={"family": "constant", "tau": 0.5}),
+        "c": unusable,
+        "d": _blow_up_config(),
+        "e": scalar_config(),
+        "f": discrete_config(),
+    }
+    paths = [write(tmp_path, doc, f"{stem}.json") for stem, doc in docs.items()]
+    out_dir = tmp_path / "out"
+    code = main(["batch", *paths, "--out", str(out_dir)])
+    batch = capsys.readouterr()
+    csvs = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    for p in out_dir.iterdir():
+        p.unlink()
+
+    codes, out, err = [], "", ""
+    for path in paths:
+        codes.append(main(["simulate", "--config", path, "--out", str(out_dir / (Path(path).stem + ".csv"))]))
+        one = capsys.readouterr()
+        out += one.out
+        err += one.err.replace("error: ", f"error: {path}: ", 1)
+    simulate_mod._csv_kernel.cache_clear()
+    assert codes == [0, 0, 64, 2, 0, 0]
+    assert (code, batch.out, batch.err) == (max(codes), out, err)
+    assert csvs == {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(csvs) == ["a.csv", "b.csv", "d.csv", "e.csv", "f.csv"]
+    if not compiler:
+        assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable core")
+def test_batch_overlaps_two_continuous_runs_in_their_c_calls(tmp_path, capsys, monkeypatch):
+    from delaycert import native
+
+    if native.load(simulate_mod._SOURCE) is None:
+        pytest.skip("no C compiler: no C call to overlap in")
+    both, met, call = threading.Barrier(2, timeout=10), set(), native.call
+
+    def first_call_meets(fn, *args):
+        def c(*a):
+            if threading.get_ident() not in met:  # each run's first C call
+                met.add(threading.get_ident())
+                both.wait()  # breaks, and raises, unless the other run is in one too
+            return fn(*a)
+
+        return call(c, *args)
+
+    monkeypatch.setattr(native, "call", first_call_meets)
+    paths = [write(tmp_path, cubic_config(sim={"h": 0.01, "horizon": 1}), f"{k}.json") for k in range(2)]
+    assert main(["batch", *paths, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(met) == 2
+
+
+def test_batch_evaluates_no_field_while_a_run_integrates(tmp_path, capsys, monkeypatch):
+    # every certificate and bound is worked out before the first run starts
+    from delaycert import cli
+    from delaycert.model import PolyVectorField
+
+    integrating, during, evaluate, integrate = [0], [], PolyVectorField.evaluate, cli.simulate_continuous
+
+    def counted(*args):
+        integrating[0] += 1
+        try:
+            return integrate(*args)
+        finally:
+            integrating[0] -= 1
+
+    def watched(self, x):
+        during.append(integrating[0])
+        return evaluate(self, x)
+
+    monkeypatch.setattr(cli, "simulate_continuous", counted)
+    monkeypatch.setattr(PolyVectorField, "evaluate", watched)
+    paths = [write(tmp_path, cubic_config(sim={"h": 0.01, "horizon": 2}), f"{k}.json") for k in range(4)]
+    assert main(["batch", *paths, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert during and not any(during)
+
+
+def test_batch_runs_configs_of_one_file_name_in_input_order(tmp_path, capsys):
+    # a/run.json and b/run.json both write out/run.csv: the later one's CSV stays
+    docs = [cubic_config(sim={"h": 0.01, "horizon": 20}), cubic_config(sim={"h": 0.02, "horizon": 30})]
+    paths = []
+    for d, doc in zip("ab", docs):
+        (tmp_path / d).mkdir()
+        paths.append(write(tmp_path / d, doc, "run.json"))
+    out_dir = tmp_path / "out"
+    for _ in range(3):
+        assert main(["batch", *paths, "--out", str(out_dir)]) == 0
+        batch = capsys.readouterr().out
+        assert [p.name for p in out_dir.iterdir()] == ["run.csv"]
+        csv = (out_dir / "run.csv").read_bytes()
+        out = ""
+        for path in paths:
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / "one.csv")]) == 0
+            out += capsys.readouterr().out
+        assert batch == out.replace(str(tmp_path / "one.csv"), str(out_dir / "run.csv"))
+        assert csv == (tmp_path / "one.csv").read_bytes()
+
+
+def test_batch_never_overlaps_two_discrete_runs(tmp_path, capsys, monkeypatch):
+    from delaycert import cli
+
+    running, most, iterate = [0], [0], cli.simulate_discrete
+
+    def counted(*args):
+        running[0] += 1
+        most[0] = max(most[0], running[0])
+        time.sleep(0.05)  # time for another run to start, were it allowed to
+        try:
+            return iterate(*args)
+        finally:
+            running[0] -= 1
+
+    monkeypatch.setattr(cli, "simulate_discrete", counted)
+    paths = [write(tmp_path, discrete_config(), f"{k}.json") for k in range(3)]
+    assert main(["batch", *paths, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert most[0] == 1
+
+
+@pytest.mark.parametrize("stage", ["simulation", "analysis"])
+def test_batch_raises_what_is_not_a_config_error_after_the_reports_before_it(tmp_path, capsys, monkeypatch, stage):
+    from delaycert import cli
+
+    if stage == "simulation":
+        integrate = cli.simulate_continuous
+
+        def fail_on_the_second(model, delays, phi, h, horizon):
+            if horizon == 2:
+                raise RuntimeError("not a config error")
+            return integrate(model, delays, phi, h, horizon)
+
+        monkeypatch.setattr(cli, "simulate_continuous", fail_on_the_second)
+    else:
+        analyse = cli._analyse
+
+        def fail_on_the_second(cfg):
+            if cfg.sim.horizon == 2:
+                raise RuntimeError("not a config error")
+            return analyse(cfg)
+
+        monkeypatch.setattr(cli, "_analyse", fail_on_the_second)
+    paths = [write(tmp_path, cubic_config(sim={"h": 0.01, "horizon": k}), f"{k}.json") for k in (1, 2, 3)]
+    with pytest.raises(RuntimeError, match="not a config error"):
+        main(["batch", *paths, "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert out.count('"csv"') == 1 and '"samples": 101' in out  # the first config's report alone
 
 
 @pytest.mark.parametrize("cmd, out", [

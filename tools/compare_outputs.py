@@ -1,12 +1,15 @@
 """Compare the CLI outputs of two delaycert source trees.
 
 Runs `check`, `certify`, `bounds` and `simulate` from each tree on the same
-configs, and `batch` over each seed's six cubic_ensemble configs in one
-process, and prints every difference in stdout, exit code or CSV bytes.
-Exits 1 when any run differs and 0 when all agree.  `batch` is the one path
-where several configs run in one process, and so share what a process keeps
-between runs (such as compiled code); a state that leaks from one config
-into the next shows up there as a difference.
+configs, and `batch` in one process over each seed's six cubic_ensemble
+configs and over a mixed batch (those six with an unusable config and a
+diverging one among them), and prints every difference in stdout, exit
+code or CSV bytes, and for `batch` in stderr.  Exits 1 when any run differs
+and 0 when all agree.  `batch` is the one path where several configs run in
+one process, and so share what a process keeps between runs (such as
+compiled code), and run on several threads; a state that leaks from one
+config into the next, or a report or error out of input order, shows up
+there as a difference.
 
     git worktree add ../parent HEAD~1        # or: git archive HEAD~1 | tar -x -C ../parent
     python tools/compare_outputs.py ../parent/src src
@@ -130,15 +133,37 @@ def run_tree(src: Path, doc: dict, work: Path, env: dict) -> dict[str, tuple]:
     return results
 
 
+def mixed_batch(cubic: dict[str, dict]) -> dict[str, dict]:
+    """The cubic configs with an unusable config (an unknown key, exit 64)
+    after the second and a diverging one (x' = x**2 + 0.5 x(t - 1)**2 from
+    1.5, exit 2) after the fourth."""
+    stems = list(cubic)
+    unusable = {**cubic[stems[0]], "extra": 1}
+    diverging = {
+        "version": 1,
+        "system": {"kind": "continuous", "dilation": [1], "degree": 1,
+                   "f": {"n": 1, "components": [[{"coeff": 1, "exp": [2]}]]},
+                   "delayed": [{"n": 1, "components": [[{"coeff": 0.5, "exp": [2]}]]}]},
+        "delay": {"family": "constant", "tau": 1},
+        "initial_history": {"constant": [1.5]},
+        "sim": {"h": 0.01, "horizon": 5},
+    }
+    docs = [(stem, cubic[stem]) for stem in stems]
+    docs[4:4] = [("diverging", diverging)]
+    docs[2:2] = [("unusable", unusable)]
+    return dict(docs)
+
+
 def run_batch(src: Path, docs: dict[str, dict], work: Path, env: dict) -> tuple:
-    """(exit code, stdout, {CSV name: bytes}) of one `batch` over docs."""
+    """(exit code, stdout, stderr, {CSV name: bytes}) of one `batch` over docs."""
     (work / "out").mkdir(parents=True)
     for stem, doc in docs.items():
         (work / f"{stem}.json").write_text(json.dumps(doc))
     argv = [sys.executable, "-m", "delaycert", "batch", *(f"{stem}.json" for stem in docs), "--out", "out"]
     proc = subprocess.run(argv, cwd=work, env=dict(env, PYTHONPATH=str(src)),
                           capture_output=True, text=True)
-    return proc.returncode, proc.stdout, {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+    csvs = {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, csvs
 
 
 def json_differences(old, new, path: str = "") -> list[str]:
@@ -196,15 +221,18 @@ def main(argv=None) -> int:
                     for line in lines:
                         print(f"{name} {cmd}: {line}")
         cubic = _workloads().WORKLOADS["cubic_ensemble"]
+        batches = {}
         for seed in SEEDS:
-            name, docs = f"cubic_ensemble-s{seed}", cubic.configs(seed)
-            (code_a, out_a, csvs_a), (code_b, out_b, csvs_b) = (
+            batches[f"cubic_ensemble-s{seed}"] = cubic.configs(seed)
+            batches[f"mixed-s{seed}"] = mixed_batch(cubic.configs(seed))
+        for name, docs in batches.items():
+            (code_a, out_a, err_a, csvs_a), (code_b, out_b, err_b, csvs_b) = (
                 run_batch(src, docs, Path(tmp) / side / f"{name}-batch", env)
                 for side, src in (("old", old_src), ("new", new_src))
             )
             lines = [f"exit code: {code_a} -> {code_b}"] if code_a != code_b else []
-            if out_a != out_b:
-                lines.append("stdout differs")
+            lines += [f"{stream} differs" for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b))
+                      if a != b]
             lines += [f"{csv} bytes differ" for csv in sorted(set(csvs_a) | set(csvs_b))
                       if csvs_a.get(csv) != csvs_b.get(csv)]
             runs += 1
