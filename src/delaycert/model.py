@@ -16,12 +16,14 @@ nonzero exponents, once, on first use.  A `PolyVectorField` builds one
 those stored rows, so no row is checked or built twice.
 
 Every polynomial, scalar or vector, is evaluated by one monomial kernel,
-`_sum_monomials`, over that sparse form.  The two hot loops, the
-simulator's steps and the certificate search's margins, do not call the
+`_sum_monomials`, over that sparse form.  The hot loops do not call the
 kernel.  One renderer, `emit_field_sum`, writes the same sparse terms as
-Python statements, and `field_tables` lists them, in the same order, as
-the arrays that the simulator's one fixed C kernel reads; no C is written
-from a system.  The kernel stays the path of every one-shot evaluation,
+Python statements for two of them: the certificate search's margins, and
+the simulator's map step, which iterates a discrete system and gives each
+stage of the RK4 kernel that runs where no C compiler is found its field
+sum.  `field_tables` lists the terms, in the same order, as the arrays
+that the simulator's one fixed C kernel reads; no C is written from a
+system.  The kernel stays the path of every one-shot evaluation,
 where compiling would cost more than it saves, and of a power that
 overflows, which it counts as a signed infinity.  The kernel, the
 rendered statements and the C kernel's walk over the tables must agree

@@ -18,27 +18,29 @@ weight, grid index) triple per stage time and delay, from one
 The run loop over a block is one RK4 kernel with one contract (see
 `_rk4_run`), built once per (system, h) and kept in the small cache of
 compiled functions in `model`, which every later run of that system at
-that step size reuses.  It has two forms:
+that step size reuses.  Both forms step a preallocated (steps + 1, n)
+array, snap each new component in [-CLAMP_EPS, 0) to zero as roundoff
+before they store it, and stop only at a state that is not finite:
   - C: `rk4_block`, one fixed function whose text does not depend on the
     system.  It reads the system's term tables (`model.field_tables`,
-    built once per cached kernel), stepping a preallocated (steps + 1, n)
-    array.  Its source, the power helper `native.PY_POW` and the CSV
-    writer below are one C source, which `native` compiles once per
-    machine into one cached object, on the first simulate or export;
-  - Python, generated from the system's monomials by the one renderer
-    `model.emit_field_sum`: the four stages and every component, monomial
-    and delayed read unrolled over local names, appending to a list of
-    state tuples.  It is built only where no C kernel can be (no compiler,
-    a failed compile, a cache that cannot be written), and it is the
-    reference the C kernel is tested against.
-One driver, `_run_block`, runs either over a block of the read plan: it
-fills in the block's history reads by calling phi before the kernel runs,
-and records and clamps a negative state the kernel hands back before it
-resumes.  metadata["integrator"] says which kernel ran.  Both do the float
-operations of a per-stage lookup and of `PolyVectorField.evaluate`, in the
-same order, and a power x ** e in C is CPython's own float power, so the
-trajectory, positivity record, divergence time and read counts are the
-same bit for bit.
+    built once per cached kernel).  Its source, the power helper
+    `native.PY_POW` and the CSV writer below are one C source, which
+    `native` compiles once per machine into one cached object, on the
+    first simulate or export;
+  - Python: the same loop, stage by stage, where each stage's field sum
+    is one call of the system's map step (`_map_step`, this module's one
+    piece of generated code), which sums in the C kernel's order.  It
+    runs only where no C kernel can be built (no compiler, a failed
+    compile, a cache that cannot be written), and it is the reference the
+    C kernel is tested against.
+One driver, `_run_block`, runs either over a block of the read plan in
+one call: it fills in the block's history reads by calling phi before the
+kernel runs.  `simulate_continuous` then finds the block's positivity
+violations in the stored rows.  metadata["integrator"] says which kernel
+ran.  Both do the float operations of a per-stage lookup and of
+`PolyVectorField.evaluate`, in the same order, and a power x ** e in C is
+CPython's own float power, so the trajectory, positivity record,
+divergence time and read counts are the same bit for bit.
 
 Fixed stepping is deliberate: time-varying delays create derivative kinks at
 unpredictable times, and a fine fixed step with a documented O(h^2)
@@ -68,7 +70,7 @@ kernel can be built, one `%` over a whole block writes every value.
 Both C functions, `rk4_block` and `csv_fields`, are called through
 `native.call`: they run without the GIL and without the lock of a
 `native.held` block, so that `batch` runs overlap in them.  The Python
-loops, the generated RK4 loop and the discrete map, hold both throughout.
+loops, the Python RK4 kernel and the discrete map, hold both throughout.
 """
 
 from __future__ import annotations
@@ -164,34 +166,25 @@ def tabulated_history(times: Sequence[float], states) -> Callable[[float], tuple
 _GRID, _HISTORY, _SEGMENT, _CURRENT = range(4)
 _SOURCES = ("grid", "history", "segment", "current")
 PLAN_BLOCK = 1024  # steps per read plan, so the plan's size does not grow with the horizon
-# plan columns the Python loop turns into Python scalars at a time: a
-# negative state ends a kernel call, and the next call converts from there
-PLAN_CHUNK = 64
-
-
-_BOUNDS = {"_LO": -math.inf, "_HI": math.inf}  # the names that _finite's test reads
-
-
-def _finite(names: list[str]) -> str:
-    return " and ".join(f"_LO < {v} < _HI" for v in names)
 
 
 def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
     """(integrator, kernel): the RK4 block loop of the system at step size
     h, kept in the cache `_RUNS`, so every later run of the system at h
     reuses it.  It is the C kernel ("native", see `_native_rk4`) wherever
-    `native.load` can build one, and only otherwise the generated Python
-    loop ("python", see `_python_rk4`).
+    `native.load` can build one, and only otherwise the Python loop
+    ("python", see `_python_rk4`).
 
     Both kernels have one contract, kernel(S, j, r, r1, code, w, idx, P):
-    from the state row j of the store S they take the steps of the read
-    plan's columns r .. r1 - 1 (code, w and idx, see `_read_plan`), storing
-    the new state of column r' as row j + 1 + r' - r, where a history read
-    takes the row idx of the array P.  They return r1 when every step was
-    taken, r' when the state of column r' has a negative component (it is
-    stored as it is), and -1 - r' when that state is not finite or one of
-    its powers overflowed (it is not stored: the C kernel may have written
-    its row, which the run does not keep).
+    from the state row j of the (steps + 1, n) array S they take the steps
+    of the read plan's columns r .. r1 - 1 (code, w and idx, see
+    `_read_plan`), storing the new state of column r' as row
+    j + 1 + r' - r, where a history read takes the row idx of the array P.
+    Each new component in [-CLAMP_EPS, 0) is stored as 0.0; a deeper one is
+    stored as it is.  They return r1 when every step was taken, and
+    -1 - r' when the state of column r' is not finite or one of its powers
+    overflowed (it is not stored: the C kernel may have written its row,
+    which the run does not keep).
     """
     h = float(h)
     fields = (model.f, *model.delayed_terms)
@@ -204,65 +197,55 @@ def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
 
 
 def _python_rk4(model: SystemModel, h: float) -> Callable:
-    """The kernel of `_rk4_run`'s contract as generated Python, where S is
-    a list of state tuples that each step appends to.  The loop body is
-    straight-line source: the stages, components, monomials and delayed
-    reads are unrolled over local names.  Nothing of one run is bound in
-    the function, so it serves every run of the system at step size h."""
-    n, fields = model.n, (model.f, *model.delayed_terms)
-    X, Y, A, B = (_names(p, n) for p in "xyab")
-    Q = len(fields) - 1
-    plan = [f"{v}{st}_{q}" for v in "cwi" for st in range(3) for q in range(Q)]  # plan row st * Q + q
-    ns: dict = {**_BOUNDS, "h": h, "half": 0.5 * h, "sixth": h / 6.0}
-    D = [_names(f"d{q}_", n) for q in range(Q)]
-    K = [_names(f"k{s}_", n) for s in range(1, 5)]
-    body = []
-    for stage, st in enumerate((0, 1, 1, 2), 1):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
-        if stage > 1:
-            inc = "h" if stage == 4 else "half"
-            body += [f"{y} = {x} + {inc} * {k}" for y, x, k in zip(Y, X, K[stage - 2])]
-        Z = X if stage == 1 else Y
-        for q, Dq in enumerate(D):
-            c, w, i = f"c{st}_{q}", f"w{st}_{q}", f"i{st}_{q}"
-            reads = {
-                _GRID: [f"{', '.join(A)}, = S[{i}]", f"{', '.join(B)}, = S[{i} + 1]"]
-                + [f"{d} = {a} + {w} * ({b} - {a})" for d, a, b in zip(Dq, A, B)],
-                _HISTORY: [f"{', '.join(Dq)}, = P[{i}].tolist()"],
-                _SEGMENT: [f"{d} = {x} + {w} * ({y} - {x})" for d, x, y in zip(Dq, X, Y)],
-                _CURRENT: [f"{d} = {z}" for d, z in zip(Dq, Z)],
-            }
-            # k3 keeps k2's grid and history reads: same time, same values
-            codes = (_SEGMENT, _CURRENT) if stage == 3 else (_GRID, _HISTORY, _SEGMENT, _CURRENT)
-            body += [line for b, code in enumerate(codes)
-                     for line in (f"{'elif' if b else 'if'} {c} == {code}:", *("    " + r for r in reads[code]))]
-        body += emit_field_sum(fields, [Z, *D], K[stage - 1], ns)
-    body += [f"{x} = {x} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})" for x, k1, k2, k3, k4 in zip(X, *K)]
-    state = ", ".join(X) + ","
-    body += [
-        f"if not ({_finite(X)}):",
-        "    return -1 - r",
-        f"S.append(({state}))",
-        f"if {' or '.join(f'{x} < 0.0' for x in X)}:",
-        "    return r",
-    ]
-    return _define("run", "S, j, r, r1, code, w, idx, P", [
-        f"{state} = S[j]",
-        "try:",
-        f"    for r0 in range(r, r1, {PLAN_CHUNK}):",
-        f"        e = min(r0 + {PLAN_CHUNK}, r1)",
-        "        cols = code[:, r0:e].tolist() + w[:, r0:e].tolist() + idx[:, r0:e].tolist()",
-        f"        for r, {', '.join(plan)}, in zip(range(r0, e), *cols):",
-        *("            " + line for line in body),
-        "except OverflowError:",
-        "    return -1 - r",
-        "return r1",
-    ], ns)
+    """The kernel of `_rk4_run`'s contract as a Python loop: `rk4_block`'s
+    loop, stage by stage, where each stage's field sum is one call of the
+    system's map step (`_map_step`).  A sum that is not finite, or a power
+    that overflows, ends the call as a state that is not finite does.
+    Nothing of one run is bound in the function, so it serves every run of
+    the system at step size h."""
+    step, Q = _map_step(model), len(model.delayed_terms)
+    half, sixth = 0.5 * h, h / 6.0
+
+    def kernel(S, j, r, r1, code, w, idx, P):
+        x, d = S[j].tolist(), [None] * Q
+        plan = zip(range(r, r1), *(a[:, r:r1].T.tolist() for a in (code, w, idx)))
+        try:
+            for r, c, wr, ir in plan:
+                k: list = []
+                for stage in range(4):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
+                    z = [a + (h if stage == 3 else half) * b for a, b in zip(x, k[-1])] if stage else x
+                    for q in range(Q):
+                        p = (stage + 1) // 2 * Q + q
+                        if stage == 2 and c[p] < _SEGMENT:  # k3 keeps k2's grid and history reads
+                            continue
+                        if c[p] == _GRID:
+                            a, b = S[ir[p]:ir[p] + 2].tolist()
+                            d[q] = [ai + wr[p] * (bi - ai) for ai, bi in zip(a, b)]
+                        elif c[p] == _HISTORY:
+                            d[q] = P[ir[p]].tolist()
+                        elif c[p] == _SEGMENT:
+                            d[q] = [xi + wr[p] * (zi - xi) for xi, zi in zip(x, z)]
+                        else:
+                            d[q] = z
+                    if (kz := step(z, d)) is None:
+                        return -1 - r
+                    k.append(kz)
+                x = [xi + sixth * (a + 2.0 * b + 2.0 * e + f) for xi, a, b, e, f in zip(x, *k)]
+                if not all(map(math.isfinite, x)):
+                    return -1 - r
+                j += 1
+                S[j] = x = [0.0 if -CLAMP_EPS <= v < 0.0 else v for v in x]
+        except OverflowError:
+            return -1 - r
+        return r1
+
+    return kernel
 
 
 # `_python_rk4`'s loop as one fixed C function over `field_tables`, so one
 # compiled object serves every system.  The plan codes are _GRID, _HISTORY,
 # _SEGMENT and _CURRENT.
-_RK4_SOURCE = r"""
+_RK4_SOURCE = f"#define CLAMP_EPS {CLAMP_EPS!r}\n" + r"""
 enum { GRID, HISTORY, SEGMENT, CURRENT };
 
 int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, int64_t n, int64_t Q, double *S,
@@ -274,7 +257,7 @@ int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, int64_t n, int64_
     double y[n], d[Q * n], k[4][n], sum, v, *x = S + j * n;
     const double *a, *z;
     int64_t i, q, p, g, t, f, stage;
-    int stop = 0;  /* a power overflowed, or the new state is not finite or negative */
+    int stop = 0;  /* a power overflowed, or the new state is not finite */
     for (; r < r1; r++, x += n) {
         for (stage = 0; stage < 4; stage++) {  /* k1 at t, k2 and k3 at t + h/2, k4 at t + h */
             for (i = 0; stage && i < n; i++)
@@ -306,17 +289,15 @@ int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, int64_t n, int64_
                 }
             }
         }
-        /* the new state goes to the next row, which is kept only when finite */
+        /* the new state goes to the next row, roundoff below zero snapped
+           to zero; the row is kept only when the state is finite */
         for (i = 0; i < n; i++) {
-            x[n + i] = x[i] + sixth * (k[0][i] + 2.0 * k[1][i] + 2.0 * k[2][i] + k[3][i]);
-            stop |= !(-HUGE_VAL < x[n + i] && x[n + i] < HUGE_VAL);
+            v = x[i] + sixth * (k[0][i] + 2.0 * k[1][i] + 2.0 * k[2][i] + k[3][i]);
+            stop |= !(-HUGE_VAL < v && v < HUGE_VAL);
+            x[n + i] = v < 0.0 && v >= -CLAMP_EPS ? 0.0 : v;
         }
         if (stop)
             return -1 - r;
-        for (i = 0; i < n; i++)
-            stop |= x[n + i] < 0.0;
-        if (stop)
-            return r;
     }
     return r1;
 }
@@ -349,14 +330,15 @@ def _native_rk4(model: SystemModel, h: float) -> Callable | None:
 
 def _map_step(model: SystemModel) -> Callable:
     """step(x, d): the map f(x) + sum_q g_q(d[q]) as one straight-line
-    function of the state tuple x and the delayed state tuples d; the next
-    state tuple, or None when it is not finite."""
+    function of the state x and the delayed states d (sequences of floats);
+    the next state tuple, or None when it is not finite.  A power that
+    overflows raises OverflowError."""
     n = model.n
     X, N, D = _names("x", n), _names("n", n), [_names(f"d{q}_", n) for q in range(len(model.delayed_terms))]
     body = [f"{', '.join(X)}, = x"] + [f"{', '.join(Dq)}, = d[{q}]" for q, Dq in enumerate(D)]
-    ns: dict = dict(_BOUNDS)
+    ns: dict = {"_LO": -math.inf, "_HI": math.inf}
     body += emit_field_sum((model.f, *model.delayed_terms), [X, *D], N, ns)
-    body += [f"if {_finite(N)}: return ({', '.join(N)},)"]
+    body += [f"if {' and '.join(f'_LO < {v} < _HI' for v in N)}: return ({', '.join(N)},)"]
     return _define("step", "x, d", body, ns)
 
 
@@ -418,28 +400,19 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
     return (*(np.array(col) for col in cols), stop, error)
 
 
-def _run_block(kernel: Callable, S, j0: int, stop: int, code, w, idx, phi, neg) -> tuple[int, bool]:
-    """Steps j0 .. j0 + stop - 1 of the read plan (code, w, idx) through
-    kernel (see `_rk4_run`), from row j0 of the state store S: (rows of S
-    then stored, True when every step was taken, False at a state that is
-    not finite).
-
-    The history reads are filled in first: row k of P is phi at the k-th
-    of them, and idx points there.  A new state with a negative component
-    is replaced by neg(state, row) before the kernel resumes."""
+def _run_block(kernel: Callable, S: np.ndarray, j0: int, stop: int, code, w, idx, phi) -> tuple[int, bool]:
+    """Steps j0 .. j0 + stop - 1 of the read plan (code, w, idx) in one call
+    of kernel (see `_rk4_run`), from row j0 of the state store S: (rows of
+    S then stored, True when every step was taken, False at a state that is
+    not finite).  The history reads are filled in first: row k of P is phi
+    at the k-th of them, and idx points there."""
     hist = code == _HISTORY
     hist[:, stop:] = False
     at = np.flatnonzero(hist)
-    P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, len(S[0]))
+    P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, S.shape[1])
     idx.flat[at] = np.arange(len(at))
-    r = 0
-    while (r := kernel(S, j0 + r, r, stop, code, w, idx, P)) != stop:
-        if r < 0:  # the state of row j0 - r is not finite
-            return j0 - r, False
-        row = j0 + r + 1
-        S[row] = neg(tuple(map(float, S[row])), row)
-        r += 1
-    return j0 + stop + 1, True
+    r = kernel(S, j0, 0, stop, code, w, idx, P)
+    return (j0 + stop + 1, True) if r == stop else (j0 - r, False)
 
 
 def simulate_continuous(
@@ -452,9 +425,11 @@ def simulate_continuous(
     """Integrate x'(t) = f(x(t)) + sum_q g_q(x(t - tau_q(t))) from history phi.
 
     phi must be defined (continuous, nonnegative) on [-history_depth, 0].
-    State components in [-1e-12, 0) are clamped to zero as roundoff; deeper
-    excursions are kept and those below -1e-9 are recorded as positivity
-    violations.  A non-finite state stops the run and is reported through
+    The kernel snaps state components in [-CLAMP_EPS, 0) to zero as
+    roundoff and keeps deeper excursions; after each plan block the stored
+    components below -VIOLATION_EPS are recorded as positivity violations
+    (time, component, value), in step and then component order.  A
+    non-finite state stops the run and is reported through
     metadata["diverged_at"] rather than raised: blow-up is the expected
     outcome for unstable systems.  metadata["delayed_reads"] counts the
     stages' delayed reads by source: history, grid, in-step segment and
@@ -474,7 +449,7 @@ def simulate_continuous(
     n = model.n
     try:
         steps = int(round(horizon / h))
-        # the C kernel's store, and the size of the trajectory either kernel returns
+        # the kernels' store, and the size of the trajectory they return
         S = np.empty((steps + 1, n))
     except (OverflowError, ValueError, MemoryError):
         raise ValueError(
@@ -489,20 +464,16 @@ def simulate_continuous(
 
     violations: list[tuple[float, int, float]] = []
     diverged_at = None
-
-    def neg(xn: tuple[float, ...], row: int) -> tuple[float, ...]:
-        violations.extend((row * h, i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS)
-        return tuple(0.0 if -CLAMP_EPS <= c < 0.0 else c for c in xn)
-
     integrator, kernel = _rk4_run(model, h)
-    if integrator == "python":
-        S = [x]
     S[0] = x
     Q = len(delays)
     reads = np.zeros(len(_SOURCES), dtype=np.int64)
     for j0 in range(0, steps, PLAN_BLOCK):
         code, w, idx, stop, error = _read_plan(delays, j0, min(j0 + PLAN_BLOCK, steps), h, depth)
-        stored, finished = _run_block(kernel, S, j0, stop, code, w, idx, phi, neg)
+        stored, finished = _run_block(kernel, S, j0, stop, code, w, idx, phi)
+        rows, cols = np.nonzero(S[j0 + 1:stored] < -VIOLATION_EPS)
+        violations += zip([(j0 + 1 + k) * h for k in rows.tolist()], cols.tolist(),
+                          S[j0 + 1 + rows, cols].tolist())
         if not finished:
             diverged_at = stored * h
         taken = stored - 1 - j0 + (diverged_at is not None)  # the diverging step read too
@@ -515,7 +486,7 @@ def simulate_continuous(
 
     return Trajectory(
         times=np.arange(stored) * h,
-        states=np.asarray(S[:stored]),
+        states=S[:stored],
         metadata={
             "kind": "continuous",
             "h": h,

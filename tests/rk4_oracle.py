@@ -1,13 +1,16 @@
 """Reference RK4 integrator for the delayed dynamics: one call per stage.
 
-This is the per-stage loop `simulate_continuous` used before it generated a
-straight-line step: every stage looks its delayed argument up on its own and
-evaluates the fields through `PolyVectorField.evaluate`.  Tests compare the
+Every stage looks its delayed argument up on its own, evaluates the fields
+through `PolyVectorField.evaluate`, and each new state has its roundoff in
+[-CLAMP_EPS, 0) snapped to zero and its components below -VIOLATION_EPS
+recorded.  It shares no code with the simulator's kernels, which take
+their delayed reads from a read plan, sum the fields from generated code
+or term tables, and leave the violations to the driver; tests compare the
 simulator against it bit for bit.
 
-One case differs from that loop: a positive delay too small to move the
-delayed argument off the step's base time (below half an ulp of t) reads the
-stage state there, where the loop divided zero by zero.
+A positive delay too small to move the delayed argument off the step's
+base time (below half an ulp of t) reads the stage state there, as the
+read plan does, instead of dividing zero by zero.
 """
 
 from __future__ import annotations

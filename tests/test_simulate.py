@@ -344,11 +344,50 @@ def test_negative_states_are_recorded_as_the_reference_does(delay, count):
     assert traj.states.min() < 0.0
 
 
-# -- the C kernel against the generated Python loop ------------------------------------
+@pytest.mark.parametrize("compiler", [True, False], ids=["compiler", "no-compiler"])
+@pytest.mark.parametrize("delay, count", [(ConstantDelay(1.0), 998), (SinusoidalDelay(1.0, 0.5), 985)])
+def test_negative_states_take_one_kernel_call_per_plan_block(tmp_path, monkeypatch, compiler, delay, count):
+    # each kernel snaps roundoff to zero itself and runs on through a
+    # negative state, so 2,000 steps are two calls, one per plan block
+    if compiler and INTEGRATOR == "python":
+        pytest.skip("no C compiler")
+    if not compiler:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setattr(model_mod, "_RUNS", {})
+    rk4_run, calls = simulate_mod._rk4_run, []
+
+    def spied(model, h):
+        integrator, kernel = rk4_run(model, h)
+
+        def spy(S, j, r, r1, *plan):
+            calls.append((j, r, r1))
+            return kernel(S, j, r, r1, *plan)
+
+        return integrator, spy
+
+    monkeypatch.setattr(simulate_mod, "_rk4_run", spied)
+    phi = constant_history((1.0,))
+    traj = simulate_continuous(NEGATIVE_FEEDBACK, delay, phi, 0.01, 20.0)
+    assert traj.metadata["integrator"] == ("native" if compiler else "python")
+    block = simulate_mod.PLAN_BLOCK
+    assert calls == [(0, 0, block), (block, 0, 2000 - block)]
+    states, violations, diverged_at = oracle_continuous(NEGATIVE_FEEDBACK, delay, phi, 0.01, 20.0)
+    assert np.array_equal(traj.states.view(np.uint64), np.array(states).view(np.uint64))
+
+    def bits(violations):
+        return [(t.hex(), i, c.hex()) for t, i, c in violations]
+
+    assert bits(traj.metadata["positivity_violations"]) == bits(violations)
+    assert len(violations) == count and diverged_at is None
+    assert not any(tmp_path.iterdir())  # without a compiler nothing is cached
+
+
+# -- the C kernel against the Python loop ------------------------------------
 
 def _assert_native_matches_python(model, delays, phi, h, horizon):
     """Run once as every run does, and once with no kernel to build, which
-    runs the generated Python loop; the two agree bit for bit."""
+    runs the Python loop; the two agree bit for bit."""
     traj = simulate_continuous(model, delays, phi, h, horizon)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate_mod, "_native_rk4", lambda model, h: None)
@@ -572,9 +611,8 @@ def test_both_kernels_return_the_same_codes_and_rows_on_a_block(model, x0, delay
     h, steps = 0.01, 300
     plan = simulate_mod._read_plan([delay], 0, steps, h, history_depth(delay, probe_horizon=10.0))
     runs = []
-    for kernel, S in [(simulate_mod._native_rk4(model, h), np.empty((steps + 1, 1))),
-                      (simulate_mod._python_rk4(model, h), [None])]:
-        codes = []
+    for kernel in (simulate_mod._native_rk4(model, h), simulate_mod._python_rk4(model, h)):
+        codes, S = [], np.empty((steps + 1, 1))
 
         def spy(*args):
             codes.append(kernel(*args))
@@ -582,14 +620,14 @@ def test_both_kernels_return_the_same_codes_and_rows_on_a_block(model, x0, delay
 
         S[0] = (x0,)
         code, w, idx, stop, _ = (a.copy() if isinstance(a, np.ndarray) else a for a in plan)
-        stored, finished = simulate_mod._run_block(spy, S, 0, stop, code, w, idx, constant_history((x0,)),
-                                                   lambda xn, row: tuple(max(c, 0.0) for c in xn))
-        runs.append((codes, stored, finished, np.asarray(S[:stored]).view(np.uint64)))
+        stored, finished = simulate_mod._run_block(spy, S, 0, stop, code, w, idx, constant_history((x0,)))
+        runs.append((codes, stored, finished, S[:stored].view(np.uint64)))
     (codes, stored, finished, rows), python = runs
     assert (codes, stored, finished) == python[:3]
     assert np.array_equal(rows, python[3])
     if ends == "negative":
-        assert finished and len(codes) > 1 and all(0 <= r < steps for r in codes[:-1])
+        # the kernel keeps going through negative states: one call, every step
+        assert finished and codes == [steps] and (rows.view(float) < 0.0).any()
     else:
         assert not finished and codes[-1] < 0 and stored == -codes[-1]
 

@@ -2,9 +2,9 @@
 
 Runs `check`, `certify`, `bounds` and `simulate` from each tree on the same
 configs, and `batch` in one process over each seed's six cubic_ensemble
-configs and over a mixed batch (those six with an unusable config and a
-diverging one among them), and prints every difference in stdout, exit
-code or CSV bytes, and for `batch` in stderr.  Exits 1 when any run differs
+configs and over a mixed batch (those six with an unusable config, a
+diverging one and one that is not positive among them), and prints every
+difference in stdout, exit code or CSV bytes, and for `batch` in stderr.  Exits 1 when any run differs
 and 0 when all agree.  `batch` is the one path where several configs run in
 one process, and so share what a process keeps between runs (such as
 compiled code), and run on several threads; a state that leaks from one
@@ -17,10 +17,12 @@ there as a difference.
 
 The configs are those of the perfbench workloads at seeds 1-3 (generated by
 perfbench/workloads.py, which is only imported) and variants built from the
-config builders of tests/test_cli.py.  JSON reports are compared key by key,
-so a difference is printed as the path of the key with both values.  Each
-run is a separate `python -m delaycert` process with PYTHONPATH set to its
-tree; files go to a temporary directory that is removed afterwards.
+config builders of tests/test_cli.py, and one system that is not
+positive, whose runs clamp roundoff and record violations.  JSON reports
+are compared key by key, so a difference is printed as the path of the
+key with both values.  Each run is a separate `python -m delaycert`
+process with PYTHONPATH set to its tree; files go to a temporary directory
+that is removed afterwards.
 
 With --no-compiler every run has PATH set to an empty directory and
 XDG_CACHE_HOME to a fresh one, so that no C kernel can be built and each
@@ -43,6 +45,17 @@ REPO = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 COMMANDS = ("check", "certify", "bounds", "simulate")
 ABSENT = "(absent)"
+# x' = -x - 0.8 x(t - 1) from 1: it swings through zero, so its runs snap
+# roundoff below zero to zero and record about a thousand violations
+NEGATIVE_FEEDBACK = {
+    "version": 1,
+    "system": {"kind": "continuous", "dilation": [1], "degree": 0,
+               "f": {"n": 1, "components": [[{"coeff": -1, "exp": [1]}]]},
+               "delayed": [{"n": 1, "components": [[{"coeff": -0.8, "exp": [1]}]]}]},
+    "delay": {"family": "constant", "tau": 1},
+    "initial_history": {"constant": [1]},
+    "sim": {"h": 0.01, "horizon": 20},
+}
 
 
 def _workloads():
@@ -108,6 +121,7 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
         ),
         "scalar-eta-h1-t2400": variant(scalar, sim={"h": 1, "horizon": 2400}),
         "scalar-eta-theta": variant(scalar, analysis={"bounds": ["eta", "theta"]}),
+        "negative-feedback": NEGATIVE_FEEDBACK,
     }
     for horizon in (2, 5, 20):
         out[f"scalar-xi-t{horizon}"] = variant(
@@ -135,8 +149,8 @@ def run_tree(src: Path, doc: dict, work: Path, env: dict) -> dict[str, tuple]:
 
 def mixed_batch(cubic: dict[str, dict]) -> dict[str, dict]:
     """The cubic configs with an unusable config (an unknown key, exit 64)
-    after the second and a diverging one (x' = x**2 + 0.5 x(t - 1)**2 from
-    1.5, exit 2) after the fourth."""
+    after the second, and after the fourth a diverging one (x' = x**2 +
+    0.5 x(t - 1)**2 from 1.5, exit 2) and NEGATIVE_FEEDBACK."""
     stems = list(cubic)
     unusable = {**cubic[stems[0]], "extra": 1}
     diverging = {
@@ -149,7 +163,7 @@ def mixed_batch(cubic: dict[str, dict]) -> dict[str, dict]:
         "sim": {"h": 0.01, "horizon": 5},
     }
     docs = [(stem, cubic[stem]) for stem in stems]
-    docs[4:4] = [("diverging", diverging)]
+    docs[4:4] = [("diverging", diverging), ("negative-feedback", NEGATIVE_FEEDBACK)]
     docs[2:2] = [("unusable", unusable)]
     return dict(docs)
 
