@@ -23,12 +23,12 @@ The search scores about ten thousand directions, each with one `margins`
 call, and both its hot loops run as generated code:
 
 - The margins are a straight-line function of v that
-  `model.emit_field_sum` writes; the search compiles it once per system
-  and keeps it in the compiled-function cache of `model`.  Every other
-  caller (verification, rates, the linear route) evaluates a handful of
-  points and takes the monomial kernel, which also stands in wherever a
-  power in the compiled function overflows.  Both paths give the same
-  margins bit for bit.
+  `model.emit_field_sum` writes; each search compiles its own, once, and
+  nothing keeps it after the search.  Verification evaluates one point:
+  it takes f(v) and g(v) from the monomial kernel, once each, and forms
+  the margins as `margins`' kernel path does.  That path also stands in
+  wherever a power in the compiled function overflows.  Both paths give
+  the same margins bit for bit.
 - The coordinate descent is one function per dimension n, built once and
   cached (`_refine_sweep`).  Its iterations and candidates stay loops; the
   renormalization and the worst-margin score are spelled out over the n
@@ -55,13 +55,11 @@ from .model import (
     Certificate,
     PolyVectorField,
     SystemModel,
-    _cached,
     _define,
     _names,
     _sum_monomials,
     dilate,
     emit_field_sum,
-    emit_key,
     is_homogeneous,
 )
 
@@ -128,14 +126,15 @@ def verify_certificate(
         raise ValueError(f"certificate vector has length {len(v)}, model n={model.n}")
     if min(v) <= 0.0:
         raise ValueError("certificate vector must be strictly positive")
-    m = margins(model, v)
-    fv = model.f.evaluate(v)
+    fv, gv = model.f.evaluate(v), model.delayed_sum_at(v)
+    # `margins`' kernel path, from the one evaluation of f(v) and g(v)
+    m = [fi + gi - vi if model.is_discrete else fi + gi for fi, gi, vi in zip(fv, gv, v)]
     valid = all(mi < -DEFAULT_TOLERANCE * (1.0 + abs(fi)) for mi, fi in zip(m, fv))
     valid = valid and _exactly_negative(model, v, m)
     return Certificate(
         v=v, margins=tuple(m), valid=valid,
         provenance=provenance, claim=stability_claim(model),
-        f_v=tuple(fv) if valid else None, g_v=tuple(model.delayed_sum_at(v)) if valid else None,
+        f_v=tuple(fv) if valid else None, g_v=tuple(gv) if valid else None,
     )
 
 
@@ -340,12 +339,11 @@ def find_certificate_nonlinear(model: SystemModel, seed: int = 0) -> np.ndarray 
     n = model.n
     if RAY_SAMPLES < n:
         raise ValueError(f"RAY_SAMPLES={RAY_SAMPLES} must be at least n={n}")
-    fields = (model.f, *model.delayed_terms)
-    for field_ in fields:
+    for field_ in (model.f, *model.delayed_terms):
         ok, witness = is_homogeneous(field_, model.dilation, model.degree)
         if not ok:
             raise HypothesisError(f"model failed the exact homogeneity check: {witness}")
-    evaluator = _cached(("margins", model.kind, emit_key(fields)), lambda: _margin_evaluator(model))
+    evaluator = _margin_evaluator(model)
 
     rng = np.random.default_rng(seed)
     rays: list[list[float]] = [[1.0 / n] * n]

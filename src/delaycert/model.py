@@ -28,23 +28,20 @@ where compiling would cost more than it saves, and of a power that
 overflows, which it counts as a signed infinity.  The kernel, the
 rendered statements and the C kernel's walk over the tables must agree
 bit for bit, so a change to the order or form of the arithmetic in one is
-made in the others, and `emit_key` lists all that the renderer and the
-tables read, so that compiled code can be reused for equal keys.  The
-helpers that compile emitted statements (`_define`, `_names`) and the
-bounded cache of compiled functions that the simulator and the search
-share (`_cached`, `_RUNS`) live here too.  `lyapunov_v` evaluates V at one
-point or at every row of an array in one numpy expression.
+made in the others.  Nothing compiled from a system is kept: the
+simulator builds its kernel or map step once per run and the search its
+margin evaluator once per search.  The helpers that compile emitted
+statements (`_define`, `_names`) live here too.  `lyapunov_v` evaluates V
+at one point or at every row of an array in one numpy expression.
 
 All types are immutable values after construction; every operation in this
 module is pure and safe to call concurrently (two threads that build the
-same sparse form at once build equal values).  `_cached` builds under a
-lock, so a key that two threads ask for at once is built once.
+same sparse form at once build equal values).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -171,17 +168,6 @@ def field_tables(fields: Sequence[PolyVectorField]) -> tuple[np.ndarray, ...]:
             np.array([w % 2.0 == 1.0 for w in power], dtype=i64))
 
 
-def emit_key(fields: Sequence[PolyVectorField]) -> tuple:
-    """All that `emit_field_sum` writes its statements and ns from, and
-    `field_tables` its tables: each term's factors and the exact bits of
-    its coefficient (float.hex keeps -0.0, 0.0 and inf apart).  Fields with
-    equal keys emit the same code and tables."""
-    return tuple(
-        tuple(tuple((coeff.hex(), factors) for coeff, _, factors in comp) for comp in F._sparse)
-        for F in fields
-    )
-
-
 def _names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(n)]
 
@@ -194,22 +180,6 @@ def _define(name: str, args: str, body: list[str], ns: dict) -> Callable:
     defined: dict = {}
     exec("\n    ".join([f"def {name}({args}{defaults}):", *body]), ns, defined)
     return defined[name]
-
-
-_RUNS: dict = {}
-_RUNS_LOCK = threading.RLock()
-RUN_CACHE_SIZE = 8  # compiled functions kept, least recently used dropped
-
-
-def _cached(key: tuple, build: Callable[[], Callable]) -> Callable:
-    """build()'s function for key, kept in the bounded cache _RUNS; the
-    lock is held while build runs, so each key is built once."""
-    with _RUNS_LOCK:
-        fn = _RUNS.pop(key, None) or build()
-        _RUNS[key] = fn
-        while len(_RUNS) > RUN_CACHE_SIZE:
-            _RUNS.pop(next(iter(_RUNS)), None)
-        return fn
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,14 @@ weight, grid index) triple per stage time and delay, from one
 `DelayModel.values` call per stage time and delay.
 
 The run loop over a block is one RK4 kernel with one contract (see
-`_rk4_run`), built once per (system, h) and kept in the small cache of
-compiled functions in `model`, which every later run of that system at
-that step size reuses.  Both forms step a preallocated (steps + 1, n)
-array, snap each new component in [-CLAMP_EPS, 0) to zero as roundoff
-before they store it, and stop only at a state that is not finite:
+`_rk4_run`), built once per run and kept by nothing else, so the kernel a
+run takes depends only on what its environment offers then.  Both forms
+step a preallocated (steps + 1, n) array, snap each new component in
+[-CLAMP_EPS, 0) to zero as roundoff before they store it, and stop only
+at a state that is not finite:
   - C: `rk4_block`, one fixed function whose text does not depend on the
     system.  It reads the system's term tables (`model.field_tables`,
-    built once per cached kernel).  Its source, the power helper
+    built once per run).  Its source, the power helper
     `native.PY_POW` and the CSV writer below are one C source, which
     `native` compiles once per machine into one cached object, on the
     first simulate or export;
@@ -49,7 +49,7 @@ full step history is retained because unbounded delays can reach back
 arbitrarily far.
 
 Discrete systems iterate the map exactly (floating point only), through
-the same generated field sum, compiled once per system.
+the same generated field sum, compiled once per run.
 
 CSV export writes the bytes `'%.17g' % x` writes, without a formatting call
 per float where a C compiler is found.  One fixed C function, `csv_fields`
@@ -84,7 +84,7 @@ import numpy as np
 
 from . import native
 from .delays import DelayModel, as_delay_list, history_depth
-from .model import Dilation, LevelSetProbe, SystemModel, _cached, _define, _names, emit_field_sum, emit_key
+from .model import Dilation, LevelSetProbe, SystemModel, _define, _names, emit_field_sum
 from .model import field_tables, lyapunov_v
 from .rates import DEFAULT_SAFETY, DecayBound, _exp
 
@@ -170,10 +170,9 @@ PLAN_BLOCK = 1024  # steps per read plan, so the plan's size does not grow with 
 
 def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
     """(integrator, kernel): the RK4 block loop of the system at step size
-    h, kept in the cache `_RUNS`, so every later run of the system at h
-    reuses it.  It is the C kernel ("native", see `_native_rk4`) wherever
-    `native.load` can build one, and only otherwise the Python loop
-    ("python", see `_python_rk4`).
+    h, built for one run.  It is the C kernel ("native", see `_native_rk4`)
+    wherever `native.load` can build one at this call, and only otherwise
+    the Python loop ("python", see `_python_rk4`).
 
     Both kernels have one contract, kernel(S, j, r, r1, code, w, idx, P):
     from the state row j of the (steps + 1, n) array S they take the steps
@@ -187,22 +186,15 @@ def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
     which the run does not keep).
     """
     h = float(h)
-    fields = (model.f, *model.delayed_terms)
-
-    def build() -> tuple[str, Callable]:
-        kernel = _native_rk4(model, h)
-        return ("native", kernel) if kernel is not None else ("python", _python_rk4(model, h))
-
-    return _cached((h.hex(), emit_key(fields)), build)
+    kernel = _native_rk4(model, h)
+    return ("native", kernel) if kernel is not None else ("python", _python_rk4(model, h))
 
 
 def _python_rk4(model: SystemModel, h: float) -> Callable:
     """The kernel of `_rk4_run`'s contract as a Python loop: `rk4_block`'s
     loop, stage by stage, where each stage's field sum is one call of the
     system's map step (`_map_step`).  A sum that is not finite, or a power
-    that overflows, ends the call as a state that is not finite does.
-    Nothing of one run is bound in the function, so it serves every run of
-    the system at step size h."""
+    that overflows, ends the call as a state that is not finite does."""
     step, Q = _map_step(model), len(model.delayed_terms)
     half, sixth = 0.5 * h, h / 6.0
 
@@ -535,7 +527,7 @@ def simulate_discrete(
             raise ValueError(f"history at k={k} has dimension {len(xk)}, model n={n}")
         seq.append(xk)
 
-    step = _cached(("discrete", emit_key((model.f, *model.delayed_terms))), lambda: _map_step(model))
+    step = _map_step(model)
 
     violations: list[tuple[float, int, float]] = []
     diverged_at = None

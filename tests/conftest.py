@@ -1,4 +1,5 @@
 import math
+import tempfile
 
 import pytest
 
@@ -12,6 +13,23 @@ from delaycert import (
 )
 
 E = math.e
+
+
+def pytest_addoption(parser):
+    parser.addoption("--no-compiler", action="store_true",
+                     help="run with PATH set to an empty directory, so that no C kernel is built")
+
+
+def pytest_configure(config):
+    """With --no-compiler, PATH is an empty directory before any test
+    module is imported, so tests/test_simulate.py's INTEGRATOR reads
+    "python" and every run takes the Python kernels."""
+    if config.getoption("no_compiler"):
+        empty = tempfile.TemporaryDirectory(prefix="no-compiler-")
+        mp = pytest.MonkeyPatch()
+        mp.setenv("PATH", empty.name)
+        config.add_cleanup(empty.cleanup)
+        config.add_cleanup(mp.undo)
 
 
 @pytest.fixture(scope="session", autouse=True)

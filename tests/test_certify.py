@@ -20,7 +20,6 @@ from delaycert import (
     verify_certificate,
 )
 from delaycert import certify as certify_mod
-from delaycert import model as model_mod
 from delaycert.certify import linear_model
 
 
@@ -314,6 +313,8 @@ def test_margin_evaluator_matches_kernel_bitwise(model_and_point):
     evaluator = certify_mod._margin_evaluator(model)
     got, want = margins(model, v, evaluator), margins(model, v)
     assert [m.hex() for m in got] == [m.hex() for m in want]
+    # verification forms the margins from its own f(v) and g(v)
+    assert [m.hex() for m in verify_certificate(model, v).margins] == [m.hex() for m in want]
     try:
         direct = evaluator(v)
     except OverflowError:
@@ -394,7 +395,7 @@ def test_search_returns_the_same_v_with_and_without_the_evaluator(monkeypatch):
         for kind in ("continuous", "discrete") for _ in range(30)
     ]
     with_evaluator = [find_certificate_nonlinear(m, seed=k) for k, m in enumerate(systems)]
-    monkeypatch.setattr(certify_mod, "_cached", lambda key, build: None)  # the kernel path
+    monkeypatch.setattr(certify_mod, "_margin_evaluator", lambda model: None)  # the kernel path
     kernel = [find_certificate_nonlinear(m, seed=k) for k, m in enumerate(systems)]
     found = 0
     for a, b in zip(with_evaluator, kernel):
@@ -420,37 +421,11 @@ def _count_margins(monkeypatch, model):
 
 
 def test_search_counts_margins_once_per_scored_direction(monkeypatch, cubic2d):
-    # one call per scored direction, with the evaluator or without: 932 on
-    # this search, as before the evaluator existed
+    # one call per scored direction, with the evaluator or without: 931 on
+    # this search (verifying the result calls no `margins`)
     compiled = _count_margins(monkeypatch, cubic2d)
-    monkeypatch.setattr(certify_mod, "_cached", lambda key, build: None)
-    assert compiled[0] == _count_margins(monkeypatch, cubic2d)[0] == 932
-
-
-def test_search_compiles_its_evaluator_once_per_system(monkeypatch):
-    monkeypatch.setattr(model_mod, "_RUNS", {})
-    builds = []
-    build = certify_mod._margin_evaluator
-    monkeypatch.setattr(certify_mod, "_margin_evaluator", lambda model: builds.append(model) or build(model))
-    rng = np.random.default_rng(5)
-    model = _random_cooperative_system(rng, 4, "continuous", 1)
-    twin = SystemModel(  # an equal system built anew: the same key, no sparse forms yet
-        kind=model.kind,
-        f=PolyVectorField.from_dict(model.f.to_dict()),
-        delayed_terms=tuple(PolyVectorField.from_dict(g.to_dict()) for g in model.delayed_terms),
-        dilation=model.dilation,
-        degree=model.degree,
-    )
-    find_certificate_nonlinear(model)
-    assert builds == [model]
-    find_certificate_nonlinear(twin)
-    find_certificate_nonlinear(model, seed=1)
-    assert builds == [model]
-    (key, evaluator), = model_mod._RUNS.items()
-    assert key[:2] == ("margins", "continuous")
-    # the discrete system of the same fields is another evaluator
-    find_certificate_nonlinear(dataclasses.replace(twin, kind="discrete"))
-    assert len(builds) == 2 and model_mod._RUNS[key] is evaluator
+    monkeypatch.setattr(certify_mod, "_margin_evaluator", lambda model: None)
+    assert compiled[0] == _count_margins(monkeypatch, cubic2d)[0] == 931
 
 
 # -- the generated coordinate-descent sweep -------------------------------------------

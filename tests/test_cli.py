@@ -943,13 +943,12 @@ def test_a_step_count_whose_states_cannot_be_allocated_exits_64(tmp_path, capsys
 
 
 def test_check_certify_and_bounds_never_load_the_csv_kernel(tmp_path, capsys, monkeypatch):
-    from delaycert import model as model_mod, native
+    from delaycert import native
 
     cfg = write(tmp_path, cubic_config(sim={"h": 0.01, "horizon": 1}))
     cache, loads, load = tmp_path / "cache", [], native.load
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     monkeypatch.setattr(native, "load", lambda source: loads.append(source) or load(source))
-    monkeypatch.setattr(model_mod, "_RUNS", {})
     simulate_mod._csv_kernel.cache_clear()
     for cmd in ("check", "certify", "bounds"):
         assert main([cmd, "--config", cfg]) == 0
@@ -1017,12 +1016,9 @@ def test_batch_keeps_going_after_an_unusable_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("compiler", [True, False], ids=["compiler", "no-compiler"])
 def test_batch_writes_what_simulate_writes_one_config_at_a_time(tmp_path, capsys, monkeypatch, compiler):
-    from delaycert import model as model_mod
-
     if not compiler:  # no kernel can be built: every run is Python, under one lock
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(model_mod, "_RUNS", {})
         simulate_mod._csv_kernel.cache_clear()
     unusable = {**scalar_config(), "extra": 1}
     docs = {
@@ -1219,13 +1215,15 @@ def dense_linear_config(n):
 def test_one_shot_commands_on_a_linear_system_compile_nothing(tmp_path, capsys, monkeypatch):
     # compiling the margin evaluator at n = 50 costs more than a one-shot
     # command's few margin evaluations: only the nonlinear search builds one
-    from delaycert import model as model_mod
+    from delaycert import certify as certify_mod
 
-    monkeypatch.setattr(model_mod, "_RUNS", {})
+    built = []
+    for mod in (certify_mod, simulate_mod):  # the modules that compile emitted statements
+        monkeypatch.setattr(mod, "_define", lambda *args: built.append(args[0]))
     for cmd in ("check", "certify", "bounds"):
         code, _ = run_cli(capsys, cmd, "--config", write(tmp_path, dense_linear_config(50)))
         assert code == 0
-    assert model_mod._RUNS == {}
+    assert built == []
 
 
 # -- benchmark tracer ------------------------------------------------------------

@@ -423,72 +423,3 @@ def test_level_set_probe_validation():
         LevelSetProbe(gamma=1.0, phi_norm=1.0)
     with pytest.raises(ValueError):
         LevelSetProbe(gamma=0.5, phi_norm=-1.0)
-
-
-# -- the compiled-function cache ------------------------------------------------------
-
-def test_cached_builds_a_key_once_when_two_threads_ask(monkeypatch):
-    import threading
-    import time
-
-    from delaycert import model as model_mod
-
-    monkeypatch.setattr(model_mod, "_RUNS", {})
-    started, release, builds, got = threading.Event(), threading.Event(), [], []
-
-    def build():
-        builds.append(1)
-        started.set()
-        release.wait(10)
-        return lambda: len(builds)
-
-    def ask():
-        got.append(model_mod._cached(("key",), build))
-
-    first = threading.Thread(target=ask)
-    first.start()
-    assert started.wait(10)
-    second = threading.Thread(target=ask)
-    second.start()
-    time.sleep(0.1)  # the second thread asks while the first one builds
-    release.set()
-    first.join(10)
-    second.join(10)
-    assert len(builds) == 1
-    assert len(got) == 2 and got[0] is got[1]
-
-
-def test_cached_under_many_threads_builds_each_key_once(monkeypatch):
-    import sys
-    import threading
-    import time
-
-    from delaycert import model as model_mod
-
-    monkeypatch.setattr(model_mod, "_RUNS", {})
-    builds: list[int] = []
-    keys = [(k,) for k in range(4)]  # fewer than RUN_CACHE_SIZE: nothing is evicted
-
-    def build(key):
-        builds.append(key[0])
-        time.sleep(0)  # lets another thread run mid-build
-        return lambda: key
-
-    def ask(seed):
-        for i in range(200):
-            key = keys[(seed + i) % len(keys)]
-            model_mod._cached(key, lambda: build(key))
-
-    threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(builds) == [0, 1, 2, 3]
-    assert sorted(model_mod._RUNS) == keys

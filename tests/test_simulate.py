@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delaycert import model as model_mod, native, simulate as simulate_mod
+from delaycert import native, simulate as simulate_mod
 from delaycert import (
     ConstantDelay,
     CustomDelay,
@@ -42,7 +42,6 @@ from delaycert import (
 )
 from delaycert.certify import linear_model
 from delaycert.delays import history_depth
-from delaycert.model import emit_key
 from conftest import growth2d_closed_form, lyapunov_reference
 from rk4_oracle import oracle_continuous
 
@@ -354,7 +353,6 @@ def test_negative_states_take_one_kernel_call_per_plan_block(tmp_path, monkeypat
     if not compiler:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PATH", str(tmp_path))
-    monkeypatch.setattr(model_mod, "_RUNS", {})
     rk4_run, calls = simulate_mod._rk4_run, []
 
     def spied(model, h):
@@ -391,7 +389,6 @@ def _assert_native_matches_python(model, delays, phi, h, horizon):
     traj = simulate_continuous(model, delays, phi, h, horizon)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate_mod, "_native_rk4", lambda model, h: None)
-        mp.setattr(model_mod, "_RUNS", {})
         ref = simulate_continuous(model, delays, phi, h, horizon)
     assert (traj.metadata["integrator"], ref.metadata["integrator"]) == (INTEGRATOR, "python")
     assert traj.states.shape == ref.states.shape
@@ -543,7 +540,6 @@ def test_a_damaged_kernel_file_is_rebuilt_once(tmp_path, monkeypatch):
 def test_every_system_step_size_and_export_share_one_compiled_object(tmp_path, monkeypatch, cubic2d,
                                                                     scalar_half):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(model_mod, "_RUNS", {})
     simulate_mod._csv_kernel.cache_clear()
     rng = np.random.default_rng(20)
     dense = linear_model((rng.random((20, 20)) / 20 - 2.0 * np.eye(20)).tolist(),
@@ -554,7 +550,6 @@ def test_every_system_step_size_and_export_share_one_compiled_object(tmp_path, m
             assert traj.metadata["integrator"] == "native"
             export_csv(traj, tmp_path / "run.csv")
     simulate_mod._csv_kernel.cache_clear()
-    assert len(model_mod._RUNS) == 6
     assert [f.suffix for f in (tmp_path / "delaycert").iterdir()] == [".so"]
 
 
@@ -575,7 +570,6 @@ def test_no_kernel_without_compiler_compilable_source_or_cache(tmp_path, monkeyp
 def test_without_compiler_the_python_loop_runs(tmp_path, monkeypatch, cubic2d):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setenv("PATH", str(tmp_path))
-    monkeypatch.setattr(model_mod, "_RUNS", {})
     phi, delay = constant_history((1.0, 0.5)), SinusoidalDelay(2.0, 1.0)
     traj = simulate_continuous(cubic2d, delay, phi, 0.01, 4.0)
     assert traj.metadata["integrator"] == "python"
@@ -584,12 +578,26 @@ def test_without_compiler_the_python_loop_runs(tmp_path, monkeypatch, cubic2d):
 
 
 @pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
+def test_a_runs_integrator_follows_the_compiler_present_at_that_run(tmp_path, monkeypatch, cubic2d):
+    # nothing of the first run is kept: the second, in the same process,
+    # finds no compiler and no compiled object, so it runs the Python loop
+    phi, delay = constant_history((1.0, 0.5)), SinusoidalDelay(2.0, 1.0)
+    assert simulate_continuous(cubic2d, delay, phi, 0.01, 4.0).metadata["integrator"] == "native"
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    traj = simulate_continuous(cubic2d, delay, phi, 0.01, 4.0)
+    assert traj.metadata["integrator"] == "python"
+    states, _, _ = oracle_continuous(cubic2d, delay, phi, 0.01, 4.0)
+    assert np.array_equal(traj.states.view(np.uint64), np.array(states).view(np.uint64))
+
+
+@pytest.mark.skipif(INTEGRATOR == "python", reason="no C compiler")
 def test_with_a_compiler_no_python_loop_is_built(monkeypatch, cubic2d):
     def refuse(model, h):
         raise AssertionError("the Python loop was built")
 
     monkeypatch.setattr(simulate_mod, "_python_rk4", refuse)
-    monkeypatch.setattr(model_mod, "_RUNS", {})
     for h in (0.01, 0.02):
         traj = simulate_continuous(cubic2d, SinusoidalDelay(2.0, 1.0), constant_history((1.0, 0.5)), h, 2.0)
         assert traj.metadata["integrator"] == "native"
@@ -1203,7 +1211,7 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 1)))
 
 
-# -- the compiled run cache -------------------------------------------------------------------
+# -- runs of one system -------------------------------------------------------------------------
 
 
 def test_one_compiled_run_serves_every_history_and_delay(cubic2d):
@@ -1213,7 +1221,6 @@ def test_one_compiled_run_serves_every_history_and_delay(cubic2d):
     ]
     for phi, delay in runs + [(runs[0][0], runs[1][1]), (runs[1][0], runs[0][1])]:
         _assert_matches_oracle(cubic2d, delay, phi, 0.01, 4.0)
-    assert simulate_mod._rk4_run(cubic2d, 0.01) is simulate_mod._rk4_run(cubic2d, 0.01)
 
 
 def test_a_diverging_run_leaves_nothing_to_the_next(scalar_half):
@@ -1224,8 +1231,7 @@ def test_a_diverging_run_leaves_nothing_to_the_next(scalar_half):
     _assert_matches_oracle(scalar_half, ConstantDelay(0.3), constant_history((1.0,)), 0.01, 1.0)
 
 
-def test_runs_are_not_shared_across_signed_zeros_or_step_sizes(scalar_half, monkeypatch):
-    monkeypatch.setattr(model_mod, "_RUNS", {})
+def test_runs_are_not_shared_across_signed_zeros_or_step_sizes(scalar_half):
 
     def with_coeff(c):
         return dataclasses.replace(scalar_half, f=PolyVectorField(1, (((-1.0, (1,)), (c, (1,))),)))
@@ -1241,15 +1247,3 @@ def test_runs_are_not_shared_across_signed_zeros_or_step_sizes(scalar_half, monk
             states, _, _ = oracle_continuous(m, delay, phi, h, 1.0)
             assert np.array_equal(traj.states.view(np.uint64), np.array(states).view(np.uint64))
         assert not np.array_equal(trajs[2].states, trajs[3].states)
-    keys = [(h.hex(), emit_key((m.f, *m.delayed_terms))) for h in (0.01, 0.02) for m in models]
-    assert len(set(keys)) == 8 and set(model_mod._RUNS) == set(keys)
-
-
-def test_run_cache_is_bounded(scalar_half):
-    steps = [0.001 * (k + 1) for k in range(model_mod.RUN_CACHE_SIZE + 3)]
-    for h in steps:
-        simulate_continuous(scalar_half, ConstantDelay(0.5), constant_history((1.0,)), h, 0.05)
-        assert len(model_mod._RUNS) <= model_mod.RUN_CACHE_SIZE
-    # least recently used first: only the last RUN_CACHE_SIZE step sizes remain
-    key = emit_key((scalar_half.f, *scalar_half.delayed_terms))
-    assert list(model_mod._RUNS) == [(h.hex(), key) for h in steps[-model_mod.RUN_CACHE_SIZE:]]
