@@ -166,10 +166,13 @@ def _exactly_negative(model: SystemModel, v: tuple[float, ...], m: Sequence[floa
 # -- linear route -------------------------------------------------------------
 
 
-def _as_matrix(M) -> np.ndarray:
+def _as_matrix(M, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(A).all():
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"{name} has a non-finite entry ({i},{j}) = {A[i, j]}")
     return A
 
 
@@ -219,8 +222,8 @@ def find_certificate_linear(A, B_list, kind: str) -> np.ndarray | None:
     necessary, so absence is conclusive on this route); raises
     HypothesisError when A or a B_q breaks its sign pattern.
     """
-    A = _as_matrix(A)
-    Bs = [_as_matrix(B) for B in B_list]
+    A = _as_matrix(A, "A")
+    Bs = [_as_matrix(B, f"B_{q}") for q, B in enumerate(B_list)]
     if any(B.shape != A.shape for B in Bs):
         raise ValueError("A and every B must share one shape")
     for q, B in enumerate(Bs):
@@ -247,7 +250,7 @@ def linear_model(A, B_list, kind: str) -> SystemModel:
     """Wrap matrices as a SystemModel (standard dilation, degree zero)."""
     from .model import Dilation
 
-    A = _as_matrix(A)
+    A = _as_matrix(A, "A")
     fields = tuple(PolyVectorField.from_matrix(B) for B in B_list)
     if not fields:
         fields = (PolyVectorField.zero(A.shape[0]),)

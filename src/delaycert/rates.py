@@ -34,11 +34,21 @@ not:
 
 theta_bound and beta_bound solve it in closed form (theta capped at
 1/tau_sup, beta below 1 so that D = 0), as do eta (continuous) and xi where
-g_i(v) = 0.  Otherwise the equation is strictly increasing in the rate and
-negative at zero; bracket doubling plus bisection finds its unique positive
-root (monotonicity is the only structure guaranteed, so no derivative-based
-methods).  The returned rate sits the relative margin DEFAULT_SAFETY inside
-the open admissible interval: the theory guarantees only its inside.
+g_i(v) = 0.  Every other rate, eta, xi, the theta' of `upper_solution_theta`
+and the power clock's exponent, comes from one root loop,
+`_CertData.roots`: per component, a closed form where one applies, else
+the root of the condition with the limits a ratio function gives for the
+rate.  The equation is strictly increasing in the rate and negative at
+zero; `solve_monotone` finds its unique positive root by bracket doubling
+plus bisection (monotonicity is the only structure guaranteed, so no
+derivative-based methods).  It stops at a midpoint with residual at most
+1e-12 that lies below the root, or above it by at most DEFAULT_SAFETY/2 of
+itself, or at the bracket's lower end once the bracket stops shrinking in
+floats.  The returned rate sits the relative margin DEFAULT_SAFETY inside
+the open admissible interval, so it is always below the root: the theory
+guarantees only its inside.  Every bound and clock is built by one
+constructor, `_CertData.bound`.  Limits and sup ratios past the float range
+are inf, so they cost nothing to a component whose delayed coupling is zero.
 `mu_condition_check` decides the condition for any `DecayBound` clock.
 
 The constant multiple depends on the initial history.  `upper_envelope`, the
@@ -95,8 +105,9 @@ class DecayBound:
     supremum of the feasible set (may exceed 1 or be infinite; it is the
     quantity that decays monotonically in the delay ratio alpha).
     `component_rates` are the per-component roots; infinite entries (from
-    vanishing delayed couplings or a degenerate ratio) are excluded from
-    the min and listed in `infinite_components`.  The constant M of the
+    vanishing delayed couplings, a degenerate ratio, or a closed form past
+    the float range) are excluded from the min and listed in
+    `infinite_components`.  The constant M of the
     envelope depends on the history; `upper_envelope` gives it together
     with the clock it holds for.
 
@@ -169,7 +180,11 @@ def solve_monotone(
 ) -> float:
     """Unique positive root of a strictly increasing fn with fn(0) < 0.
 
-    Bracket doubling until a sign change, then bisection to |fn(root)| <= tol.
+    Bracket doubling until a sign change, then bisection.  The bisection
+    stops at a midpoint with |fn| <= tol that lies below the root, or above
+    it by at most DEFAULT_SAFETY/2 of itself, so that (1 - DEFAULT_SAFETY)
+    times the returned value is always below the root; or, once the bracket
+    stops shrinking in floats, at its lower end, where fn < 0.
     An OverflowError from fn counts as a positive value, since fn increases.
     Monotonicity across the bracket is checked by sampling; a violation, a
     nonnegative value at zero, or no sign change within 2**60 * bracket_hint
@@ -203,8 +218,10 @@ def solve_monotone(
     lo = 0.0
     for _ in range(300):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
         fm = value(mid)
-        if abs(fm) <= tol:
+        if abs(fm) <= tol and (fm <= 0.0 or mid - lo <= 0.5 * DEFAULT_SAFETY * mid):
             return mid
         if fm < 0.0:
             lo = mid
@@ -241,12 +258,12 @@ class _CertData(NamedTuple):
             if tau_sup is None:
                 raise MissingLimitError("an exponential clock needs a bounded delay (tau_sup)")
             if self.is_discrete:
-                return math.exp(rate), math.exp(rate * (1.0 + tau_sup))
-            return math.exp(rate * tau_sup), rate if self.p == 0.0 else math.inf
+                return _exp(rate), _exp(rate * (1.0 + tau_sup))
+            return _exp(rate * tau_sup), rate if self.p == 0.0 else math.inf
         if alpha is None:
             raise MissingLimitError("a power clock needs every delay bounded or proportional (alpha)")
         e, theta = (rate, 1.0) if form == POWER_RATE else (exponent, rate)
-        K_e = math.exp(e * -math.log1p(-alpha))
+        K_e = _exp(e * -math.log1p(-alpha))
         if self.is_discrete:
             return 1.0, K_e
         q = e * self.p / self.rmax
@@ -262,6 +279,25 @@ class _CertData(NamedTuple):
         ri = self.r[i]
         delayed = _pow_times(a, (ri + self.p) / self.rmax, self.gv[i] / self.v[i])
         return (self.rmax / ri) * (self.fv[i] / self.v[i] + delayed) + b
+
+    def roots(
+        self, ratios: Callable[[float], tuple[float, float]], closed: Callable[[int], float | None], hint: float = 1.0
+    ) -> list[float]:
+        """The rate of every component i: closed(i) where a closed form
+        gives it (inf for a component that constrains nothing), otherwise
+        the root of the condition with the limits ratios(rate), found by
+        solve_monotone from the bracket hint `hint`."""
+        rates = [closed(i) for i in range(len(self.r))]
+        return [rate if rate is not None else solve_monotone(lambda e, i=i: self.condition(i, ratios(e)), hint)
+                for i, rate in enumerate(rates)]
+
+    def bound(self, form: str, rate: float, rates: Sequence[float], **extra) -> DecayBound:
+        """The DecayBound of `form` at `rate` with the component rates
+        `rates`, the exponents r_max/r_i, the infinite rates (no
+        constraint) listed in infinite_components, and the fields `extra`."""
+        infinite = tuple(i for i, x in enumerate(rates) if not math.isfinite(x))
+        return DecayBound(form, rate, tuple(self.rmax / ri for ri in self.r), tuple(rates), **extra,
+                          infinite_components=infinite)
 
 
 def _exp(x: float) -> float:
@@ -291,19 +327,6 @@ def _rate_data(model: SystemModel, v: Sequence[float] | Certificate) -> _CertDat
         list(cert.f_v) if cert.f_v is not None else model.f.evaluate(cert.v),
         list(cert.g_v) if cert.g_v is not None else model.delayed_sum_at(cert.v),
         model.dilation.r, model.dilation.r_max, model.degree, model.is_discrete,
-    )
-
-
-def _smallest_rate(form: str, c: _CertData, rates: list[float]) -> DecayBound:
-    """The bound at (1 - DEFAULT_SAFETY) times the smallest finite component
-    rate; infinite ones (no constraint) are listed in infinite_components."""
-    finite = [x for x in rates if math.isfinite(x)]
-    return DecayBound(
-        form=form,
-        rate=(1.0 - DEFAULT_SAFETY) * min(finite) if finite else math.inf,
-        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
-        component_rates=tuple(rates),
-        infinite_components=tuple(i for i, x in enumerate(rates) if not math.isfinite(x)),
     )
 
 
@@ -377,17 +400,14 @@ def eta_bound(model: SystemModel, v: Sequence[float] | Certificate, tau_sup: flo
     """
     _require("eta", model, tau_sup)
     c = _rate_data(model, v)
-    etas = []
-    for i in range(model.n):
-        if c.gv[i] == 0.0 and not c.is_discrete:
-            etas.append(-(c.rmax / c.r[i]) * (c.fv[i] / c.v[i]))
-        elif c.gv[i] == 0.0 and c.fv[i] == 0.0:
-            etas.append(math.inf)
-        else:
-            etas.append(solve_monotone(
-                lambda e, i=i: c.condition(i, c.limits(EXPONENTIAL, e, None, tau_sup, None))
-            ))
-    return _smallest_rate(EXPONENTIAL, c, etas)
+
+    def closed(i: int) -> float | None:
+        if c.gv[i] != 0.0 or (c.is_discrete and c.fv[i] != 0.0):
+            return None
+        return math.inf if c.is_discrete else -(c.rmax / c.r[i]) * (c.fv[i] / c.v[i])
+
+    etas = c.roots(lambda e: c.limits(EXPONENTIAL, e, None, tau_sup, None), closed)
+    return c.bound(EXPONENTIAL, (1.0 - DEFAULT_SAFETY) * min(etas), etas)
 
 
 def theta_bound(model: SystemModel, v: Sequence[float] | Certificate, tau_sup: float) -> DecayBound:
@@ -431,13 +451,7 @@ def theta_bound(model: SystemModel, v: Sequence[float] | Certificate, tau_sup: f
     thetas = [-(p / c.r[i]) * (c.fv[i] + c.gv[i]) / c.v[i] for i in range(model.n)]
     cap = math.inf if tau_sup == 0.0 else 1.0 / tau_sup
     theta = (1.0 - DEFAULT_SAFETY) * min(cap, min(thetas))
-    return DecayBound(
-        form=POLYNOMIAL_RECIPROCAL,
-        rate=theta,
-        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
-        component_rates=tuple(thetas),
-        poly_exponent=c.rmax / p,
-    )
+    return c.bound(POLYNOMIAL_RECIPROCAL, theta, thetas, poly_exponent=c.rmax / p)
 
 
 def upper_solution_theta(
@@ -463,17 +477,16 @@ def upper_solution_theta(
     c = _rate_data(model, v)
     kp = history_v ** (p / c.rmax)
     cap = math.inf if tau_sup == 0.0 else 1.0 / (tau_sup * kp)
-    roots = []
-    for i in range(model.n):
-        if c.gv[i] == 0.0 or tau_sup == 0.0:
-            roots.append(-(c.fv[i] + c.gv[i]) / (c.r[i] * c.v[i] / p))
-            continue
 
-        def residual(th, i=i):
-            gap = 1.0 - th * tau_sup * kp
-            return c.condition(i, (gap ** (-c.rmax / p), c.rmax / p * th)) if gap > 0.0 else math.inf
+    def ratios(th: float) -> tuple[float, float]:
+        gap = 1.0 - th * tau_sup * kp
+        return gap ** (-c.rmax / p) if gap > 0.0 else math.inf, c.rmax / p * th
 
-        roots.append(solve_monotone(residual, bracket_hint=0.5 * cap))
+    roots = c.roots(
+        ratios,
+        lambda i: -(c.fv[i] + c.gv[i]) / (c.r[i] * c.v[i] / p) if c.gv[i] == 0.0 or tau_sup == 0.0 else None,
+        0.5 * cap,
+    )
     return (1.0 - DEFAULT_SAFETY) * min(cap, min(roots))
 
 
@@ -565,23 +578,15 @@ def upper_envelope(
 
     def sup_ratios(e: float) -> tuple[float, float]:
         # (R1, R2) or (L, D) of (t/s + 1)**e as sups over every t, not limits
-        return (math.exp(lnR1 * e), math.exp(lnL * e)) if c.is_discrete else (math.exp(lnL * e), D * e)
+        return (_exp(lnR1 * e), _exp(lnL * e)) if c.is_discrete else (_exp(lnL * e), D * e)
 
-    roots = [
-        solve_monotone(lambda e, i=i: c.condition(i, sup_ratios(e)))
-        for i in range(model.n) if c.fv[i] or c.gv[i]
-    ]
+    # a component with f_i(v) = g_i(v) = 0 is zero after one step, constrains
+    # no clock and is left out; where none is left, e is 1 (below the cap)
+    roots = c.roots(sup_ratios, lambda i: None if c.fv[i] or c.gv[i] else math.inf)
+    roots = [x for x in roots if x < math.inf]
     cap = c.rmax / c.p if c.p > 0.0 else math.inf
-    # no constraining component: every state is zero after one step
     e = (1.0 - DEFAULT_SAFETY) * min(cap, min(roots, default=1.0))
-    clock = DecayBound(
-        form=POLYNOMIAL_RECIPROCAL,
-        rate=1.0 / s,
-        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
-        component_rates=tuple(roots),
-        poly_exponent=e,
-    )
-    return clock, history_v
+    return c.bound(POLYNOMIAL_RECIPROCAL, 1.0 / s, roots, poly_exponent=e), history_v
 
 
 def xi_bound(model: SystemModel, v: Sequence[float] | Certificate, alpha: float) -> DecayBound:
@@ -596,12 +601,11 @@ def xi_bound(model: SystemModel, v: Sequence[float] | Certificate, alpha: float)
     """
     _require("xi", model, alpha)
     c = _rate_data(model, v)
-    xis = [
-        math.inf if c.gv[i] == 0.0 or alpha == 0.0
-        else solve_monotone(lambda e, i=i: c.condition(i, c.limits(POWER_RATE, e, None, None, alpha)))
-        for i in range(model.n)
-    ]
-    return _smallest_rate(POWER_RATE, c, xis)
+    xis = c.roots(
+        lambda e: c.limits(POWER_RATE, e, None, None, alpha),
+        lambda i: math.inf if c.gv[i] == 0.0 or alpha == 0.0 else None,
+    )
+    return c.bound(POWER_RATE, (1.0 - DEFAULT_SAFETY) * min(xis), xis)
 
 
 def beta_bound(model: SystemModel, v: Sequence[float] | Certificate, alpha: float) -> DecayBound:
@@ -621,29 +625,19 @@ def beta_bound(model: SystemModel, v: Sequence[float] | Certificate, alpha: floa
     p = model.degree
     c = _rate_data(model, v)
     lnK = -math.log1p(-alpha)
-    stars = []
-    flagged = []
-    for i in range(model.n):
-        gi = c.gv[i]
-        if gi == 0.0 or lnK == 0.0:
-            stars.append(math.inf)
-            flagged.append(i)
-            continue
-        stars.append(math.log(-c.fv[i] / gi) / ((1.0 + c.r[i] / p) * lnK))
+    stars = [
+        math.inf if c.gv[i] == 0.0 or lnK == 0.0 else math.log(-c.fv[i] / c.gv[i]) / ((1.0 + c.r[i] / p) * lnK)
+        for i in range(model.n)
+    ]
     boundary = min(stars)
     beta = (1.0 - DEFAULT_SAFETY) * min(1.0, boundary)
     if not beta > 0.0:
         raise ValueError(
             f"no feasible power-rate parameter: boundary {boundary} for alpha={alpha}"
         )
-    return DecayBound(
-        form=POWER_RATE,
-        rate=(c.rmax / p) * beta,
-        per_component_exponents=tuple(c.rmax / ri for ri in c.r),
-        component_rates=tuple(stars),
-        beta=beta,
-        beta_boundary=boundary,
-        infinite_components=tuple(flagged),
+    return c.bound(
+        POWER_RATE, (c.rmax / p) * beta, stars,
+        beta=beta, beta_boundary=boundary,
     )
 
 

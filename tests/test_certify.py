@@ -1,6 +1,7 @@
 import dataclasses
 import dis
 import math
+import warnings
 from operator import truediv
 
 import numpy as np
@@ -127,6 +128,21 @@ def test_linear_rejects_structural_violations():
         find_certificate_linear([[-1.0, -0.5], [0.0, -1.0]], [], "continuous")
     with pytest.raises(ValueError, match="nonnegative"):
         find_certificate_linear([[-1.0, 0.0], [0.0, -1.0]], [[[-0.1, 0.0], [0.0, 0.0]]], "continuous")
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("where", ["A", "B_1"])
+def test_linear_rejects_non_finite_entries_naming_the_matrix(where, bad):
+    A = [[-1.0, 0.0], [0.0, -1.0]]
+    Bs = [[[0.1, 0.0], [0.0, 0.1]], [[0.0, 0.2], [0.0, 0.0]]]
+    if where == "A":
+        A[1][1] = bad
+    else:
+        Bs[1][0][1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning comes first
+        with pytest.raises(ValueError, match=rf"^{where} has a non-finite entry \(\d,\d\)"):
+            find_certificate_linear(A, Bs, "continuous")
 
 
 # -- hurwitz_metzler -----------------------------------------------------------------

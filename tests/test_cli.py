@@ -1255,3 +1255,62 @@ def test_python_dash_m_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+def linear_config(kind, f, g, delay, bounds, v=None):
+    """Degree zero, f x(t) + g x(t - tau(t)) with f and g given as rows."""
+    n = len(f)
+
+    def field(rows):
+        return {"n": n, "components": [
+            [{"coeff": c, "exp": [int(k == j) for k in range(n)]} for j, c in enumerate(row) if c] for row in rows
+        ]}
+
+    doc = {
+        "version": 1,
+        "system": {"kind": kind, "f": field(f), "delayed": [field(g)], "dilation": [1] * n, "degree": 0},
+        "delay": delay,
+        "initial_history": {"constant": [1] * n},
+        "sim": {"h": 0.1, "horizon": 10} if kind == "continuous" else {"horizon": 30},
+        "analysis": {"bounds": bounds},
+    }
+    if v is not None:
+        doc["analysis"]["v"] = v
+    return doc
+
+
+@pytest.mark.parametrize("a", [1e5, 1e8])
+def test_bounds_eta_with_large_coefficients(tmp_path, capsys, a):
+    # near the root of -a + (a/2) exp(eta) + eta, the float spacing of the
+    # left-hand side is wider than any absolute residual the solver could ask for
+    doc = linear_config("continuous", [[-a]], [[a / 2]], {"family": "constant", "tau": 1}, ["eta"], v=[1])
+    code, out = run_cli(capsys, "bounds", "--config", write(tmp_path, doc))
+    assert code == 0
+    (bound,) = out["bounds"]
+    assert 0.69 < bound["rate"] < math.log(2.0)
+    assert -a + a / 2 * math.exp(bound["rate"]) + bound["rate"] < 0.0
+
+
+def test_simulate_power_clock_of_an_uncoupled_component_past_the_float_range(tmp_path, capsys):
+    # x_2 has no delayed coupling; its sup ratio exp(ln(1001) e) overflows
+    # long before its root 0.75 * 1001, which must not count against it
+    doc = linear_config("continuous", [[-2, 0], [0.5, -1]], [[0.5, 0], [0, 0]],
+                        {"family": "constant", "tau": 1000}, ["xi"])
+    code, out = run_cli(capsys, "simulate", "--config", write(tmp_path, doc), "--out", str(tmp_path / "run.csv"))
+    assert code == 0
+    assert out["envelope"]["holds"]
+    assert out["envelope"]["clock"]["component_rates"][1] == pytest.approx(750.75, rel=1e-12)
+
+
+def test_bounds_discrete_eta_of_an_uncoupled_component_past_the_float_range(tmp_path, capsys):
+    # component 2 has R2 = exp(101 eta) past the float range at its root
+    # ln(1e4), and no delayed coupling to charge it to
+    doc = linear_config("discrete", [[0.3, 0], [0, 1e-4]], [[0.2, 0], [0, 0]],
+                        {"family": "constant_steps", "d": 100}, ["eta"])
+    cfg = write(tmp_path, doc)
+    code, out = run_cli(capsys, "bounds", "--config", cfg)
+    assert code == 0
+    assert out["bounds"][0]["component_rates"][1] == pytest.approx(math.log(1e4), rel=1e-9)
+    code, out = run_cli(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "run.csv"))
+    assert code == 0
+    assert out["envelope"]["holds"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from delaycert import (
     PolyVectorField,
     ProportionalDelay,
     ProportionalStepDelay,
+    SinusoidalDelay,
     SystemModel,
     beta_bound,
     eta_bound,
@@ -22,12 +24,13 @@ from delaycert import (
     solve_monotone,
     theta_bound,
     upper_envelope,
+    upper_solution_theta,
     xi_bound,
 )
-from delaycert.certify import linear_model
+from delaycert.certify import linear_model, verify_certificate
 from delaycert.config import _DELAY_FAMILIES, delay_from
 from delaycert.delays import delay_limits
-from delaycert.rates import FORMS, decay_bounds
+from delaycert.rates import DEFAULT_SAFETY, FORMS, _exp, _rate_data, decay_bounds
 
 SAFETY = 1.0 - 1e-6
 
@@ -91,6 +94,15 @@ def test_eta_zero_delay_reduction(scalar_half):
     bound = eta_bound(scalar_half, (1.0,), tau_sup=0.0)
     # residual becomes (f + g)/v + eta: root exactly 0.5
     assert bound.component_rates[0] == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("tau", [1.0, 100.0])
+def test_eta_meets_its_condition_with_small_coefficients(tau):
+    # -1e-8 + 5e-9 exp(eta tau) + eta has its root near 5e-9, where an
+    # absolute residual of 1e-12 is far wider than DEFAULT_SAFETY
+    model = linear_model([[-1e-8]], [[[5e-9]]], "continuous")
+    bound = eta_bound(model, (1.0,), tau_sup=tau)
+    assert mu_condition_check(model, (1.0,), exponential(bound.rate), (ConstantDelay(tau),))
 
 
 def test_eta_decreases_with_delay_bound(scalar_half):
@@ -587,3 +599,266 @@ def test_rates_trust_a_certificate_and_verify_a_bare_vector(scalar_half, monkeyp
     assert len(calls) == 1
     with pytest.raises(ValueError, match="certificate"):
         eta_bound(scalar_half, dataclasses.replace(cert, valid=False), tau_sup=1.0)
+
+
+# -- the rate layer against its per-component loops, bit for bit ---------------------
+
+# The four loops below solve the condition one component at a time, as the
+# rate functions did before they shared `_CertData.roots`.  They are the
+# reference: every rate, component rate, infinite component, clock exponent
+# and envelope constant must match them to the last bit.  They take their
+# limits and sup ratios from `_exp`, as the rate functions do, so that a
+# ratio past the float range is inf rather than an OverflowError charged to
+# a component whose delayed coupling is zero.
+
+def _ref_eta(c, tau_sup):
+    etas = []
+    for i in range(len(c.r)):
+        if c.gv[i] == 0.0 and not c.is_discrete:
+            etas.append(-(c.rmax / c.r[i]) * (c.fv[i] / c.v[i]))
+        elif c.gv[i] == 0.0 and c.fv[i] == 0.0:
+            etas.append(math.inf)
+        else:
+            etas.append(solve_monotone(
+                lambda e, i=i: c.condition(i, c.limits("exponential", e, None, tau_sup, None))
+            ))
+    return _ref_smallest(etas)
+
+
+def _ref_xi(c, alpha):
+    xis = [
+        math.inf if c.gv[i] == 0.0 or alpha == 0.0
+        else solve_monotone(lambda e, i=i: c.condition(i, c.limits("power_rate", e, None, None, alpha)))
+        for i in range(len(c.r))
+    ]
+    return _ref_smallest(xis)
+
+
+def _ref_smallest(rates):
+    finite = [x for x in rates if math.isfinite(x)]
+    rate = (1.0 - DEFAULT_SAFETY) * min(finite) if finite else math.inf
+    return rate, rates, [i for i, x in enumerate(rates) if not math.isfinite(x)]
+
+
+def _ref_theta_prime(c, tau_sup, history_v):
+    p = c.p
+    kp = history_v ** (p / c.rmax)
+    cap = math.inf if tau_sup == 0.0 else 1.0 / (tau_sup * kp)
+    roots = []
+    for i in range(len(c.r)):
+        if c.gv[i] == 0.0 or tau_sup == 0.0:
+            roots.append(-(c.fv[i] + c.gv[i]) / (c.r[i] * c.v[i] / p))
+            continue
+
+        def residual(th, i=i):
+            gap = 1.0 - th * tau_sup * kp
+            return c.condition(i, (gap ** (-c.rmax / p), c.rmax / p * th)) if gap > 0.0 else math.inf
+
+        roots.append(solve_monotone(residual, bracket_hint=0.5 * cap))
+    return (1.0 - DEFAULT_SAFETY) * min(cap, min(roots))
+
+
+def _ref_power_clock(c, delays, alpha, history_v):
+    s = 1.0 + max(d.tau_sup or 0.0 for d in delays)
+    lnK = -math.log1p(-alpha)
+    lnR1 = math.log1p(1.0 / s)
+    lnL = max(math.log(s + 1.0 if c.is_discrete else s), lnK)
+    D = history_v ** (-c.p / c.rmax) / s if history_v > 0.0 else 1.0 / s
+
+    def sup_ratios(e):
+        return (_exp(lnR1 * e), _exp(lnL * e)) if c.is_discrete else (_exp(lnL * e), D * e)
+
+    roots = [
+        solve_monotone(lambda e, i=i: c.condition(i, sup_ratios(e)))
+        for i in range(len(c.r)) if c.fv[i] or c.gv[i]
+    ]
+    cap = c.rmax / c.p if c.p > 0.0 else math.inf
+    e = (1.0 - DEFAULT_SAFETY) * min(cap, min(roots, default=1.0))
+    return 1.0 / s, roots, e
+
+
+def _hex(x):
+    if isinstance(x, (list, tuple)):
+        return [_hex(y) for y in x]
+    return float(x).hex() if isinstance(x, float) else x
+
+
+def _bound_record(b):
+    return _hex([b.rate, list(b.component_rates), list(b.infinite_components), list(b.per_component_exponents)])
+
+
+def _random_case(seed):
+    """A random certified system with its delays and history level.
+
+    Continuous systems are cooperative: each f_i is a negative pure power of
+    x_i plus nonnegative monomials, and g has nonnegative coefficients;
+    discrete ones have nonnegative coefficients throughout.  Every monomial
+    of component i has the weighted degree r_i + p.  The coefficients are
+    scaled so that v certifies the system.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    kind = "discrete" if rng.random() < 0.4 else "continuous"
+    dilated = rng.random() < 0.4
+    r = tuple(float(x) for x in rng.choice([1.0, 2.0], n)) if dilated else (1.0,) * n
+    p = 0.0 if kind == "discrete" or rng.random() < 0.5 else (2.0 if dilated else float(rng.choice([1.0, 2.0])))
+    v = tuple(float(x) for x in rng.uniform(0.3, 3.0, n))
+    two_terms = rng.random() < 0.4
+    f_rows, g_rows = [], []
+    for i in range(n):
+        w = r[i] + p
+        pure = tuple(int(w / r[i]) if j == i else 0 for j in range(n))
+        monos = [m for m in itertools.product(range(5), repeat=n)
+                 if sum(mj * rj for mj, rj in zip(m, r)) == w]
+        others = [m for m in monos if m != pure]
+
+        def pick(pool, most):
+            k = int(rng.integers(0, min(most, len(pool)) + 1))
+            return [(float(rng.uniform(0.1, 2.0)), pool[j]) for j in rng.choice(len(pool), k, replace=False)]
+
+        zero_row = kind == "discrete" and rng.random() < 0.15
+        g_row = [] if zero_row or rng.random() < 0.3 else pick(monos, 2)
+        f_row = [] if zero_row else pick(monos if kind == "discrete" else others, 2)
+        scale = 10.0 ** rng.uniform(-2, 2)
+        f_row = [(scale * c, m) for c, m in f_row]
+        g_row = [(scale * c, m) for c, m in g_row]
+        total = sum(c * math.prod(x ** e for x, e in zip(v, m)) for c, m in f_row + g_row)
+        if kind == "discrete":
+            if total > 0.0:
+                k = float(rng.uniform(0.05, 0.95)) * v[i] / total
+                f_row, g_row = [(k * c, m) for c, m in f_row], [(k * c, m) for c, m in g_row]
+        else:
+            slack = float(rng.uniform(0.1, 1.0)) * (scale + total)
+            f_row.append((-(total + slack) / math.prod(x ** e for x, e in zip(v, pure)), pure))
+        f_rows.append(tuple(f_row))
+        g_rows.append(g_row)
+    if two_terms:
+        split = [rng.random() < 0.5 for _ in range(n)]
+        gs = (PolyVectorField(n, tuple(tuple(row) if s else () for row, s in zip(g_rows, split))),
+              PolyVectorField(n, tuple(() if s else tuple(row) for row, s in zip(g_rows, split))))
+    else:
+        gs = (PolyVectorField(n, tuple(tuple(row) for row in g_rows)),)
+    model = SystemModel(kind=kind, f=PolyVectorField(n, tuple(f_rows)), delayed_terms=gs,
+                        dilation=Dilation(r), degree=p)
+    family = str(rng.choice(["constant", "proportional", "sinusoidal", "mixed"] if kind == "continuous"
+                            else ["constant", "proportional", "mixed"]))
+    tau = float(rng.choice([0.0, 0.5, 1.0, 5.0]))
+    bounded = (ConstantDelay(tau) if kind == "continuous" else ConstantStepDelay(int(tau) + 1))
+    ratio = (ProportionalDelay if kind == "continuous" else ProportionalStepDelay)(float(rng.uniform(0.0, 0.9)))
+    delays = {
+        "constant": [bounded],
+        "proportional": [ratio],
+        "sinusoidal": [SinusoidalDelay(tau + 1.0, 1.0)],
+        "mixed": [bounded, ratio],
+    }[family]
+    history_v = float(rng.choice([0.0, 0.3, 1.0, 7.0]))
+    features = {f"n={n}", kind, f"dilated={dilated}", f"p>0={p > 0}", family, f"terms={len(gs)}",
+                f"history_v={history_v}"}
+    features |= {"zero delayed row"} if any(not row for row in g_rows) else set()
+    features |= {"zero row"} if any(not f and not g for f, g in zip(f_rows, g_rows)) else set()
+    return model, v, delays, history_v, features
+
+
+def _rate_records(model, v, delays, history_v):
+    """{check: (code, reference)} of one case; a reference that raises
+    leaves its check out."""
+    c = _rate_data(model, v)
+    cert = verify_certificate(model, v)
+    assert cert.valid, cert.margins
+    tau_sup, alpha = delay_limits(delays)
+    exps = [c.rmax / ri for ri in c.r]
+    checks = {}
+
+    def check(name, code, reference):
+        try:
+            want = reference()
+        except (ValueError, ArithmeticError):
+            return
+        checks[name] = (code(), want)
+
+    def envelope(bound):
+        try:
+            clock, M = upper_envelope(model, cert, bound, delays, history_v)
+        except MissingLimitError:
+            return "uncovered"
+        return _bound_record(clock) + _hex([clock.poly_exponent, M])
+
+    if c.p == 0.0 and tau_sup is not None:
+        eta = eta_bound(model, cert, tau_sup)
+        check("eta", lambda: _bound_record(eta), lambda: _hex([*_ref_eta(c, tau_sup), exps]))
+
+        def eta_envelope():
+            if history_v == 0.0:
+                return _bound_record(eta) + _hex([None, 0.0])
+            limits = c.limits("exponential", eta.rate, None, tau_sup, None)
+            if not all(c.condition(i, limits) <= 0.0 for i in range(model.n)):
+                return "uncovered"
+            return _bound_record(eta) + _hex([None, history_v])
+
+        check("eta envelope", lambda: envelope(eta), eta_envelope)
+    if c.p > 0.0 and tau_sup is not None:
+        theta = theta_bound(model, cert, tau_sup)
+        thetas = [-(c.p / c.r[i]) * (c.fv[i] + c.gv[i]) / c.v[i] for i in range(model.n)]
+        cap = math.inf if tau_sup == 0.0 else 1.0 / tau_sup
+        check("theta", lambda: _bound_record(theta) + _hex([theta.poly_exponent]),
+              lambda: _hex([(1.0 - DEFAULT_SAFETY) * min(cap, min(thetas)), thetas,
+                            [i for i, x in enumerate(thetas) if x == math.inf], exps, c.rmax / c.p]))
+        if history_v > 0.0:
+            check("theta'", lambda: _hex(upper_solution_theta(model, cert, tau_sup, history_v)),
+                  lambda: _hex(_ref_theta_prime(c, tau_sup, history_v)))
+
+        def theta_envelope():
+            if history_v == 0.0:
+                return _bound_record(theta) + _hex([theta.poly_exponent, 0.0])
+            kp = history_v ** (c.p / c.rmax)
+            M = history_v * max(1.0, theta.rate / (_ref_theta_prime(c, tau_sup, history_v) * kp)) ** (c.rmax / c.p)
+            return _bound_record(theta) + _hex([theta.poly_exponent, M])
+
+        check("theta envelope", lambda: envelope(theta), theta_envelope)
+    if alpha is not None:
+        if c.p == 0.0:
+            power = xi_bound(model, cert, alpha)
+            check("xi", lambda: _bound_record(power), lambda: _hex([*_ref_xi(c, alpha), exps]))
+        else:
+            try:
+                power = beta_bound(model, cert, alpha)
+            except ValueError:
+                return checks
+            lnK = -math.log1p(-alpha)
+            stars = [math.inf if c.gv[i] == 0.0 or lnK == 0.0
+                     else math.log(-c.fv[i] / c.gv[i]) / ((1.0 + c.r[i] / c.p) * lnK) for i in range(model.n)]
+            beta = (1.0 - DEFAULT_SAFETY) * min(1.0, min(stars))
+            check("beta", lambda: _bound_record(power) + _hex([power.beta, power.beta_boundary]),
+                  lambda: _hex([(c.rmax / c.p) * beta, stars, [i for i, x in enumerate(stars) if x == math.inf],
+                                exps, beta, min(stars)]))
+
+        def power_envelope():
+            rate, roots, e = _ref_power_clock(c, delays, alpha, history_v)
+            return _hex([rate, roots, [], exps, e, history_v])
+
+        check("power clock", lambda: envelope(power), power_envelope)
+    return checks
+
+
+HARNESS_SEEDS = range(240)
+
+
+@pytest.mark.parametrize("seed", HARNESS_SEEDS)
+def test_rates_match_the_per_component_loops_bitwise(seed):
+    model, v, delays, history_v, _ = _random_case(seed)
+    checks = _rate_records(model, v, delays, history_v)
+    assert checks, "every case checks at least one rate"
+    for name, (got, want) in checks.items():
+        assert got == want, name
+
+
+def test_the_harness_covers_the_rate_layer():
+    seen = set()
+    for seed in HARNESS_SEEDS:
+        model, v, delays, history_v, features = _random_case(seed)
+        seen |= features | set(_rate_records(model, v, delays, history_v))
+    want = {"n=1", "n=2", "n=3", "n=4", "continuous", "discrete", "dilated=True", "dilated=False",
+            "p>0=True", "p>0=False", "constant", "proportional", "sinusoidal", "mixed", "terms=1", "terms=2",
+            "zero delayed row", "zero row", "eta", "eta envelope", "xi", "theta", "theta'", "theta envelope",
+            "beta", "power clock", *(f"history_v={h}" for h in (0.0, 0.3, 1.0, 7.0))}
+    assert want <= seen, want - seen

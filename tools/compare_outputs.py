@@ -128,6 +128,55 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
             scalar, delay=proportional, sim={"h": 0.01, "horizon": horizon},
             analysis={"bounds": ["xi"]},
         )
+    return {**out, **rate_branch_configs(test_cli, variant)}
+
+
+def rate_branch_configs(test_cli, variant) -> dict[str, dict]:
+    """Configs that reach the branches of the rate layer the others miss:
+    degree 0 under the dilation r = (1, 2), components without a delayed
+    coupling under eta, theta (tau = 0 and tau > 0) and the power clocks,
+    and a discrete component with f_i(v) = g_i(v) = 0."""
+    out, linear = {}, test_cli.linear_config
+    # tests/test_rates.py::dilated_model: an x_1**2 coupling into component 2, v = (1, 1)
+    for kind, (f1, f2), (g1, g2) in (("continuous", (-1, -1), (0.6, 0.2)), ("discrete", (0.3, 0.2), (0.5, 0.3))):
+        doc = {
+            "version": 1,
+            "system": {"kind": kind, "dilation": [1, 2], "degree": 0,
+                       "f": {"n": 2, "components": [[{"coeff": f1, "exp": [1, 0]}], [{"coeff": f2, "exp": [0, 1]}]]},
+                       "delayed": [{"n": 2, "components": [[{"coeff": g1, "exp": [1, 0]}],
+                                                           [{"coeff": g2, "exp": [2, 0]}]]}]},
+            "initial_history": {"constant": [1, 1]},
+            "sim": {"h": 0.01, "horizon": 5} if kind == "continuous" else {"horizon": 30},
+            "analysis": {"v": [1, 1], "bounds": ["eta", "xi"]},
+        }
+        steps = "_steps" if kind == "discrete" else ""
+        bounded = {"family": "constant_steps", "d": 1} if steps else {"family": "constant", "tau": 1}
+        out[f"dilated-{kind}-constant"] = variant(doc, delay=bounded)
+        out[f"dilated-{kind}-proportional"] = variant(
+            doc, delay={"family": f"proportional{steps}", "alpha": 0.5}, analysis={"bounds": ["xi"]},
+        )
+    # x_2 has no delayed coupling: eta's closed form, xi's inf, a power clock root
+    f, g = [[-2, 0], [0.5, -1]], [[0.5, 0], [0, 0]]
+    out["uncoupled-eta"] = linear("continuous", f, g, {"family": "constant", "tau": 1}, ["eta"])
+    out["uncoupled-xi"] = linear("continuous", f, g, {"family": "proportional", "alpha": 0.5}, ["xi"])
+    out["uncoupled-xi-tau50"] = linear("continuous", f, g, {"family": "constant", "tau": 50}, ["xi"])
+    # the cubic with component 2's delayed term removed: theta_i in closed form
+    uncoupled = test_cli.cubic_config()
+    uncoupled["system"]["delayed"][0]["components"][1] = []
+    for tau in (0, 1):
+        out[f"cubic-uncoupled-theta-tau{tau}"] = variant(
+            uncoupled, delay={"family": "constant", "tau": tau}, sim={"h": 0.01, "horizon": 5},
+            analysis={"bounds": ["theta"]},
+        )
+    out["cubic-uncoupled-beta"] = variant(
+        uncoupled, delay={"family": "proportional", "alpha": 0.5}, sim={"h": 0.01, "horizon": 5},
+        analysis={"bounds": ["beta"]},
+    )
+    # component 2 of a discrete system is zero after one step
+    f, g = [[0.3, 0], [0, 0]], [[0.2, 0], [0, 0]]
+    for name, delay, bounds in (("eta", {"family": "constant_steps", "d": 2}, ["eta"]),
+                                ("xi", {"family": "proportional_steps", "alpha": 0.5}, ["xi"])):
+        out[f"discrete-zero-row-{name}"] = linear("discrete", f, g, delay, bounds)
     return out
 
 
