@@ -20,22 +20,25 @@ coordinate descent.  A failed search is NOT a proof of infeasibility and is
 reported as plain absence.
 
 The search scores about ten thousand directions, each with one `margins`
-call, and both its hot loops run as generated code:
+call, and neither of its hot loops runs the monomial kernel:
 
-- The margins are a straight-line function of v that
-  `model.emit_field_sum` writes; each search compiles its own, once, and
-  nothing keeps it after the search.  Verification evaluates one point:
-  it takes f(v) and g(v) from the monomial kernel, once each, and forms
-  the margins as `margins`' kernel path does.  That path also stands in
-  wherever a power in the compiled function overflows.  Both paths give
-  the same margins bit for bit.
-- The coordinate descent is one function per dimension n, built once and
-  cached (`_refine_sweep`).  Its iterations and candidates stay loops; the
-  renormalization and the worst-margin score are spelled out over the n
-  components, so its source grows linearly in n.  It gives the same ray
-  and score bit for bit as the plain loop: totals come from the builtin
-  `sum`, and the score makes the comparisons `max` makes.  It looks
-  `margins` up in this module at each call, one per candidate, so a
+- The margins come from `margins_at`, a C function of the one compiled
+  source of `simulate`, which walks the system's term tables as the RK4
+  kernel does; each search binds it to its system once
+  (`_margin_evaluator`), and nothing keeps it after the search.
+  Verification evaluates one point: it takes f(v) and g(v) from the
+  monomial kernel, once each, and forms the margins as `margins`' kernel
+  path does.  That path also stands in wherever no C compiler is found
+  and wherever a power in the C walk overflows.  Both paths give the same
+  margins bit for bit.
+- The coordinate descent is one function per dimension n, generated from
+  n alone, built once and cached (`_refine_sweep`); it is the one piece of
+  generated code in the program.  Its iterations and candidates stay
+  loops; the renormalization and the worst-margin score are spelled out
+  over the n components, so its source grows linearly in n.  It gives the
+  same ray and score bit for bit as the plain loop: totals come from the
+  builtin `sum`, and the score makes the comparisons `max` makes.  It
+  looks `margins` up in this module at each call, one per candidate, so a
   wrapper put in its place (a call counter) sees every call, and an
   overflow falls back to the kernel inside `margins` as before.
 """
@@ -55,11 +58,9 @@ from .model import (
     Certificate,
     PolyVectorField,
     SystemModel,
-    _define,
-    _names,
     _sum_monomials,
     dilate,
-    emit_field_sum,
+    field_tables,
     is_homogeneous,
 )
 
@@ -83,8 +84,8 @@ def margins(
     """Per-component certificate residuals at v (negative means stable).
 
     evaluator, the model's `_margin_evaluator`, computes the same list
-    from compiled code.  Where one of its powers overflows, the monomial
-    kernel computes the list instead and counts that monomial as a signed
+    in C.  Without one, or where one of its powers overflows, the monomial
+    kernel computes the list and counts that monomial as a signed
     infinity.
     """
     if evaluator is not None:
@@ -266,24 +267,53 @@ def linear_model(A, B_list, kind: str) -> SystemModel:
 # -- nonlinear route ----------------------------------------------------------
 
 
-def _margin_evaluator(model: SystemModel) -> Callable[[Sequence[float]], list[float]]:
-    """margins(v): `margins(model, v)` as one straight-line function of v.
+def _margin_evaluator(model: SystemModel) -> Callable[[Sequence[float]], list[float]] | None:
+    """margins(v): `margins(model, v)` from the C function `margins_at`
+    (see the module docstring), bound to the system's term tables once;
+    None where `native.load` cannot build its source.
 
     It sums, bit for bit, as the kernel path does: f_i(v) + (g_0,i(v) +
-    g_1,i(v) + ...), minus v_i in discrete time, with each field's
-    statements from `emit_field_sum`.  A power that overflows raises
-    OverflowError.  Compiling costs more than a few dozen kernel calls, so
-    only the search, which scores thousands of rays, builds one.
+    g_1,i(v) + ...), minus v_i in discrete time.  A power that overflows
+    raises OverflowError.  The arguments are ctypes values built here, so
+    a call converts nothing but v, and `margins_at` returns a C int,
+    ctypes' default result type.  Binding costs more than a few dozen
+    kernel calls, so only the search, which scores thousands of rays,
+    builds one.
     """
-    n, gs = model.n, model.delayed_terms
-    X, F, G = _names("x", n), _names("f", n), _names("s", n)
-    ns: dict = {}
-    body = [f"{', '.join(X)}, = v"]
-    body += emit_field_sum((model.f,), [X], F, ns, tag="f")
-    body += emit_field_sum(gs, [X] * len(gs), G, ns, tag="g")
-    minus = [f" - {x}" if model.is_discrete else "" for x in X]
-    body.append(f"return [{', '.join(f'{a} + {b}{c}' for a, b, c in zip(F, G, minus))}]")
-    return _define("margins", "v", body, ns)
+    import ctypes
+
+    from . import native, simulate
+
+    lib = native.load(simulate._SOURCE)
+    if lib is None:
+        return None
+    fn, i64 = lib.margins_at, ctypes.c_int64
+    tables = field_tables((model.f, *model.delayed_terms))
+    x, out = (ctypes.c_double * model.n)(), (ctypes.c_double * model.n)()
+    args = (i64(model.n), i64(len(model.delayed_terms)), i64(model.is_discrete), x, out,
+            *(ctypes.c_void_p(a.ctypes.data) for a in tables))
+
+    def evaluate(v: Sequence[float], tables=tables) -> list[float]:  # tables: kept alive for args
+        x[:] = v
+        if fn(*args):
+            raise OverflowError("a power in the margins overflowed")
+        return out[:]
+
+    return evaluate
+
+
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _define(name: str, args: str, body: list[str], ns: dict) -> Callable:
+    """The function name(args) with the statements body.  Every name in ns
+    that body reads is bound as a keyword default, a local, which is
+    faster to read than a global."""
+    defaults = "".join(f", {k}={k}" for k in ns)
+    defined: dict = {}
+    exec("\n    ".join([f"def {name}({args}{defaults}):", *body]), ns, defined)
+    return defined[name]
 
 
 @functools.cache

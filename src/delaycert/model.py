@@ -16,23 +16,18 @@ nonzero exponents, once, on first use.  A `PolyVectorField` builds one
 those stored rows, so no row is checked or built twice.
 
 Every polynomial, scalar or vector, is evaluated by one monomial kernel,
-`_sum_monomials`, over that sparse form.  The hot loops do not call the
-kernel.  One renderer, `emit_field_sum`, writes the same sparse terms as
-Python statements for two of them: the certificate search's margins, and
-the simulator's map step, which iterates a discrete system and gives each
-stage of the RK4 kernel that runs where no C compiler is found its field
-sum.  `field_tables` lists the terms, in the same order, as the arrays
-that the simulator's one fixed C kernel reads; no C is written from a
-system.  The kernel stays the path of every one-shot evaluation,
-where compiling would cost more than it saves, and of a power that
-overflows, which it counts as a signed infinity.  The kernel, the
-rendered statements and the C kernel's walk over the tables must agree
-bit for bit, so a change to the order or form of the arithmetic in one is
-made in the others.  Nothing compiled from a system is kept: the
-simulator builds its kernel or map step once per run and the search its
-margin evaluator once per search.  The helpers that compile emitted
-statements (`_define`, `_names`) live here too.  `lyapunov_v` evaluates V
-at one point or at every row of an array in one numpy expression.
+`_sum_monomials`, over that sparse form.  `field_tables` lists the same
+terms, in the same order, as the arrays that the one fixed C source in
+`simulate` reads: its term walk serves the RK4 kernel, the discrete map
+and the certificate search's margins, so no code is generated from a
+system.  The kernel stays the reference, the path of every one-shot
+evaluation and of every run where no C compiler is found, and the path
+of a power that overflows, which it counts as a signed infinity.  The
+kernel and the C walk must agree bit for bit, so a change to the order or
+form of the arithmetic in one is made in the other.  Nothing built from a
+system is kept: the simulator binds the C walk to a system's tables once
+per run and the search once per search.  `lyapunov_v` evaluates V at one
+point or at every row of an array in one numpy expression.
 
 All types are immutable values after construction; every operation in this
 module is pure and safe to call concurrently (two threads that build the
@@ -44,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,53 +88,10 @@ def _sum_monomials(
     return out
 
 
-CHAIN = 200  # terms per emitted statement: a flat sum of thousands of terms overflows the compiler
-
-
-def emit_field_sum(
-    fields: Sequence[PolyVectorField], args: Sequence[Sequence[str]], outs: Sequence[str], ns: dict,
-    tag: str = "",
-) -> list[str]:
-    """Python statements that set each name outs[i] to component i of
-    fields[0](args[0]) + fields[1](args[1]) + ..., where args[q] names the
-    variables fields[q] is evaluated at.
-
-    The statements compute what `_sum_monomials` computes, bit for bit, from
-    the same sparse terms: a component is 0.0 + t_1 + t_2 + ... left to
-    right, each t = coeff * x_j * x_k ** e with its factors in variable
-    order, and each later field's component is added to it whole, as
-    `out[i] += g(y)[i]` does.  Coefficients are bound in ns by name
-    (_c<tag><q>_<i>_<k>), never written out, so inf and -0.0 stay exact; a
-    name already bound to other bits raises ValueError, so two calls into
-    one ns with different fields need different tags.  A sum longer than
-    CHAIN terms continues in further statements.  The statements also use
-    the name _g.  A power that overflows raises OverflowError, where the
-    kernel counts its monomial as a signed infinity; either way that
-    component is not finite.
-    """
-    stmts = []
-    for i, out in enumerate(outs):
-        for q, (F, xs) in enumerate(zip(fields, args)):
-            terms = []
-            for k, (c, _, factors) in enumerate(F._sparse[i]):
-                name = f"_c{tag}{q}_{i}_{k}"
-                if ns.setdefault(name, c).hex() != c.hex():
-                    raise ValueError(f"{name} is already bound to {ns[name]!r}, not {c!r}")
-                powers = (xs[j] if e == 1 else f"{xs[j]} ** {e}" for j, e in factors)
-                terms.append(" * ".join([name, *powers]))
-            acc, head = (out if q == 0 else "_g"), "0.0"
-            for lo in range(0, len(terms), CHAIN) or [0]:
-                stmts.append(f"{acc} = {' + '.join([head, *terms[lo:lo + CHAIN]])}")
-                head = acc
-            if q:
-                stmts.append(f"{out} = {out} + _g")
-    return stmts
-
-
 def field_tables(fields: Sequence[PolyVectorField]) -> tuple[np.ndarray, ...]:
-    """(span, coeff, first, var, power, odd): the terms that
-    `emit_field_sum` writes, in its order, as arrays for a kernel that
-    reads them instead of compiling them.
+    """(span, coeff, first, var, power, odd): the sparse terms of
+    fields[0] + fields[1] + ..., in the order `_sum_monomials` sums them,
+    as arrays for the C term walk of `simulate`.
 
     The terms of component i of fields[q] are span[s] .. span[s + 1] - 1,
     s = i * len(fields) + q.  Term t is coeff[t] times its factors
@@ -166,20 +118,6 @@ def field_tables(fields: Sequence[PolyVectorField]) -> tuple[np.ndarray, ...]:
             np.array(var, dtype=i64),
             np.array(power, dtype=float),
             np.array([w % 2.0 == 1.0 for w in power], dtype=i64))
-
-
-def _names(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(n)]
-
-
-def _define(name: str, args: str, body: list[str], ns: dict) -> Callable:
-    """The function name(args) with the statements body.  Every name in ns
-    that body reads is bound as a keyword default, a local, which is
-    faster to read than a global."""
-    defaults = "".join(f", {k}={k}" for k in ns)
-    defined: dict = {}
-    exec("\n    ".join([f"def {name}({args}{defaults}):", *body]), ns, defined)
-    return defined[name]
 
 
 @dataclass(frozen=True)

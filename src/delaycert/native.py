@@ -17,9 +17,11 @@ library's pow, as in Python, and not x * x.  CFLAGS from the environment are
 not read.
 
 The program loads one source: `simulate._SOURCE`, which holds `PY_POW`,
-the RK4 kernel and the CSV writer.  Its text does not depend on the
-system, so it is compiled once per machine, into one cached object that
-serves every run and every export; nothing is loaded at import.  The CSV
+the RK4 kernel, which also iterates discrete maps, the certificate
+margins `margins_at` and the CSV writer.  Its text does not depend on the
+system: nothing in the program is generated from one.  It is compiled
+once per machine, into one cached object that serves every run, every
+export and every certificate search; nothing is loaded at import.  The CSV
 writer calls __builtin_floor, __builtin_fabs and __builtin_memcpy by those
 names, which -fno-builtin leaves the compiler free to expand inline.  That
 is safe where pow's folding is not: floor and fabs are exact in IEEE

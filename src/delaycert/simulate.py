@@ -22,24 +22,25 @@ step a preallocated (steps + 1, n) array, snap each new component in
 [-CLAMP_EPS, 0) to zero as roundoff before they store it, and stop only
 at a state that is not finite:
   - C: `rk4_block`, one fixed function whose text does not depend on the
-    system.  It reads the system's term tables (`model.field_tables`,
-    built once per run).  Its source, the power helper
-    `native.PY_POW` and the CSV writer below are one C source, which
-    `native` compiles once per machine into one cached object, on the
-    first simulate or export;
+    system.  Its field sums are calls of `term_sum`, a walk over the
+    system's term tables (`model.field_tables`, built once per run),
+    which `margins_at`, the certificate search's margins, calls too.
+    These, the power helper `native.PY_POW` and the CSV writer below are
+    one C source, which `native` compiles once per machine into one
+    cached object, on the first simulate, export or search;
   - Python: the same loop, stage by stage, where each stage's field sum
-    is one call of the system's map step (`_map_step`, this module's one
-    piece of generated code), which sums in the C kernel's order.  It
-    runs only where no C kernel can be built (no compiler, a failed
-    compile, a cache that cannot be written), and it is the reference the
-    C kernel is tested against.
+    is f(z) + g_0(d_0) + g_1(d_1) + ..., each field from the monomial
+    kernel `model._sum_monomials`, in the C walk's order.  It runs only
+    where no C kernel can be built (no compiler, a failed compile, a
+    cache that cannot be written), and it is the reference the C kernel
+    is tested against.
 One driver, `_run_block`, runs either over a block of the read plan in
 one call: it fills in the block's history reads by calling phi before the
-kernel runs.  `simulate_continuous` then finds the block's positivity
-violations in the stored rows.  metadata["integrator"] says which kernel
-ran.  Both do the float operations of a per-stage lookup and of
-`PolyVectorField.evaluate`, in the same order, and a power x ** e in C is
-CPython's own float power, so the trajectory, positivity record,
+kernel runs.  `_drive` runs the blocks and then finds each block's
+positivity violations in the stored rows.  metadata["integrator"] says
+which kernel ran.  Both do the float operations of a per-stage lookup and
+of `PolyVectorField.evaluate`, in the same order, and a power x ** e in C
+is CPython's own float power, so the trajectory, positivity record,
 divergence time and read counts are the same bit for bit.
 
 Fixed stepping is deliberate: time-varying delays create derivative kinks at
@@ -48,8 +49,11 @@ interpolation floor is reproducible where adaptive stepping is not.  The
 full step history is retained because unbounded delays can reach back
 arbitrarily far.
 
-Discrete systems iterate the map exactly (floating point only), through
-the same generated field sum, compiled once per run.
+Discrete systems iterate the map exactly (floating point only), as the
+one-stage case of the same kernels and driver: the stage count, one, and
+the absence of the roundoff clamp follow from `SystemModel.is_discrete`.
+The history rows are stored in front of the run's rows, and every delayed
+read is an exact read of a stored row (`_map_plan`).
 
 CSV export writes the bytes `'%.17g' % x` writes, without a formatting call
 per float where a C compiler is found.  One fixed C function, `csv_fields`
@@ -67,10 +71,10 @@ leave the float range.  It returns that value's index; Python writes the
 value and its separator, and the C function resumes after it.  Where no
 kernel can be built, one `%` over a whole block writes every value.
 
-Both C functions, `rk4_block` and `csv_fields`, are called through
-`native.call`: they run without the GIL and without the lock of a
+Both C functions of a run, `rk4_block` and `csv_fields`, are called
+through `native.call`: they run without the GIL and without the lock of a
 `native.held` block, so that `batch` runs overlap in them.  The Python
-loops, the Python RK4 kernel and the discrete map, hold both throughout.
+loops, the Python RK4 kernel among them, hold both throughout.
 """
 
 from __future__ import annotations
@@ -84,8 +88,7 @@ import numpy as np
 
 from . import native
 from .delays import DelayModel, as_delay_list, history_depth
-from .model import Dilation, LevelSetProbe, SystemModel, _define, _names, emit_field_sum
-from .model import field_tables, lyapunov_v
+from .model import Dilation, LevelSetProbe, SystemModel, _sum_monomials, field_tables, lyapunov_v
 from .rates import DEFAULT_SAFETY, DecayBound, _exp
 
 CLAMP_EPS = 1e-12      # negative roundoff this small is snapped to zero
@@ -172,7 +175,8 @@ def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
     """(integrator, kernel): the RK4 block loop of the system at step size
     h, built for one run.  It is the C kernel ("native", see `_native_rk4`)
     wherever `native.load` can build one at this call, and only otherwise
-    the Python loop ("python", see `_python_rk4`).
+    the Python loop ("python", see `_python_rk4`).  For a discrete system
+    both take one stage, the map itself, and store its value unclamped.
 
     Both kernels have one contract, kernel(S, j, r, r1, code, w, idx, P):
     from the state row j of the (steps + 1, n) array S they take the steps
@@ -192,66 +196,91 @@ def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
 
 def _python_rk4(model: SystemModel, h: float) -> Callable:
     """The kernel of `_rk4_run`'s contract as a Python loop: `rk4_block`'s
-    loop, stage by stage, where each stage's field sum is one call of the
-    system's map step (`_map_step`).  A sum that is not finite, or a power
-    that overflows, ends the call as a state that is not finite does."""
-    step, Q = _map_step(model), len(model.delayed_terms)
+    loop, stage by stage, where each stage's field sum is f(z), plus
+    g_0(d_0), plus g_1(d_1), ..., each from `_sum_monomials`.  A power that
+    overflows counts there as a signed infinity, so its state is not
+    finite and ends the call."""
+    fields = [F._sparse for F in (model.f, *model.delayed_terms)]
+    Q, stages = len(model.delayed_terms), 1 if model.is_discrete else 4
     half, sixth = 0.5 * h, h / 6.0
 
     def kernel(S, j, r, r1, code, w, idx, P):
         x, d = S[j].tolist(), [None] * Q
         plan = zip(range(r, r1), *(a[:, r:r1].T.tolist() for a in (code, w, idx)))
-        try:
-            for r, c, wr, ir in plan:
-                k: list = []
-                for stage in range(4):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
-                    z = [a + (h if stage == 3 else half) * b for a, b in zip(x, k[-1])] if stage else x
-                    for q in range(Q):
-                        p = (stage + 1) // 2 * Q + q
-                        if stage == 2 and c[p] < _SEGMENT:  # k3 keeps k2's grid and history reads
-                            continue
-                        if c[p] == _GRID:
-                            a, b = S[ir[p]:ir[p] + 2].tolist()
-                            d[q] = [ai + wr[p] * (bi - ai) for ai, bi in zip(a, b)]
-                        elif c[p] == _HISTORY:
-                            d[q] = P[ir[p]].tolist()
-                        elif c[p] == _SEGMENT:
-                            d[q] = [xi + wr[p] * (zi - xi) for xi, zi in zip(x, z)]
-                        else:
-                            d[q] = z
-                    if (kz := step(z, d)) is None:
-                        return -1 - r
-                    k.append(kz)
-                x = [xi + sixth * (a + 2.0 * b + 2.0 * e + f) for xi, a, b, e, f in zip(x, *k)]
-                if not all(map(math.isfinite, x)):
-                    return -1 - r
-                j += 1
-                S[j] = x = [0.0 if -CLAMP_EPS <= v < 0.0 else v for v in x]
-        except OverflowError:
-            return -1 - r
+        for r, c, wr, ir in plan:
+            k: list = []
+            for stage in range(stages):  # k1 at t, k2 and k3 at t + h/2, k4 at t + h
+                z = [a + (h if stage == 3 else half) * b for a, b in zip(x, k[-1])] if stage else x
+                for q in range(Q):
+                    p = (stage + 1) // 2 * Q + q
+                    if stage == 2 and c[p] < _SEGMENT:  # k3 keeps k2's grid and history reads
+                        continue
+                    if c[p] == _GRID:
+                        a, b = S[ir[p]:ir[p] + 2].tolist()
+                        d[q] = [ai + wr[p] * (bi - ai) for ai, bi in zip(a, b)]
+                    elif c[p] == _HISTORY:
+                        d[q] = P[ir[p]].tolist()
+                    elif c[p] == _SEGMENT:
+                        d[q] = [xi + wr[p] * (zi - xi) for xi, zi in zip(x, z)]
+                    else:
+                        d[q] = z
+                kz = _sum_monomials(fields[0], z)
+                for g, dq in zip(fields[1:], d):
+                    kz = [a + b for a, b in zip(kz, _sum_monomials(g, dq))]
+                k.append(kz)
+            # an RK4 step snaps roundoff below zero to zero, which leaves a state as finite as it was
+            x = k[0] if stages == 1 else [0.0 if -CLAMP_EPS <= v < 0.0 else v for v in (
+                xi + sixth * (a + 2.0 * b + 2.0 * e + f) for xi, a, b, e, f in zip(x, *k))]
+            if not all(map(math.isfinite, x)):
+                return -1 - r
+            j += 1
+            S[j] = x
         return r1
 
     return kernel
 
 
 # `_python_rk4`'s loop as one fixed C function over `field_tables`, so one
-# compiled object serves every system.  The plan codes are _GRID, _HISTORY,
-# _SEGMENT and _CURRENT.
+# compiled object serves every system, and `certify.margins` as another
+# over the same walk.  The plan codes are _GRID, _HISTORY, _SEGMENT and
+# _CURRENT.
 _RK4_SOURCE = f"#define CLAMP_EPS {CLAMP_EPS!r}\n" + r"""
 enum { GRID, HISTORY, SEGMENT, CURRENT };
 
-int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, int64_t n, int64_t Q, double *S,
-                  const int64_t *C, const double *W, const int64_t *I, const double *P,
+typedef struct { const int64_t *span, *first, *var, *odd; const double *coeff, *power; } Terms;
+
+/* 0.0 + t_1 + t_2 + ... over the terms of group g of the tables at the
+   point a, each t = coeff * a_j * a_k ** e with its factors in variable
+   order, as model._sum_monomials sums; *stop is set where a power overflows */
+static double term_sum(const Terms *T, int64_t g, const double *a, int *stop)
+{
+    double sum = 0.0, v;
+    int64_t t, f;
+    for (t = T->span[g]; t < T->span[g + 1]; t++) {
+        f = T->first[t];
+        if (T->first[t + 1] == f + 1 && T->power[f] == 1.0)  /* one linear factor */
+            v = T->coeff[t] * a[T->var[f]];
+        else
+            for (v = T->coeff[t]; f < T->first[t + 1]; f++)
+                v *= T->power[f] == 1.0 ? a[T->var[f]] : py_pow(a[T->var[f]], T->power[f], (int)T->odd[f], stop);
+        sum += v;
+    }
+    return sum;
+}
+
+int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, int64_t n, int64_t Q, int64_t stages,
+                  double *S, const int64_t *C, const double *W, const int64_t *I, const double *P,
                   const int64_t *span, const double *coeff, const int64_t *first,
                   const int64_t *var, const double *power, const int64_t *odd,
                   double h, double half, double sixth)
 {
-    double y[n], d[Q * n], k[4][n], sum, v, *x = S + j * n;
+    const Terms T = {span, first, var, odd, coeff, power};
+    double y[n], d[Q * n], k[4][n], v, *x = S + j * n;
     const double *a, *z;
-    int64_t i, q, p, g, t, f, stage;
+    int64_t i, q, p, g, stage;
     int stop = 0;  /* a power overflowed, or the new state is not finite */
     for (; r < r1; r++, x += n) {
-        for (stage = 0; stage < 4; stage++) {  /* k1 at t, k2 and k3 at t + h/2, k4 at t + h */
+        for (stage = 0; stage < stages; stage++) {  /* k1 at t, k2 and k3 at t + h/2, k4 at t + h */
             for (i = 0; stage && i < n; i++)
                 y[i] = x[i] + (stage == 3 ? h : half) * k[stage - 1][i];
             z = stage ? y : x;
@@ -264,34 +293,42 @@ int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, int64_t n, int64_
                     d[q * n + i] = C[p] == GRID ? a[i] + W[p] * (a[n + i] - a[i])
                                    : C[p] == SEGMENT ? x[i] + W[p] * (y[i] - x[i]) : a[i];
             }
-            /* k = f(z) + g_1(d) + g_2(d + n) + ..., summed as emit_field_sum's statements sum */
-            for (i = 0, g = 0; i < n; i++) {
+            /* k = f(z) + g_1(d) + g_2(d + n) + ... */
+            for (i = 0, g = 0; i < n; i++)
                 for (q = 0; q <= Q; q++, g++) {
-                    a = q ? d + (q - 1) * n : z;
-                    for (sum = 0.0, t = span[g]; t < span[g + 1]; t++) {
-                        f = first[t];
-                        if (first[t + 1] == f + 1 && power[f] == 1.0)  /* one linear factor */
-                            v = coeff[t] * a[var[f]];
-                        else
-                            for (v = coeff[t]; f < first[t + 1]; f++)
-                                v *= power[f] == 1.0 ? a[var[f]] : py_pow(a[var[f]], power[f], (int)odd[f], &stop);
-                        sum += v;
-                    }
-                    k[stage][i] = q ? k[stage][i] + sum : sum;
+                    v = term_sum(&T, g, q ? d + (q - 1) * n : z, &stop);
+                    k[stage][i] = q ? k[stage][i] + v : v;
                 }
-            }
         }
-        /* the new state goes to the next row, roundoff below zero snapped
-           to zero; the row is kept only when the state is finite */
+        /* the new state goes to the next row, a step's roundoff below zero
+           snapped to zero; the row is kept only when the state is finite */
         for (i = 0; i < n; i++) {
-            v = x[i] + sixth * (k[0][i] + 2.0 * k[1][i] + 2.0 * k[2][i] + k[3][i]);
+            v = stages == 1 ? k[0][i] : x[i] + sixth * (k[0][i] + 2.0 * k[1][i] + 2.0 * k[2][i] + k[3][i]);
             stop |= !(-HUGE_VAL < v && v < HUGE_VAL);
-            x[n + i] = v < 0.0 && v >= -CLAMP_EPS ? 0.0 : v;
+            x[n + i] = stages > 1 && v < 0.0 && v >= -CLAMP_EPS ? 0.0 : v;
         }
         if (stop)
             return -1 - r;
     }
     return r1;
+}
+
+/* the certificate margins at x, f_i(x) + (0.0 + g_0,i(x) + g_1,i(x) + ...),
+   minus x_i for a map, as certify.margins' kernel path sums them; nonzero
+   where a power overflowed */
+int margins_at(int64_t n, int64_t Q, int64_t discrete, const double *x, double *out,
+               const int64_t *span, const double *coeff, const int64_t *first,
+               const int64_t *var, const double *power, const int64_t *odd)
+{
+    const Terms T = {span, first, var, odd, coeff, power};
+    int stop = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double g = 0.0;
+        for (int64_t q = 1; q <= Q; q++)
+            g += term_sum(&T, i * (Q + 1) + q, x, &stop);
+        out[i] = term_sum(&T, i * (Q + 1), x, &stop) + g - (discrete ? x[i] : 0.0);
+    }
+    return stop;
 }
 """
 
@@ -299,7 +336,8 @@ int64_t rk4_block(int64_t r, int64_t r1, int64_t R, int64_t j, int64_t n, int64_
 def _native_rk4(model: SystemModel, h: float) -> Callable | None:
     """kernel(S, j, r, r1, code, w, idx, P): `rk4_block` of `_RK4_SOURCE`
     on numpy arrays, with the system's term tables (`field_tables`, built
-    here once) and h; None when `native.load` cannot build the C source."""
+    here once), its stage count and h; None when `native.load` cannot
+    build the C source."""
     lib = native.load(_SOURCE)
     if lib is None:
         return None
@@ -308,30 +346,16 @@ def _native_rk4(model: SystemModel, h: float) -> Callable | None:
     fn = lib.rk4_block
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     fn.restype = i64
-    fn.argtypes = [*[i64] * 6, *[ptr] * 11, dbl, dbl, dbl]
-    n, Q = model.n, len(model.delayed_terms)
+    fn.argtypes = [*[i64] * 7, *[ptr] * 11, dbl, dbl, dbl]
+    n, Q, stages = model.n, len(model.delayed_terms), 1 if model.is_discrete else 4
     tables = field_tables((model.f, *model.delayed_terms))
     hs = (h, 0.5 * h, h / 6.0)
 
     def kernel(S, j, r, r1, code, w, idx, P):
         arrays = (S, code, w, idx, P, *tables)
-        return native.call(fn, r, r1, code.shape[1], j, n, Q, *(a.ctypes.data for a in arrays), *hs)
+        return native.call(fn, r, r1, code.shape[1], j, n, Q, stages, *(a.ctypes.data for a in arrays), *hs)
 
     return kernel
-
-
-def _map_step(model: SystemModel) -> Callable:
-    """step(x, d): the map f(x) + sum_q g_q(d[q]) as one straight-line
-    function of the state x and the delayed states d (sequences of floats);
-    the next state tuple, or None when it is not finite.  A power that
-    overflows raises OverflowError."""
-    n = model.n
-    X, N, D = _names("x", n), _names("n", n), [_names(f"d{q}_", n) for q in range(len(model.delayed_terms))]
-    body = [f"{', '.join(X)}, = x"] + [f"{', '.join(Dq)}, = d[{q}]" for q, Dq in enumerate(D)]
-    ns: dict = {"_LO": -math.inf, "_HI": math.inf}
-    body += emit_field_sum((model.f, *model.delayed_terms), [X, *D], N, ns)
-    body += [f"if {' and '.join(f'_LO < {v} < _HI' for v in N)}: return ({', '.join(N)},)"]
-    return _define("step", "x, d", body, ns)
 
 
 def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: float):
@@ -392,19 +416,80 @@ def _read_plan(delays: Sequence[DelayModel], j0: int, j1: int, h: float, depth: 
     return (*(np.array(col) for col in cols), stop, error)
 
 
+def _map_plan(delays: Sequence[DelayModel], k0: int, k1: int, depth: int):
+    """(code, w, idx, stop, error): the delayed reads of map steps
+    k0 .. k1 - 1, in `_read_plan`'s form with one stage time.  Row q of
+    step k reads the state itself (_CURRENT) where d_q(k) = 0, and
+    otherwise the stored row idx = depth + k - d_q(k) (_HISTORY, a read of
+    the store itself, see `_run_block`): the history rows come first in
+    the store.  error is the exception of the first step whose delay is
+    negative or reaches below the initial window, else None; stop is that
+    step's column (k1 - k0 without one), and the run raises error if it
+    gets there.
+    """
+    code, idx, stop, error = [], [], k1 - k0, None
+    for d in delays:
+        dk = np.fromiter(map(d.value, range(k0, k1)), dtype=np.int64, count=k1 - k0)
+        code.append(np.where(dk == 0, _CURRENT, _HISTORY))
+        idx.append(np.arange(k0, k1) - dk + depth)
+        bad = np.flatnonzero((dk < 0) | (idx[-1] < 0))
+        if len(bad) and bad[0] < stop:
+            stop = m = int(bad[0])
+            k, dm = k0 + m, int(dk[m])
+            error = (ValueError(f"delay became negative at k={k}") if dm < 0 else HistoryUnderrunError(
+                f"delayed index {k - dm} reaches below the initial window {{-{depth}, ..., 0}}"))
+    return np.array(code, dtype=np.int64), np.zeros((len(delays), k1 - k0)), np.array(idx), stop, error
+
+
 def _run_block(kernel: Callable, S: np.ndarray, j0: int, stop: int, code, w, idx, phi) -> tuple[int, bool]:
     """Steps j0 .. j0 + stop - 1 of the read plan (code, w, idx) in one call
     of kernel (see `_rk4_run`), from row j0 of the state store S: (rows of
     S then stored, True when every step was taken, False at a state that is
     not finite).  The history reads are filled in first: row k of P is phi
-    at the k-th of them, and idx points there."""
-    hist = code == _HISTORY
-    hist[:, stop:] = False
-    at = np.flatnonzero(hist)
-    P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, S.shape[1])
-    idx.flat[at] = np.arange(len(at))
+    at the k-th of them, and idx points there.  Without phi (a map's plan)
+    every history read is the row idx of S itself."""
+    P = S
+    if phi is not None:
+        hist = code == _HISTORY
+        hist[:, stop:] = False
+        at = np.flatnonzero(hist)
+        P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, S.shape[1])
+        idx.flat[at] = np.arange(len(at))
     r = kernel(S, j0, 0, stop, code, w, idx, P)
     return (j0 + stop + 1, True) if r == stop else (j0 - r, False)
+
+
+def _drive(model: SystemModel, S: np.ndarray, j0: int, steps: int, h: float, plan: Callable, phi=None):
+    """(integrator, stored, finished, violations, reads): steps 0 .. steps - 1
+    of the system from row j0 of the store S, one call of the run's kernel
+    (`_rk4_run`) per plan block, plan(k0, k1) giving the block's reads
+    (`_read_plan` or `_map_plan`, with phi as `_run_block` takes it).
+
+    stored counts the rows of S then stored, and finished is False where a
+    state was not finite.  violations lists the stored components below
+    -VIOLATION_EPS as (time, component, value), time the step's number
+    times h, in step and then component order; reads counts the delayed
+    reads by source (k2 and k3 both read at the middle stage time), the
+    diverging step's among them.  A block that holds a plan error raises
+    it once the steps before it are taken.
+    """
+    integrator, kernel = _rk4_run(model, h)
+    Q = len(model.delayed_terms)
+    violations, reads = [], np.zeros(len(_SOURCES), dtype=np.int64)
+    for k0 in range(0, steps, PLAN_BLOCK):
+        code, w, idx, stop, error = plan(k0, min(k0 + PLAN_BLOCK, steps))
+        j = j0 + k0
+        stored, finished = _run_block(kernel, S, j, stop, code, w, idx, phi)
+        rows, cols = np.nonzero(S[j + 1:stored] < -VIOLATION_EPS)
+        violations += zip([(k0 + 1 + k) * h for k in rows.tolist()], cols.tolist(),
+                          S[j + 1 + rows, cols].tolist())
+        taken = stored - j - finished  # the steps that read, the diverging one among them
+        reads += np.bincount(np.concatenate((code, code[Q:2 * Q]))[:, :taken].ravel(), minlength=len(_SOURCES))
+        if not finished:
+            break
+        if error is not None:
+            raise error
+    return integrator, stored, finished, violations, reads
 
 
 def simulate_continuous(
@@ -454,28 +539,10 @@ def simulate_continuous(
     if len(x) != n:
         raise ValueError(f"history returns dimension {len(x)}, model n={n}")
 
-    violations: list[tuple[float, int, float]] = []
-    diverged_at = None
-    integrator, kernel = _rk4_run(model, h)
     S[0] = x
-    Q = len(delays)
-    reads = np.zeros(len(_SOURCES), dtype=np.int64)
-    for j0 in range(0, steps, PLAN_BLOCK):
-        code, w, idx, stop, error = _read_plan(delays, j0, min(j0 + PLAN_BLOCK, steps), h, depth)
-        stored, finished = _run_block(kernel, S, j0, stop, code, w, idx, phi)
-        rows, cols = np.nonzero(S[j0 + 1:stored] < -VIOLATION_EPS)
-        violations += zip([(j0 + 1 + k) * h for k in rows.tolist()], cols.tolist(),
-                          S[j0 + 1 + rows, cols].tolist())
-        if not finished:
-            diverged_at = stored * h
-        taken = stored - 1 - j0 + (diverged_at is not None)  # the diverging step read too
-        # k2 and k3 both read at the middle stage time
-        reads += np.bincount(np.concatenate((code, code[Q:2 * Q]))[:, :taken].ravel(), minlength=len(_SOURCES))
-        if diverged_at is not None:
-            break
-        if error is not None:
-            raise error
-
+    integrator, stored, finished, violations, reads = _drive(
+        model, S, 0, steps, h, lambda j0, j1: _read_plan(delays, j0, j1, h, depth), phi
+    )
     return Trajectory(
         times=np.arange(stored) * h,
         states=S[:stored],
@@ -486,7 +553,7 @@ def simulate_continuous(
             "history_depth": depth,
             "delays": [repr(d) for d in delays],
             "positivity_violations": violations,
-            "diverged_at": diverged_at,
+            "diverged_at": None if finished else stored * h,
             "delayed_reads": dict(zip(_SOURCES, reads.tolist())),
             "integrator": integrator,
         },
@@ -502,7 +569,12 @@ def simulate_discrete(
     """Iterate x(k+1) = f(x(k)) + sum_q g_q(x(k - d_q(k))) exactly.
 
     phi must cover {-d_max, ..., 0} (a mapping or a callable); divergence to
-    a non-finite state truncates the run and is reported in metadata.
+    a non-finite state truncates the run and is reported in metadata.  The
+    steps run as the one-stage case of `simulate_continuous`'s kernels
+    (see the module docstring), and metadata["integrator"] says which ran.
+    States below -VIOLATION_EPS are kept and recorded as positivity
+    violations.  A horizon whose states cannot be allocated raises
+    ValueError before any step is taken.
     """
     if not model.is_discrete:
         raise ValueError("model is continuous; use simulate_continuous")
@@ -512,10 +584,14 @@ def simulate_discrete(
     if any(not d.is_discrete for d in delays):
         raise ValueError("discrete simulation needs discrete delay models")
     depth = max(int(history_depth(d)) for d in delays)
+    n = model.n
+    try:
+        # the history rows, then the run's
+        S = np.empty((depth + 1 + horizon, n))
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"sim.horizon = {horizon!r} steps: their states cannot be allocated") from None
 
     lookup = phi if callable(phi) else phi.__getitem__
-    n = model.n
-    seq: list[tuple[float, ...]] = []
     for k in range(-depth, 1):
         try:
             xk = tuple(float(c) for c in lookup(k))
@@ -525,51 +601,24 @@ def simulate_discrete(
             ) from exc
         if len(xk) != n:
             raise ValueError(f"history at k={k} has dimension {len(xk)}, model n={n}")
-        seq.append(xk)
+        S[k + depth] = xk
 
-    step = _map_step(model)
-
-    violations: list[tuple[float, int, float]] = []
-    diverged_at = None
-    for k in range(horizon):
-        delayed = []
-        for d in delays:
-            dk = d.value(k)
-            if dk < 0:
-                raise ValueError(f"delay became negative at k={k}")
-            src = k - dk + depth
-            if src < 0:
-                raise HistoryUnderrunError(
-                    f"delayed index {k - dk} reaches below the initial window "
-                    f"{{-{depth}, ..., 0}}"
-                )
-            delayed.append(seq[src])
-        try:
-            xn = step(seq[k + depth], delayed)
-        except OverflowError:
-            xn = None
-        if xn is None:
-            diverged_at = k + 1
-            break
-        if min(xn) < -VIOLATION_EPS:
-            violations += [(float(k + 1), i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS]
-        seq.append(xn)
-
-    recorded = len(seq) - depth
-    times = np.arange(recorded, dtype=float)
-    traj = Trajectory(
-        times=times,
-        states=np.array(seq[depth:]),
+    integrator, stored, finished, violations, _ = _drive(
+        model, S, depth, horizon, 1.0, lambda k0, k1: _map_plan(delays, k0, k1, depth)
+    )
+    return Trajectory(
+        times=np.arange(stored - depth, dtype=float),
+        states=S[depth:stored],
         metadata={
             "kind": "discrete",
             "horizon": horizon,
             "history_depth": depth,
             "delays": [repr(d) for d in delays],
             "positivity_violations": violations,
-            "diverged_at": diverged_at,
+            "diverged_at": None if finished else stored - depth,
+            "integrator": integrator,
         },
     )
-    return traj
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
-"""Reference RK4 integrator for the delayed dynamics: one call per stage.
+"""Reference loops for the delayed dynamics: RK4 with one call per stage,
+and the discrete map with one call per step.
 
 Every stage looks its delayed argument up on its own, evaluates the fields
 through `PolyVectorField.evaluate`, and each new state has its roundoff in
 [-CLAMP_EPS, 0) snapped to zero and its components below -VIOLATION_EPS
-recorded.  It shares no code with the simulator's kernels, which take
-their delayed reads from a read plan, sum the fields from generated code
-or term tables, and leave the violations to the driver; tests compare the
-simulator against it bit for bit.
+recorded.  Of the simulator's kernels it shares only the monomial kernel
+that `evaluate` runs, with the Python one: they take their delayed reads
+from a read plan, sum the fields in C over term tables or per field
+through `model._sum_monomials`, and leave the violations to the driver;
+tests compare the simulator against it bit for bit.
+
+`oracle_discrete` is the per-step map loop: it keeps the states in a
+list, looks each delay up at each step, and raises a delay's error at the
+step that reads it, where the simulator runs the map as the one-stage
+case of its RK4 kernels over a preallocated store.
 
 A positive delay too small to move the delayed argument off the step's
 base time (below half an ulp of t) reads the stage state there, as the
@@ -103,3 +110,37 @@ def oracle_continuous(model, delay, phi: Callable[[float], Sequence[float]], h: 
                     violations.append((t_next, i, c))
         states.append(tuple(xn))
     return states, violations, diverged_at
+
+
+def oracle_discrete(model, delay, phi, horizon: int):
+    """(states, positivity violations, diverged_at) of the per-step map loop."""
+    delays = as_delay_list(delay, len(model.delayed_terms))
+    depth = max(int(history_depth(d)) for d in delays)
+    lookup = phi if callable(phi) else phi.__getitem__
+    seq = [tuple(float(c) for c in lookup(k)) for k in range(-depth, 1)]
+    violations = []
+    diverged_at = None
+    for k in range(horizon):
+        delayed = []
+        for d in delays:
+            dk = d.value(k)
+            if dk < 0:
+                raise ValueError(f"delay became negative at k={k}")
+            src = k - dk + depth
+            if src < 0:
+                raise HistoryUnderrunError(
+                    f"delayed index {k - dk} reaches below the initial window "
+                    f"{{-{depth}, ..., 0}}"
+                )
+            delayed.append(seq[src])
+        xn = model.f.evaluate(seq[k + depth])
+        for g, y in zip(model.delayed_terms, delayed):
+            gy = g.evaluate(y)
+            for i in range(model.n):
+                xn[i] += gy[i]
+        if not all(math.isfinite(c) for c in xn):
+            diverged_at = k + 1
+            break
+        violations += [(float(k + 1), i, c) for i, c in enumerate(xn) if c < -VIOLATION_EPS]
+        seq.append(tuple(xn))
+    return seq[depth:], violations, diverged_at

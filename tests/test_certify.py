@@ -20,8 +20,12 @@ from delaycert import (
     spectral_radius,
     verify_certificate,
 )
-from delaycert import certify as certify_mod
+from delaycert import certify as certify_mod, native
 from delaycert.certify import linear_model
+from delaycert.model import _sum_monomials
+
+# the margin evaluator is C: without a compiler `margins` takes the kernel path
+needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
 
 
 # -- verify_certificate ----------------------------------------------------------
@@ -322,6 +326,7 @@ def _models_and_points(draw):
     return model, v
 
 
+@needs_compiler
 @settings(max_examples=200, deadline=None)
 @given(_models_and_points())
 def test_margin_evaluator_matches_kernel_bitwise(model_and_point):
@@ -338,6 +343,7 @@ def test_margin_evaluator_matches_kernel_bitwise(model_and_point):
     assert [m.hex() for m in direct] == [m.hex() for m in want]
 
 
+@needs_compiler
 def test_margin_evaluator_sums_delayed_terms_before_adding_f():
     # f + (g_0 + g_1), as the kernel path does: 1 + (1e16 - 1e16) is 1,
     # while (1 + 1e16) - 1e16 is 0
@@ -351,6 +357,7 @@ def test_margin_evaluator_sums_delayed_terms_before_adding_f():
     assert certify_mod._margin_evaluator(model)([1.0]) == margins(model, [1.0]) == [1.0]
 
 
+@needs_compiler
 def test_margin_evaluator_overflow_falls_back_to_signed_infinity():
     model = SystemModel(
         kind="discrete",
@@ -363,6 +370,24 @@ def test_margin_evaluator_overflow_falls_back_to_signed_infinity():
     with pytest.raises(OverflowError):
         evaluator([1e200, 1.0])
     assert margins(model, [1e200, 1.0], evaluator) == [-math.inf, 2e200 - 0.5]
+
+
+@needs_compiler
+def test_margin_evaluator_of_ten_thousand_terms_matches_kernel_bitwise():
+    rng = np.random.default_rng(7)
+    exps = rng.integers(0, 4, size=(10_000, 3))
+    exps[:, 0] += ~exps.any(axis=1)  # every term vanishes at the origin
+    coeffs = rng.normal(size=10_000)
+    big = tuple((float(c), tuple(int(e) for e in es)) for c, es in zip(coeffs, exps))
+    f = PolyVectorField(3, (big, ((math.inf, (1, 0, 0)), (-0.0, (0, 2, 0))), ()))
+    g = PolyVectorField(3, (big[:5000], (), ((-1.0, (0, 0, 1)),)))
+    for kind in ("continuous", "discrete"):
+        model = SystemModel(kind=kind, f=f, delayed_terms=(g, g), dilation=Dilation((1.0,) * 3), degree=0.0)
+        evaluator = certify_mod._margin_evaluator(model)
+        for x in ([0.5, 1.5, 0.75], [1.0, 0.0, 2.0], [1.25, 0.3, 0.9]):
+            fx, gx = _sum_monomials(f._sparse, x), _sum_monomials(g._sparse, x)
+            want = [a + (0.0 + b + b) - (xi if kind == "discrete" else 0.0) for a, b, xi in zip(fx, gx, x)]
+            assert [m.hex() for m in evaluator(x)] == [m.hex() for m in want]
 
 
 def _random_cooperative_system(rng, n, kind, n_delayed):

@@ -1123,25 +1123,64 @@ def test_batch_runs_configs_of_one_file_name_in_input_order(tmp_path, capsys):
         assert csv == (tmp_path / "one.csv").read_bytes()
 
 
-def test_batch_never_overlaps_two_discrete_runs(tmp_path, capsys, monkeypatch):
-    from delaycert import cli
-
-    running, most, iterate = [0], [0], cli.simulate_discrete
+def test_batch_never_runs_the_python_of_two_discrete_runs_at_once(tmp_path, capsys, monkeypatch):
+    # discrete runs step in C, where they overlap; each plan block is
+    # Python, which runs under the batch lock, one run at a time
+    running, most, plan = [0], [0], simulate_mod._map_plan
 
     def counted(*args):
         running[0] += 1
         most[0] = max(most[0], running[0])
-        time.sleep(0.05)  # time for another run to start, were it allowed to
+        time.sleep(0.02)  # time for another run's Python to start, were it allowed to
         try:
-            return iterate(*args)
+            return plan(*args)
         finally:
             running[0] -= 1
 
-    monkeypatch.setattr(cli, "simulate_discrete", counted)
-    paths = [write(tmp_path, discrete_config(), f"{k}.json") for k in range(3)]
-    assert main(["batch", *paths, "--out", str(tmp_path / "out")]) == 0
-    capsys.readouterr()
+    monkeypatch.setattr(simulate_mod, "_map_plan", counted)
+    docs = [discrete_config() for _ in range(3)]
+    docs[1]["delay"] = {"family": "alternating_parity"}
+    docs[2]["delay"] = {"family": "proportional_steps", "alpha": 0.5}
+    for doc in docs:
+        doc["sim"]["horizon"] = 3000
+    paths = [write(tmp_path, doc, f"{k}.json") for k, doc in enumerate(docs)]
+    out_dir = tmp_path / "out"
+    code = main(["batch", *paths, "--out", str(out_dir)])
+    batch = capsys.readouterr().out
     assert most[0] == 1
+    # the batch is simulate run on one config after another
+    one, out, codes = tmp_path / "one.csv", "", []
+    for k, path in enumerate(paths):
+        codes.append(main(["simulate", "--config", path, "--out", str(one)]))
+        out += capsys.readouterr().out.replace(str(one), str(out_dir / f"{k}.csv"))
+        assert one.read_bytes() == (out_dir / f"{k}.csv").read_bytes()
+    assert (batch, code) == (out, max(codes))
+
+
+def test_a_discrete_horizon_whose_states_cannot_be_allocated_exits_64_at_once(tmp_path):
+    # 1e15 steps: the store is asked for before the first step, so the run
+    # ends at once instead of iterating until memory runs out
+    doc = discrete_config()
+    doc["sim"]["horizon"] = 1e15
+    proc = subprocess.run(
+        [sys.executable, "-m", "delaycert", "simulate", "--config", write(tmp_path, doc),
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "cannot be allocated" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_importing_the_cli_loads_none_of_the_slow_modules():
+    # each is imported where it is used, so start-up does not pay for it
+    slow = ["concurrent.futures", "fractions", "subprocess", "hashlib", "decimal", "sysconfig"]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, delaycert.cli; print([m for m in {slow!r} if m in sys.modules])"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("stage", ["simulation", "analysis"])
@@ -1212,18 +1251,21 @@ def dense_linear_config(n):
     }
 
 
-def test_one_shot_commands_on_a_linear_system_compile_nothing(tmp_path, capsys, monkeypatch):
-    # compiling the margin evaluator at n = 50 costs more than a one-shot
-    # command's few margin evaluations: only the nonlinear search builds one
+def test_one_shot_commands_on_a_linear_system_build_no_margin_evaluator(tmp_path, capsys, monkeypatch):
+    # binding the margin evaluator costs more than a one-shot command's few
+    # margin evaluations: only the nonlinear search builds one
     from delaycert import certify as certify_mod
 
     built = []
-    for mod in (certify_mod, simulate_mod):  # the modules that compile emitted statements
-        monkeypatch.setattr(mod, "_define", lambda *args: built.append(args[0]))
-    for cmd in ("check", "certify", "bounds"):
-        code, _ = run_cli(capsys, cmd, "--config", write(tmp_path, dense_linear_config(50)))
+    monkeypatch.setattr(certify_mod, "_margin_evaluator", lambda model: built.append(model))
+    cfg = write(tmp_path, dense_linear_config(50))
+    for cmd in ("check", "certify", "bounds", "simulate"):
+        out = ["--out", str(tmp_path / "x.csv")] if cmd == "simulate" else []
+        code, _ = run_cli(capsys, cmd, "--config", cfg, *out)
         assert code == 0
     assert built == []
+    code, _ = run_cli(capsys, "certify", "--config", write(tmp_path, cubic_config(analysis={})))
+    assert code == 0 and len(built) == 1
 
 
 # -- benchmark tracer ------------------------------------------------------------

@@ -15,7 +15,6 @@ from delaycert import (
     jacobian,
     lyapunov_v,
 )
-from delaycert.model import _sum_monomials, emit_field_sum
 from conftest import CUBIC_F, CUBIC_G, lyapunov_reference
 
 
@@ -101,71 +100,6 @@ def test_eval_linear_in_coefficients(x, a, b):
     f2 = F2.evaluate(x)
     for l, u, w in zip(left, f1, f2):
         assert l == pytest.approx(u + w, rel=1e-12, abs=1e-12)
-
-
-# -- emitted field sums -----------------------------------------------------------
-
-def _emitted(fields, n):
-    """The emitted sum of `fields` at one shared point, as a function."""
-    xs = [f"x{j}" for j in range(n)]
-    ns: dict = {}
-    lines = emit_field_sum(fields, [xs] * len(fields), [f"o{i}" for i in range(n)], ns)
-    src = [f"def F({', '.join(xs)}):", *("    " + line for line in lines),
-           f"    return [{', '.join(f'o{i}' for i in range(n))}]"]
-    exec("\n".join(src), ns)
-    return ns["F"]
-
-
-def test_emitted_sum_of_ten_thousand_terms_matches_kernel_bitwise():
-    rng = np.random.default_rng(7)
-    exps = rng.integers(0, 4, size=(10_000, 3))
-    coeffs = rng.normal(size=10_000)
-    big = tuple((float(c), tuple(int(e) for e in es)) for c, es in zip(coeffs, exps))
-    field = PolyVectorField(3, (big, ((math.inf, (1, 0, 0)), (-0.0, (0, 2, 0))), ()))
-    F = _emitted([field], 3)
-    for x in ([0.5, 1.5, -0.75], [1.0, 0.0, 2.0], [-1.25, 0.3, 0.9]):
-        got, want = F(*x), _sum_monomials(field._sparse, x)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-
-
-def test_emitted_sum_adds_later_fields_whole():
-    # f(x)[i] + g(x)[i], not f's terms followed by g's: 1 + (1e16 - 1e16) is
-    # 1, while 1 + 1e16 - 1e16 is 0
-    f = PolyVectorField(1, (((1.0, (1,)),),))
-    g = PolyVectorField(1, (((1e16, (1,)), (-1e16, (1,))),))
-    fx, gx = f.evaluate([1.0]), g.evaluate([1.0])
-    assert _emitted([f, g], 1)(1.0) == [fx[0] + gx[0]] == [1.0]
-    assert _emitted([CUBIC_F, CUBIC_G], 2)(0.7, 1.3) == [
-        a + b for a, b in zip(CUBIC_F.evaluate([0.7, 1.3]), CUBIC_G.evaluate([0.7, 1.3]))
-    ]
-
-
-def test_emitted_power_overflow_raises():
-    F = _emitted([PolyVectorField(1, (((1.0, (3,)),),))], 1)
-    assert _sum_monomials(PolyVectorField(1, (((1.0, (3,)),),))._sparse, [1e200]) == [math.inf]
-    with pytest.raises(OverflowError):
-        F(1e200)
-
-
-def test_emitted_coefficients_are_never_rebound_to_other_bits():
-    # two fields emitted into one ns at the same q: the second would bind
-    # _c0_0_0 to its own coefficient and the first field's code would read it
-    f = PolyVectorField(1, (((-1.0, (1,)),),))
-    g = PolyVectorField(1, (((0.5, (1,)),),))
-    ns: dict = {}
-    emit_field_sum([f], [["x0"]], ["a0"], ns)
-    with pytest.raises(ValueError, match="_c0_0_0"):
-        emit_field_sum([g], [["x0"]], ["b0"], ns)
-    assert ns["_c0_0_0"] == -1.0
-    # the same bits again (as once per RK4 stage) are allowed, -0.0 is not 0.0
-    assert emit_field_sum([f], [["y0"]], ["c0"], ns) == ["c0 = 0.0 + _c0_0_0 * y0"]
-    zero, minus_zero = (PolyVectorField(1, (((c, (1,)),),)) for c in (0.0, -0.0))
-    emit_field_sum([zero], [["x0"]], ["a0"], ns, tag="z")
-    with pytest.raises(ValueError, match="_cz0_0_0"):
-        emit_field_sum([minus_zero], [["x0"]], ["a0"], ns, tag="z")
-    # a different tag keeps the fields apart
-    emit_field_sum([g], [["x0"]], ["b0"], ns, tag="g")
-    assert (ns["_c0_0_0"], ns["_cg0_0_0"]) == (-1.0, 0.5)
 
 
 # -- dilation ------------------------------------------------------------------

@@ -41,9 +41,9 @@ from delaycert import (
     xi_bound,
 )
 from delaycert.certify import linear_model
-from delaycert.delays import history_depth
+from delaycert.delays import DelayModel, history_depth
 from conftest import growth2d_closed_form, lyapunov_reference
-from rk4_oracle import oracle_continuous
+from rk4_oracle import oracle_continuous, oracle_discrete
 
 RAMP = PiecewiseLinearDelay(((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)))
 # the integrator every run takes: the C kernel wherever a compiler is found
@@ -690,6 +690,126 @@ def test_discrete_records_negative_states():
 def test_discrete_exactly_nonnegative(square_map):
     traj = simulate_discrete(square_map, ConstantStepDelay(0), {0: (0.9,)}, 30)
     assert np.all(traj.states >= 0.0)
+
+
+# -- the discrete map against the per-step reference loop ------------------------------
+
+def _bits(violations):
+    return [(t.hex(), i, c.hex()) for t, i, c in violations]
+
+
+def _assert_discrete_matches_oracle(model, delays, phi, horizon):
+    """Run as every run does, and once with no C kernel to build, which runs
+    the Python loop: both agree with the per-step loop bit for bit, and
+    raise its error where it raises one."""
+    try:
+        want = oracle_discrete(model, delays, phi, horizon)
+    except ValueError as exc:
+        want = exc
+    for integrator in dict.fromkeys([INTEGRATOR, "python"]):
+        with pytest.MonkeyPatch.context() as mp:
+            if integrator == "python":
+                mp.setattr(simulate_mod, "_native_rk4", lambda model, h: None)
+            if isinstance(want, ValueError):
+                with pytest.raises(ValueError) as raised:
+                    simulate_discrete(model, delays, phi, horizon)
+                assert (type(raised.value), str(raised.value)) == (type(want), str(want))
+                continue
+            traj = simulate_discrete(model, delays, phi, horizon)
+        states, violations, diverged_at = want
+        assert traj.metadata["integrator"] == integrator
+        assert np.array_equal(traj.states.view(np.uint64), np.array(states).view(np.uint64))
+        assert traj.times.tolist() == [float(k) for k in range(len(states))]
+        assert traj.metadata["diverged_at"] == diverged_at
+        assert _bits(traj.metadata["positivity_violations"]) == _bits(violations)
+    return want
+
+
+@dataclasses.dataclass(frozen=True)
+class _StepTable(DelayModel):
+    """d(k) from the pairs (k, d) of steps, and 1 at every other step."""
+
+    steps: tuple = ()
+    is_discrete = True
+
+    def value(self, k: int) -> int:
+        return dict(self.steps).get(k, 1)
+
+    def exact_history_depth(self) -> int:
+        return 1
+
+
+DISCRETE_2D = linear_model([[0.3, 0.1], [0.05, 0.2]], [[[0.2, 0.1], [0.1, 0.3]], [[0.1, 0.0], [0.05, 0.1]]],
+                           "discrete")
+QUADRATIC_MAP = SystemModel(
+    kind="discrete",
+    f=PolyVectorField(1, (((0.5, (2,)),),)),
+    delayed_terms=(PolyVectorField(1, (((0.25, (2,)),),)),),
+    dilation=Dilation((1.0,)),
+    degree=1.0,
+)
+
+
+@pytest.mark.parametrize("delay", [ConstantStepDelay(3), AlternatingParityDelay(), ProportionalStepDelay(0.5)],
+                         ids=["constant-steps", "alternating-parity", "proportional-steps"])
+def test_discrete_matches_the_per_step_loop(delay):
+    # 3,000 steps: three plan blocks; the parity delay reads the state itself
+    model = dataclasses.replace(DISCRETE_2D, delayed_terms=DISCRETE_2D.delayed_terms[:1])
+    _assert_discrete_matches_oracle(model, delay, constant_history((1.0, 0.5)), 3000)
+
+
+def test_discrete_two_delayed_terms_with_their_own_delays():
+    for delays in ([ConstantStepDelay(5), AlternatingParityDelay()],
+                   [ProportionalStepDelay(0.3), ConstantStepDelay(2)]):
+        _assert_discrete_matches_oracle(DISCRETE_2D, delays, constant_history((1.0, 0.5)), 1500)
+
+
+def test_discrete_table_history_is_read_row_by_row():
+    table = {0: (1.0, 0.5), -1: (2.0, 0.1), -2: (0.3, 3.0), -3: (5.0, 0.0)}
+    states, _, _ = _assert_discrete_matches_oracle(DISCRETE_2D, [ConstantStepDelay(3), ConstantStepDelay(1)], table, 50)
+    assert states[0] == table[0]
+
+
+@pytest.mark.parametrize("f, g, x0", [(0.5, -0.8, 1.0), (-0.5, 0.0, 1e-12)], ids=["negative", "tiny-negative"])
+def test_discrete_keeps_negative_states_as_they_are(f, g, x0):
+    # a map is not an RK4 step: no roundoff is snapped to zero, and every
+    # state below -VIOLATION_EPS is recorded
+    model = linear_model([[f]], [[[g]]], "discrete")
+    states, violations, _ = _assert_discrete_matches_oracle(model, ConstantStepDelay(1), constant_history((x0,)), 40)
+    assert min(states)[0] < 0.0
+    assert (len(violations) > 0) == (x0 == 1.0)
+
+
+def test_discrete_quadratic_map_blows_up_at_k_21():
+    # x(k+1) = 0.5 x(k)**2 + 0.25 x(k - 2)**2 from 1.34, just above its basin edge 4/3
+    states, _, diverged_at = _assert_discrete_matches_oracle(QUADRATIC_MAP, ConstantStepDelay(2),
+                                                            constant_history((1.34,)), 100)
+    assert diverged_at == len(states) == 21
+
+
+@pytest.mark.parametrize("steps, error", [(((1500, -1),), ValueError), (((2000, 2002),), HistoryUnderrunError)],
+                         ids=["negative-delay", "underrun"])
+def test_discrete_delay_errors_are_raised_at_their_own_step(steps, error):
+    raised = _assert_discrete_matches_oracle(DISCRETE_2D, _StepTable(steps), constant_history((1.0, 0.5)), 3000)
+    assert type(raised) is error
+    assert str(raised) == ("delay became negative at k=1500" if error is ValueError else
+                           "delayed index -2 reaches below the initial window {-1, ..., 0}")
+    # before it the run stops where the map blows up, and raises nothing
+    _, _, diverged_at = _assert_discrete_matches_oracle(QUADRATIC_MAP, _StepTable(((30,) + steps[0][1:],)),
+                                                       constant_history((1.34,)), 100)
+    assert diverged_at is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_cooperative_systems(), data=st.data(), steps=st.integers(1, 150),
+       scale=st.sampled_from([0.5, 3.0, 20.0]))
+def test_discrete_matches_the_per_step_loop_on_random_maps(model, data, steps, scale):
+    model = dataclasses.replace(model, kind="discrete")
+    delays = [data.draw(st.sampled_from([ConstantStepDelay(0), ConstantStepDelay(4), AlternatingParityDelay(),
+                                         ProportionalStepDelay(0.6)])) for _ in model.delayed_terms]
+    values = data.draw(st.lists(st.floats(0.0, scale), min_size=5 * model.n, max_size=5 * model.n))
+    table = {-k: tuple(values[k * model.n:(k + 1) * model.n]) for k in range(5)}
+    _assert_discrete_matches_oracle(model, delays, table, steps)
 
 
 # -- envelope check ------------------------------------------------------------------------

@@ -17,8 +17,9 @@ there as a difference.
 
 The configs are those of the perfbench workloads at seeds 1-3 (generated by
 perfbench/workloads.py, which is only imported) and variants built from the
-config builders of tests/test_cli.py, and one system that is not
-positive, whose runs clamp roundoff and record violations.  JSON reports
+config builders of tests/test_cli.py: discrete maps among them, one
+that blows up and one that is not positive, and one continuous system
+that is not positive, whose runs clamp roundoff and record violations.  JSON reports
 are compared key by key, so a difference is printed as the path of the
 key with both values.  Each run is a separate `python -m delaycert`
 process with PYTHONPATH set to its tree; files go to a temporary directory
@@ -122,6 +123,7 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
         "scalar-eta-h1-t2400": variant(scalar, sim={"h": 1, "horizon": 2400}),
         "scalar-eta-theta": variant(scalar, analysis={"bounds": ["eta", "theta"]}),
         "negative-feedback": NEGATIVE_FEEDBACK,
+        **discrete_map_configs(test_cli, variant),
     }
     for horizon in (2, 5, 20):
         out[f"scalar-xi-t{horizon}"] = variant(
@@ -129,6 +131,35 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
             analysis={"bounds": ["xi"]},
         )
     return {**out, **rate_branch_configs(test_cli, variant)}
+
+
+def discrete_map_configs(test_cli, variant) -> dict[str, dict]:
+    """Maps whose runs read the state itself (the parity delay), a table
+    history, two delayed terms with their own delays, a quadratic map that
+    blows up at k = 21, and a map whose states turn negative."""
+    discrete = test_cli.discrete_config()
+    term = {"n": 1, "components": [[{"coeff": 0.1, "exp": [1]}]]}
+    quadratic = test_cli.quadratic_map_config()
+    quadratic["system"]["f"]["components"][0][0]["coeff"] = 0.5
+    quadratic["system"]["delayed"][0]["components"][0][0]["coeff"] = 0.25
+    negative = test_cli.discrete_config()
+    negative["system"]["f"]["components"][0][0]["coeff"] = 0.5
+    negative["system"]["delayed"][0]["components"][0][0]["coeff"] = -0.8
+    return {
+        "discrete-alternating-parity": variant(discrete, delay={"family": "alternating_parity"}),
+        "discrete-table-history": variant(discrete, initial_history={"table": {
+            "times": [-2, -1, 0], "states": [[3], [0.5], [1]],
+        }}),
+        "discrete-two-delays": variant(
+            discrete, system={**discrete["system"], "delayed": [term, term]},
+            delay=[{"family": "constant_steps", "d": 3}, {"family": "proportional_steps", "alpha": 0.5}],
+        ),
+        # x(k+1) = 0.5 x(k)**2 + 0.25 x(k - 2)**2 from 1.34, just above its basin edge 4/3
+        "discrete-quadratic-blow-up": variant(quadratic, initial_history={"constant": [1.34]},
+                                              sim={"horizon": 100}),
+        # x(k+1) = 0.5 x(k) - 0.8 x(k - 2): it swings through zero
+        "discrete-negative-states": variant(negative, sim={"horizon": 200}),
+    }
 
 
 def rate_branch_configs(test_cli, variant) -> dict[str, dict]:
