@@ -39,11 +39,12 @@ class DelayModel:
                   forces sampled analysis
 
     `values(ts)` is the delay at every time of a float array, each element
-    equal, bit for bit, to value(t).  The base class maps value over ts.  A
-    numpy form may replace the scalar formula only with correctly rounded
-    + - * / and np.float_power, never with np.exp, np.power or np.sin, whose
-    vectorized kernels may differ from libm; a family with a transcendental
-    calls its math function once per element.
+    equal, bit for bit, to value(t); a discrete family takes an int64 array
+    of steps and returns its d(k) as int64.  The base class maps value over
+    ts.  A numpy form may replace the scalar formula only with correctly
+    rounded + - * / and np.float_power, never with np.exp, np.power or
+    np.sin, whose vectorized kernels may differ from libm; a family with a
+    transcendental calls its math function once per element.
     """
 
     is_discrete = False
@@ -55,7 +56,7 @@ class DelayModel:
         raise NotImplementedError
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(self.value, ts.tolist()), float, len(ts))
+        return np.fromiter(map(self.value, ts.tolist()), np.int64 if self.is_discrete else float, len(ts))
 
     def exact_history_depth(self) -> float | None:
         """Closed-form history depth when the family provides one."""
@@ -246,6 +247,9 @@ class ConstantStepDelay(DelayModel):
     def value(self, k: int) -> int:
         return self.d
 
+    def values(self, ks: np.ndarray) -> np.ndarray:
+        return np.full(len(ks), self.d, dtype=np.int64)
+
     def exact_history_depth(self) -> int:
         return self.d
 
@@ -260,6 +264,9 @@ class AlternatingParityDelay(DelayModel):
 
     def value(self, k: int) -> int:
         return k % 2
+
+    def values(self, ks: np.ndarray) -> np.ndarray:
+        return ks % 2
 
     def exact_history_depth(self) -> int:
         # k - d(k) is 0, 0, 2, 2, 4, ... so the infimum is 0.
@@ -282,6 +289,10 @@ class ProportionalStepDelay(DelayModel):
 
     def value(self, k: int) -> int:
         return int(math.floor(self.alpha * k))
+
+    def values(self, ks: np.ndarray) -> np.ndarray:
+        # k converts to float exactly below 2**53, so the product rounds as value's does
+        return np.floor(self.alpha * ks).astype(np.int64)
 
     def exact_history_depth(self) -> int:
         return 0

@@ -13,7 +13,10 @@ Which source each stage reads, and at what weight, depends only on the
 delays and the step grid, so a read plan works it out before the steps run:
 numpy computes, for a block of PLAN_BLOCK steps at a time, one (source,
 weight, grid index) triple per stage time and delay, from one
-`DelayModel.values` call per stage time and delay.
+`DelayModel.values` call per stage time and delay.  Every column of a plan,
+and everything `_drive` finds in a block's rows, is computed per step, so
+no output depends on where a block ends: the block sets only the plan's
+memory and how many times a run calls the kernel, once per block.
 
 The run loop over a block is one RK4 kernel with one contract (see
 `_rk4_run`), built once per run and kept by nothing else, so the kernel a
@@ -53,7 +56,8 @@ Discrete systems iterate the map exactly (floating point only), as the
 one-stage case of the same kernels and driver: the stage count, one, and
 the absence of the roundoff clamp follow from `SystemModel.is_discrete`.
 The history rows are stored in front of the run's rows, and every delayed
-read is an exact read of a stored row (`_map_plan`).
+read is an exact read of a stored row (`_map_plan`, from one
+`DelayModel.values` call per block and delay).
 
 CSV export writes the bytes `'%.17g' % x` writes, without a formatting call
 per float where a C compiler is found.  One fixed C function, `csv_fields`
@@ -168,7 +172,12 @@ def tabulated_history(times: Sequence[float], states) -> Callable[[float], tuple
 
 _GRID, _HISTORY, _SEGMENT, _CURRENT = range(4)
 _SOURCES = ("grid", "history", "segment", "current")
-PLAN_BLOCK = 1024  # steps per read plan, so the plan's size does not grow with the horizon
+# Steps per read plan and rows per CSV block, so that neither grows with the
+# horizon: a continuous plan holds 72 bytes per step and delay (590 KB per
+# delay), and the CSV buffer FIELD_BYTES per value (1 MB for 5 columns).  A
+# run of up to PLAN_BLOCK steps builds one plan, makes one kernel call and
+# writes one CSV block.
+PLAN_BLOCK = 8192
 
 
 def _rk4_run(model: SystemModel, h: float) -> tuple[str, Callable]:
@@ -427,11 +436,11 @@ def _map_plan(delays: Sequence[DelayModel], k0: int, k1: int, depth: int):
     step's column (k1 - k0 without one), and the run raises error if it
     gets there.
     """
-    code, idx, stop, error = [], [], k1 - k0, None
+    ks, code, idx, stop, error = np.arange(k0, k1), [], [], k1 - k0, None
     for d in delays:
-        dk = np.fromiter(map(d.value, range(k0, k1)), dtype=np.int64, count=k1 - k0)
+        dk = d.values(ks)
         code.append(np.where(dk == 0, _CURRENT, _HISTORY))
-        idx.append(np.arange(k0, k1) - dk + depth)
+        idx.append(ks - dk + depth)
         bad = np.flatnonzero((dk < 0) | (idx[-1] < 0))
         if len(bad) and bad[0] < stop:
             stop = m = int(bad[0])
@@ -462,8 +471,9 @@ def _run_block(kernel: Callable, S: np.ndarray, j0: int, stop: int, code, w, idx
 def _drive(model: SystemModel, S: np.ndarray, j0: int, steps: int, h: float, plan: Callable, phi=None):
     """(integrator, stored, finished, violations, reads): steps 0 .. steps - 1
     of the system from row j0 of the store S, one call of the run's kernel
-    (`_rk4_run`) per plan block, plan(k0, k1) giving the block's reads
-    (`_read_plan` or `_map_plan`, with phi as `_run_block` takes it).
+    (`_rk4_run`) per block of PLAN_BLOCK steps, plan(k0, k1) giving the
+    block's reads (`_read_plan` or `_map_plan`, with phi as `_run_block`
+    takes it).  A run of up to PLAN_BLOCK steps is one plan and one call.
 
     stored counts the rows of S then stored, and finished is False where a
     state was not finite.  violations lists the stored components below
@@ -925,8 +935,9 @@ def export_csv(
 
     The fields are the bytes of `'%.17g' % x`, written a block of
     PLAN_BLOCK rows at a time into one buffer by the C kernel of
-    `_csv_kernel` (see the module docstring).  Python formats the values
-    the kernel leaves to it, and every value where no kernel can be built.
+    `_csv_kernel` (see the module docstring), so a trajectory of up to
+    PLAN_BLOCK rows is one block.  Python formats the values the kernel
+    leaves to it, and every value where no kernel can be built.
     """
     header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)]
     columns = [traj.times, *traj.states.T]

@@ -151,6 +151,23 @@ def test_values_match_value_bitwise(delay, ts):
     assert _bits(delay.values(ts)) == _bits(delay.value(t) for t in ts.tolist())
 
 
+_discrete_delays = st.one_of(
+    st.integers(0, 2**40).map(ConstantStepDelay),
+    st.just(AlternatingParityDelay()),
+    st.floats(0.0, 1.0, exclude_max=True).map(ProportionalStepDelay),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delay=_discrete_delays, ks=st.lists(st.integers(0, 2**40), max_size=40))
+def test_discrete_values_match_value_at_every_step(delay, ks):
+    # the steps of a run, and steps far past any run that can be stored
+    ks = np.array(ks + [0, 1, 2, 2**40 - 1, 2**40], dtype=np.int64)
+    got = delay.values(ks)
+    assert got.dtype == np.int64
+    assert got.tolist() == [delay.value(k) for k in ks.tolist()]
+
+
 @pytest.mark.parametrize("delay, probe, exact, tol", [
     # the coarse grid misses t = 1/4 by 0.4 and the first refinement by 4e-4
     (CustomDelay(lambda t: t ** 0.5), 40000.0, 0.25, 1e-12),

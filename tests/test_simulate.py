@@ -316,9 +316,10 @@ def test_matches_per_stage_reference_bitwise(model, data, h, steps, scale):
     _assert_matches_oracle(model, delays, phi, h, steps * h)
 
 
-def test_matches_reference_across_plan_blocks(cubic2d):
-    # 3,000 steps; the delay ramps below h and back up, so the run passes
-    # through history, grid, in-step and current-state reads
+def test_matches_reference_across_plan_blocks(cubic2d, monkeypatch):
+    # 3,000 steps in blocks of 1,024; the delay ramps below h and back up,
+    # so the run passes through history, grid, in-step and current-state reads
+    monkeypatch.setattr(simulate_mod, "PLAN_BLOCK", 1024)
     delay = PiecewiseLinearDelay(((0.0, 0.5), (4.0, 0.0), (8.0, 0.0), (12.0, 0.004), (20.0, 2.0)))
     _assert_matches_oracle(cubic2d, delay, constant_history((1.0, 0.5)), 0.01, 30.0)
 
@@ -343,16 +344,9 @@ def test_negative_states_are_recorded_as_the_reference_does(delay, count):
     assert traj.states.min() < 0.0
 
 
-@pytest.mark.parametrize("compiler", [True, False], ids=["compiler", "no-compiler"])
-@pytest.mark.parametrize("delay, count", [(ConstantDelay(1.0), 998), (SinusoidalDelay(1.0, 0.5), 985)])
-def test_negative_states_take_one_kernel_call_per_plan_block(tmp_path, monkeypatch, compiler, delay, count):
-    # each kernel snaps roundoff to zero itself and runs on through a
-    # negative state, so 2,000 steps are two calls, one per plan block
-    if compiler and INTEGRATOR == "python":
-        pytest.skip("no C compiler")
-    if not compiler:
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setenv("PATH", str(tmp_path))
+def _kernel_calls(monkeypatch) -> list:
+    """The list that (j, r, r1) of each kernel call of the runs that follow
+    is appended to."""
     rk4_run, calls = simulate_mod._rk4_run, []
 
     def spied(model, h):
@@ -365,6 +359,22 @@ def test_negative_states_take_one_kernel_call_per_plan_block(tmp_path, monkeypat
         return integrator, spy
 
     monkeypatch.setattr(simulate_mod, "_rk4_run", spied)
+    return calls
+
+
+@pytest.mark.parametrize("compiler", [True, False], ids=["compiler", "no-compiler"])
+@pytest.mark.parametrize("delay, count", [(ConstantDelay(1.0), 998), (SinusoidalDelay(1.0, 0.5), 985)])
+def test_negative_states_take_one_kernel_call_per_plan_block(tmp_path, monkeypatch, compiler, delay, count):
+    # each kernel snaps roundoff to zero itself and runs on through a
+    # negative state, so 2,000 steps in blocks of 1,024 are two calls, one
+    # per plan block
+    if compiler and INTEGRATOR == "python":
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(simulate_mod, "PLAN_BLOCK", 1024)
+    if not compiler:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", str(tmp_path))
+    calls = _kernel_calls(monkeypatch)
     phi = constant_history((1.0,))
     traj = simulate_continuous(NEGATIVE_FEEDBACK, delay, phi, 0.01, 20.0)
     assert traj.metadata["integrator"] == ("native" if compiler else "python")
@@ -379,6 +389,33 @@ def test_negative_states_take_one_kernel_call_per_plan_block(tmp_path, monkeypat
     assert bits(traj.metadata["positivity_violations"]) == bits(violations)
     assert len(violations) == count and diverged_at is None
     assert not any(tmp_path.iterdir())  # without a compiler nothing is cached
+
+
+@pytest.mark.parametrize("compiler", [True, False], ids=["compiler", "no-compiler"])
+def test_a_5000_step_run_is_one_kernel_call_and_one_csv_block(tmp_path, monkeypatch, cubic2d, compiler):
+    # a cubic_ensemble run fits in one plan block: one kernel call, and its
+    # export writes all 5,001 rows as one CSV block
+    if compiler and INTEGRATOR == "python":
+        pytest.skip("no C compiler")
+    if not compiler:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", str(tmp_path))
+    calls, csv_lines, blocks = _kernel_calls(monkeypatch), simulate_mod._csv_lines, []
+
+    def block(fields, x, cols, buf):
+        blocks.append((fields is not simulate_mod._no_fields, len(x) // cols))
+        return csv_lines(fields, x, cols, buf)
+
+    monkeypatch.setattr(simulate_mod, "_csv_lines", block)
+    simulate_mod._csv_kernel.cache_clear()  # load the CSV kernel the environment now offers
+    try:
+        traj = simulate_continuous(cubic2d, ConstantDelay(1.0), constant_history((1.0, 0.5)), 0.01, 50.0)
+        export_csv(traj, tmp_path / "run.csv", v=(1.0, 1.0), dilation=cubic2d.dilation)
+    finally:
+        simulate_mod._csv_kernel.cache_clear()
+    assert traj.metadata["integrator"] == ("native" if compiler else "python")
+    assert calls == [(0, 0, 5000)]
+    assert blocks == [(compiler, 5001)]
 
 
 # -- the C kernel against the Python loop ------------------------------------
@@ -752,8 +789,9 @@ QUADRATIC_MAP = SystemModel(
 
 @pytest.mark.parametrize("delay", [ConstantStepDelay(3), AlternatingParityDelay(), ProportionalStepDelay(0.5)],
                          ids=["constant-steps", "alternating-parity", "proportional-steps"])
-def test_discrete_matches_the_per_step_loop(delay):
-    # 3,000 steps: three plan blocks; the parity delay reads the state itself
+def test_discrete_matches_the_per_step_loop(delay, monkeypatch):
+    # 3,000 steps: three plan blocks of 1,024; the parity delay reads the state itself
+    monkeypatch.setattr(simulate_mod, "PLAN_BLOCK", 1024)
     model = dataclasses.replace(DISCRETE_2D, delayed_terms=DISCRETE_2D.delayed_terms[:1])
     _assert_discrete_matches_oracle(model, delay, constant_history((1.0, 0.5)), 3000)
 

@@ -19,7 +19,9 @@ The configs are those of the perfbench workloads at seeds 1-3 (generated by
 perfbench/workloads.py, which is only imported) and variants built from the
 config builders of tests/test_cli.py: discrete maps among them, one
 that blows up and one that is not positive, and one continuous system
-that is not positive, whose runs clamp roundoff and record violations.  JSON reports
+that is not positive, whose runs clamp roundoff and record violations.
+Two continuous runs of 20,000 steps span several plan blocks
+(simulate.PLAN_BLOCK steps each), where every other run fits in one.  JSON reports
 are compared key by key, so a difference is printed as the path of the
 key with both values.  Each run is a separate `python -m delaycert`
 process with PYTHONPATH set to its tree; files go to a temporary directory
@@ -124,6 +126,7 @@ def cli_test_configs(src: Path) -> dict[str, dict]:
         "scalar-eta-theta": variant(scalar, analysis={"bounds": ["eta", "theta"]}),
         "negative-feedback": NEGATIVE_FEEDBACK,
         **discrete_map_configs(test_cli, variant),
+        **multi_block_configs(variant),
     }
     for horizon in (2, 5, 20):
         out[f"scalar-xi-t{horizon}"] = variant(
@@ -159,6 +162,18 @@ def discrete_map_configs(test_cli, variant) -> dict[str, dict]:
                                               sim={"horizon": 100}),
         # x(k+1) = 0.5 x(k) - 0.8 x(k - 2): it swings through zero
         "discrete-negative-states": variant(negative, sim={"horizon": 200}),
+    }
+
+
+def multi_block_configs(variant) -> dict[str, dict]:
+    """Runs of 20,000 steps: NEGATIVE_FEEDBACK at h = 0.001, whose
+    violations fall on both sides of the block edges, and the cubic of
+    cubic_ensemble (seed 1) under its piecewise-linear delay at h = 0.002."""
+    cubic = next(doc for doc in _workloads().WORKLOADS["cubic_ensemble"].configs(1).values()
+                 if doc["delay"]["family"] == "piecewise_linear")
+    return {
+        "negative-feedback-h0.001": variant(NEGATIVE_FEEDBACK, sim={"h": 0.001, "horizon": 20}),
+        "cubic-piecewise-linear-h0.002": variant(cubic, sim={"h": 0.002, "horizon": 40}),
     }
 
 
