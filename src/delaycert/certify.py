@@ -24,11 +24,15 @@ call, and neither of its hot loops runs the monomial kernel:
 
 - The margins come from `margins_at`, a C function of the one compiled
   source of `simulate`, which walks the system's term tables as the RK4
-  kernel does; each search binds it to its system once
+  kernel does.  The search calls it through the builtin `margins` of
+  that object's extension section (`native.extension`), which reads v,
+  runs `margins_at` and returns a new list, in about a third of the time
+  a ctypes call took.  Each search binds it to its system once
   (`_margin_evaluator`), and nothing keeps it after the search.
   Verification evaluates one point: it takes f(v) and g(v) from the
   monomial kernel, once each, and forms the margins as `margins`' kernel
-  path does.  That path also stands in wherever no C compiler is found
+  path does.  That path also stands in wherever no C compiler or no
+  Python headers are found, where the search is several times slower,
   and wherever a power in the C walk overflows.  Both paths give the same
   margins bit for bit.
 - The coordinate descent is one function per dimension n, generated from
@@ -268,38 +272,27 @@ def linear_model(A, B_list, kind: str) -> SystemModel:
 
 
 def _margin_evaluator(model: SystemModel) -> Callable[[Sequence[float]], list[float]] | None:
-    """margins(v): `margins(model, v)` from the C function `margins_at`
-    (see the module docstring), bound to the system's term tables once;
-    None where `native.load` cannot build its source.
+    """margins(v): `margins(model, v)` from the C function `margins_at`,
+    as the builtin `margins` of the extension module `native.extension`
+    builds, bound to the system's term tables once (see the module
+    docstring); None where that module cannot be built or Python's headers
+    are not found.
 
     It sums, bit for bit, as the kernel path does: f_i(v) + (g_0,i(v) +
     g_1,i(v) + ...), minus v_i in discrete time.  A power that overflows
-    raises OverflowError.  The arguments are ctypes values built here, so
-    a call converts nothing but v, and `margins_at` returns a C int,
-    ctypes' default result type.  Binding costs more than a few dozen
-    kernel calls, so only the search, which scores thousands of rays,
-    builds one.
+    raises OverflowError, and a v that is not n numbers raises ValueError
+    or TypeError.  Binding costs more than a few dozen kernel calls, so
+    only the search, which scores thousands of rays, builds one.
     """
-    import ctypes
-
     from . import native, simulate
 
-    lib = native.load(simulate._SOURCE)
-    if lib is None:
+    module = native.extension(simulate._SOURCE)
+    if module is None:
         return None
-    fn, i64 = lib.margins_at, ctypes.c_int64
     tables = field_tables((model.f, *model.delayed_terms))
-    x, out = (ctypes.c_double * model.n)(), (ctypes.c_double * model.n)()
-    args = (i64(model.n), i64(len(model.delayed_terms)), i64(model.is_discrete), x, out,
-            *(ctypes.c_void_p(a.ctypes.data) for a in tables))
-
-    def evaluate(v: Sequence[float], tables=tables) -> list[float]:  # tables: kept alive for args
-        x[:] = v
-        if fn(*args):
-            raise OverflowError("a power in the margins overflowed")
-        return out[:]
-
-    return evaluate
+    bound = module.bind(tables, model.n, len(model.delayed_terms), int(model.is_discrete),
+                        *(a.ctypes.data for a in tables))
+    return functools.partial(module.margins, bound)
 
 
 def _names(prefix: str, n: int) -> list[str]:

@@ -28,8 +28,9 @@ at a state that is not finite:
     system.  Its field sums are calls of `term_sum`, a walk over the
     system's term tables (`model.field_tables`, built once per run),
     which `margins_at`, the certificate search's margins, calls too.
-    These, the power helper `native.PY_POW` and the CSV writer below are
-    one C source, which `native` compiles once per machine into one
+    These, the power helper `native.PY_POW`, the CSV writer below and
+    the extension section through which the search calls `margins_at`
+    are one C source, which `native` compiles once per machine into one
     cached object, on the first simulate, export or search;
   - Python: the same loop, stage by stage, where each stage's field sum
     is f(z) + g_0(d_0) + g_1(d_1) + ..., each field from the monomial
@@ -38,13 +39,14 @@ at a state that is not finite:
     cache that cannot be written), and it is the reference the C kernel
     is tested against.
 One driver, `_run_block`, runs either over a block of the read plan in
-one call: it fills in the block's history reads by calling phi before the
-kernel runs.  `_drive` runs the blocks and then finds each block's
-positivity violations in the stored rows.  metadata["integrator"] says
-which kernel ran.  Both do the float operations of a per-stage lookup and
-of `PolyVectorField.evaluate`, in the same order, and a power x ** e in C
-is CPython's own float power, so the trajectory, positivity record,
-divergence time and read counts are the same bit for bit.
+one call: it fills in the block's history reads from phi before the
+kernel runs, in one array call where phi has an array form.  `_drive`
+runs the blocks and then finds each block's positivity violations in the
+stored rows.  metadata["integrator"] says which kernel ran.  Both do the
+float operations of a per-stage lookup and of `PolyVectorField.evaluate`,
+in the same order, and a power x ** e in C is CPython's own float power,
+so the trajectory, positivity record, divergence time and read counts are
+the same bit for bit.
 
 Fixed stepping is deliberate: time-varying delays create derivative kinks at
 unpredictable times, and a fine fixed step with a documented O(h^2)
@@ -85,6 +87,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Mapping, Sequence
 
@@ -150,13 +153,21 @@ class Trajectory:
 
 
 def constant_history(x0: Sequence[float]) -> Callable[[float], tuple[float, ...]]:
-    """History function that is identically x0 on the initial window."""
+    """History function that is identically x0 on the initial window.  Its
+    array form phi.rows(ts) is x0 in each of len(ts) rows (see `_run_block`)."""
     frozen = tuple(float(x) for x in x0)
-    return lambda t: frozen
+
+    def phi(t: float) -> tuple[float, ...]:
+        return frozen
+
+    phi.rows = lambda ts: np.full((len(ts), len(frozen)), frozen, dtype=float)
+    return phi
 
 
 def tabulated_history(times: Sequence[float], states) -> Callable[[float], tuple[float, ...]]:
-    """Piecewise-linear history through sample points (times ascending, <= 0)."""
+    """Piecewise-linear history through sample points (times ascending, <= 0).
+    Its array form phi.rows(ts) is phi at each time of ts, one row each,
+    from one `np.interp` per column: the bits of phi (see `_run_block`)."""
     ts = np.asarray(times, dtype=float)
     ys = np.asarray(states, dtype=float)
     if ts.ndim != 1 or len(ts) < 1 or not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0):
@@ -167,6 +178,7 @@ def tabulated_history(times: Sequence[float], states) -> Callable[[float], tuple
     def phi(t: float) -> tuple[float, ...]:
         return tuple(float(np.interp(t, ts, ys[:, j])) for j in range(ys.shape[1]))
 
+    phi.rows = lambda at: np.column_stack([np.interp(at, ts, ys[:, j]) for j in range(ys.shape[1])])
     return phi
 
 
@@ -455,14 +467,19 @@ def _run_block(kernel: Callable, S: np.ndarray, j0: int, stop: int, code, w, idx
     of kernel (see `_rk4_run`), from row j0 of the state store S: (rows of
     S then stored, True when every step was taken, False at a state that is
     not finite).  The history reads are filled in first: row k of P is phi
-    at the k-th of them, and idx points there.  Without phi (a map's plan)
-    every history read is the row idx of S itself."""
+    at the k-th of them, and idx points there.  A phi with an array form,
+    phi.rows(times) (`constant_history`, `tabulated_history`), gives P in
+    one call; any other phi is called once per read.  Without phi (a map's
+    plan) every history read is the row idx of S itself."""
     P = S
     if phi is not None:
         hist = code == _HISTORY
         hist[:, stop:] = False
         at = np.flatnonzero(hist)
-        P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, S.shape[1])
+        if hasattr(phi, "rows"):
+            P = phi.rows(w.flat[at])
+        else:
+            P = np.array([phi(s) for s in w.flat[at].tolist()], dtype=float).reshape(-1, S.shape[1])
         idx.flat[at] = np.arange(len(at))
     r = kernel(S, j0, 0, stop, code, w, idx, P)
     return (j0 + stop + 1, True) if r == stop else (j0 - r, False)
@@ -502,6 +519,26 @@ def _drive(model: SystemModel, S: np.ndarray, j0: int, steps: int, h: float, pla
     return integrator, stored, finished, violations, reads
 
 
+def _memory_bytes() -> float:
+    """The machine's physical memory in bytes, or inf where the system
+    does not report it."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return size if size > 0 else math.inf
+
+
+def _state_store(rows: int, n: int) -> np.ndarray:
+    """np.empty((rows, n)), the state store of a run; MemoryError where its
+    bytes exceed physical memory, which an allocation that only reserves
+    address space can pass, so that no step runs into a store the machine
+    cannot hold."""
+    if rows * n * 8 > _memory_bytes():
+        raise MemoryError(f"a store of {rows} x {n} states exceeds physical memory")
+    return np.empty((rows, n))
+
+
 def simulate_continuous(
     model: SystemModel,
     delay: DelayModel | Sequence[DelayModel],
@@ -523,7 +560,8 @@ def simulate_continuous(
     current stage state.  metadata["integrator"] says which kernel ran the
     steps, "native" (the C kernel) or "python" (where no kernel could be
     built); both give the same trajectory bit for bit.  A step count whose
-    states cannot be allocated raises ValueError before any step is taken.
+    states cannot be allocated, or would exceed physical memory, raises
+    ValueError before any step is taken.
     """
     if model.is_discrete:
         raise ValueError("model is discrete; use simulate_discrete")
@@ -537,7 +575,7 @@ def simulate_continuous(
     try:
         steps = int(round(horizon / h))
         # the kernels' store, and the size of the trajectory they return
-        S = np.empty((steps + 1, n))
+        S = _state_store(steps + 1, n)
     except (OverflowError, ValueError, MemoryError):
         raise ValueError(
             f"{horizon / h:.3g} steps of sim.h = {h!r} to sim.horizon = {horizon!r}: "
@@ -583,8 +621,8 @@ def simulate_discrete(
     steps run as the one-stage case of `simulate_continuous`'s kernels
     (see the module docstring), and metadata["integrator"] says which ran.
     States below -VIOLATION_EPS are kept and recorded as positivity
-    violations.  A horizon whose states cannot be allocated raises
-    ValueError before any step is taken.
+    violations.  A horizon whose states cannot be allocated, or would
+    exceed physical memory, raises ValueError before any step is taken.
     """
     if not model.is_discrete:
         raise ValueError("model is continuous; use simulate_continuous")
@@ -597,7 +635,7 @@ def simulate_discrete(
     n = model.n
     try:
         # the history rows, then the run's
-        S = np.empty((depth + 1 + horizon, n))
+        S = _state_store(depth + 1 + horizon, n)
     except (OverflowError, ValueError, MemoryError):
         raise ValueError(f"sim.horizon = {horizon!r} steps: their states cannot be allocated") from None
 
@@ -832,9 +870,124 @@ int64_t csv_fields(const double *x, int64_t i, int64_t m, int64_t cols, const do
 """
 
 
+# The extension module native.MODULE, compiled where `native` finds Python's
+# headers, which define Py_PYTHON_H: `certify._margin_evaluator` binds a
+# system's term tables once, and each call of margins(bound, v) converts v,
+# runs `margins_at` and returns the margins as a new list.
+_EXTENSION_SOURCE = r"""
+#ifdef Py_PYTHON_H
+#define BOUND "delaycert.bound"
+
+typedef struct { int64_t n, Q, discrete; const int64_t *span, *first, *var, *odd; const double *coeff, *power;
+                 PyObject *keep; } Bound;
+
+static void bound_free(PyObject *capsule)
+{
+    Bound *b = PyCapsule_GetPointer(capsule, BOUND);
+    Py_XDECREF(b->keep);
+    PyMem_Free(b);
+}
+
+/* bind(keep, n, Q, discrete, span, coeff, first, var, power, odd): a capsule
+   of the tables at those addresses, which holds keep, the arrays, alive */
+static PyObject *ext_bind(PyObject *self, PyObject *args)
+{
+    PyObject *keep, *capsule;
+    long long n, Q, discrete;
+    unsigned long long a[6];
+    Bound *b;
+    if (!PyArg_ParseTuple(args, "OLLLKKKKKK", &keep, &n, &Q, &discrete, a, a + 1, a + 2, a + 3, a + 4, a + 5))
+        return NULL;
+    if ((b = PyMem_Malloc(sizeof(Bound))) == NULL)
+        return PyErr_NoMemory();
+    *b = (Bound){n, Q, discrete, (const int64_t *)(uintptr_t)a[0], (const int64_t *)(uintptr_t)a[2],
+                 (const int64_t *)(uintptr_t)a[3], (const int64_t *)(uintptr_t)a[5],
+                 (const double *)(uintptr_t)a[1], (const double *)(uintptr_t)a[4], keep};
+    if ((capsule = PyCapsule_New(b, BOUND, bound_free)) == NULL) {
+        PyMem_Free(b);
+        return NULL;
+    }
+    Py_INCREF(keep);
+    return capsule;
+}
+
+/* margins(bound, v): the list of margins_at at v; OverflowError where a
+   power overflows */
+static PyObject *ext_margins(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const Bound *b;
+    PyObject *v, *item, *out;
+    Py_ssize_t i;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "margins takes two arguments, (bound, v)");
+        return NULL;
+    }
+    if ((b = PyCapsule_GetPointer(args[0], BOUND)) == NULL)
+        return NULL;
+    if ((v = PySequence_Fast(args[1], "v must be a sequence")) == NULL)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(v) != b->n) {
+        PyErr_Format(PyExc_ValueError, "v has length %zd, the system n = %lld",
+                     PySequence_Fast_GET_SIZE(v), (long long)b->n);
+        Py_DECREF(v);
+        return NULL;
+    }
+    double x[b->n], m[b->n];
+    for (i = 0; i < b->n; i++) {
+        /* a __float__ may shrink a list: its length is read again */
+        if (i >= PySequence_Fast_GET_SIZE(v)) {
+            PyErr_SetString(PyExc_ValueError, "v changed length");
+            break;
+        }
+        item = PySequence_Fast_GET_ITEM(v, i);
+        if (PyFloat_CheckExact(item))
+            x[i] = PyFloat_AS_DOUBLE(item);
+        else {
+            Py_INCREF(item);
+            x[i] = PyFloat_AsDouble(item);
+            Py_DECREF(item);
+            if (x[i] == -1.0 && PyErr_Occurred())
+                break;
+        }
+    }
+    Py_DECREF(v);
+    if (i < b->n)
+        return NULL;
+    if (margins_at(b->n, b->Q, b->discrete, x, m, b->span, b->coeff, b->first, b->var, b->power, b->odd)) {
+        PyErr_SetString(PyExc_OverflowError, "a power in the margins overflowed");
+        return NULL;
+    }
+    if ((out = PyList_New(b->n)) == NULL)
+        return NULL;
+    for (i = 0; i < b->n; i++) {
+        if ((item = PyFloat_FromDouble(m[i])) == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, item);
+    }
+    return out;
+}
+
+static PyMethodDef ext_methods[] = {
+    {"bind", ext_bind, METH_VARARGS, NULL},
+    {"margins", (PyCFunction)(void (*)(void))ext_margins, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef ext_module = {PyModuleDef_HEAD_INIT, "_native", NULL, -1, ext_methods};
+
+PyMODINIT_FUNC PyInit__native(void)
+{
+    return PyModule_Create(&ext_module);
+}
+#endif
+"""
+
 # the program's one C source: compiled once per machine into one cached
-# object, which serves every run (`_native_rk4`) and every export (`_csv_kernel`)
-_SOURCE = "\n".join([native.PY_POW, "#include <stdint.h>", _RK4_SOURCE, _CSV_SOURCE])
+# object, which serves every run (`_native_rk4`), every export
+# (`_csv_kernel`) and, as an extension module, every certificate search
+_SOURCE = "\n".join([native.PY_POW, "#include <stdint.h>", _RK4_SOURCE, _CSV_SOURCE, _EXTENSION_SOURCE])
 
 
 def _tens() -> np.ndarray:

@@ -20,7 +20,8 @@ from delaycert import (
     spectral_radius,
     verify_certificate,
 )
-from delaycert import certify as certify_mod, native
+from delaycert import ConstantDelay, constant_history, simulate_continuous
+from delaycert import certify as certify_mod, native, simulate as simulate_mod
 from delaycert.certify import linear_model
 from delaycert.model import _sum_monomials
 
@@ -390,6 +391,32 @@ def test_margin_evaluator_of_ten_thousand_terms_matches_kernel_bitwise():
             assert [m.hex() for m in evaluator(x)] == [m.hex() for m in want]
 
 
+@needs_compiler
+def test_margins_builtin_takes_exactly_n_numbers(cubic2d):
+    evaluator = certify_mod._margin_evaluator(cubic2d)
+    assert evaluator((1, np.float64(1.0))) == evaluator([1.0, 1.0]) == [-2.0, -1.0]
+    for v in ([1.0], [1.0, 1.0, 1.0], []):
+        with pytest.raises(ValueError, match="length"):
+            evaluator(v)
+    for v in ([1.0, "1"], [None, 1.0], 1.0):
+        with pytest.raises(TypeError):
+            evaluator(v)
+
+    class Shrinks:  # a number that takes the list's last item away
+        def __float__(self):
+            del v[-1]
+            return 1.0
+
+    v = [Shrinks(), 1.0]
+    with pytest.raises(ValueError, match="changed length"):
+        evaluator(v)
+    module = native.extension(simulate_mod._SOURCE)
+    with pytest.raises(ValueError, match="PyCapsule"):
+        module.margins(object(), [1.0, 1.0])
+    with pytest.raises(TypeError):
+        module.margins([1.0, 1.0])
+
+
 def _random_cooperative_system(rng, n, kind, n_delayed):
     """Degree 0 under r = (1, 2, 1, ...): linear couplings between components
     of equal weight, quadratic ones from weight-1 into weight-2 components,
@@ -445,6 +472,49 @@ def test_search_returns_the_same_v_with_and_without_the_evaluator(monkeypatch):
             found += 1
             assert [x.hex() for x in a] == [x.hex() for x in b]
     assert 20 <= found < len(systems)  # both verdicts are covered
+
+
+@needs_compiler
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+def test_margins_builtin_matches_the_kernel_bitwise_at_n_300(kind):
+    rng = np.random.default_rng(300)
+
+    def field():  # five terms per component, with powers up to 4 of any variable
+        exps = rng.integers(0, 5, size=(300, 5, 300)) * (rng.random((300, 5, 300)) < 0.01)
+        exps[np.arange(300)[:, None], np.arange(5), rng.integers(0, 300, (300, 5))] += 1  # none is constant
+        return PolyVectorField(300, tuple(
+            tuple((float(c), tuple(int(e) for e in es)) for c, es in zip(rng.normal(size=5), comp)) for comp in exps
+        ))
+
+    model = SystemModel(kind=kind, f=field(), delayed_terms=(field(), field()),
+                        dilation=Dilation((1.0,) * 300), degree=0.0)
+    evaluator = certify_mod._margin_evaluator(model)
+    for v in ([1.0] * 300, [float(x) for x in rng.uniform(0.5, 2.0, 300)]):
+        assert [m.hex() for m in evaluator(v)] == [m.hex() for m in margins(model, v)]
+
+
+def test_without_python_headers_the_search_takes_the_kernel_and_runs_stay_native(tmp_path, monkeypatch, cubic2d):
+    # the same v bit for bit, with the C runs of the object compiled
+    # without the extension section
+    want = find_certificate_nonlinear(cubic2d, seed=3)
+    (tmp_path / "include").mkdir()
+    monkeypatch.setattr(native, "_include", lambda: str(tmp_path / "include"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert certify_mod._margin_evaluator(cubic2d) is None
+    got = find_certificate_nonlinear(cubic2d, seed=3)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    traj = simulate_continuous(cubic2d, ConstantDelay(1.0), constant_history((1.0, 0.5)), 0.01, 1.0)
+    assert traj.metadata["integrator"] == ("native" if native._compiler() is not None else "python")
+
+
+def test_the_cache_path_follows_the_interpreters_extension_suffix(monkeypatch):
+    import sysconfig
+
+    path, get = native._path("int x;"), sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: ".cpython-399-x.so" if name == "EXT_SUFFIX" else get(name))
+    assert native._path("int x;") != path
+    assert native._path("int x;").parent == path.parent
 
 
 def _count_margins(monkeypatch, model):

@@ -942,6 +942,20 @@ def test_a_step_count_whose_states_cannot_be_allocated_exits_64(tmp_path, capsys
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("doc, rows", [(cubic_config(), 5001), (discrete_config(), 33)], ids=["continuous", "discrete"])
+def test_a_store_larger_than_physical_memory_exits_64(tmp_path, capsys, monkeypatch, doc, rows):
+    # memory one state row short of the store: refused before any step
+    n = doc["system"]["f"]["n"]
+    monkeypatch.setattr(simulate_mod, "_memory_bytes", lambda: rows * n * 8 - 1)
+    monkeypatch.setattr(simulate_mod, "_drive", lambda *args: pytest.fail("a step was taken"))
+    out_csv = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write(tmp_path, doc), "--out", str(out_csv)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "cannot be allocated" in captured.err
+    assert not out_csv.exists()
+
+
 def test_check_certify_and_bounds_never_load_the_csv_kernel(tmp_path, capsys, monkeypatch):
     from delaycert import native
 

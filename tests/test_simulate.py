@@ -166,6 +166,63 @@ def test_tabulated_history_interpolates(scalar_half):
     assert traj.states[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("phi", [
+    constant_history((1.0, 0.5)),
+    tabulated_history([-12.0, -5.0, -0.5, 0.0], [[0.5, 2.0], [1.5, 0.25], [0.75, 1.0], [1.0, 0.5]]),
+], ids=["constant", "tabulated"])
+def test_history_reads_take_one_array_call_per_plan_block(cubic2d, monkeypatch, phi):
+    # a 12-unit delay reads the history for the first 1,200 of 2,000 steps,
+    # in both plan blocks of 1,024: two array calls, and no scalar call but
+    # the run's own phi(0.0); the reads are the scalar calls' bits
+    monkeypatch.setattr(simulate_mod, "PLAN_BLOCK", 1024)
+    calls, rows = [], []
+
+    def counted(t):
+        calls.append(t)
+        return phi(t)
+
+    counted.rows = lambda ts: rows.append(len(ts)) or phi.rows(ts)
+    traj = simulate_continuous(cubic2d, ConstantDelay(12.0), counted, 0.01, 20.0)
+    assert calls == [0.0]
+    assert len(rows) == 2 and sum(rows) == 3 * 1200 + 1
+    states, _, _ = oracle_continuous(cubic2d, ConstantDelay(12.0), phi, 0.01, 20.0)
+    assert np.array_equal(traj.states.view(np.uint64), np.array(states).view(np.uint64))
+
+
+def test_a_history_without_an_array_form_is_called_once_per_read(cubic2d):
+    calls = []
+
+    def phi(t):
+        calls.append(t)
+        return (1.0 + t / 8.0, 0.5)
+
+    traj = simulate_continuous(cubic2d, ConstantDelay(4.0), phi, 0.01, 6.0)
+    assert len(calls) == 1 + 3 * 400 + 1  # phi(0.0), then one call per read
+    calls.clear()
+    states, _, _ = oracle_continuous(cubic2d, ConstantDelay(4.0), phi, 0.01, 6.0)
+    assert np.array_equal(traj.states.view(np.uint64), np.array(states).view(np.uint64))
+
+
+def test_a_store_larger_than_physical_memory_is_refused_before_any_step(monkeypatch, cubic2d,
+                                                                       alternating_discrete):
+    # with 16,000 bytes of memory, 999 steps of n = 2 (1,000 rows of 16
+    # bytes) fit and 1,000 steps do not; a map of n = 1 keeps its 3 history
+    # rows in front of its own, so 1,997 steps fit (2,000 rows of 8 bytes)
+    monkeypatch.setattr(simulate_mod, "_memory_bytes", lambda: 16_000)
+    phi, history = constant_history((1.0, 0.5)), {0: (3.0,), -1: (3.0,), -2: (3.0,)}
+    assert len(simulate_continuous(cubic2d, ConstantDelay(1.0), phi, 0.01, 9.99).times) == 1000
+    assert len(simulate_discrete(alternating_discrete, ConstantStepDelay(2), history, 1997).times) == 1998
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(simulate_mod, "_drive", refuse)
+    with pytest.raises(ValueError, match="cannot be allocated"):
+        simulate_continuous(cubic2d, ConstantDelay(1.0), phi, 0.01, 10.0)
+    with pytest.raises(ValueError, match="cannot be allocated"):
+        simulate_discrete(alternating_discrete, ConstantStepDelay(2), history, 1998)
+
+
 def test_stage_times_use_stage_delay():
     # tau evaluated at the stage time: with tau(t) = t the delayed argument
     # is frozen at zero, so x' = -x + 0.5 * phi(0) has the affine closed form
