@@ -32,7 +32,7 @@ call, and neither of its hot loops runs the monomial kernel:
   Verification evaluates one point: it takes f(v) and g(v) from the
   monomial kernel, once each, and forms the margins as `margins`' kernel
   path does.  That path also stands in wherever no C compiler or no
-  Python headers are found, where the search is several times slower,
+  Python headers are found, where the search is about eight times slower,
   and wherever a power in the C walk overflows.  Both paths give the same
   margins bit for bit.
 - The coordinate descent is one function per dimension n, generated from
